@@ -14,12 +14,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import __version__
-from .bands import UnknownBandLabelError
 from .brillouin import boundary_radius, named_direction, wedge_directions, \
     icosphere_directions
 from .errors import GTensorError
@@ -59,6 +59,21 @@ def _parse_direction(spec: str, seed: int) -> np.ndarray:
     if n == 0.0:
         raise UsageError("--direction must not be the zero vector")
     return v / n
+
+
+# smallest accepted value of each integer option, where a subcommand has it
+_INT_MINIMUM = {"samples": 1, "ncoarse": 2, "level": 0, "workers": 1}
+
+
+def _check_numbers(args: argparse.Namespace) -> None:
+    """Reject numeric options outside their domain before any work."""
+    for option, minimum in _INT_MINIMUM.items():
+        value = getattr(args, option, None)
+        if value is not None and value < minimum:
+            raise UsageError(f"--{option} must be >= {minimum}, got {value}")
+    r_max = getattr(args, "rmax", None)
+    if r_max is not None and not (r_max > 0.0 and math.isfinite(r_max)):
+        raise UsageError(f"--rmax must be a positive finite number, got {r_max}")
 
 
 def _provenance(args: argparse.Namespace) -> list:
@@ -261,11 +276,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_numbers(args)
         return args.func(args)
-    except UsageError as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return USAGE_EXIT
-    except (UnknownBandLabelError, KeyError) as err:
+    except (UsageError, KeyError) as err:
         print(f"usage error: {err}", file=sys.stderr)
         return USAGE_EXIT
     except GTensorError as err:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .bands import BlochSolution, KramersPair, solve
 from .errors import BracketError
@@ -118,6 +117,9 @@ def fit_dipole(model: MaterialModel, species: str,
     j=1/2 doublet.  Raises :class:`BracketError` when the target is not
     enclosed by the bracket.
     """
+    # imported here so that SciPy stays off the package's import path
+    from scipy.optimize import brentq
+
     def objective(d0: float) -> float:
         return atomic_g(model, species, dipole=d0).g_tot[2, 2] - target
 

@@ -13,7 +13,6 @@ import dataclasses
 import hashlib
 import json
 import math
-from importlib import resources
 from pathlib import Path
 
 from .errors import MaterialParseError, MaterialValidationError
@@ -100,7 +99,7 @@ def builtin_material_path(name: str) -> Path:
         raise MaterialValidationError(
             "material", f"unknown built-in material {name!r}; "
             f"choose from {BUILTIN_MATERIALS} or pass a file path")
-    return Path(str(resources.files("gtensor_tb.data") / f"{name}.json"))
+    return Path(__file__).with_name("data") / f"{name}.json"
 
 
 def resolve_material_path(spec: str) -> Path:

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from gtensor_tb.cli import main
 from gtensor_tb.units import HARTREE_EV
@@ -56,6 +57,32 @@ def test_bad_direction_is_usage_error(tmp_path):
     rc = main(["gline", "--material", "si", "--band", "split-off",
                "--direction", "0,0,0", "--out", str(tmp_path / "x.csv")])
     assert rc == 2
+
+
+_SURFACE = ["surface", "--material", "si", "--band", "split-off"]
+_RAY = ["--material", "si", "--band", "split-off", "--direction", "Delta"]
+_RMAX = "--rmax must be a positive finite number"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (_SURFACE + ["--ncoarse", "1"], "--ncoarse must be >= 2, got 1"),
+    (_SURFACE + ["--rmax", "-0.1"], _RMAX),
+    (_SURFACE + ["--rmax", "0"], _RMAX),
+    (_SURFACE + ["--rmax", "nan"], _RMAX),
+    (_SURFACE + ["--level", "-1"], "--level must be >= 0, got -1"),
+    (_SURFACE + ["--workers", "0"], "--workers must be >= 1, got 0"),
+    (["gline"] + _RAY + ["--rmax", "0"], _RMAX),
+    (["gline"] + _RAY + ["--samples", "0"], "--samples must be >= 1, got 0"),
+    (["entropy"] + _RAY + ["--rmax", "inf"], _RMAX),
+    (["entropy"] + _RAY + ["--samples", "-3"], "--samples must be >= 1, got -3"),
+    (["bands", "--material", "si", "--samples", "0"], "--samples must be >= 1, got 0"),
+])
+def test_out_of_domain_number_is_usage_error(tmp_path, capsys, argv, message):
+    out = tmp_path / "x.csv"
+    rc = main(argv + ["--out", str(out)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unwritable_out_is_io_error(tmp_path):

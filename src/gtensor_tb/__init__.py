@@ -7,8 +7,7 @@ and maps those zero surfaces in the Brillouin zone by parallel radial
 bisection.
 """
 from .bands import (BlochSolution, KramersPair, UnknownBandLabelError,
-                    align_to_reference, follow_ray, remix_pair,
-                    resolve_band_indices, select_pair, solve)
+                    remix_pair, resolve_band_indices, select_pair, solve)
 from .brillouin import (boundary_radius, cubic_group, high_symmetry_point,
                         icosphere_directions, named_direction, point_group_ops,
                         tetrahedral_group, wedge_directions)
@@ -19,7 +18,7 @@ from .entanglement import (DET_TOL, SpinDensity, cardinal_states,
 from .errors import (BracketError, DirectionNotApplicableError, GTensorError,
                      MaterialParseError, MaterialValidationError,
                      NearDegenerateIntermediateError, PairingAmbiguityError,
-                     PhysicsError, ZeroSplittingError)
+                     PairUndefinedError, PhysicsError, ZeroSplittingError)
 from .gtensor import (FieldResponse, GTensorSet, align_pair_to_spin_frame,
                       det_sign, g_tensor_set, momentum_table, orbital_g,
                       orbital_matrices, pair_zeeman_hamiltonian, proper_svd,
@@ -40,15 +39,15 @@ __all__ = [
     "DirectionNotApplicableError", "FieldResponse", "GTensorError",
     "GTensorSet", "HARTREE_EV", "KramersPair", "MU_B", "MaterialModel",
     "MaterialParseError", "MaterialValidationError",
-    "NearDegenerateIntermediateError", "PairingAmbiguityError", "PhysicsError",
+    "NearDegenerateIntermediateError", "PairUndefinedError",
+    "PairingAmbiguityError", "PhysicsError",
     "RayScan", "SpinDensity", "SurfaceCloud", "UnknownBandLabelError",
-    "ZeroSplittingError", "align_pair_to_spin_frame", "align_to_reference",
-    "atomic_g",
+    "ZeroSplittingError", "align_pair_to_spin_frame", "atomic_g",
     "bloch_hamiltonian", "boundary_radius", "build_surface",
     "builtin_material_path", "cardinal_states", "cubic_group",
     "det_along_ray", "det_sign", "dipole_matrix", "direction_applicable",
     "entropies_at_crossing", "entropy", "export_cloud", "fit_dipole",
-    "fit_report", "follow_ray",
+    "fit_report",
     "g_tensor_set", "hamiltonian_gradient", "high_symmetry_point",
     "icosphere_directions", "load_material", "momentum_table",
     "named_direction", "orbital_g", "orbital_matrices",

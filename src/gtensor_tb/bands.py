@@ -1,4 +1,4 @@
-"""Diagonalization, Kramers-pair selection, and gauge-smooth ray following."""
+"""Diagonalization and Kramers-pair selection."""
 from __future__ import annotations
 
 import dataclasses
@@ -97,31 +97,3 @@ def select_pair(model: MaterialModel, sol: BlochSolution, band_id) -> KramersPai
 def remix_pair(pair: KramersPair, w: np.ndarray) -> KramersPair:
     """Apply a 2x2 unitary to the pair basis: xi'_a = sum_b w[a,b] xi_b."""
     return dataclasses.replace(pair, states=pair.states @ w.T)
-
-
-def align_to_reference(pair: KramersPair, reference: np.ndarray) -> KramersPair:
-    """Rotate the pair basis to maximal overlap with two reference columns.
-
-    Used for gauge smoothness along rays: the polar factor of the
-    overlap matrix is the closest unitary, so aligned states depend
-    continuously on k wherever the pair is isolated.
-    """
-    overlap = pair.states.conj().T @ reference
-    u, _, vh = np.linalg.svd(overlap)
-    return dataclasses.replace(pair, states=pair.states @ (u @ vh))
-
-
-def follow_ray(model: MaterialModel, band_id, direction, radii) -> list:
-    """Solve and pair-select along k = r * direction with a smooth gauge."""
-    direction = np.asarray(direction, dtype=float)
-    direction = direction / np.linalg.norm(direction)
-    pairs = []
-    prev = None
-    for r in radii:
-        sol = solve(model, r * direction)
-        pair = select_pair(model, sol, band_id)
-        if prev is not None:
-            pair = align_to_reference(pair, prev.states)
-        pairs.append(pair)
-        prev = pair
-    return pairs

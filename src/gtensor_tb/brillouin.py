@@ -184,17 +184,16 @@ def wedge_directions(level: int, decimals: int = 9) -> np.ndarray:
     return reps[order]
 
 
-def replicate_points(points: np.ndarray, ops: np.ndarray,
-                     decimals: int = 6) -> np.ndarray:
+def replicate_points(points: np.ndarray, ops: np.ndarray) -> tuple:
     """Closure of a point set under point-group operations.
 
-    Images are deduplicated on a 10^-decimals grid and sorted
-    lexicographically, giving a deterministic, symmetry-closed cloud.
+    Returns (images, source): the distinct images, sorted
+    lexicographically, and for each the index of the point it came
+    from.  Signed-permutation images of equal points are bit-identical,
+    so duplicates are dropped exactly; the first operation to produce
+    an image names its source.
     """
     points = np.asarray(points, dtype=float)
-    if points.size == 0:
-        return points.reshape(0, 3)
     images = np.concatenate([points @ op.T for op in ops])
-    images = np.unique(np.round(images, decimals), axis=0)
-    order = np.lexsort((images[:, 2], images[:, 1], images[:, 0]))
-    return images[order]
+    images, first = np.unique(images, axis=0, return_index=True)
+    return images, first % len(points)  # images are stacked op by op

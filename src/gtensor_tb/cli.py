@@ -26,7 +26,7 @@ from .errors import GTensorError
 from .lande import fit_report
 from .materials import load_material, resolve_material_path
 from .surface import build_surface, export_cloud
-from .tables import band_path_rows, entropy_rows, gline_rows
+from .tables import band_path_rows, entropy_rows, gline_rows, write_csv
 
 USAGE_EXIT = 2
 PHYSICS_EXIT = 3
@@ -89,23 +89,6 @@ def _provenance(args: argparse.Namespace) -> list:
     ]
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.17g}"
-    return str(value)
-
-
-def _write_csv(path, provenance, header, rows, extra_comments=()):
-    with open(path, "w", newline="") as fh:
-        for line in provenance:
-            fh.write(f"# {line}\n")
-        for line in extra_comments:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_format_cell(v) for v in row) + "\n")
-
-
 def _load(args):
     path = resolve_material_path(args.material)
     if not path.exists():
@@ -124,7 +107,7 @@ def cmd_bands(args) -> int:
     header, rows, ticks = band_path_rows(model, names, args.samples)
     ticking = ["path ticks: " + "  ".join(f"{name}@{s:.17g}" for s, name in ticks),
                "energies in Hartree"]
-    _write_csv(args.out, _provenance(args), header, rows, ticking)
+    write_csv(args.out, _provenance(args) + ticking, header, rows)
     return 0
 
 
@@ -136,7 +119,7 @@ def cmd_gline(args) -> int:
         r_max = boundary_radius(model.lattice_constant, direction)
     header, rows = gline_rows(model, args.band, direction, r_max, args.samples)
     note = ["direction %s" % np.array2string(direction, precision=8)]
-    _write_csv(args.out, _provenance(args), header, rows, note)
+    write_csv(args.out, _provenance(args) + note, header, rows)
     return 0
 
 
@@ -155,7 +138,7 @@ def cmd_entropy(args) -> int:
                      "residual column is NaN")
         print("note: spin-flip relation not applicable on this direction; "
               "emitting entropies only", file=sys.stderr)
-    _write_csv(args.out, _provenance(args), header, rows, notes)
+    write_csv(args.out, _provenance(args) + notes, header, rows)
     return 0
 
 

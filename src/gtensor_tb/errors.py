@@ -25,7 +25,11 @@ class PhysicsError(GTensorError):
     """A physical precondition failed (not a bug, not a file problem)."""
 
 
-class PairingAmbiguityError(PhysicsError):
+class PairUndefinedError(PhysicsError):
+    """The pair's g-tensor is undefined at this k-point; scans skip it."""
+
+
+class PairingAmbiguityError(PairUndefinedError):
     """Requested band pair is not isolated from the remaining spectrum."""
 
     def __init__(self, k, band_indices, split, gap_to_rest):
@@ -39,7 +43,7 @@ class PairingAmbiguityError(PhysicsError):
         )
 
 
-class NearDegenerateIntermediateError(PhysicsError):
+class NearDegenerateIntermediateError(PairUndefinedError):
     """An intermediate band sits too close to the pair energy for the
     second-order orbital-moment sum to be trustworthy."""
 

@@ -75,10 +75,6 @@ class MaterialModel:
               for pair, table in self.sk.items()}
         return dataclasses.replace(self, sk=sk)
 
-    def with_dipole(self, dipole: dict) -> "MaterialModel":
-        """Copy with a replacement species -> dipole map (Bohr)."""
-        return dataclasses.replace(self, dipole=dict(dipole))
-
 
 def _require(mapping, key, path):
     if key not in mapping:

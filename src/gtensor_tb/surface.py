@@ -18,20 +18,20 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import multiprocessing
 
 import numpy as np
 
-from .bands import KramersPair, select_pair, solve
+from .bands import select_pair, solve
 from .brillouin import boundary_radius, point_group_ops, replicate_points
-from .errors import NearDegenerateIntermediateError, PairingAmbiguityError
+from .errors import PairUndefinedError
 from .gtensor import det_sign, g_tensor_set, spin_g
 from .materials import MaterialModel
+from .tables import write_csv
 
 BISECT_TOL = 1e-6  # Bohr^-1
 N_COARSE = 200
-
-_SCAN_ERRORS = (PairingAmbiguityError, NearDegenerateIntermediateError)
 
 
 @dataclasses.dataclass
@@ -71,18 +71,14 @@ class SurfaceCloud:
     failures: list
 
 
-def _pair_at(model: MaterialModel, band_id, k) -> KramersPair:
-    return select_pair(model, solve(model, k), band_id)
-
-
-def _det_sign_at(model: MaterialModel, band_id, k, which_det: str) -> int:
-    """Sign of the chosen determinant at one k-point (+-1)."""
+def _g_at(model: MaterialModel, band_id, k, which_det: str) -> np.ndarray:
+    """The chosen 3x3 g-tensor (g_S or g_tot) at one k-point."""
     sol = solve(model, k)
     pair = select_pair(model, sol, band_id)
     if which_det == "gs":
-        return det_sign(spin_g(pair))
+        return spin_g(pair)
     if which_det == "gtot":
-        return det_sign(g_tensor_set(model, sol, pair).g_tot)
+        return g_tensor_set(model, sol, pair).g_tot
     raise ValueError(f"which_det must be 'gs' or 'gtot', not {which_det!r}")
 
 
@@ -98,14 +94,9 @@ def det_along_ray(model: MaterialModel, band_id, direction, radii,
     out = np.empty(len(radii))
     for i, r in enumerate(radii):
         try:
-            sol = solve(model, r * direction)
-            pair = select_pair(model, sol, band_id)
-            if which_det == "gs":
-                g = spin_g(pair)
-            else:
-                g = g_tensor_set(model, sol, pair).g_tot
-            out[i] = np.linalg.det(g)
-        except _SCAN_ERRORS:
+            out[i] = np.linalg.det(_g_at(model, band_id, r * direction,
+                                         which_det))
+        except PairUndefinedError:
             out[i] = np.nan
     return out
 
@@ -114,7 +105,8 @@ def _bisect(model, band_id, direction, lo, hi, sign_lo, which_det, tol):
     """Shrink a sign-change bracket below tol; returns (mid, width)."""
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if _det_sign_at(model, band_id, mid * direction, which_det) == sign_lo:
+        g = _g_at(model, band_id, mid * direction, which_det)
+        if det_sign(g) == sign_lo:
             lo = mid
         else:
             hi = mid
@@ -154,8 +146,8 @@ def scan_ray(model: MaterialModel, band_id, direction,
     fail_reason = None
     for r in radii:
         try:
-            sign = _det_sign_at(model, band_id, r * direction, which_det)
-        except _SCAN_ERRORS as err:
+            sign = det_sign(_g_at(model, band_id, r * direction, which_det))
+        except PairUndefinedError as err:
             if fail_start is None:
                 fail_start = prev_r if prev_r is not None else r
                 fail_reason = type(err).__name__
@@ -170,7 +162,7 @@ def scan_ray(model: MaterialModel, band_id, direction,
             try:
                 mid, width = _bisect(model, band_id, direction, prev_r, r,
                                      prev_sign, which_det, bisect_tol)
-            except _SCAN_ERRORS as err:
+            except PairUndefinedError as err:
                 failures.append((prev_r, r, type(err).__name__))
             else:
                 crossings.append(Crossing(radius=mid, which_det=which_det,
@@ -180,25 +172,6 @@ def scan_ray(model: MaterialModel, band_id, direction,
         failures.append((fail_start, r_max, fail_reason))
     return RayScan(direction=direction, r_max=r_max, which_det=which_det,
                    crossings=crossings, failures=failures, clipped=clipped)
-
-
-# worker-process state, set once per process by the pool initializer
-_WORK = {}
-
-
-def _init_worker(model, band_id, which_det, r_max, n_coarse, bisect_tol, clip):
-    _WORK.update(model=model, band_id=band_id, which_det=which_det,
-                 r_max=r_max, n_coarse=n_coarse, bisect_tol=bisect_tol,
-                 clip=clip)
-
-
-def _scan_one(task):
-    index, direction = task
-    scan = scan_ray(_WORK["model"], _WORK["band_id"], direction,
-                    r_max=_WORK["r_max"], n_coarse=_WORK["n_coarse"],
-                    bisect_tol=_WORK["bisect_tol"],
-                    which_det=_WORK["which_det"], clip=_WORK["clip"])
-    return index, scan
 
 
 def build_surface(model: MaterialModel, band_id, directions,
@@ -217,24 +190,23 @@ def build_surface(model: MaterialModel, band_id, directions,
     of worker scheduling.
     """
     directions = np.asarray(directions, dtype=float)
-    tasks = list(enumerate(directions))
-    init_args = (model, band_id, which_det, r_max, n_coarse, bisect_tol, clip)
+    scan = functools.partial(scan_ray, model, band_id, r_max=r_max,
+                             n_coarse=n_coarse, bisect_tol=bisect_tol,
+                             which_det=which_det, clip=clip)
     if workers > 1:
-        with multiprocessing.Pool(processes=workers, initializer=_init_worker,
-                                  initargs=init_args) as pool:
-            results = pool.map(_scan_one, tasks)
+        with multiprocessing.Pool(processes=workers) as pool:
+            results = pool.map(scan, directions)
     else:
-        _init_worker(*init_args)
-        results = [_scan_one(t) for t in tasks]
+        results = map(scan, directions)
 
     points, dir_index, ordinals, slopes, failures = [], [], [], [], []
-    for index, scan in results:  # pool.map preserves task order
-        for ordinal, crossing in enumerate(scan.crossings):
-            points.append(crossing.radius * scan.direction)
+    for index, ray in enumerate(results):  # map preserves direction order
+        for ordinal, crossing in enumerate(ray.crossings):
+            points.append(crossing.radius * ray.direction)
             dir_index.append(index)
             ordinals.append(ordinal)
             slopes.append(crossing.slope_sign)
-        for (lo, hi, reason) in scan.failures:
+        for (lo, hi, reason) in ray.failures:
             failures.append((index, lo, hi, reason))
     points = np.array(points).reshape(-1, 3)
     dir_index = np.array(dir_index, dtype=int)
@@ -245,17 +217,9 @@ def build_surface(model: MaterialModel, band_id, directions,
     if replicate:
         ops = point_group_ops(model.point_group)
         n_ops = len(ops)
-        if len(points):
-            images = np.concatenate([points @ op.T for op in ops])
-            meta = np.concatenate(
-                [np.stack([dir_index, ordinals, slopes], axis=1)] * n_ops)
-            _, keep = np.unique(np.round(images, 6), axis=0,
-                                return_index=True)
-            keep.sort()
-            images, meta = images[keep], meta[keep]
-            order = np.lexsort((images[:, 2], images[:, 1], images[:, 0]))
-            points = images[order]
-            dir_index, ordinals, slopes = meta[order].T
+        points, source = replicate_points(points, ops)
+        dir_index, ordinals, slopes = (dir_index[source], ordinals[source],
+                                       slopes[source])
 
     return SurfaceCloud(
         material=model.name,
@@ -288,16 +252,11 @@ def export_cloud(cloud: SurfaceCloud, path, fmt: str = "csv",
             f"det: {cloud.which_det}",
             f"symmetry_ops: {cloud.symmetry_ops_applied}"]
     if fmt == "csv":
-        with open(path, "w", newline="") as fh:
-            for line in provenance + meta:
-                fh.write(f"# {line}\n")
-            writer = csv.writer(fh)
-            writer.writerow(CSV_COLUMNS)
-            for i in range(len(cloud.points)):
-                x, y, z = cloud.points[i]
-                writer.writerow([f"{x:.17g}", f"{y:.17g}", f"{z:.17g}",
-                                 cloud.dir_index[i], cloud.crossing_ordinal[i],
-                                 cloud.which_det, cloud.slope_sign[i]])
+        rows = [[*point, index, ordinal, cloud.which_det, slope]
+                for point, index, ordinal, slope in zip(
+                    cloud.points, cloud.dir_index, cloud.crossing_ordinal,
+                    cloud.slope_sign)]
+        write_csv(path, provenance + meta, CSV_COLUMNS, rows)
     elif fmt == "ply":
         with open(path, "w", newline="") as fh:
             fh.write("ply\nformat ascii 1.0\n")

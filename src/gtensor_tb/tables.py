@@ -1,10 +1,11 @@
-"""Row assembly for the plot-ready CSV outputs.
+"""Row assembly for the plot-ready CSV outputs, and their one writer.
 
 Each builder returns (header, rows) with plain Python floats; callers
-own formatting and provenance.  Pair-state entropies are only defined
-once the pair gauge is fixed, so every row aligns the pair to its spin
-frame first (the frame in which g_S has identity right factor); rows
-where pair selection fails carry NaNs instead of aborting the table.
+pass them with their provenance comments to :func:`write_csv`.
+Pair-state entropies are only defined once the pair gauge is fixed, so
+every row aligns the pair to its spin frame first (the frame in which
+g_S has identity right factor); rows where pair selection fails carry
+NaNs instead of aborting the table.
 """
 from __future__ import annotations
 
@@ -14,11 +15,9 @@ from .bands import select_pair, solve
 from .brillouin import high_symmetry_point
 from .entanglement import (direction_applicable, entropy,
                            pair_spin_densities, spin_flip_residual)
-from .errors import NearDegenerateIntermediateError, PairingAmbiguityError
+from .errors import PairUndefinedError
 from .gtensor import align_pair_to_spin_frame, g_tensor_set
 from .materials import MaterialModel
-
-_ROW_ERRORS = (PairingAmbiguityError, NearDegenerateIntermediateError)
 
 BANDS_FIXED_COLUMNS = ("path_s", "kx", "ky", "kz")
 GLINE_COLUMNS = ("r", "kx", "ky", "kz",
@@ -27,6 +26,26 @@ GLINE_COLUMNS = ("r", "kx", "ky", "kz",
                  "entropy_xi", "entropy_xi_bar")
 ENTROPY_COLUMNS = ("r", "kx", "ky", "kz",
                    "entropy_xi", "entropy_xi_bar", "spin_flip_residual")
+
+
+def _format_cell(value) -> str:
+    if isinstance(value, (float, np.floating)):
+        return f"{float(value):.17g}"
+    return str(value)
+
+
+def write_csv(path, comments, header, rows) -> None:
+    """Write '#' comment lines, a header and rows, with LF line endings.
+
+    Floats get 17 significant digits, so reading a file back
+    reproduces every value bit-exactly.
+    """
+    with open(path, "w", newline="") as fh:
+        for line in comments:
+            fh.write(f"# {line}\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_format_cell(v) for v in row) + "\n")
 
 
 def band_path_rows(model: MaterialModel, path_names,
@@ -59,8 +78,8 @@ def band_path_rows(model: MaterialModel, path_names,
     return header, rows, ticks
 
 
-def _aligned_pair_entropies(pair):
-    aligned, _, _ = align_pair_to_spin_frame(pair)
+def _aligned_pair_entropies(pair, g_s=None):
+    aligned, _, _ = align_pair_to_spin_frame(pair, g_s)
     dens = pair_spin_densities(aligned)
     return entropy(dens.rho_s), entropy(dens.rho_s_bar), aligned
 
@@ -78,8 +97,8 @@ def gline_rows(model: MaterialModel, band_id, direction,
             sol = solve(model, k)
             pair = select_pair(model, sol, band_id)
             gset = g_tensor_set(model, sol, pair)
-            s_xi, s_xib, _ = _aligned_pair_entropies(pair)
-        except _ROW_ERRORS:
+            s_xi, s_xib, _ = _aligned_pair_entropies(pair, gset.g_s)
+        except PairUndefinedError:
             rows.append(base + [np.nan] * (len(GLINE_COLUMNS) - 4))
             continue
         rows.append(base
@@ -107,7 +126,7 @@ def entropy_rows(model: MaterialModel, band_id, direction,
             sol = solve(model, k)
             pair = select_pair(model, sol, band_id)
             s_xi, s_xib, aligned = _aligned_pair_entropies(pair)
-        except _ROW_ERRORS:
+        except PairUndefinedError:
             rows.append([r, *k] + [np.nan] * 3)
             continue
         residual = spin_flip_residual(model, aligned) if flip_ok else np.nan

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from gtensor_tb import (PairingAmbiguityError, UnknownBandLabelError,
-                        align_to_reference, follow_ray, remix_pair,
+from gtensor_tb import (PairingAmbiguityError, PairUndefinedError,
+                        UnknownBandLabelError, remix_pair,
                         resolve_band_indices, select_pair, solve)
 
 from conftest import random_k_points
@@ -66,33 +66,12 @@ def test_remix_is_unitary_change_of_basis(si):
     assert np.abs(g - np.eye(2)).max() < 1e-12
 
 
-def test_align_to_reference_recovers_basis(si):
-    sol = solve(si, np.array([0.04, 0.02, 0.01]))
-    pair = select_pair(si, sol, "split-off")
-    rng = np.random.default_rng(3)
-    z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    w, _ = np.linalg.qr(z)
-    mixed = remix_pair(pair, w)
-    back = align_to_reference(mixed, pair.states)
-    assert np.abs(back.states - pair.states).max() < 1e-10
-
-
-def test_follow_ray_gauge_is_smooth(si):
-    radii = np.linspace(0.01, 0.05, 9)
-    pairs = follow_ray(si, "split-off", [1.0, 0.0, 0.0], radii)
-    assert len(pairs) == 9
-    for a, b in zip(pairs, pairs[1:]):
-        overlap = a.states.conj().T @ b.states
-        # off-diagonal leakage small, diagonal near +1 (no phase jumps)
-        assert np.abs(np.diag(overlap) - 1.0).max() < 0.02
-        assert abs(overlap[0, 1]) < 0.02
-
-
 def test_pairing_error_carries_context(ge):
     sol = solve(ge, np.zeros(3))
     try:
         select_pair(ge, sol, (6, 7))  # fourfold at Gamma
     except PairingAmbiguityError as err:
+        assert isinstance(err, PairUndefinedError)
         msg = str(err)
         assert "split" in msg and "gap" in msg
     else:

@@ -107,6 +107,13 @@ def test_gtot_dets_also_scanned(si):
         assert c.which_det == "gtot"
 
 
+def test_unknown_which_det_is_rejected(si):
+    with pytest.raises(ValueError, match="which_det"):
+        scan_ray(si, "split-off", [1, 0, 0], which_det="bogus")
+    with pytest.raises(ValueError, match="which_det"):
+        det_along_ray(si, "split-off", [1, 0, 0], [0.01], which_det="bogus")
+
+
 def test_build_surface_deterministic_across_workers(si):
     dirs = wedge_directions(0)
     kw = dict(which_det="gs", r_max=0.05, n_coarse=60)
@@ -157,6 +164,7 @@ def test_csv_round_trip_bit_exact(si, tmp_path):
     assert back.band_id == cloud.band_id
     assert back.which_det == cloud.which_det
     assert back.symmetry_ops_applied == cloud.symmetry_ops_applied
+    assert b"\r" not in path.read_bytes()
 
 
 def test_ply_export_counts_vertices(si, tmp_path):

@@ -170,15 +170,16 @@ def wedge_representative(direction) -> np.ndarray:
     return np.sort(d)[::-1]
 
 
-def wedge_directions(level: int, decimals: int = 9) -> np.ndarray:
+def wedge_directions(level: int) -> np.ndarray:
     """Unique wedge representatives of an icosphere direction set.
 
     Exploits the full cubic symmetry: scanning these and replicating by
     the 48 operations covers the same sphere at ~1/48 the ray count.
-    Rows are lexicographically sorted for deterministic output.
+    Representatives equal to 9 decimals are merged; rows are
+    lexicographically sorted for deterministic output.
     """
     reps = np.array([wedge_representative(d) for d in icosphere_directions(level)])
-    reps = np.unique(np.round(reps, decimals), axis=0)
+    reps = np.unique(np.round(reps, 9), axis=0)
     reps = reps / np.linalg.norm(reps, axis=1)[:, None]
     order = np.lexsort((reps[:, 2], reps[:, 1], reps[:, 0]))
     return reps[order]

@@ -55,6 +55,8 @@ def _parse_direction(spec: str, seed: int) -> np.ndarray:
         v = np.array([float(p) for p in parts])
     except ValueError:
         raise UsageError(f"non-numeric direction component in {spec!r}") from None
+    if not np.all(np.isfinite(v)):
+        raise UsageError(f"non-finite direction component in {spec!r}")
     n = np.linalg.norm(v)
     if n == 0.0:
         raise UsageError("--direction must not be the zero vector")
@@ -62,7 +64,8 @@ def _parse_direction(spec: str, seed: int) -> np.ndarray:
 
 
 # smallest accepted value of each integer option, where a subcommand has it
-_INT_MINIMUM = {"samples": 1, "ncoarse": 2, "level": 0, "workers": 1}
+_INT_MINIMUM = {"samples": 1, "ncoarse": 2, "level": 0, "workers": 1,
+                "seed": 0}
 
 
 def _check_numbers(args: argparse.Namespace) -> None:
@@ -101,9 +104,9 @@ def _load(args):
 def cmd_bands(args) -> int:
     model = _load(args)
     names = [p for p in args.path.split(",") if p.strip()]
-    if not names:
-        raise UsageError("--path must name at least one comma-separated "
-                         "high-symmetry point pair, e.g. 'L,G,X'")
+    if len(names) < 2:
+        raise UsageError("--path must name at least two comma-separated "
+                         "high-symmetry points, e.g. 'L,G,X'")
     header, rows, ticks = band_path_rows(model, names, args.samples)
     ticking = ["path ticks: " + "  ".join(f"{name}@{s:.17g}" for s, name in ticks),
                "energies in Hartree"]
@@ -111,12 +114,18 @@ def cmd_bands(args) -> int:
     return 0
 
 
-def cmd_gline(args) -> int:
-    model = _load(args)
+def _ray(args, model) -> tuple:
+    """Unit direction and length (default: zone boundary) of the ray."""
     direction = _parse_direction(args.direction, args.seed)
     r_max = args.rmax
     if r_max is None:
         r_max = boundary_radius(model.lattice_constant, direction)
+    return direction, r_max
+
+
+def cmd_gline(args) -> int:
+    model = _load(args)
+    direction, r_max = _ray(args, model)
     header, rows = gline_rows(model, args.band, direction, r_max, args.samples)
     note = ["direction %s" % np.array2string(direction, precision=8)]
     write_csv(args.out, _provenance(args) + note, header, rows)
@@ -125,10 +134,7 @@ def cmd_gline(args) -> int:
 
 def cmd_entropy(args) -> int:
     model = _load(args)
-    direction = _parse_direction(args.direction, args.seed)
-    r_max = args.rmax
-    if r_max is None:
-        r_max = boundary_radius(model.lattice_constant, direction)
+    direction, r_max = _ray(args, model)
     header, rows, flip_ok = entropy_rows(model, args.band, direction,
                                          r_max, args.samples)
     notes = ["direction %s" % np.array2string(direction, precision=8)]
@@ -144,10 +150,9 @@ def cmd_entropy(args) -> int:
 
 def cmd_surface(args) -> int:
     model = _load(args)
-    wedge = args.wedge
-    if wedge == "auto":
-        wedge = "on" if model.point_group == "Oh" else "off"
-    if wedge == "on":
+    # the wedge x >= y >= z >= 0 is a fundamental domain of O_h only
+    wedge = model.point_group == "Oh"
+    if wedge:
         directions = wedge_directions(args.level)
     else:
         directions = icosphere_directions(args.level)
@@ -157,10 +162,10 @@ def cmd_surface(args) -> int:
         r_max=args.rmax,
         n_coarse=args.ncoarse,
         workers=args.workers,
-        replicate=(wedge == "on"),
+        replicate=wedge,
     )
     notes = _provenance(args) + [
-        f"rays {len(directions)} wedge {wedge}",
+        f"rays {len(directions)} wedge {'on' if wedge else 'off'}",
         f"crossings {len(cloud.points)} failures {len(cloud.failures)}",
     ]
     export_cloud(cloud, args.out, fmt=args.format, provenance=notes)
@@ -233,10 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--det", choices=("gs", "gtot"), default="gs")
     p.add_argument("--level", type=int, default=4,
-                   help="icosphere subdivision level for ray directions")
-    p.add_argument("--wedge", choices=("auto", "on", "off"), default="auto",
-                   help="scan only the irreducible wedge and replicate "
-                        "by the point group (auto: on for O_h)")
+                   help="icosphere subdivision level; O_h scans its wedge only")
     p.add_argument("--rmax", type=float, default=None)
     p.add_argument("--ncoarse", type=int, default=200,
                    help="coarse samples per ray before bisection")

@@ -98,22 +98,21 @@ def direction_applicable(model: MaterialModel, direction) -> bool:
     return _family(direction) in _TD_FAMILIES
 
 
-def require_applicable(model: MaterialModel, direction) -> None:
-    """Raise :class:`DirectionNotApplicableError` off the valid families."""
-    if not direction_applicable(model, direction):
-        raise DirectionNotApplicableError(model.point_group,
-                                          np.asarray(direction, dtype=float))
+def require_applicable(model: MaterialModel, k) -> None:
+    """Raise :class:`DirectionNotApplicableError` unless the direction of
+    ``k`` is in a valid family; at Gamma the relation always applies."""
+    k = np.asarray(k, dtype=float)
+    norm = np.linalg.norm(k)
+    if norm > 0.0 and not direction_applicable(model, k / norm):
+        raise DirectionNotApplicableError(model.point_group, k / norm)
 
 
 def spin_flip_residual(model: MaterialModel, pair: KramersPair) -> float:
     """Frobenius residual of rho_bar_S = sigma_y rho_S^T sigma_y.
 
-    The direction is taken from the pair's k-point; at Gamma (where no
-    direction is defined) the relation always applies.
+    The direction is taken from the pair's k-point.
     """
-    k = pair.k
-    if np.linalg.norm(k) > 0.0:
-        require_applicable(model, k / np.linalg.norm(k))
+    require_applicable(model, pair.k)
     dens = pair_spin_densities(pair)
     sy = PAULI[1]
     flipped = sy @ dens.rho_s.T @ sy
@@ -121,21 +120,18 @@ def spin_flip_residual(model: MaterialModel, pair: KramersPair) -> float:
 
 
 def entropies_at_crossing(model: MaterialModel, pair: KramersPair,
-                          det_g_s: float | None = None,
-                          det_tol: float = DET_TOL) -> tuple:
+                          det_g_s: float | None = None) -> tuple:
     """Entropies (S_xi, S_xi_bar) of a pair sitting on the MES.
 
     When ``det_g_s`` is supplied the on-surface precondition
-    |det| < det_tol is enforced; direction applicability is always
+    |det| < DET_TOL is enforced; direction applicability is always
     enforced (the unit-entropy statement holds only on the directions
     where the spin-flip relation does).
     """
-    if det_g_s is not None and abs(det_g_s) >= det_tol:
+    if det_g_s is not None and abs(det_g_s) >= DET_TOL:
         raise PhysicsError(
             f"pair is not on the det(g_S)=0 surface: |det| = {abs(det_g_s):.3e}")
-    k = pair.k
-    if np.linalg.norm(k) > 0.0:
-        require_applicable(model, k / np.linalg.norm(k))
+    require_applicable(model, pair.k)
     dens = pair_spin_densities(pair)
     return entropy(dens.rho_s), entropy(dens.rho_s_bar)
 

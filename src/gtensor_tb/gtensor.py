@@ -162,13 +162,12 @@ def det_sign(g: np.ndarray) -> int:
 
 
 def g_tensor_set(model: MaterialModel, sol: BlochSolution, pair: KramersPair,
-                 pi: np.ndarray | None = None,
-                 energy_floor: float = ENERGY_FLOOR) -> GTensorSet:
+                 pi: np.ndarray | None = None) -> GTensorSet:
     """Evaluate g_S, g_L, g_tot, G and their SVDs at one k-point."""
     if pi is None:
         pi = momentum_table(model, sol)
     g_s = spin_g(pair)
-    g_l = orbital_g(orbital_matrices(pair, sol, pi, energy_floor))
+    g_l = orbital_g(orbital_matrices(pair, sol, pi))
     g_tot = g_s + g_l
     return GTensorSet(
         k=pair.k,
@@ -219,16 +218,14 @@ def zeeman_response(gset: GTensorSet, field) -> FieldResponse:
 
 
 def pair_zeeman_hamiltonian(pair: KramersPair, sol: BlochSolution,
-                            pi: np.ndarray, field,
-                            energy_floor: float = ENERGY_FLOOR) -> np.ndarray:
+                            pi: np.ndarray, field) -> np.ndarray:
     """Direct 2x2 pair Hamiltonian mu_B sum_i B_i (2S_i + L_i).
 
     Oracle counterpart of :func:`zeeman_response`: its eigenvalue
     splitting must match mu_B sqrt(B.G B).
     """
     b = np.asarray(field, dtype=float)
-    blocks = spin_matrices(pair) + orbital_matrices(pair, sol, pi,
-                                                    energy_floor)
+    blocks = spin_matrices(pair) + orbital_matrices(pair, sol, pi)
     return MU_B * np.einsum('i,iab->ab', b, blocks)
 
 

@@ -24,7 +24,8 @@ import weakref
 import numpy as np
 
 from .materials import MaterialModel
-from .slater_koster import hop_block
+from .slater_koster import SHELL, hop_block
+from .su2 import PAULI
 
 # A -> B bond directions in units of a/4
 NN_SIGNS = np.array([(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)],
@@ -34,10 +35,6 @@ _LEVI_CIVITA = np.zeros((3, 3, 3))
 for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
     _LEVI_CIVITA[_i, _j, _k] = 1.0
     _LEVI_CIVITA[_i, _k, _j] = -1.0
-
-_PAULI = np.array([[[0, 1], [1, 0]],
-                   [[0, -1j], [1j, 0]],
-                   [[1, 0], [0, -1]]], dtype=complex)
 
 
 def nn_vectors(model: MaterialModel) -> np.ndarray:
@@ -67,10 +64,7 @@ class _Engine:
 
     def _onsite_diag(self, species):
         table = self.model.onsite[species]
-        shell_of = {"s": "s", "px": "p", "py": "p", "pz": "p",
-                    "dxy": "d", "dyz": "d", "dzx": "d",
-                    "dx2y2": "d", "dz2": "d", "s2": "s2"}
-        return np.array([table[shell_of[o]] for o in self.model.orbitals])
+        return np.array([table[SHELL[o]] for o in self.model.orbitals])
 
     def _soc_matrix(self):
         n, dim = self.n, self.dim
@@ -87,7 +81,7 @@ class _Engine:
                             continue
                         for s in range(2):
                             for t in range(2):
-                                sig = _PAULI[a, s, t]
+                                sig = PAULI[a, s, t]
                                 if sig == 0:
                                     continue
                                 row = s * 2 * n + atom * n + 1 + j

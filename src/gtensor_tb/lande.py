@@ -21,7 +21,7 @@ import numpy as np
 
 from .bands import BlochSolution, KramersPair, solve
 from .errors import BracketError
-from .gtensor import g_tensor_set, momentum_table
+from .gtensor import g_tensor_set
 from .materials import MaterialModel
 
 LANDE_TARGET = 2.0 / 3.0
@@ -104,24 +104,22 @@ def atomic_g(model: MaterialModel, species: str,
     uses the value shipped with the material.
     """
     iso, sol, pair = _atomic_pair(model, species, dipole)
-    pi = momentum_table(iso, sol)
-    return g_tensor_set(iso, sol, pair, pi)
+    return g_tensor_set(iso, sol, pair)
 
 
 def fit_dipole(model: MaterialModel, species: str,
-               target: float = LANDE_TARGET,
-               bracket: tuple = (0.0, 10.0), xtol: float = 1e-10) -> float:
+               bracket: tuple = (0.0, 10.0)) -> float:
     """Bracketed scalar fit of the intra-atomic dipole (Bohr).
 
-    Finds d0 with g_tot,zz(d0) = ``target`` for the species' isolated
-    j=1/2 doublet.  Raises :class:`BracketError` when the target is not
-    enclosed by the bracket.
+    Finds d0 with g_tot,zz(d0) = LANDE_TARGET for the species' isolated
+    j=1/2 doublet, to 1e-10 Bohr.  Raises :class:`BracketError` when the
+    target is not enclosed by the bracket.
     """
     # imported here so that SciPy stays off the package's import path
     from scipy.optimize import brentq
 
     def objective(d0: float) -> float:
-        return atomic_g(model, species, dipole=d0).g_tot[2, 2] - target
+        return atomic_g(model, species, dipole=d0).g_tot[2, 2] - LANDE_TARGET
 
     fa, fb = objective(bracket[0]), objective(bracket[1])
     if fa == 0.0:
@@ -130,9 +128,9 @@ def fit_dipole(model: MaterialModel, species: str,
         return bracket[1]
     if np.sign(fa) == np.sign(fb):
         raise BracketError(
-            f"dipole target {target} for {species} not bracketed on "
-            f"{bracket}: g-{target} spans [{fa:.3e}, {fb:.3e}]")
-    return float(brentq(objective, bracket[0], bracket[1], xtol=xtol))
+            f"dipole target {LANDE_TARGET} for {species} not bracketed on "
+            f"{bracket}: g-{LANDE_TARGET} spans [{fa:.3e}, {fb:.3e}]")
+    return float(brentq(objective, bracket[0], bracket[1], xtol=1e-10))
 
 
 def fit_report(model: MaterialModel) -> dict:

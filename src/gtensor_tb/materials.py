@@ -105,7 +105,7 @@ def resolve_material_path(spec: str) -> Path:
     return Path(spec)
 
 
-def load_material(path, verify_bands: bool = True) -> MaterialModel:
+def load_material(path) -> MaterialModel:
     """Load and validate a material file.
 
     Raises
@@ -113,7 +113,8 @@ def load_material(path, verify_bands: bool = True) -> MaterialModel:
     MaterialParseError
         File unreadable or not valid JSON.
     MaterialValidationError
-        Schema violation; the message names the offending key.
+        Schema violation, or a band-pair label that does not match the
+        zone-center spectrum; the message names the offending key.
     """
     path = Path(path)
     try:
@@ -230,8 +231,7 @@ def load_material(path, verify_bands: bool = True) -> MaterialModel:
               "file_sha256": hashlib.sha256(raw_bytes).hexdigest(),
               "description": doc.get("description", "")},
     )
-    if verify_bands:
-        _verify_band_pairs_at_gamma(model)
+    _verify_band_pairs_at_gamma(model)
     return model
 
 

@@ -117,25 +117,20 @@ def scan_ray(model: MaterialModel, band_id, direction,
              r_max: float | None = None,
              n_coarse: int = N_COARSE,
              bisect_tol: float = BISECT_TOL,
-             which_det: str = "gs",
-             clip: bool = True) -> RayScan:
+             which_det: str = "gs") -> RayScan:
     """Locate all determinant sign changes along k = r * direction.
 
     ``r_max`` defaults to the Brillouin-zone boundary; larger requests
-    are clipped (and flagged) unless ``clip`` is False, which permits
-    following features that leave the first zone.  Pairing failures are
-    recorded as excluded radius intervals and the scan continues beyond
-    them; an empty crossing list is a valid result.
+    are clipped to it (and flagged in ``clipped``).  Pairing failures
+    are recorded as excluded radius intervals and the scan continues
+    beyond them; an empty crossing list is a valid result.
     """
     direction = np.asarray(direction, dtype=float)
     direction = direction / np.linalg.norm(direction)
     r_boundary = boundary_radius(model.lattice_constant, direction)
-    clipped = False
-    if r_max is None:
+    clipped = r_max is not None and r_max > r_boundary
+    if r_max is None or clipped:
         r_max = r_boundary
-    elif clip and r_max > r_boundary:
-        r_max = r_boundary
-        clipped = True
 
     radii = np.linspace(0.0, r_max, n_coarse)
     crossings = []
@@ -178,21 +173,19 @@ def build_surface(model: MaterialModel, band_id, directions,
                   which_det: str = "gs",
                   r_max: float | None = None,
                   n_coarse: int = N_COARSE,
-                  bisect_tol: float = BISECT_TOL,
                   workers: int = 1,
-                  replicate: bool = False,
-                  clip: bool = True) -> SurfaceCloud:
+                  replicate: bool = False) -> SurfaceCloud:
     """Assemble a det(g)=0 point cloud from rays along ``directions``.
 
     With ``replicate`` the crossing set is closed under the material's
-    point group (pass wedge directions to cover the sphere cheaply).
+    point group (for O_h, wedge directions then cover the sphere at
+    ~1/48 the ray count).
     Results are merged by direction index, so the cloud is independent
     of worker scheduling.
     """
     directions = np.asarray(directions, dtype=float)
     scan = functools.partial(scan_ray, model, band_id, r_max=r_max,
-                             n_coarse=n_coarse, bisect_tol=bisect_tol,
-                             which_det=which_det, clip=clip)
+                             n_coarse=n_coarse, which_det=which_det)
     if workers > 1:
         with multiprocessing.Pool(processes=workers) as pool:
             results = pool.map(scan, directions)

@@ -76,6 +76,14 @@ _RMAX = "--rmax must be a positive finite number"
     (["entropy"] + _RAY + ["--rmax", "inf"], _RMAX),
     (["entropy"] + _RAY + ["--samples", "-3"], "--samples must be >= 1, got -3"),
     (["bands", "--material", "si", "--samples", "0"], "--samples must be >= 1, got 0"),
+    (["gline", "--material", "si", "--band", "split-off", "--direction",
+      "nan,0,0"], "non-finite direction component in 'nan,0,0'"),
+    (["entropy", "--material", "si", "--band", "split-off", "--direction",
+      "inf,1,0"], "non-finite direction component in 'inf,1,0'"),
+    (["gline", "--material", "si", "--band", "split-off", "--direction",
+      "random", "--seed", "-1"], "--seed must be >= 0, got -1"),
+    (["bands", "--material", "si", "--path", "L"],
+     "--path must name at least two"),
 ])
 def test_out_of_domain_number_is_usage_error(tmp_path, capsys, argv, message):
     out = tmp_path / "x.csv"
@@ -197,6 +205,30 @@ def test_surface_ply_output(tmp_path):
              if l.startswith("element vertex"))
     body = lines[lines.index("end_header") + 1:]
     assert len([l for l in body if l.strip()]) == n
+
+
+def test_surface_has_no_wedge_option(tmp_path):
+    # the wedge follows from the point group; T_d has no 48-fold wedge
+    out = tmp_path / "cloud.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["surface", "--material", "gaas", "--band", "split-off",
+              "--level", "0", "--wedge", "on", "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("material, ops, wedge", [
+    ("si", 48, "on"), ("gaas", 0, "off")])
+def test_surface_sampling_follows_point_group(tmp_path, material, ops, wedge):
+    out = tmp_path / "cloud.csv"
+    rc = main(["surface", "--material", material, "--band", "split-off",
+               "--level", "0", "--rmax", "0.05", "--ncoarse", "20",
+               "--out", str(out)])
+    assert rc == 0
+    comments, _, _ = _read_data(out)
+    assert f"# symmetry_ops: {ops}" in comments
+    assert any(c.startswith("# rays ") and c.endswith(f" wedge {wedge}")
+               for c in comments)
 
 
 # --- atomfit -----------------------------------------------------------------

@@ -79,10 +79,6 @@ def test_rmax_clipping_flagged(si):
     scan = scan_ray(si, "split-off", [1, 0, 0], r_max=2.0 * r_zone)
     assert scan.clipped
     assert scan.r_max == pytest.approx(r_zone)
-    unclipped = scan_ray(si, "split-off", [1, 0, 0], r_max=1.05 * r_zone,
-                         clip=False)
-    assert not unclipped.clipped
-    assert unclipped.r_max == pytest.approx(1.05 * r_zone)
 
 
 def test_failure_intervals_recorded_not_fatal(ge):

@@ -24,6 +24,7 @@ import multiprocessing
 import numpy as np
 
 from .bands import select_pair, solve
+from .blas import one_blas_thread
 from .brillouin import boundary_radius, point_group_ops, replicate_points
 from .errors import PairUndefinedError
 from .gtensor import det_sign, g_tensor_set, spin_g
@@ -82,6 +83,7 @@ def _g_at(model: MaterialModel, band_id, k, which_det: str) -> np.ndarray:
     raise ValueError(f"which_det must be 'gs' or 'gtot', not {which_det!r}")
 
 
+@one_blas_thread
 def det_along_ray(model: MaterialModel, band_id, direction, radii,
                   which_det: str = "gs") -> np.ndarray:
     """Determinant values on a radius grid (NaN where pairing fails).
@@ -113,6 +115,7 @@ def _bisect(model, band_id, direction, lo, hi, sign_lo, which_det, tol):
     return 0.5 * (lo + hi), hi - lo
 
 
+@one_blas_thread
 def scan_ray(model: MaterialModel, band_id, direction,
              r_max: float | None = None,
              n_coarse: int = N_COARSE,
@@ -177,12 +180,18 @@ def build_surface(model: MaterialModel, band_id, directions,
                   replicate: bool = False) -> SurfaceCloud:
     """Assemble a det(g)=0 point cloud from rays along ``directions``.
 
-    With ``replicate`` the crossing set is closed under the material's
-    point group (for O_h, wedge directions then cover the sphere at
-    ~1/48 the ray count).
+    With ``replicate`` the crossing set is closed under the O_h point
+    group, so wedge directions cover the sphere at ~1/48 the ray count;
+    T_d models scan ``icosphere_directions`` unreplicated instead.
     Results are merged by direction index, so the cloud is independent
     of worker scheduling.
     """
+    if replicate and model.point_group != "Oh":
+        # the O_h wedge replicated by a smaller group leaves octants empty
+        raise ValueError(
+            f"replicate=True needs an O_h model, {model.name} is "
+            f"{model.point_group}; scan icosphere_directions(level) "
+            "unreplicated instead")
     directions = np.asarray(directions, dtype=float)
     scan = functools.partial(scan_ray, model, band_id, r_max=r_max,
                              n_coarse=n_coarse, which_det=which_det)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bands import select_pair, solve
+from .blas import one_blas_thread
 from .brillouin import high_symmetry_point
 from .entanglement import (direction_applicable, entropy,
                            pair_spin_densities, spin_flip_residual)
@@ -48,6 +49,7 @@ def write_csv(path, comments, header, rows) -> None:
             fh.write(",".join(_format_cell(v) for v in row) + "\n")
 
 
+@one_blas_thread
 def band_path_rows(model: MaterialModel, path_names,
                    samples_per_segment: int = 60) -> tuple:
     """Energies along a polyline of named high-symmetry points.
@@ -84,6 +86,7 @@ def _aligned_pair_entropies(pair, g_s=None):
     return entropy(dens.rho_s), entropy(dens.rho_s_bar), aligned
 
 
+@one_blas_thread
 def gline_rows(model: MaterialModel, band_id, direction,
                r_max: float, samples: int = 200) -> tuple:
     """Singular values, determinants, and entropies along a ray."""
@@ -108,6 +111,7 @@ def gline_rows(model: MaterialModel, band_id, direction,
     return GLINE_COLUMNS, rows
 
 
+@one_blas_thread
 def entropy_rows(model: MaterialModel, band_id, direction,
                  r_max: float, samples: int = 200) -> tuple:
     """Pair entropies and (where applicable) the spin-flip residual.

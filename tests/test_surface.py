@@ -3,7 +3,7 @@ import pytest
 
 from gtensor_tb import (boundary_radius, build_surface, cubic_group,
                         det_along_ray, export_cloud, read_cloud_csv, scan_ray,
-                        wedge_directions)
+                        surface, wedge_directions)
 from gtensor_tb.brillouin import in_first_zone, wedge_representative
 
 from conftest import random_unit_vectors
@@ -135,6 +135,17 @@ def test_replicated_cloud_is_symmetry_closed(si):
     # all points inside the zone
     for p in pts[::10]:
         assert in_first_zone(si.lattice_constant, p, tol=1e-6)
+
+
+def test_replicate_rejects_td_before_scanning(gaas, monkeypatch):
+    # the O_h wedge replicated by T_d's 24 operations left the (-,-,-)
+    # octant empty; T_d surfaces scan icosphere_directions unreplicated
+    def no_scan(*args, **kwargs):
+        raise AssertionError("a ray was scanned")
+
+    monkeypatch.setattr(surface, "scan_ray", no_scan)
+    with pytest.raises(ValueError, match="icosphere_directions"):
+        build_surface(gaas, "split-off", wedge_directions(1), replicate=True)
 
 
 def test_replication_preserves_radius(si):

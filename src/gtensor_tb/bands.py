@@ -71,11 +71,14 @@ def select_pair(model: MaterialModel, sol: BlochSolution, band_id) -> KramersPai
     (physical) intra-pair split itself sets the isolation scale.
     """
     i, j = resolve_band_indices(model, band_id)
-    e = sol.energies
-    split = float(e[j] - e[i])
-    others = np.delete(np.arange(e.size), [i, j])
-    gap_to_rest = float(np.minimum(np.abs(e[others] - e[i]),
-                                   np.abs(e[others] - e[j])).min())
+    e = sol.energies.tolist()
+    split = e[j] - e[i]
+    # energies ascend, so the band nearest to either pair member is one
+    # of their neighbours (a, b: the indices made non-negative)
+    a, b = i % len(e), j % len(e)
+    gap_to_rest = min(min(abs(e[m] - e[a]), abs(e[m] - e[b]))
+                      for m in {a - 1, a + 1, b - 1, b + 1} - {a, b}
+                      if 0 <= m < len(e))
     floor = split
     if model.pair_split_tol is not None:
         floor = max(floor, model.pair_split_tol)
@@ -86,9 +89,9 @@ def select_pair(model: MaterialModel, sol: BlochSolution, band_id) -> KramersPai
     return KramersPair(
         k=sol.k,
         band_indices=(i, j),
-        energies=e[[i, j]].copy(),
-        states=sol.states[:, [i, j]].copy(),
-        pair_energy=float(0.5 * (e[i] + e[j])),
+        energies=sol.energies[[i, j]],
+        states=sol.states[:, [i, j]],
+        pair_energy=0.5 * (e[i] + e[j]),
         split=split,
         gap_to_rest=gap_to_rest,
     )

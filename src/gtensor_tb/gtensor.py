@@ -152,13 +152,16 @@ class GTensorSet:
 
 
 def det_sign(g: np.ndarray) -> int:
-    """Sign of det(g) from the orthogonal SVD factors.
+    """Sign of det(g) from its cofactor expansion along the first row.
 
-    det(U) det(V) is +-1 exactly, so the sign stays well conditioned
-    even when one singular value crosses zero.
+    Returns +1 or -1, never 0: an exact 0.0 counts as +1.  The rounding
+    error is of order 1e-16 |g|^3, so the sign is exact unless the
+    smallest singular value is below about 1e-15 |g| (an SVD cannot
+    resolve the sign there either).
     """
-    u, _, vh = np.linalg.svd(g)
-    return int(round(np.linalg.det(u) * np.linalg.det(vh)))
+    (a, b, c), (d, e, f), (p, q, r) = g.tolist()
+    det = a * (e * r - f * q) - b * (d * r - f * p) + c * (d * q - e * p)
+    return 1 if det >= 0.0 else -1
 
 
 def g_tensor_set(model: MaterialModel, sol: BlochSolution, pair: KramersPair,

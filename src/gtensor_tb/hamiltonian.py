@@ -43,10 +43,13 @@ def nn_vectors(model: MaterialModel) -> np.ndarray:
 
 
 class _Engine:
-    """Precomputed k-independent pieces for one material."""
+    """Precomputed k-independent pieces for one material.
+
+    Holds no reference to the model, which keys the weak engine cache:
+    a reference here would keep every loaded model and engine alive.
+    """
 
     def __init__(self, model: MaterialModel):
-        self.model = model
         n = model.n_orb
         self.n = n
         self.dim = model.dim
@@ -57,20 +60,21 @@ class _Engine:
         unit = self.nn / np.linalg.norm(self.nn, axis=1)[:, None]
         self.hop_blocks = np.array(
             [hop_block(model.orbitals, u, v_ab, v_ba) for u in unit])
-        self.onsite = np.concatenate([
-            self._onsite_diag(sp_a), self._onsite_diag(sp_b)])
-        self.soc = self._soc_matrix()
-        self.dipole = self._dipole_matrix()
+        self.hop_flat = self.hop_blocks.reshape(len(unit), n * n)
+        onsite = [model.onsite[sp][SHELL[o]]
+                  for sp in model.species for o in model.orbitals]
+        self.soc = self._soc_matrix(model)
+        # k-independent part of H: on-site energies of both spins + SOC
+        self.base = np.zeros((self.dim, self.dim), dtype=complex)
+        self.base[np.arange(self.dim), np.arange(self.dim)] = onsite * 2
+        self.base += self.soc
+        self.dipole = self._dipole_matrix(model)
 
-    def _onsite_diag(self, species):
-        table = self.model.onsite[species]
-        return np.array([table[SHELL[o]] for o in self.model.orbitals])
-
-    def _soc_matrix(self):
+    def _soc_matrix(self, model):
         n, dim = self.n, self.dim
         soc = np.zeros((dim, dim), dtype=complex)
-        for atom, sp in enumerate(self.model.species):
-            lam = self.model.soc[sp]
+        for atom, sp in enumerate(model.species):
+            lam = model.soc[sp]
             if lam == 0.0:
                 continue
             for a in range(3):
@@ -89,12 +93,12 @@ class _Engine:
                                 soc[row, col] += 0.5 * lam * (-1j) * eps * sig
         return soc
 
-    def _dipole_matrix(self):
+    def _dipole_matrix(self, model):
         # intra-atomic <s|r_j|p_j> only; x -> px, y -> py, z -> pz
         n, dim = self.n, self.dim
         d = np.zeros((3, dim, dim))
-        for atom, sp in enumerate(self.model.species):
-            d0 = self.model.dipole[sp]
+        for atom, sp in enumerate(model.species):
+            d0 = model.dipole[sp]
             for s in range(2):
                 base = s * 2 * n + atom * n
                 for j in range(3):
@@ -102,23 +106,16 @@ class _Engine:
                     d[j, base + 1 + j, base] = d0
         return d
 
-    def _orbital_h(self, k):
+    def h(self, k):
         n = self.n
         phases = np.exp(1j * (self.nn @ k))
-        hab = np.tensordot(phases, self.hop_blocks, axes=1)
-        horb = np.zeros((2 * n, 2 * n), dtype=complex)
-        horb[np.arange(2 * n), np.arange(2 * n)] = self.onsite
-        horb[:n, n:] = hab
-        horb[n:, :n] = hab.conj().T
-        return horb
-
-    def h(self, k):
-        n, dim = self.n, self.dim
-        horb = self._orbital_h(k)
-        h = np.zeros((dim, dim), dtype=complex)
-        h[:2 * n, :2 * n] = horb
-        h[2 * n:, 2 * n:] = horb
-        h += self.soc
+        hab = np.dot(phases[None], self.hop_flat).reshape(n, n)
+        hba = hab.conj().T
+        h = self.base.copy()
+        for s in (0, 2 * n):              # the two spin blocks
+            h[s:s + n, s + n:s + 2 * n] = hab
+            h[s + n:s + 2 * n, s:s + n] = hba
+        h += 0.0          # clears the sign of zeros: bitwise onsite + hop + SOC
         return h
 
     def grad(self, k):

@@ -2,9 +2,9 @@
 
 A ray from Gamma is sampled at ``n_coarse`` radii; every sign change of
 the chosen determinant is refined by bisection on the sign down to
-``bisect_tol`` in radius.  The sign comes from det(U) det(V) of the
-SVD, which stays +-1 even when the smallest singular value underflows
-at the surface.  Rays are independent work items, so surface assembly
+``bisect_tol`` in radius.  The sign is that of the 3x3 cofactor
+determinant, with an exact 0.0 counted as +1, so it is always +-1.
+Rays are independent work items, so surface assembly
 parallelizes over a worker pool with a deterministic merge by direction
 index.
 

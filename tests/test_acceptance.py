@@ -208,7 +208,8 @@ def test_criterion_6_surface_topology(si, ge):
     with criterion(6, "crossing counts and surface extents (Si tori, "
                       "Si split-off spikes, Ge rods)"):
         # Si first-conduction: one crossing on generic rays, three on
-        # Sigma (the ray pierces the torus wall twice near 0.175 GX)
+        # Sigma (the ray pierces the torus wall twice near 0.175 Bohr^-1,
+        # 0.286 GX)
         for v in random_unit_vectors(2027, 10):
             scan = scan_ray(si, "first-conduction", v,
                             r_max=0.35 * boundary_radius(

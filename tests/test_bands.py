@@ -1,9 +1,15 @@
+import dataclasses
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gtensor_tb import (PairingAmbiguityError, PairUndefinedError,
                         UnknownBandLabelError, remix_pair,
                         resolve_band_indices, select_pair, solve)
+from gtensor_tb.bands import BlochSolution
 
 from conftest import random_k_points
 
@@ -82,3 +88,66 @@ def test_random_points_pair_cleanly(si):
     for k in random_k_points(19, 6, scale=0.05):
         pair = select_pair(si, solve(si, k), "split-off")
         assert pair.split < 1e-8
+
+
+def _reference_isolation(e, i, j, tol):
+    """(split, gap_to_rest, pair_energy, raises) from all other bands."""
+    split = float(e[j] - e[i])
+    others = np.delete(np.arange(e.size), [i, j])
+    gap = float(np.minimum(np.abs(e[others] - e[i]),
+                           np.abs(e[others] - e[j])).min())
+    floor = split if tol is None else max(split, tol)
+    raises = (tol is not None and split > tol) or gap <= floor
+    return split, gap, float(0.5 * (e[i] + e[j])), raises
+
+
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+# sorted spectra; values drawn from a short list repeat, giving ties
+_spectra = st.lists(
+    st.one_of(st.sampled_from([-0.5, 0.0, 1e-9, 0.25, 0.2500001]),
+              st.floats(-1.0, 1.0)),
+    min_size=3, max_size=12).map(sorted)
+
+
+@st.composite
+def _spectrum_and_pair(draw):
+    e = draw(_spectra)
+    last = len(e) - 1
+    i = draw(st.integers(0, last - 1))
+    kind = draw(st.sampled_from(["adjacent", "any", "ends"]))
+    if kind == "adjacent":
+        pair = (i, i + 1)
+    elif kind == "ends":
+        pair = (0, last)
+    else:
+        pair = (i, draw(st.integers(0, last).filter(lambda j: j != i)))
+    if draw(st.booleans()):
+        pair = pair[::-1]
+    if draw(st.booleans()):                 # negative, numpy-style indices
+        pair = (pair[0] - len(e), pair[1])
+    return np.array(e), pair
+
+
+@settings(max_examples=400, deadline=None)
+@given(_spectrum_and_pair(),
+       st.one_of(st.none(), st.sampled_from([1e-8, 1e-3, 0.1])))
+def test_select_pair_isolation_matches_all_bands_formula(si, case, tol):
+    e, (i, j) = case
+    model = dataclasses.replace(si, pair_split_tol=tol)
+    sol = BlochSolution(k=np.zeros(3), energies=e, states=np.eye(e.size))
+    split, gap, pair_energy, raises = _reference_isolation(e, i, j, tol)
+    if raises:
+        with pytest.raises(PairingAmbiguityError) as info:
+            select_pair(model, sol, (i, j))
+        assert _bits(info.value.split) == _bits(split)
+        assert _bits(info.value.gap_to_rest) == _bits(gap)
+        return
+    pair = select_pair(model, sol, (i, j))
+    assert _bits(pair.split) == _bits(split)
+    assert _bits(pair.gap_to_rest) == _bits(gap)
+    assert _bits(pair.pair_energy) == _bits(pair_energy)
+    assert np.array_equal(pair.energies, e[[i, j]])
+    assert np.array_equal(pair.states, np.eye(e.size)[:, [i, j]])

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from gtensor_tb import (NearDegenerateIntermediateError, ZeroSplittingError,
-                        align_pair_to_spin_frame, cubic_group, det_sign,
-                        g_tensor_set, momentum_table, orbital_g,
-                        orbital_matrices, pair_zeeman_hamiltonian, proper_svd,
-                        remix_pair, select_pair, solve, spin_g, spin_matrices,
-                        zeeman_response)
+from gtensor_tb import (NearDegenerateIntermediateError, PairUndefinedError,
+                        ZeroSplittingError, align_pair_to_spin_frame,
+                        boundary_radius, cubic_group, det_sign, g_tensor_set,
+                        momentum_table, orbital_g, orbital_matrices,
+                        pair_zeeman_hamiltonian, proper_svd, remix_pair,
+                        select_pair, solve, spin_g, spin_matrices,
+                        wedge_directions, zeeman_response)
+from gtensor_tb.surface import N_COARSE
 from gtensor_tb.su2 import random_su2
 from gtensor_tb.units import MU_B
 
@@ -193,6 +195,50 @@ def test_det_sign_matches_determinant(si):
     for _ in range(20):
         g = rng.normal(size=(3, 3))
         assert det_sign(g) == int(np.sign(np.linalg.det(g)))
+
+
+def _svd_sign(g):
+    """Sign of det(g) as det(U) det(V) of its SVD."""
+    u, _, vh = np.linalg.svd(g)
+    return int(round(np.linalg.det(u) * np.linalg.det(vh)))
+
+
+@pytest.mark.parametrize("material, band",
+                         [("si", "split-off"), ("ge", "second-conduction")])
+def test_det_sign_matches_svd_sign_on_wedge_surface_samples(material, band,
+                                                           request):
+    model = request.getfixturevalue(material)
+    compared = 0
+    for d in wedge_directions(1):
+        r_max = boundary_radius(model.lattice_constant, d)
+        for r in np.linspace(0.0, r_max, N_COARSE):
+            try:
+                pair = select_pair(model, solve(model, r * d), band)
+            except PairUndefinedError:
+                continue
+            g = spin_g(pair)
+            assert det_sign(g) == _svd_sign(g), r * d
+            compared += 1
+    assert compared > N_COARSE
+
+
+def test_det_sign_matches_svd_sign_near_singular():
+    rng = np.random.default_rng(23)
+    for smallest in np.logspace(-12, 0, 49):
+        u, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        v, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        g = u @ np.diag([2.0, 1.0 + rng.random(), smallest]) @ v.T
+        expected = int(np.sign(np.linalg.det(u) * np.linalg.det(v)))
+        assert det_sign(g) == _svd_sign(g) == expected, smallest
+
+
+def test_det_sign_of_zero_row_is_plus_one():
+    rng = np.random.default_rng(31)
+    for row in range(3):
+        for _ in range(5):
+            g = rng.normal(size=(3, 3))
+            g[row] = 0.0
+            assert det_sign(g) == 1
 
 
 def test_proper_svd_reconstructs_with_proper_right_factor(si):

@@ -1,8 +1,14 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from gtensor_tb import (bloch_hamiltonian, cubic_group, dipole_matrix,
-                        hamiltonian_gradient, soc_matrix, tetrahedral_group)
+from gtensor_tb import (bloch_hamiltonian, builtin_material_path, cubic_group,
+                        dipole_matrix, hamiltonian_gradient, load_material,
+                        soc_matrix, tetrahedral_group)
+from gtensor_tb.hamiltonian import nn_vectors
+from gtensor_tb.slater_koster import SHELL, hop_block
 
 from conftest import random_k_points
 
@@ -104,3 +110,49 @@ def test_gamma_degeneracy_pattern(si):
     # split-off gap is the spin-orbit splitting, ~44 meV for Si
     gap_ev = (fourfold[0] - split_off[0]) * 27.211386245988
     assert gap_ev == pytest.approx(0.0440, abs=0.002)
+
+
+def _reference_hamiltonian(model, k):
+    """Loop-built H(k): zeros + tensordot hopping + spin blocks + SOC."""
+    n, dim = model.n_orb, model.dim
+    sp_a, sp_b = model.species
+    nn = nn_vectors(model)
+    unit = nn / np.linalg.norm(nn, axis=1)[:, None]
+    blocks = np.array([hop_block(model.orbitals, u, model.sk[(sp_a, sp_b)],
+                                 model.sk[(sp_b, sp_a)]) for u in unit])
+    onsite = [model.onsite[sp][SHELL[o]]
+              for sp in model.species for o in model.orbitals]
+    hab = np.tensordot(np.exp(1j * (nn @ k)), blocks, axes=1)
+    horb = np.zeros((2 * n, 2 * n), dtype=complex)
+    horb[np.arange(2 * n), np.arange(2 * n)] = onsite
+    horb[:n, n:] = hab
+    horb[n:, :n] = hab.conj().T
+    h = np.zeros((dim, dim), dtype=complex)
+    h[:2 * n, :2 * n] = horb
+    h[2 * n:, 2 * n:] = horb
+    h += soc_matrix(model)
+    return h
+
+
+@pytest.mark.parametrize("material", ["si", "ge", "gaas"])
+def test_hamiltonian_bitwise_equals_reference_assembly(material, request):
+    model = request.getfixturevalue(material)
+    x_point = np.array([2.0 * np.pi / model.lattice_constant, 0.0, 0.0])
+    points = [np.zeros(3), x_point, *random_k_points(83, 50, scale=0.6)]
+    for k in points:
+        h = bloch_hamiltonian(model, k)
+        ref = _reference_hamiltonian(model, k)
+        assert np.array_equal(h, ref), k
+        # also the sign of every zero
+        assert h.tobytes() == ref.tobytes(), k
+
+
+def test_engine_cache_releases_unused_models():
+    # every CLI call loads its own model; the per-model engine must go
+    # with it, or a long-running process grows by one engine per call
+    model = load_material(builtin_material_path("gaas"))
+    bloch_hamiltonian(model, np.zeros(3))
+    alive = weakref.ref(model)
+    del model
+    gc.collect()
+    assert alive() is None

@@ -29,7 +29,7 @@ from .lande import atomic_g, fit_dipole, fit_report
 from .materials import (MaterialModel, builtin_material_path, load_material,
                         resolve_material_path)
 from .surface import (Crossing, RayScan, SurfaceCloud, build_surface,
-                      det_along_ray, export_cloud, read_cloud_csv, scan_ray)
+                      det_along_ray, export_cloud, scan_ray)
 from .units import BOHR_ANGSTROM, HARTREE_EV, MU_B
 
 __version__ = "0.1.0"
@@ -52,7 +52,7 @@ __all__ = [
     "icosphere_directions", "load_material", "momentum_table",
     "named_direction", "orbital_g", "orbital_matrices",
     "pair_spin_densities", "pair_zeeman_hamiltonian", "point_group_ops",
-    "proper_svd", "read_cloud_csv", "reduce_spin", "remix_pair",
+    "proper_svd", "reduce_spin", "remix_pair",
     "resolve_band_indices", "resolve_material_path", "scan_ray",
     "select_pair", "soc_matrix", "solve", "spin_flip_residual", "spin_g",
     "spin_matrices", "tetrahedral_group", "wedge_directions",

@@ -5,6 +5,7 @@ import dataclasses
 
 import numpy as np
 
+from .blas import eigh_window
 from .errors import PairingAmbiguityError
 from .hamiltonian import bloch_hamiltonian
 from .materials import MaterialModel
@@ -16,11 +17,16 @@ class UnknownBandLabelError(KeyError):
 
 @dataclasses.dataclass
 class BlochSolution:
-    """Eigensystem of H(k): ascending energies, eigenvectors as columns."""
+    """Eigensystem of H(k): ascending energies, eigenvectors as columns.
+
+    A solution of a band window holds bands ``first`` to ``first +
+    len(energies) - 1`` of the full spectrum only.
+    """
 
     k: np.ndarray
     energies: np.ndarray
     states: np.ndarray
+    first: int = 0
 
 
 @dataclasses.dataclass
@@ -41,11 +47,23 @@ class KramersPair:
     gap_to_rest: float
 
 
-def solve(model: MaterialModel, k) -> BlochSolution:
-    """Diagonalize the Bloch Hamiltonian at one k-point."""
+def solve(model: MaterialModel, k, bands: tuple | None = None) -> BlochSolution:
+    """Diagonalize the Bloch Hamiltonian at one k-point.
+
+    ``bands=(lo, hi)`` computes bands ``lo..hi`` (inclusive, 0-based in
+    the full ascending spectrum) and nothing else, through
+    :func:`~gtensor_tb.blas.eigh_window`; the solution records ``lo`` as
+    ``first``.  A window outside ``0..model.dim - 1`` raises
+    ``ValueError``.  By default the full spectrum is solved.
+    """
     k = np.asarray(k, dtype=float)
-    energies, states = np.linalg.eigh(bloch_hamiltonian(model, k))
-    return BlochSolution(k=k, energies=energies, states=states)
+    h = bloch_hamiltonian(model, k)
+    if bands is None:
+        energies, states = np.linalg.eigh(h)
+        return BlochSolution(k=k, energies=energies, states=states)
+    lo, hi = bands
+    energies, states = eigh_window(h, lo, hi)
+    return BlochSolution(k=k, energies=energies, states=states, first=lo)
 
 
 def resolve_band_indices(model: MaterialModel, band_id) -> tuple:
@@ -61,8 +79,24 @@ def resolve_band_indices(model: MaterialModel, band_id) -> tuple:
     return (int(i), int(j))
 
 
+def pair_window(model: MaterialModel, band_id) -> tuple:
+    """The bands :func:`select_pair` reads: the pair and its neighbours.
+
+    Returns the inclusive ``(lo, hi)`` range for ``solve(..., bands=)``.
+    """
+    i, j = resolve_band_indices(model, band_id)
+    dim = model.dim
+    a, b = sorted((i % dim, j % dim))
+    return max(a - 1, 0), min(b + 1, dim - 1)
+
+
 def select_pair(model: MaterialModel, sol: BlochSolution, band_id) -> KramersPair:
     """Extract a Kramers pair from a solved k-point.
+
+    Band labels are full-spectrum indices (negative ones count from
+    ``model.dim``); ``sol`` may hold a window of the spectrum (see
+    :func:`solve`) as long as it contains the pair and every neighbour
+    of it that exists, and ``ValueError`` is raised otherwise.
 
     Raises :class:`PairingAmbiguityError` when the two bands are not
     isolated from the rest of the spectrum: for inversion-symmetric
@@ -71,14 +105,20 @@ def select_pair(model: MaterialModel, sol: BlochSolution, band_id) -> KramersPai
     (physical) intra-pair split itself sets the isolation scale.
     """
     i, j = resolve_band_indices(model, band_id)
+    lo, hi = pair_window(model, (i, j))
     e = sol.energies.tolist()
-    split = e[j] - e[i]
+    if not sol.first <= lo <= hi < sol.first + len(e):
+        raise ValueError(
+            f"solution holds bands {sol.first}..{sol.first + len(e) - 1}, "
+            f"pair {(i, j)} needs bands {lo}..{hi}")
     # energies ascend, so the band nearest to either pair member is one
-    # of their neighbours (a, b: the indices made non-negative)
-    a, b = i % len(e), j % len(e)
-    gap_to_rest = min(min(abs(e[m] - e[a]), abs(e[m] - e[b]))
-                      for m in {a - 1, a + 1, b - 1, b + 1} - {a, b}
-                      if 0 <= m < len(e))
+    # of their neighbours, all inside lo..hi; a, b and rest are offsets
+    # from sol.first
+    a, b = i % model.dim - sol.first, j % model.dim - sol.first
+    rest = [m for m in {a - 1, a + 1, b - 1, b + 1} - {a, b}
+            if lo <= m + sol.first <= hi]
+    split = e[b] - e[a]
+    gap_to_rest = min(min(abs(e[m] - e[a]), abs(e[m] - e[b])) for m in rest)
     floor = split
     if model.pair_split_tol is not None:
         floor = max(floor, model.pair_split_tol)
@@ -89,9 +129,9 @@ def select_pair(model: MaterialModel, sol: BlochSolution, band_id) -> KramersPai
     return KramersPair(
         k=sol.k,
         band_indices=(i, j),
-        energies=sol.energies[[i, j]],
-        states=sol.states[:, [i, j]],
-        pair_energy=0.5 * (e[i] + e[j]),
+        energies=sol.energies[[a, b]],
+        states=sol.states[:, [a, b]],
+        pair_energy=0.5 * (e[a] + e[b]),
         split=split,
         gap_to_rest=gap_to_rest,
     )

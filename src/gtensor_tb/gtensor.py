@@ -47,8 +47,13 @@ def momentum_table(model: MaterialModel, sol: BlochSolution) -> np.ndarray:
     the orbital basis cannot represent, entering as the Heisenberg
     velocity i[H, D] of the intra-cell position; it only moves
     off-diagonal elements (E_n - E_m weight), so band velocities are
-    untouched.
+    untouched.  It sums over every band, so ``sol`` must hold the full
+    spectrum, not a window of it (``ValueError``).
     """
+    if sol.first != 0 or sol.energies.size != model.dim:
+        raise ValueError("momentum_table needs the full spectrum, got bands "
+                         f"{sol.first}..{sol.first + sol.energies.size - 1} "
+                         f"of {model.dim}")
     a = sol.states
     grad = hamiltonian_gradient(model, sol.k)
     dip = dipole_matrix(model)

@@ -16,14 +16,14 @@ resolves everything else).
 """
 from __future__ import annotations
 
-import csv
 import dataclasses
 import functools
+import math
 import multiprocessing
 
 import numpy as np
 
-from .bands import select_pair, solve
+from .bands import pair_window, select_pair, solve
 from .blas import one_blas_thread
 from .brillouin import boundary_radius, point_group_ops, replicate_points
 from .errors import PairUndefinedError
@@ -73,14 +73,28 @@ class SurfaceCloud:
 
 
 def _g_at(model: MaterialModel, band_id, k, which_det: str) -> np.ndarray:
-    """The chosen 3x3 g-tensor (g_S or g_tot) at one k-point."""
-    sol = solve(model, k)
-    pair = select_pair(model, sol, band_id)
+    """The chosen 3x3 g-tensor (g_S or g_tot) at one k-point.
+
+    g_S reads only the pair and its neighbours, so only that window of
+    bands is solved; g_tot sums over all bands and solves them all.
+    """
     if which_det == "gs":
-        return spin_g(pair)
+        sol = solve(model, k, bands=pair_window(model, band_id))
+        return spin_g(select_pair(model, sol, band_id))
     if which_det == "gtot":
-        return g_tensor_set(model, sol, pair).g_tot
+        sol = solve(model, k)
+        return g_tensor_set(model, sol, select_pair(model, sol, band_id)).g_tot
     raise ValueError(f"which_det must be 'gs' or 'gtot', not {which_det!r}")
+
+
+def _unit_direction(direction) -> np.ndarray:
+    """``direction`` scaled to unit length; ValueError unless finite, non-zero."""
+    direction = np.asarray(direction, dtype=float)
+    norm = np.linalg.norm(direction)
+    if direction.shape != (3,) or not (norm > 0.0 and math.isfinite(norm)):
+        raise ValueError("direction must be three finite numbers, not all "
+                         f"zero, got {direction.tolist()}")
+    return direction / norm
 
 
 @one_blas_thread
@@ -91,8 +105,7 @@ def det_along_ray(model: MaterialModel, band_id, direction, radii,
     The dense-scan companion of :func:`scan_ray`, used as an
     independent root oracle and for det-along-a-ray tables.
     """
-    direction = np.asarray(direction, dtype=float)
-    direction = direction / np.linalg.norm(direction)
+    direction = _unit_direction(direction)
     out = np.empty(len(radii))
     for i, r in enumerate(radii):
         try:
@@ -126,10 +139,17 @@ def scan_ray(model: MaterialModel, band_id, direction,
     ``r_max`` defaults to the Brillouin-zone boundary; larger requests
     are clipped to it (and flagged in ``clipped``).  Pairing failures
     are recorded as excluded radius intervals and the scan continues
-    beyond them; an empty crossing list is a valid result.
+    beyond them; an empty crossing list is a valid result.  Raises
+    ``ValueError`` for a zero or non-finite direction, an ``r_max`` or
+    ``bisect_tol`` that is not positive and finite, or ``n_coarse < 2``.
     """
-    direction = np.asarray(direction, dtype=float)
-    direction = direction / np.linalg.norm(direction)
+    direction = _unit_direction(direction)
+    for name, value in (("r_max", r_max), ("bisect_tol", bisect_tol)):
+        if value is not None and not (value > 0.0 and math.isfinite(value)):
+            raise ValueError(f"{name} must be a positive finite number, "
+                             f"got {value}")
+    if n_coarse < 2:
+        raise ValueError(f"n_coarse must be >= 2, got {n_coarse}")
     r_boundary = boundary_radius(model.lattice_constant, direction)
     clipped = r_max is not None and r_max > r_boundary
     if r_max is None or clipped:
@@ -271,44 +291,3 @@ def export_cloud(cloud: SurfaceCloud, path, fmt: str = "csv",
                 fh.write(f"{x:.17g} {y:.17g} {z:.17g}\n")
     else:
         raise ValueError(f"format must be 'csv' or 'ply', not {fmt!r}")
-
-
-def read_cloud_csv(path) -> SurfaceCloud:
-    """Re-import an exported CSV cloud (inverse of :func:`export_cloud`).
-
-    Cloud metadata (material, band, symmetry-op count) is recovered
-    from the structured header comments export_cloud writes.
-    """
-    points, dir_index, ordinals, slopes = [], [], [], []
-    meta = {"material": "", "band": "", "det": "", "symmetry_ops": "0"}
-    with open(path, newline="") as fh:
-        raw = list(csv.reader(fh))
-    rows = []
-    for row in raw:
-        if not row:
-            continue
-        if row[0].lstrip().startswith("#"):
-            text = ",".join(row).lstrip("# ")
-            key, sep, value = text.partition(": ")
-            if sep and key in meta:
-                meta[key] = value
-            continue
-        rows.append(row)
-    if rows and tuple(rows[0]) != CSV_COLUMNS:
-        raise ValueError(f"unexpected CSV header {rows[0]!r}")
-    which = meta["det"]
-    for row in rows[1:]:
-        points.append([float(row[0]), float(row[1]), float(row[2])])
-        dir_index.append(int(row[3]))
-        ordinals.append(int(row[4]))
-        which = row[5]
-        slopes.append(int(row[6]))
-    return SurfaceCloud(
-        material=meta["material"], band_id=meta["band"], which_det=which,
-        points=np.array(points).reshape(-1, 3),
-        dir_index=np.array(dir_index, dtype=int),
-        crossing_ordinal=np.array(ordinals, dtype=int),
-        slope_sign=np.array(slopes, dtype=int),
-        symmetry_ops_applied=int(meta["symmetry_ops"]),
-        failures=[],
-    )

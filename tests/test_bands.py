@@ -1,5 +1,5 @@
-import dataclasses
 import struct
+import types
 
 import numpy as np
 import pytest
@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gtensor_tb import (PairingAmbiguityError, PairUndefinedError,
-                        UnknownBandLabelError, remix_pair,
-                        resolve_band_indices, select_pair, solve)
-from gtensor_tb.bands import BlochSolution
+                        UnknownBandLabelError, blas, bloch_hamiltonian,
+                        boundary_radius, det_sign, icosphere_directions,
+                        momentum_table, remix_pair, resolve_band_indices,
+                        select_pair, solve, spin_g, surface, wedge_directions)
+from gtensor_tb.bands import BlochSolution, pair_window
 
 from conftest import random_k_points
 
@@ -128,16 +130,23 @@ def _spectrum_and_pair(draw):
         pair = pair[::-1]
     if draw(st.booleans()):                 # negative, numpy-style indices
         pair = (pair[0] - len(e), pair[1])
-    return np.array(e), pair
+    # solved bands: any window that holds the pair and its neighbours,
+    # the full spectrum included
+    a, b = sorted(m % len(e) for m in pair)
+    lo = draw(st.integers(0, max(a - 1, 0)))
+    hi = draw(st.integers(min(b + 1, last), last))
+    return np.array(e), pair, (lo, hi)
 
 
 @settings(max_examples=400, deadline=None)
 @given(_spectrum_and_pair(),
        st.one_of(st.none(), st.sampled_from([1e-8, 1e-3, 0.1])))
-def test_select_pair_isolation_matches_all_bands_formula(si, case, tol):
-    e, (i, j) = case
-    model = dataclasses.replace(si, pair_split_tol=tol)
-    sol = BlochSolution(k=np.zeros(3), energies=e, states=np.eye(e.size))
+def test_select_pair_isolation_matches_all_bands_formula(case, tol):
+    e, (i, j), (lo, hi) = case
+    # select_pair reads the spectrum size from the model
+    model = types.SimpleNamespace(pair_split_tol=tol, dim=e.size)
+    sol = BlochSolution(k=np.zeros(3), energies=e[lo:hi + 1],
+                        states=np.eye(e.size)[:, lo:hi + 1], first=lo)
     split, gap, pair_energy, raises = _reference_isolation(e, i, j, tol)
     if raises:
         with pytest.raises(PairingAmbiguityError) as info:
@@ -151,3 +160,131 @@ def test_select_pair_isolation_matches_all_bands_formula(si, case, tol):
     assert _bits(pair.pair_energy) == _bits(pair_energy)
     assert np.array_equal(pair.energies, e[[i, j]])
     assert np.array_equal(pair.states, np.eye(e.size)[:, [i, j]])
+
+
+# --- band windows: the g_S chain solves only the pair and its neighbours
+
+def _full_chain_sign(model, band, k):
+    """det(g_S) sign from the full-spectrum eigh, or the error type."""
+    try:
+        pair = select_pair(model, solve(model, k), band)
+    except PairUndefinedError as err:
+        return type(err).__name__
+    return det_sign(spin_g(pair))
+
+
+def _window_chain_sign(model, band, k):
+    """det(g_S) sign from the scanner's windowed chain, or the error type."""
+    try:
+        return det_sign(surface._g_at(model, band, k, "gs"))
+    except PairUndefinedError as err:
+        return type(err).__name__
+
+
+@pytest.mark.parametrize("material, band, directions", [
+    ("si", "split-off", wedge_directions(2)),
+    ("si", "first-conduction", wedge_directions(2)),
+    ("ge", "second-conduction", wedge_directions(2)),
+    ("gaas", "split-off", icosphere_directions(0)),
+])
+def test_window_sign_matches_full_eigh_on_coarse_samples(
+        request, material, band, directions):
+    model = request.getfixturevalue(material)
+    seen = set()
+    for d in directions:
+        d = d / np.linalg.norm(d)
+        r_max = boundary_radius(model.lattice_constant, d)
+        for r in np.linspace(0.0, r_max, surface.N_COARSE):
+            full = _full_chain_sign(model, band, r * d)
+            assert _window_chain_sign(model, band, r * d) == full, (d, r)
+            seen.add(full)
+    assert {1, -1} <= seen
+
+
+@st.composite
+def _k_and_pair(draw):
+    """A random k (Bohr^-1) and an adjacent pair (2p, 2p + 1)."""
+    k = draw(st.lists(st.floats(-0.6, 0.6), min_size=3, max_size=3))
+    material = draw(st.sampled_from(["si", "gaas"]))
+    return np.array(k), material, draw(st.integers(0, 19))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_k_and_pair())
+def test_window_matches_full_spectrum_slice(si, gaas, case):
+    k, material, p = case
+    model = {"si": si, "gaas": gaas}[material]
+    last = model.dim - 1
+    # both edge windows, (0, 1) and (dim - 2, dim - 1), come first
+    for pair in ((0, 1), (last - 1, last), (2 * p % last, 2 * p % last + 1)):
+        lo, hi = pair_window(model, pair)
+        full = solve(model, k)
+        win = solve(model, k, bands=(lo, hi))
+        assert win.first == lo
+        assert np.abs(win.energies - full.energies[lo:hi + 1]).max() < 1e-12
+        gram = win.states.conj().T @ win.states
+        assert np.abs(gram - np.eye(hi - lo + 1)).max() < 1e-12
+        i, j = pair
+        e = full.energies
+        gap = min(abs(e[m] - e[n]) for n in (i, j)
+                  for m in (i - 1, j + 1) if 0 <= m <= last)
+        if gap > 1e-4:       # pair isolated: its projector is well defined
+            v, w = full.states[:, [i, j]], win.states[:, [i - lo, j - lo]]
+            assert np.abs(v @ v.conj().T - w @ w.conj().T).max() < 1e-10
+
+
+def test_window_crossings_equal_eigh_fallback(si, monkeypatch):
+    d = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
+    native = surface.scan_ray(si, "split-off", d, r_max=0.1)
+    monkeypatch.setattr(blas, "_lapacke_zheevr", lambda: None)
+    sliced = surface.scan_ray(si, "split-off", d, r_max=0.1)
+    assert native.crossings
+    assert native.crossings == sliced.crossings
+
+
+def test_bad_window_raises_before_lapack(si, monkeypatch):
+    calls = []
+    monkeypatch.setattr(blas, "_lapacke_zheevr", lambda: calls.append(1))
+    h = bloch_hamiltonian(si, np.array([0.02, 0.01, 0.0]))
+    for lo, hi in ((-1, 2), (3, 2), (0, 40), (39, 40), (1.0, 2)):
+        with pytest.raises(ValueError, match="window"):
+            blas.eigh_window(h.copy(), lo, hi)
+    for bad in (h.real.copy(), h.T, h[:, :39].copy(), h.astype(np.complex64)):
+        with pytest.raises(ValueError, match="C-ordered"):
+            blas.eigh_window(bad, 0, 1)
+    with pytest.raises(ValueError, match="window"):
+        solve(si, np.zeros(3), bands=(38, 40))
+    assert calls == []
+
+
+def test_lapack_failure_raises_linalg_error(si, monkeypatch):
+    def fake(info, found):
+        def zheevr(*args):
+            args[12]._obj.value = found
+            return info
+        return zheevr
+
+    h = bloch_hamiltonian(si, np.array([0.02, 0.01, 0.0]))
+    for info, found in ((1, 4), (0, 3)):
+        monkeypatch.setattr(blas, "_lapacke_zheevr", lambda: fake(info, found))
+        with pytest.raises(np.linalg.LinAlgError, match="zheevr"):
+            blas.eigh_window(h.copy(), 1, 4)
+
+
+def test_select_pair_needs_pair_and_neighbours(si):
+    k = np.array([0.03, 0.01, 0.0])
+    for bands in ((2, 3), (1, 3), (2, 4), (0, 1)):
+        with pytest.raises(ValueError, match="needs bands"):
+            select_pair(si, solve(si, k, bands=bands), "split-off")
+    pair = select_pair(si, solve(si, k, bands=(1, 4)), "split-off")
+    full = select_pair(si, solve(si, k), "split-off")
+    assert pair.band_indices == full.band_indices == (2, 3)
+    assert pair.gap_to_rest == pytest.approx(full.gap_to_rest, abs=1e-12)
+    # the bottom pair has no lower neighbour to ask for
+    assert select_pair(si, solve(si, k, bands=(0, 2)), (0, 1)).split < 1e-8
+
+
+def test_momentum_table_rejects_window(si):
+    sol = solve(si, np.array([0.03, 0.01, 0.0]), bands=(1, 4))
+    with pytest.raises(ValueError, match="full spectrum"):
+        momentum_table(si, sol)

@@ -49,9 +49,9 @@ def test_k_loop_solves_on_one_thread(si, two_threads, monkeypatch, name):
     module, run = _K_LOOPS[name]
     seen = []
 
-    def recording_solve(model, k):
+    def recording_solve(*args, **kwargs):
         seen.append(blas_threads())
-        return solve(model, k)
+        return solve(*args, **kwargs)
 
     solve = module.solve
     monkeypatch.setattr(module, "solve", recording_solve)

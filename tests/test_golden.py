@@ -1,0 +1,37 @@
+"""Byte contract of the surface CLI: data rows pinned by sha256.
+
+Each entry runs ``gtensor-tb surface ... --level 1`` and hashes the
+lines that do not start with '#' (the CSV header and the points); the
+comment block holds the configuration echo, which names the output
+path, so it is left out.  Radii are bisection midpoints, exact sums of
+powers of two times the coarse radii, so the hashes change only when a
+determinant sign does, not with LAPACK rounding.  A change to the
+numerics that moves any of them must say so and record the new values.
+"""
+import hashlib
+
+import pytest
+
+from gtensor_tb import cli
+
+GOLDEN = {
+    # arguments after `surface`: (data rows incl. header, sha256)
+    "--material si --band split-off": (
+        79, "2d5fba2fe8c95af8058e8cfbadef225398db92e23ac6e8f624b0136bc9b121ad"),
+    "--material si --band first-conduction": (
+        79, "5d637e569981711e707c5d7dee8aa1358d62cf677b5a4f656b0d4100735c9fe2"),
+    "--material gaas --band split-off": (
+        43, "37d8a481a09c1352388f65bee85953d04d92c5559ab9473b5e2dc0355cf93b84"),
+    "--material si --band split-off --det gtot": (
+        157, "3b637df1f50e169329ee1795acde0e0fff813fdaec3804cb0439a431a2f6af68"),
+}
+
+
+@pytest.mark.parametrize("args", sorted(GOLDEN))
+def test_surface_level_1_data_rows(tmp_path, args):
+    out = tmp_path / "surface.csv"
+    argv = ["surface", *args.split(), "--level", "1", "--out", str(out)]
+    assert cli.main(argv) == 0
+    with open(out, "rb") as fh:
+        rows = [line for line in fh if not line.startswith(b"#")]
+    assert (len(rows), hashlib.sha256(b"".join(rows)).hexdigest()) == GOLDEN[args]

@@ -1,12 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from gtensor_tb import (boundary_radius, build_surface, cubic_group,
-                        det_along_ray, export_cloud, read_cloud_csv, scan_ray,
+                        det_along_ray, export_cloud, scan_ray,
                         surface, wedge_directions)
 from gtensor_tb.brillouin import in_first_zone, wedge_representative
 
 from conftest import random_unit_vectors
+from oracles import read_cloud_csv
 
 
 def _dense_roots(model, band_id, direction, r_max, which_det, samples=2000):
@@ -108,6 +111,36 @@ def test_unknown_which_det_is_rejected(si):
         scan_ray(si, "split-off", [1, 0, 0], which_det="bogus")
     with pytest.raises(ValueError, match="which_det"):
         det_along_ray(si, "split-off", [1, 0, 0], [0.01], which_det="bogus")
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"r_max": -1.0}, "r_max"),
+    ({"r_max": 0.0}, "r_max"),
+    ({"r_max": float("nan")}, "r_max"),
+    ({"r_max": float("inf")}, "r_max"),
+    ({"n_coarse": 1}, "n_coarse"),
+    ({"n_coarse": 0}, "n_coarse"),
+    ({"bisect_tol": 0.0}, "bisect_tol"),
+    ({"bisect_tol": float("nan")}, "bisect_tol"),
+])
+def test_scan_ray_rejects_out_of_domain_numbers(si, kwargs, match):
+    # the domains of the CLI's own checks (and a positive bisect_tol,
+    # without which the bisection never ends)
+    with pytest.raises(ValueError, match=match):
+        scan_ray(si, "split-off", [1, 0, 0], **kwargs)
+
+
+@pytest.mark.parametrize("direction", [
+    [0.0, 0.0, 0.0], [float("nan"), 1.0, 0.0], [float("inf"), 0.0, 0.0],
+    [1.0, 0.0],
+])
+def test_bad_direction_is_rejected(si, direction):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="direction"):
+            scan_ray(si, "split-off", direction)
+        with pytest.raises(ValueError, match="direction"):
+            det_along_ray(si, "split-off", direction, [0.0, 0.01])
 
 
 def test_build_surface_deterministic_across_workers(si):

@@ -48,6 +48,21 @@ def zone_faces(a: float) -> np.ndarray:
     return g * np.array(hexes + squares, dtype=float)
 
 
+def unit_direction(direction) -> np.ndarray:
+    """``direction`` scaled to unit length.
+
+    Raises ValueError unless it is three numbers with a finite, non-zero
+    norm (an overflowing norm counts as not finite).
+    """
+    direction = np.asarray(direction, dtype=float)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(direction)
+    if direction.shape != (3,) or not (norm > 0.0 and np.isfinite(norm)):
+        raise ValueError("direction must be three finite numbers with a "
+                         f"finite, non-zero norm, got {direction.tolist()}")
+    return direction / norm
+
+
 def boundary_radius(a: float, direction) -> float:
     """Distance from Gamma to the zone boundary along a direction."""
     d = np.asarray(direction, dtype=float)

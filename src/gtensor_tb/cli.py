@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .brillouin import boundary_radius, named_direction, wedge_directions, \
-    icosphere_directions
+    icosphere_directions, unit_direction
 from .errors import GTensorError
 from .lande import fit_report
 from .materials import load_material, resolve_material_path
@@ -57,10 +57,11 @@ def _parse_direction(spec: str, seed: int) -> np.ndarray:
         raise UsageError(f"non-numeric direction component in {spec!r}") from None
     if not np.all(np.isfinite(v)):
         raise UsageError(f"non-finite direction component in {spec!r}")
-    n = np.linalg.norm(v)
-    if n == 0.0:
-        raise UsageError("--direction must not be the zero vector")
-    return v / n
+    try:
+        return unit_direction(v)
+    except ValueError:
+        raise UsageError("--direction must have a finite, non-zero length, "
+                         f"got {spec!r}") from None
 
 
 # smallest accepted value of each integer option, where a subcommand has it

@@ -13,12 +13,11 @@ two-dimensional pair space.
     g_tot         = g_S + g_L,  G = g_tot g_tot^T
     Delta E       = mu_B sqrt(B.G B)
 
-Two assemblies of L_i are provided: the production ``mean-energy`` form
-above (single energy denominator at the pair mean, valid for split
-pairs too) and the ``commutator`` form built from d_k-derivative
-overlaps, sum_l pi_j[a,l] pi_k[l,b] (E_l - E_pair) / ((E_l - E_a)(E_l -
-E_b)).  At an exactly degenerate pair they are algebraically identical,
-which the test suite exploits as a cross-check.
+L_i is assembled in the ``mean-energy`` form above: a single energy
+denominator at the pair mean, valid for split pairs too.  At an exactly
+degenerate pair it equals the ``commutator`` form built from
+d_k-derivative overlaps, sum_l pi_j[a,l] pi_k[l,b] (E_l - E_pair) /
+((E_l - E_a)(E_l - E_b)); the test suite keeps that form as an oracle.
 """
 from __future__ import annotations
 
@@ -37,7 +36,9 @@ from .units import MU_B
 # second-order sum
 ENERGY_FLOOR = 1e-5  # Hartree
 
-_EPS_CYCLES = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+# (j, k) of the eps_{ijk} cycles, in order of i
+_CYCLE_J = [1, 2, 0]
+_CYCLE_K = [2, 0, 1]
 
 
 def momentum_table(model: MaterialModel, sol: BlochSolution) -> np.ndarray:
@@ -49,20 +50,18 @@ def momentum_table(model: MaterialModel, sol: BlochSolution) -> np.ndarray:
     off-diagonal elements (E_n - E_m weight), so band velocities are
     untouched.  It sums over every band, so ``sol`` must hold the full
     spectrum, not a window of it (``ValueError``).
+
+    All three directions go through each matrix product as one stack.
     """
     if sol.first != 0 or sol.energies.size != model.dim:
         raise ValueError("momentum_table needs the full spectrum, got bands "
                          f"{sol.first}..{sol.first + sol.energies.size - 1} "
                          f"of {model.dim}")
     a = sol.states
+    ah = a.conj().T
     grad = hamiltonian_gradient(model, sol.k)
-    dip = dipole_matrix(model)
     ediff = sol.energies[:, None] - sol.energies[None, :]
-    pi = np.empty_like(grad)
-    for j in range(3):
-        pi[j] = a.conj().T @ grad[j] @ a \
-            + 1j * ediff * (a.conj().T @ dip[j] @ a)
-    return pi
+    return ah @ grad @ a + 1j * ediff * (ah @ dipole_matrix(model) @ a)
 
 
 def spin_matrices(pair: KramersPair) -> np.ndarray:
@@ -80,13 +79,13 @@ def spin_g(pair: KramersPair) -> np.ndarray:
 
 
 def orbital_matrices(pair: KramersPair, sol: BlochSolution,
-                     pi: np.ndarray, energy_floor: float = ENERGY_FLOOR,
-                     route: str = "mean-energy") -> np.ndarray:
+                     pi: np.ndarray,
+                     energy_floor: float = ENERGY_FLOOR) -> np.ndarray:
     """Pair-space orbital-moment blocks L_i, shape (3, 2, 2).
 
-    ``route`` selects the denominator assembly ('mean-energy' or
-    'commutator', see module docstring).  Intermediate bands within
-    ``energy_floor`` of the pair energy raise
+    The mean-energy assembly of the module docstring, with the three
+    eps_{ijk} cycles taken as two stacked products.  Intermediate bands
+    within ``energy_floor`` of the pair energy raise
     :class:`NearDegenerateIntermediateError`.
     """
     ia, ib = pair.band_indices
@@ -98,32 +97,15 @@ def orbital_matrices(pair: KramersPair, sol: BlochSolution,
         raise NearDegenerateIntermediateError(
             sol.k, int(others[worst]), float(sep[worst]), energy_floor)
 
-    p = pi[:, [ia, ib], :][:, :, others]       # (3, 2, M)
-    q = pi[:, others, :][:, :, [ia, ib]]       # (3, M, 2)
+    p = pi[:, [[ia], [ib]], others]            # (3, 2, M)
+    q = pi[:, others[:, None], [ia, ib]]       # (3, M, 2)
     # the pi table lives in the eigh gauge; re-express the pair rows and
     # columns in the pair's own (possibly remixed) basis so spin and
     # orbital blocks always share one gauge
     w2 = sol.states[:, [ia, ib]].conj().T @ pair.states
-    p = np.matmul(w2.conj().T, p)
+    pw = np.matmul(w2.conj().T, p) * (1.0 / (pair.pair_energy - e_rest))
     q = np.matmul(q, w2)
-    out = np.zeros((3, 2, 2), dtype=complex)
-    if route == "mean-energy":
-        w = 1.0 / (pair.pair_energy - e_rest)
-        for i, j, k in _EPS_CYCLES:
-            out[i] = -0.5j * ((p[j] * w) @ q[k] - (p[k] * w) @ q[j])
-    elif route == "commutator":
-        e_ab = pair.energies
-        for a in range(2):
-            for b in range(2):
-                w = (e_rest - pair.pair_energy) / (
-                    (e_rest - e_ab[a]) * (e_rest - e_ab[b]))
-                for i, j, k in _EPS_CYCLES:
-                    out[i, a, b] += 0.5j * (
-                        (p[j, a] * w) @ q[k, :, b]
-                        - (p[k, a] * w) @ q[j, :, b])
-    else:
-        raise ValueError(f"unknown route {route!r}")
-    return out
+    return -0.5j * (pw[_CYCLE_J] @ q[_CYCLE_K] - pw[_CYCLE_K] @ q[_CYCLE_J])
 
 
 def orbital_g(l_blocks: np.ndarray) -> np.ndarray:
@@ -177,6 +159,9 @@ def g_tensor_set(model: MaterialModel, sol: BlochSolution, pair: KramersPair,
     g_s = spin_g(pair)
     g_l = orbital_g(orbital_matrices(pair, sol, pi))
     g_tot = g_s + g_l
+    both = np.stack([g_s, g_tot])
+    u, sigma, vh = np.linalg.svd(both)
+    det_s, det_tot = np.linalg.det(both).tolist()
     return GTensorSet(
         k=pair.k,
         band_indices=pair.band_indices,
@@ -184,10 +169,10 @@ def g_tensor_set(model: MaterialModel, sol: BlochSolution, pair: KramersPair,
         g_l=g_l,
         g_tot=g_tot,
         G=g_tot @ g_tot.T,
-        svd_s=np.linalg.svd(g_s),
-        svd_tot=np.linalg.svd(g_tot),
-        det_g_s=float(np.linalg.det(g_s)),
-        det_g_tot=float(np.linalg.det(g_tot)),
+        svd_s=(u[0], sigma[0], vh[0]),
+        svd_tot=(u[1], sigma[1], vh[1]),
+        det_g_s=det_s,
+        det_g_tot=det_tot,
     )
 
 
@@ -237,13 +222,8 @@ def pair_zeeman_hamiltonian(pair: KramersPair, sol: BlochSolution,
     return MU_B * np.einsum('i,iab->ab', b, blocks)
 
 
-def proper_svd(g: np.ndarray) -> tuple:
-    """SVD g = u diag(sigma) vh with det(vh) = +1.
-
-    A sign flip is absorbed into u, so u may be improper; sigma stays
-    descending and non-negative.
-    """
-    u, sigma, vh = np.linalg.svd(g)
+def _make_proper(u, sigma, vh) -> tuple:
+    """Move a reflection of ``vh`` into ``u``, leaving the inputs intact."""
     if np.linalg.det(vh) < 0:
         vh = vh.copy()
         vh[2, :] *= -1.0
@@ -252,8 +232,17 @@ def proper_svd(g: np.ndarray) -> tuple:
     return u, sigma, vh
 
 
+def proper_svd(g: np.ndarray) -> tuple:
+    """SVD g = u diag(sigma) vh with det(vh) = +1.
+
+    A sign flip is absorbed into u, so u may be improper; sigma stays
+    descending and non-negative.
+    """
+    return _make_proper(*np.linalg.svd(g))
+
+
 def align_pair_to_spin_frame(pair: KramersPair,
-                             g_s: np.ndarray | None = None) -> tuple:
+                             svd: tuple | None = None) -> tuple:
     """Re-mix the pair so its spin g-tensor becomes u diag(sigma).
 
     Returns (aligned_pair, u, sigma): the SU(2) re-mixing W whose
@@ -262,10 +251,14 @@ def align_pair_to_spin_frame(pair: KramersPair,
     frame is the identity.  The smallest-singular-value axis is then
     the third pair-Pauli direction, the configuration entanglement
     statements refer to.
+
+    ``svd`` is ``np.linalg.svd`` of the pair's g_S when the caller has
+    it already (``GTensorSet.svd_s``); otherwise g_S is formed and
+    factored here.  Its arrays are not modified.
     """
-    if g_s is None:
-        g_s = spin_g(pair)
-    u, sigma, vh = proper_svd(g_s)
+    if svd is None:
+        svd = np.linalg.svd(spin_g(pair))
+    u, sigma, vh = _make_proper(*svd)
     w_adjoint = su2_from_rotation(vh)
     aligned = remix_pair(pair, w_adjoint.conj())
     return aligned, u, sigma

@@ -58,9 +58,11 @@ class _Engine:
         v_ab = model.sk[(sp_a, sp_b)]
         v_ba = model.sk[(sp_b, sp_a)]
         unit = self.nn / np.linalg.norm(self.nn, axis=1)[:, None]
-        self.hop_blocks = np.array(
-            [hop_block(model.orbitals, u, v_ab, v_ba) for u in unit])
-        self.hop_flat = self.hop_blocks.reshape(len(unit), n * n)
+        self.hop_flat = np.array(
+            [hop_block(model.orbitals, u, v_ab, v_ba) for u in unit]
+        ).reshape(len(unit), n * n)
+        # d/dk_j of the bond phase exponents, one contiguous row per j
+        self.i_nn = np.ascontiguousarray(1j * self.nn.T)
         onsite = [model.onsite[sp][SHELL[o]]
                   for sp in model.species for o in model.orbitals]
         self.soc = self._soc_matrix(model)
@@ -119,17 +121,20 @@ class _Engine:
         return h
 
     def grad(self, k):
-        n, dim = self.n, self.dim
+        """dH/dk_j for j = x, y, z, shape (3, dim, dim).
+
+        Only the A-B hopping depends on k: each direction's derivative
+        block goes straight into both spin blocks of a zero array.
+        """
+        n = self.n
         phases = np.exp(1j * (self.nn @ k))
-        out = np.zeros((3, dim, dim), dtype=complex)
-        for j in range(3):
-            dhab = np.tensordot(1j * self.nn[:, j] * phases,
-                                self.hop_blocks, axes=1)
-            block = np.zeros((2 * n, 2 * n), dtype=complex)
-            block[:n, n:] = dhab
-            block[n:, :n] = dhab.conj().T
-            out[j, :2 * n, :2 * n] = block
-            out[j, 2 * n:, 2 * n:] = block
+        out = np.zeros((3, self.dim, self.dim), dtype=complex)
+        for j, weights in enumerate(self.i_nn * phases):
+            dhab = np.dot(weights[None], self.hop_flat).reshape(n, n)
+            dhba = dhab.conj().T
+            for s in (0, 2 * n):          # the two spin blocks
+                out[j, s:s + n, s + n:s + 2 * n] = dhab
+                out[j, s + n:s + 2 * n, s:s + n] = dhba
         return out
 
 

@@ -25,7 +25,8 @@ import numpy as np
 
 from .bands import pair_window, select_pair, solve
 from .blas import one_blas_thread
-from .brillouin import boundary_radius, point_group_ops, replicate_points
+from .brillouin import (boundary_radius, point_group_ops, replicate_points,
+                        unit_direction)
 from .errors import PairUndefinedError
 from .gtensor import det_sign, g_tensor_set, spin_g
 from .materials import MaterialModel
@@ -87,16 +88,6 @@ def _g_at(model: MaterialModel, band_id, k, which_det: str) -> np.ndarray:
     raise ValueError(f"which_det must be 'gs' or 'gtot', not {which_det!r}")
 
 
-def _unit_direction(direction) -> np.ndarray:
-    """``direction`` scaled to unit length; ValueError unless finite, non-zero."""
-    direction = np.asarray(direction, dtype=float)
-    norm = np.linalg.norm(direction)
-    if direction.shape != (3,) or not (norm > 0.0 and math.isfinite(norm)):
-        raise ValueError("direction must be three finite numbers, not all "
-                         f"zero, got {direction.tolist()}")
-    return direction / norm
-
-
 @one_blas_thread
 def det_along_ray(model: MaterialModel, band_id, direction, radii,
                   which_det: str = "gs") -> np.ndarray:
@@ -105,7 +96,7 @@ def det_along_ray(model: MaterialModel, band_id, direction, radii,
     The dense-scan companion of :func:`scan_ray`, used as an
     independent root oracle and for det-along-a-ray tables.
     """
-    direction = _unit_direction(direction)
+    direction = unit_direction(direction)
     out = np.empty(len(radii))
     for i, r in enumerate(radii):
         try:
@@ -143,7 +134,7 @@ def scan_ray(model: MaterialModel, band_id, direction,
     ``ValueError`` for a zero or non-finite direction, an ``r_max`` or
     ``bisect_tol`` that is not positive and finite, or ``n_coarse < 2``.
     """
-    direction = _unit_direction(direction)
+    direction = unit_direction(direction)
     for name, value in (("r_max", r_max), ("bisect_tol", bisect_tol)):
         if value is not None and not (value > 0.0 and math.isfinite(value)):
             raise ValueError(f"{name} must be a positive finite number, "

@@ -13,7 +13,7 @@ import numpy as np
 
 from .bands import select_pair, solve
 from .blas import one_blas_thread
-from .brillouin import high_symmetry_point
+from .brillouin import high_symmetry_point, unit_direction
 from .entanglement import (direction_applicable, entropy,
                            pair_spin_densities, spin_flip_residual)
 from .errors import PairUndefinedError
@@ -80,8 +80,8 @@ def band_path_rows(model: MaterialModel, path_names,
     return header, rows, ticks
 
 
-def _aligned_pair_entropies(pair, g_s=None):
-    aligned, _, _ = align_pair_to_spin_frame(pair, g_s)
+def _aligned_pair_entropies(pair, svd=None):
+    aligned, _, _ = align_pair_to_spin_frame(pair, svd)
     dens = pair_spin_densities(aligned)
     return entropy(dens.rho_s), entropy(dens.rho_s_bar), aligned
 
@@ -89,9 +89,11 @@ def _aligned_pair_entropies(pair, g_s=None):
 @one_blas_thread
 def gline_rows(model: MaterialModel, band_id, direction,
                r_max: float, samples: int = 200) -> tuple:
-    """Singular values, determinants, and entropies along a ray."""
-    direction = np.asarray(direction, dtype=float)
-    direction = direction / np.linalg.norm(direction)
+    """Singular values, determinants, and entropies along a ray.
+
+    Raises ``ValueError`` for a direction without a finite, non-zero norm.
+    """
+    direction = unit_direction(direction)
     rows = []
     for r in np.linspace(0.0, r_max, samples):
         k = r * direction
@@ -100,7 +102,7 @@ def gline_rows(model: MaterialModel, band_id, direction,
             sol = solve(model, k)
             pair = select_pair(model, sol, band_id)
             gset = g_tensor_set(model, sol, pair)
-            s_xi, s_xib, _ = _aligned_pair_entropies(pair, gset.g_s)
+            s_xi, s_xib, _ = _aligned_pair_entropies(pair, gset.svd_s)
         except PairUndefinedError:
             rows.append(base + [np.nan] * (len(GLINE_COLUMNS) - 4))
             continue
@@ -118,10 +120,10 @@ def entropy_rows(model: MaterialModel, band_id, direction,
 
     Off the valid direction families of the material's point group the
     residual column is NaN: the relation is not defined there, which is
-    a contract fact, not a numerical failure.
+    a contract fact, not a numerical failure.  Raises ``ValueError`` for
+    a direction without a finite, non-zero norm.
     """
-    direction = np.asarray(direction, dtype=float)
-    direction = direction / np.linalg.norm(direction)
+    direction = unit_direction(direction)
     flip_ok = direction_applicable(model, direction)
     rows = []
     for r in np.linspace(0.0, r_max, samples):

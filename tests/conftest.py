@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gtensor_tb import builtin_material_path, load_material
+from gtensor_tb import builtin_material_path, high_symmetry_point, load_material
 
 
 @pytest.fixture(scope="session")
@@ -33,6 +33,13 @@ def random_unit_vectors(seed, count):
 def random_k_points(seed, count, scale=0.1):
     rng = np.random.default_rng(seed)
     return rng.uniform(-scale, scale, size=(count, 3))
+
+
+def bitwise_k_points(model, seed, count=50, scale=0.6):
+    """Gamma, X, L and ``count`` seeded k-points, for bitwise oracle tests."""
+    named = [high_symmetry_point(name, model.lattice_constant)
+             for name in ("G", "X", "L")]
+    return [*named, *random_k_points(seed, count, scale)]
 
 
 def pytest_terminal_summary(terminalreporter):

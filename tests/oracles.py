@@ -9,6 +9,34 @@ import numpy as np
 
 from gtensor_tb.surface import CSV_COLUMNS, SurfaceCloud
 
+EPS_CYCLES = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+
+
+def orbital_matrices_commutator(pair, sol, pi) -> np.ndarray:
+    """Pair-space L_i, shape (3, 2, 2), from the commutator assembly.
+
+    Built from d_k-derivative overlaps, sum_l pi_j[a,l] pi_k[l,b]
+    (E_l - E_pair) / ((E_l - E_a)(E_l - E_b)), in the pair's own gauge.
+    At an exactly degenerate pair it equals the mean-energy assembly of
+    ``gtensor_tb.gtensor.orbital_matrices``.
+    """
+    ia, ib = pair.band_indices
+    others = np.delete(np.arange(sol.energies.size), [ia, ib])
+    e_rest = sol.energies[others]
+    w2 = sol.states[:, [ia, ib]].conj().T @ pair.states
+    p = np.matmul(w2.conj().T, pi[:, [ia, ib], :][:, :, others])
+    q = np.matmul(pi[:, others, :][:, :, [ia, ib]], w2)
+    e_ab = pair.energies
+    out = np.zeros((3, 2, 2), dtype=complex)
+    for a in range(2):
+        for b in range(2):
+            w = (e_rest - pair.pair_energy) / (
+                (e_rest - e_ab[a]) * (e_rest - e_ab[b]))
+            for i, j, k in EPS_CYCLES:
+                out[i, a, b] += 0.5j * (
+                    (p[j, a] * w) @ q[k, :, b] - (p[k, a] * w) @ q[j, :, b])
+    return out
+
 
 def read_cloud_csv(path) -> SurfaceCloud:
     """Re-import an exported CSV cloud (inverse of ``gtensor_tb.surface.export_cloud``).

@@ -22,6 +22,7 @@ from gtensor_tb.hamiltonian import (bloch_hamiltonian, dipole_matrix,
 from gtensor_tb.su2 import random_su2
 
 from conftest import random_k_points, random_unit_vectors
+from oracles import orbital_matrices_commutator
 
 
 SCOREBOARD = []
@@ -198,8 +199,10 @@ def test_criterion_5c_orbital_moment_assemblies_agree(si):
             sol = solve(si, k)
             pair = select_pair(si, sol, "split-off")
             table = momentum_table(si, sol)
-            for route in ("mean-energy", "commutator"):
-                blocks = orbital_matrices(pair, sol, table, route=route)
+            for route, blocks in (
+                    ("mean-energy", orbital_matrices(pair, sol, table)),
+                    ("commutator",
+                     orbital_matrices_commutator(pair, sol, table))):
                 assert np.abs(blocks - local).max() < 1e-10, route
 
 

@@ -84,6 +84,11 @@ _RMAX = "--rmax must be a positive finite number"
       "random", "--seed", "-1"], "--seed must be >= 0, got -1"),
     (["bands", "--material", "si", "--path", "L"],
      "--path must name at least two"),
+    (["gline", "--material", "si", "--band", "split-off", "--direction",
+      "1e300,1e300,0"], "--direction must have a finite, non-zero length, "
+                        "got '1e300,1e300,0'"),
+    (["entropy", "--material", "si", "--band", "split-off", "--direction",
+      "0,0,0"], "--direction must have a finite, non-zero length"),
 ])
 def test_out_of_domain_number_is_usage_error(tmp_path, capsys, argv, message):
     out = tmp_path / "x.csv"

@@ -8,11 +8,13 @@ from gtensor_tb import (NearDegenerateIntermediateError, PairUndefinedError,
                         pair_zeeman_hamiltonian, proper_svd, remix_pair,
                         select_pair, solve, spin_g, spin_matrices,
                         wedge_directions, zeeman_response)
+from gtensor_tb.hamiltonian import dipole_matrix, hamiltonian_gradient
 from gtensor_tb.surface import N_COARSE
-from gtensor_tb.su2 import random_su2
+from gtensor_tb.su2 import random_su2, su2_from_rotation
 from gtensor_tb.units import MU_B
 
-from conftest import random_k_points, random_unit_vectors
+from conftest import bitwise_k_points, random_k_points, random_unit_vectors
+from oracles import EPS_CYCLES, orbital_matrices_commutator
 
 
 def _pair_and_tensors(model, k, band_id="split-off"):
@@ -84,8 +86,8 @@ def test_orbital_routes_agree_for_degenerate_pair(si, ge):
             sol = solve(model, k)
             pair = select_pair(model, sol, "split-off")
             pi = momentum_table(model, sol)
-            la = orbital_matrices(pair, sol, pi, route="mean-energy")
-            lb = orbital_matrices(pair, sol, pi, route="commutator")
+            la = orbital_matrices(pair, sol, pi)
+            lb = orbital_matrices_commutator(pair, sol, pi)
             assert np.abs(la - lb).max() < 1e-10
 
 
@@ -96,14 +98,6 @@ def test_orbital_matrices_hermitian_blocks(si):
     blocks = orbital_matrices(pair, sol, pi)
     for i in range(3):
         assert np.abs(blocks[i] - blocks[i].conj().T).max() < 1e-12
-
-
-def test_unknown_route_rejected(si):
-    sol = solve(si, np.array([0.05, 0.02, 0.01]))
-    pair = select_pair(si, sol, "split-off")
-    pi = momentum_table(si, sol)
-    with pytest.raises(ValueError):
-        orbital_matrices(pair, sol, pi, route="perturbative")
 
 
 def test_near_degenerate_intermediate_guard(si):
@@ -261,3 +255,105 @@ def test_align_pair_to_spin_frame_identity_right_frame(si):
     p0 = pair.states @ pair.states.conj().T
     p1 = aligned.states @ aligned.states.conj().T
     assert np.abs(p0 - p1).max() < 1e-12
+
+
+# --- stacked layers against their per-direction loops ----------------------
+# Each reference repeats the arithmetic of the layer one direction, cycle
+# or matrix at a time; the library must give the same bytes.
+
+def _pair_points(model, seed):
+    """(k, sol, pair) at Gamma, X, L and 50 seeded k where a pair exists.
+
+    At X every Si/Ge band is fourfold, so no isolated pair exists there.
+    """
+    out = []
+    for k in bitwise_k_points(model, seed, scale=0.3):
+        sol = solve(model, k)
+        try:
+            out.append((k, sol, select_pair(model, sol, "split-off")))
+        except PairUndefinedError:
+            continue
+    assert len(out) >= 52
+    return out
+
+
+def _reference_momentum_table(model, sol):
+    a = sol.states
+    grad = hamiltonian_gradient(model, sol.k)
+    dip = dipole_matrix(model)
+    ediff = sol.energies[:, None] - sol.energies[None, :]
+    pi = np.empty_like(grad)
+    for j in range(3):
+        pi[j] = a.conj().T @ grad[j] @ a \
+            + 1j * ediff * (a.conj().T @ dip[j] @ a)
+    return pi
+
+
+def _reference_orbital_matrices(pair, sol, pi):
+    ia, ib = pair.band_indices
+    others = np.delete(np.arange(sol.energies.size), [ia, ib])
+    e_rest = sol.energies[others]
+    w2 = sol.states[:, [ia, ib]].conj().T @ pair.states
+    p = np.matmul(w2.conj().T, pi[:, [ia, ib], :][:, :, others])
+    q = np.matmul(pi[:, others, :][:, :, [ia, ib]], w2)
+    w = 1.0 / (pair.pair_energy - e_rest)
+    out = np.zeros((3, 2, 2), dtype=complex)
+    for i, j, k in EPS_CYCLES:
+        out[i] = -0.5j * ((p[j] * w) @ q[k] - (p[k] * w) @ q[j])
+    return out
+
+
+def _bytes(*arrays):
+    return [np.asarray(a).tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("material", ["si", "ge", "gaas"])
+def test_momentum_table_bitwise_equals_reference_loop(material, request):
+    model = request.getfixturevalue(material)
+    for k in bitwise_k_points(model, 97):
+        sol = solve(model, k)
+        assert (momentum_table(model, sol).tobytes()
+                == _reference_momentum_table(model, sol).tobytes()), k
+
+
+@pytest.mark.parametrize("material", ["si", "ge", "gaas"])
+def test_orbital_matrices_bitwise_equal_cycle_loop(material, request):
+    model = request.getfixturevalue(material)
+    for k, sol, pair in _pair_points(model, 101):
+        pi = momentum_table(model, sol)
+        assert (orbital_matrices(pair, sol, pi).tobytes()
+                == _reference_orbital_matrices(pair, sol, pi).tobytes()), k
+
+
+@pytest.mark.parametrize("material", ["si", "ge", "gaas"])
+def test_g_tensor_set_bitwise_equals_separate_factorisations(material,
+                                                             request):
+    model = request.getfixturevalue(material)
+    for k, sol, pair in _pair_points(model, 103):
+        pi = momentum_table(model, sol)
+        gset = g_tensor_set(model, sol, pair, pi)
+        g_s = spin_g(pair)
+        g_tot = g_s + orbital_g(_reference_orbital_matrices(pair, sol, pi))
+        assert _bytes(gset.g_s, gset.g_tot, gset.G) == _bytes(
+            g_s, g_tot, g_tot @ g_tot.T), k
+        assert _bytes(*gset.svd_s) == _bytes(*np.linalg.svd(g_s)), k
+        assert _bytes(*gset.svd_tot) == _bytes(*np.linalg.svd(g_tot)), k
+        assert _bytes(gset.det_g_s, gset.det_g_tot) == _bytes(
+            float(np.linalg.det(g_s)), float(np.linalg.det(g_tot))), k
+
+
+@pytest.mark.parametrize("material", ["si", "ge", "gaas"])
+def test_align_with_given_svd_bitwise_equals_proper_svd_route(material,
+                                                              request):
+    model = request.getfixturevalue(material)
+    for k, sol, pair in _pair_points(model, 107):
+        g_s = spin_g(pair)
+        u, sigma, vh = proper_svd(g_s)
+        expected = _bytes(
+            remix_pair(pair, su2_from_rotation(vh).conj()).states, u, sigma)
+        svd = g_tensor_set(model, sol, pair).svd_s
+        kept = _bytes(*svd)
+        for given in (svd, None):
+            aligned, u_out, sigma_out = align_pair_to_spin_frame(pair, given)
+            assert _bytes(aligned.states, u_out, sigma_out) == expected, k
+        assert _bytes(*svd) == kept         # the given SVD is not modified

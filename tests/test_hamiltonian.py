@@ -10,7 +10,7 @@ from gtensor_tb import (bloch_hamiltonian, builtin_material_path, cubic_group,
 from gtensor_tb.hamiltonian import nn_vectors
 from gtensor_tb.slater_koster import SHELL, hop_block
 
-from conftest import random_k_points
+from conftest import bitwise_k_points, random_k_points
 
 
 @pytest.mark.parametrize("material", ["si", "ge", "gaas"])
@@ -112,14 +112,21 @@ def test_gamma_degeneracy_pattern(si):
     assert gap_ev == pytest.approx(0.0440, abs=0.002)
 
 
+def _hop_blocks(model):
+    """The four A->B hopping blocks, shape (4, n_orb, n_orb)."""
+    sp_a, sp_b = model.species
+    nn = nn_vectors(model)
+    unit = nn / np.linalg.norm(nn, axis=1)[:, None]
+    return np.array([hop_block(model.orbitals, u, model.sk[(sp_a, sp_b)],
+                               model.sk[(sp_b, sp_a)]) for u in unit])
+
+
 def _reference_hamiltonian(model, k):
     """Loop-built H(k): zeros + tensordot hopping + spin blocks + SOC."""
     n, dim = model.n_orb, model.dim
     sp_a, sp_b = model.species
     nn = nn_vectors(model)
-    unit = nn / np.linalg.norm(nn, axis=1)[:, None]
-    blocks = np.array([hop_block(model.orbitals, u, model.sk[(sp_a, sp_b)],
-                                 model.sk[(sp_b, sp_a)]) for u in unit])
+    blocks = _hop_blocks(model)
     onsite = [model.onsite[sp][SHELL[o]]
               for sp in model.species for o in model.orbitals]
     hab = np.tensordot(np.exp(1j * (nn @ k)), blocks, axes=1)
@@ -137,14 +144,37 @@ def _reference_hamiltonian(model, k):
 @pytest.mark.parametrize("material", ["si", "ge", "gaas"])
 def test_hamiltonian_bitwise_equals_reference_assembly(material, request):
     model = request.getfixturevalue(material)
-    x_point = np.array([2.0 * np.pi / model.lattice_constant, 0.0, 0.0])
-    points = [np.zeros(3), x_point, *random_k_points(83, 50, scale=0.6)]
-    for k in points:
+    for k in bitwise_k_points(model, 83):
         h = bloch_hamiltonian(model, k)
         ref = _reference_hamiltonian(model, k)
         assert np.array_equal(h, ref), k
         # also the sign of every zero
         assert h.tobytes() == ref.tobytes(), k
+
+
+def _reference_gradient(model, k):
+    """Loop-built dH/dk_j: per-direction tensordot into a zero block."""
+    n, dim = model.n_orb, model.dim
+    nn = nn_vectors(model)
+    blocks = _hop_blocks(model)
+    phases = np.exp(1j * (nn @ k))
+    out = np.zeros((3, dim, dim), dtype=complex)
+    for j in range(3):
+        dhab = np.tensordot(1j * nn[:, j] * phases, blocks, axes=1)
+        block = np.zeros((2 * n, 2 * n), dtype=complex)
+        block[:n, n:] = dhab
+        block[n:, :n] = dhab.conj().T
+        out[j, :2 * n, :2 * n] = block
+        out[j, 2 * n:, 2 * n:] = block
+    return out
+
+
+@pytest.mark.parametrize("material", ["si", "ge", "gaas"])
+def test_gradient_bitwise_equals_reference_loop(material, request):
+    model = request.getfixturevalue(material)
+    for k in bitwise_k_points(model, 89):
+        grad = hamiltonian_gradient(model, k)
+        assert grad.tobytes() == _reference_gradient(model, k).tobytes(), k
 
 
 def test_engine_cache_releases_unused_models():

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from gtensor_tb import (align_pair_to_spin_frame, boundary_radius, entropy,
+                        g_tensor_set, pair_spin_densities, select_pair, solve)
+from gtensor_tb import tables
 from gtensor_tb.tables import (ENTROPY_COLUMNS, GLINE_COLUMNS, band_path_rows,
                                entropy_rows, gline_rows)
 
@@ -87,3 +90,35 @@ def test_entropy_rows_residual_allowed_td_family(gaas):
     res = ENTROPY_COLUMNS.index("spin_flip_residual")
     finite = [row[res] for row in rows if np.isfinite(row[res])]
     assert finite and max(finite) < 1e-8
+
+
+def test_gline_rows_bitwise_equal_public_chain(gaas):
+    # the point chain written out with public calls; the alignment
+    # factors g_S afresh instead of reusing the g-tensor set's SVD
+    raw = np.random.default_rng(41).normal(size=3)
+    direction = raw / np.linalg.norm(raw)
+    r_max = boundary_radius(gaas.lattice_constant, direction)
+    _, rows = gline_rows(gaas, "split-off", raw, r_max, samples=40)
+    expected = []
+    for r in np.linspace(0.0, r_max, 40):
+        k = r * direction
+        sol = solve(gaas, k)
+        pair = select_pair(gaas, sol, "split-off")
+        gset = g_tensor_set(gaas, sol, pair)
+        dens = pair_spin_densities(align_pair_to_spin_frame(pair)[0])
+        expected.append([r, *k, *gset.sigma_s, gset.det_g_s,
+                         *gset.sigma_tot, gset.det_g_tot,
+                         entropy(dens.rho_s), entropy(dens.rho_s_bar)])
+    assert np.array(rows).tobytes() == np.array(expected).tobytes()
+
+
+@pytest.mark.parametrize("direction", [[0.0, 0.0, 0.0], [np.nan, 0.0, 1.0],
+                                       [1e300, 1e300, 0.0]])
+@pytest.mark.parametrize("build", [gline_rows, entropy_rows])
+def test_bad_direction_rejected_before_any_solve(si, build, direction,
+                                                 monkeypatch):
+    solved = []
+    monkeypatch.setattr(tables, "solve", lambda *args: solved.append(args))
+    with pytest.raises(ValueError, match="direction"):
+        build(si, "split-off", direction, 0.02, samples=3)
+    assert not solved

@@ -21,15 +21,15 @@ from .errors import (BracketError, DirectionNotApplicableError, GTensorError,
                      PairUndefinedError, PhysicsError, ZeroSplittingError)
 from .gtensor import (FieldResponse, GTensorSet, align_pair_to_spin_frame,
                       det_sign, g_tensor_set, momentum_table, orbital_g,
-                      orbital_matrices, pair_zeeman_hamiltonian, proper_svd,
-                      spin_g, spin_matrices, zeeman_response)
+                      orbital_matrices, proper_svd, spin_g, spin_matrices,
+                      zeeman_response)
 from .hamiltonian import (bloch_hamiltonian, dipole_matrix,
                           hamiltonian_gradient, soc_matrix)
 from .lande import atomic_g, fit_dipole, fit_report
 from .materials import (MaterialModel, builtin_material_path, load_material,
                         resolve_material_path)
 from .surface import (Crossing, RayScan, SurfaceCloud, build_surface,
-                      det_along_ray, export_cloud, scan_ray)
+                      export_cloud, scan_ray)
 from .units import BOHR_ANGSTROM, HARTREE_EV, MU_B
 
 __version__ = "0.1.0"
@@ -45,13 +45,13 @@ __all__ = [
     "ZeroSplittingError", "align_pair_to_spin_frame", "atomic_g",
     "bloch_hamiltonian", "boundary_radius", "build_surface",
     "builtin_material_path", "cardinal_states", "cubic_group",
-    "det_along_ray", "det_sign", "dipole_matrix", "direction_applicable",
+    "det_sign", "dipole_matrix", "direction_applicable",
     "entropies_at_crossing", "entropy", "export_cloud", "fit_dipole",
     "fit_report",
     "g_tensor_set", "hamiltonian_gradient", "high_symmetry_point",
     "icosphere_directions", "load_material", "momentum_table",
     "named_direction", "orbital_g", "orbital_matrices",
-    "pair_spin_densities", "pair_zeeman_hamiltonian", "point_group_ops",
+    "pair_spin_densities", "point_group_ops",
     "proper_svd", "reduce_spin", "remix_pair",
     "resolve_band_indices", "resolve_material_path", "scan_ray",
     "select_pair", "soc_matrix", "solve", "spin_flip_residual", "spin_g",

@@ -30,16 +30,6 @@ DIRECTION_FAMILIES = {
 _POINT_ALIASES = {"GAMMA": "G"}
 
 
-def reciprocal_basis(a: float) -> np.ndarray:
-    """Primitive reciprocal vectors (rows) of the FCC lattice."""
-    g = 2.0 * np.pi / a
-    return g * np.array([
-        [-1.0, 1.0, 1.0],
-        [1.0, -1.0, 1.0],
-        [1.0, 1.0, -1.0],
-    ])
-
-
 def zone_faces(a: float) -> np.ndarray:
     """The 14 reciprocal vectors whose bisector planes bound the zone."""
     g = 2.0 * np.pi / a
@@ -64,20 +54,15 @@ def unit_direction(direction) -> np.ndarray:
 
 
 def boundary_radius(a: float, direction) -> float:
-    """Distance from Gamma to the zone boundary along a direction."""
-    d = np.asarray(direction, dtype=float)
-    d = d / np.linalg.norm(d)
+    """Distance from Gamma to the zone boundary along a direction.
+
+    Raises ValueError for a direction that :func:`unit_direction` rejects.
+    """
+    d = unit_direction(direction)
     faces = zone_faces(a)
     proj = faces @ d
     mask = proj > 1e-12
     return float((0.5 * (faces[mask] ** 2).sum(axis=1) / proj[mask]).min())
-
-
-def in_first_zone(a: float, k, tol: float = 1e-9) -> bool:
-    """Whether k lies inside (or on) the first-zone polyhedron."""
-    k = np.asarray(k, dtype=float)
-    faces = zone_faces(a)
-    return bool(np.all(faces @ k <= 0.5 * (faces ** 2).sum(axis=1) + tol))
 
 
 def high_symmetry_point(name: str, a: float) -> np.ndarray:

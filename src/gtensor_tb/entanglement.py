@@ -38,16 +38,13 @@ class SpinDensity:
     rho_s_bar: np.ndarray
 
 
-def reduce_spin(state: np.ndarray, orbital_dim: int | None = None) -> np.ndarray:
+def reduce_spin(state: np.ndarray) -> np.ndarray:
     """Partial trace over the orbital slots of one normalized state.
 
-    ``orbital_dim`` is the number of (atom, orbital) slots; it defaults
-    to half the state length, which matches the engine layout.
+    The spin index is the slow one: the first half of the state is spin
+    up, the second spin down, as in the engine layout.
     """
-    state = np.asarray(state)
-    if orbital_dim is None:
-        orbital_dim = state.size // 2
-    psi = state.reshape(2, orbital_dim)
+    psi = np.asarray(state).reshape(2, -1)
     rho = psi @ psi.conj().T
     return 0.5 * (rho + rho.conj().T)
 

@@ -79,13 +79,12 @@ def spin_g(pair: KramersPair) -> np.ndarray:
 
 
 def orbital_matrices(pair: KramersPair, sol: BlochSolution,
-                     pi: np.ndarray,
-                     energy_floor: float = ENERGY_FLOOR) -> np.ndarray:
+                     pi: np.ndarray) -> np.ndarray:
     """Pair-space orbital-moment blocks L_i, shape (3, 2, 2).
 
     The mean-energy assembly of the module docstring, with the three
     eps_{ijk} cycles taken as two stacked products.  Intermediate bands
-    within ``energy_floor`` of the pair energy raise
+    within ``ENERGY_FLOOR`` of the pair energy raise
     :class:`NearDegenerateIntermediateError`.
     """
     ia, ib = pair.band_indices
@@ -93,9 +92,9 @@ def orbital_matrices(pair: KramersPair, sol: BlochSolution,
     e_rest = sol.energies[others]
     sep = np.abs(e_rest - pair.pair_energy)
     worst = int(np.argmin(sep))
-    if sep[worst] <= energy_floor:
+    if sep[worst] <= ENERGY_FLOOR:
         raise NearDegenerateIntermediateError(
-            sol.k, int(others[worst]), float(sep[worst]), energy_floor)
+            sol.k, int(others[worst]), float(sep[worst]), ENERGY_FLOOR)
 
     p = pi[:, [[ia], [ib]], others]            # (3, 2, M)
     q = pi[:, others[:, None], [ia, ib]]       # (3, M, 2)
@@ -118,8 +117,6 @@ def orbital_g(l_blocks: np.ndarray) -> np.ndarray:
 class GTensorSet:
     """All g-tensor data of one pair at one k-point."""
 
-    k: np.ndarray
-    band_indices: tuple
     g_s: np.ndarray
     g_l: np.ndarray
     g_tot: np.ndarray
@@ -163,8 +160,6 @@ def g_tensor_set(model: MaterialModel, sol: BlochSolution, pair: KramersPair,
     u, sigma, vh = np.linalg.svd(both)
     det_s, det_tot = np.linalg.det(both).tolist()
     return GTensorSet(
-        k=pair.k,
-        band_indices=pair.band_indices,
         g_s=g_s,
         g_l=g_l,
         g_tot=g_tot,
@@ -208,18 +203,6 @@ def zeeman_response(gset: GTensorSet, field) -> FieldResponse:
         moment_principal=m_pa,
         principal_axes=u,
     )
-
-
-def pair_zeeman_hamiltonian(pair: KramersPair, sol: BlochSolution,
-                            pi: np.ndarray, field) -> np.ndarray:
-    """Direct 2x2 pair Hamiltonian mu_B sum_i B_i (2S_i + L_i).
-
-    Oracle counterpart of :func:`zeeman_response`: its eigenvalue
-    splitting must match mu_B sqrt(B.G B).
-    """
-    b = np.asarray(field, dtype=float)
-    blocks = spin_matrices(pair) + orbital_matrices(pair, sol, pi)
-    return MU_B * np.einsum('i,iab->ab', b, blocks)
 
 
 def _make_proper(u, sigma, vh) -> tuple:

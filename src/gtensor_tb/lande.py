@@ -25,6 +25,7 @@ from .gtensor import g_tensor_set
 from .materials import MaterialModel
 
 LANDE_TARGET = 2.0 / 3.0
+DIPOLE_BRACKET = (0.0, 10.0)  # Bohr, searched by fit_dipole
 
 
 # spectator-sublattice rigid shift; with hopping off it cannot affect
@@ -107,13 +108,12 @@ def atomic_g(model: MaterialModel, species: str,
     return g_tensor_set(iso, sol, pair)
 
 
-def fit_dipole(model: MaterialModel, species: str,
-               bracket: tuple = (0.0, 10.0)) -> float:
+def fit_dipole(model: MaterialModel, species: str) -> float:
     """Bracketed scalar fit of the intra-atomic dipole (Bohr).
 
     Finds d0 with g_tot,zz(d0) = LANDE_TARGET for the species' isolated
     j=1/2 doublet, to 1e-10 Bohr.  Raises :class:`BracketError` when the
-    target is not enclosed by the bracket.
+    target is not enclosed by ``DIPOLE_BRACKET``.
     """
     # imported here so that SciPy stays off the package's import path
     from scipy.optimize import brentq
@@ -121,6 +121,7 @@ def fit_dipole(model: MaterialModel, species: str,
     def objective(d0: float) -> float:
         return atomic_g(model, species, dipole=d0).g_tot[2, 2] - LANDE_TARGET
 
+    bracket = DIPOLE_BRACKET
     fa, fb = objective(bracket[0]), objective(bracket[1])
     if fa == 0.0:
         return bracket[0]

@@ -69,12 +69,6 @@ class MaterialModel:
         soc = {sp: lam * factor for sp, lam in self.soc.items()}
         return dataclasses.replace(self, soc=soc)
 
-    def without_hopping(self) -> "MaterialModel":
-        """Copy with all inter-atomic integrals zeroed (isolated atoms)."""
-        sk = {pair: {key: 0.0 for key in table}
-              for pair, table in self.sk.items()}
-        return dataclasses.replace(self, sk=sk)
-
 
 def _require(mapping, key, path):
     if key not in mapping:

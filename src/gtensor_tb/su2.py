@@ -15,21 +15,6 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULI = np.array([SIGMA_X, SIGMA_Y, SIGMA_Z])
 
 
-def rotation_from_su2(w: np.ndarray) -> np.ndarray:
-    """Adjoint SO(3) rotation of an SU(2) (or U(2)) matrix.
-
-    A global phase of w drops out, so any unitary 2x2 input is accepted;
-    the result is always a proper rotation.
-    """
-    r = np.empty((3, 3))
-    wd = w.conj().T
-    for b in range(3):
-        m = w @ PAULI[b] @ wd
-        for a in range(3):
-            r[a, b] = 0.5 * np.trace(PAULI[a] @ m).real
-    return r
-
-
 def su2_from_rotation(r: np.ndarray) -> np.ndarray:
     """One of the two SU(2) preimages of a proper rotation.
 
@@ -53,14 +38,6 @@ def su2_from_rotation(r: np.ndarray) -> np.ndarray:
         q[1 + i] = s / 4.0
         q[1 + j] = (r[j, i] + r[i, j]) / s
         q[1 + k] = (r[k, i] + r[i, k]) / s
-    q /= np.linalg.norm(q)
-    return q[0] * np.eye(2, dtype=complex) - 1j * (
-        q[1] * SIGMA_X + q[2] * SIGMA_Y + q[3] * SIGMA_Z)
-
-
-def random_su2(rng: np.random.Generator) -> np.ndarray:
-    """Haar-ish random SU(2) element from a random unit quaternion."""
-    q = rng.normal(size=4)
     q /= np.linalg.norm(q)
     return q[0] * np.eye(2, dtype=complex) - 1j * (
         q[1] * SIGMA_X + q[2] * SIGMA_Y + q[3] * SIGMA_Z)

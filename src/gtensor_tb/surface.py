@@ -11,8 +11,10 @@ index.
 Narrow features need commensurate coarse sampling: the Sigma-direction
 torus walls of the Si first-conduction pair are ~3e-5 Bohr^-1 apart and
 the Ge <111> rod walls sit ~3e-4 Bohr^-1 off the axis, so resolving
-them takes coarse spacing below those scales (the default n_coarse=200
-resolves everything else).
+them takes coarse spacing below those scales.  The default n_coarse=200
+also misses root pairs that fall between two samples: on
+``wedge_directions(3)`` it hides pairs on 3 Si first-conduction rays and
+4 Ge second-conduction rays (ROADMAP item 3).
 """
 from __future__ import annotations
 
@@ -41,7 +43,6 @@ class Crossing:
     """One refined det(g)=0 radius on a ray."""
 
     radius: float
-    which_det: str
     bracket_width: float
     slope_sign: int
 
@@ -86,25 +87,6 @@ def _g_at(model: MaterialModel, band_id, k, which_det: str) -> np.ndarray:
         sol = solve(model, k)
         return g_tensor_set(model, sol, select_pair(model, sol, band_id)).g_tot
     raise ValueError(f"which_det must be 'gs' or 'gtot', not {which_det!r}")
-
-
-@one_blas_thread
-def det_along_ray(model: MaterialModel, band_id, direction, radii,
-                  which_det: str = "gs") -> np.ndarray:
-    """Determinant values on a radius grid (NaN where pairing fails).
-
-    The dense-scan companion of :func:`scan_ray`, used as an
-    independent root oracle and for det-along-a-ray tables.
-    """
-    direction = unit_direction(direction)
-    out = np.empty(len(radii))
-    for i, r in enumerate(radii):
-        try:
-            out[i] = np.linalg.det(_g_at(model, band_id, r * direction,
-                                         which_det))
-        except PairUndefinedError:
-            out[i] = np.nan
-    return out
 
 
 def _bisect(model, band_id, direction, lo, hi, sign_lo, which_det, tol):
@@ -174,8 +156,8 @@ def scan_ray(model: MaterialModel, band_id, direction,
             except PairUndefinedError as err:
                 failures.append((prev_r, r, type(err).__name__))
             else:
-                crossings.append(Crossing(radius=mid, which_det=which_det,
-                                          bracket_width=width, slope_sign=sign))
+                crossings.append(Crossing(radius=mid, bracket_width=width,
+                                          slope_sign=sign))
         prev_r, prev_sign = r, sign
     if fail_start is not None:
         failures.append((fail_start, r_max, fail_reason))

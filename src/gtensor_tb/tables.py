@@ -61,8 +61,7 @@ def band_path_rows(model: MaterialModel, path_names,
         raise ValueError("a band path needs at least two points")
     a = model.lattice_constant
     anchors = [high_symmetry_point(name, a) for name in path_names]
-    dim = 4 * len(model.orbitals)
-    header = BANDS_FIXED_COLUMNS + tuple(f"e_{n}" for n in range(dim))
+    header = BANDS_FIXED_COLUMNS + tuple(f"e_{n}" for n in range(model.dim))
     rows = []
     ticks = [(0.0, path_names[0])]
     s = 0.0

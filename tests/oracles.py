@@ -7,9 +7,83 @@ import csv
 
 import numpy as np
 
+from gtensor_tb.bands import select_pair, solve
+from gtensor_tb.blas import one_blas_thread
+from gtensor_tb.brillouin import unit_direction, zone_faces
+from gtensor_tb.errors import PairUndefinedError
+from gtensor_tb.gtensor import (g_tensor_set, orbital_matrices, spin_g,
+                                spin_matrices)
+from gtensor_tb.su2 import PAULI, SIGMA_X, SIGMA_Y, SIGMA_Z
 from gtensor_tb.surface import CSV_COLUMNS, SurfaceCloud
+from gtensor_tb.units import MU_B
 
 EPS_CYCLES = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+
+
+@one_blas_thread
+def dense_det(model, band_id, direction, radii, which_det="gs") -> np.ndarray:
+    """det(g_S) or det(g_tot) on a radius grid (NaN where pairing fails).
+
+    Every point solves the full spectrum with ``np.linalg.eigh``, so
+    this root oracle shares no band-window code with
+    ``gtensor_tb.surface.scan_ray``.
+    """
+    if which_det not in ("gs", "gtot"):
+        raise ValueError(f"which_det must be 'gs' or 'gtot', not {which_det!r}")
+    direction = unit_direction(direction)
+    out = np.empty(len(radii))
+    for i, r in enumerate(radii):
+        try:
+            sol = solve(model, r * direction)
+            pair = select_pair(model, sol, band_id)
+            g = spin_g(pair) if which_det == "gs" else g_tensor_set(
+                model, sol, pair).g_tot
+        except PairUndefinedError:
+            out[i] = np.nan
+            continue
+        out[i] = np.linalg.det(g)
+    return out
+
+
+def pair_zeeman_hamiltonian(pair, sol, pi, field) -> np.ndarray:
+    """Direct 2x2 pair Hamiltonian mu_B sum_i B_i (2S_i + L_i).
+
+    Oracle counterpart of ``gtensor_tb.gtensor.zeeman_response``: its
+    eigenvalue splitting must match mu_B sqrt(B.G B).
+    """
+    b = np.asarray(field, dtype=float)
+    blocks = spin_matrices(pair) + orbital_matrices(pair, sol, pi)
+    return MU_B * np.einsum('i,iab->ab', b, blocks)
+
+
+def rotation_from_su2(w: np.ndarray) -> np.ndarray:
+    """Adjoint SO(3) rotation of an SU(2) (or U(2)) matrix.
+
+    A global phase of w drops out, so any unitary 2x2 input is accepted;
+    the result is always a proper rotation.
+    """
+    r = np.empty((3, 3))
+    wd = w.conj().T
+    for b in range(3):
+        m = w @ PAULI[b] @ wd
+        for a in range(3):
+            r[a, b] = 0.5 * np.trace(PAULI[a] @ m).real
+    return r
+
+
+def random_su2(rng: np.random.Generator) -> np.ndarray:
+    """Haar-ish random SU(2) element from a random unit quaternion."""
+    q = rng.normal(size=4)
+    q /= np.linalg.norm(q)
+    return q[0] * np.eye(2, dtype=complex) - 1j * (
+        q[1] * SIGMA_X + q[2] * SIGMA_Y + q[3] * SIGMA_Z)
+
+
+def in_first_zone(a: float, k, tol: float = 1e-9) -> bool:
+    """Whether k lies inside (or on) the first-zone polyhedron."""
+    k = np.asarray(k, dtype=float)
+    faces = zone_faces(a)
+    return bool(np.all(faces @ k <= 0.5 * (faces ** 2).sum(axis=1) + tol))
 
 
 def orbital_matrices_commutator(pair, sol, pi) -> np.ndarray:

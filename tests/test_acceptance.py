@@ -11,18 +11,18 @@ import pytest
 
 from gtensor_tb import (align_pair_to_spin_frame, atomic_g, boundary_radius,
                         build_surface, cardinal_states, cubic_group,
-                        det_along_ray, entropies_at_crossing, entropy,
-                        fit_dipole, g_tensor_set, momentum_table,
-                        pair_zeeman_hamiltonian, reduce_spin, remix_pair,
-                        scan_ray, select_pair, solve, spin_flip_residual,
-                        spin_g, wedge_directions, zeeman_response)
+                        entropies_at_crossing, entropy, fit_dipole,
+                        g_tensor_set, momentum_table, reduce_spin,
+                        remix_pair, scan_ray, select_pair, solve,
+                        spin_flip_residual, spin_g, wedge_directions,
+                        zeeman_response)
 from gtensor_tb.gtensor import orbital_matrices
 from gtensor_tb.hamiltonian import (bloch_hamiltonian, dipole_matrix,
                                     hamiltonian_gradient)
-from gtensor_tb.su2 import random_su2
 
 from conftest import random_k_points, random_unit_vectors
-from oracles import orbital_matrices_commutator
+from oracles import (dense_det, orbital_matrices_commutator,
+                     pair_zeeman_hamiltonian, random_su2)
 
 
 SCOREBOARD = []
@@ -147,7 +147,7 @@ def test_criterion_5a_bisection_matches_dense_scan(si):
             r_max = 0.1 * boundary_radius(si.lattice_constant, v)
             scan = scan_ray(si, "split-off", v, r_max=r_max)
             radii = np.linspace(1e-6, r_max, 2000)
-            det = det_along_ray(si, "split-off", v, radii)
+            det = dense_det(si, "split-off", v, radii)
             roots = []
             for i in range(len(radii) - 1):
                 a, b = det[i], det[i + 1]
@@ -252,8 +252,8 @@ def test_criterion_6_surface_topology(si, ge):
                            n_coarse=2000)
         crossings_on_axis = [c.radius for c in on_axis.crossings]
         assert all(r > r_delta for r in crossings_on_axis)
-        dets = det_along_ray(ge, "second-conduction", lam,
-                             np.linspace(1e-4, 0.999 * gl, 400))
+        dets = dense_det(ge, "second-conduction", lam,
+                         np.linspace(1e-4, 0.999 * gl, 400))
         assert np.nanmax(dets) < 0.0
         # a slightly tilted ray leaves the rod wall well beyond r_delta
         x = np.array([1.0, 0.0, 0.0])

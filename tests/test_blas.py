@@ -33,8 +33,6 @@ def two_threads():
 _K_LOOPS = {
     "scan_ray": (surface, lambda m: surface.scan_ray(
         m, "split-off", [1, 0, 0], r_max=0.05, n_coarse=20)),
-    "det_along_ray": (surface, lambda m: surface.det_along_ray(
-        m, "split-off", [1, 1, 0], [0.0, 0.02])),
     "band_path_rows": (tables, lambda m: tables.band_path_rows(
         m, ["L", "G"], samples_per_segment=3)),
     "gline_rows": (tables, lambda m: tables.gline_rows(

@@ -1,23 +1,18 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from gtensor_tb import (boundary_radius, cubic_group, high_symmetry_point,
                         icosphere_directions, named_direction, point_group_ops,
                         tetrahedral_group, wedge_directions)
-from gtensor_tb.brillouin import (in_first_zone, reciprocal_basis,
-                                  replicate_points, wedge_representative,
+from gtensor_tb.brillouin import (replicate_points, wedge_representative,
                                   zone_faces)
 
 from conftest import random_unit_vectors
+from oracles import in_first_zone
 
 A_SI = 10.2625  # Bohr, arbitrary but realistic
-
-
-def test_reciprocal_basis_duality():
-    a = A_SI
-    direct = 0.5 * a * np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]], dtype=float)
-    recip = reciprocal_basis(a)
-    assert np.abs(direct @ recip.T - 2 * np.pi * np.eye(3)).max() < 1e-12
 
 
 def test_zone_faces_count_and_norms():
@@ -39,6 +34,16 @@ def test_boundary_radii_against_textbook_values():
     # the <110> exit is the U-related point at 3g/(2 sqrt 2)
     assert boundary_radius(a, [1, 1, 0]) == pytest.approx(
         3 * g / (2 * np.sqrt(2)), rel=1e-12)
+
+
+@pytest.mark.parametrize("direction", [
+    [0.0, 0.0, 0.0], [1e300, 1e300, 0.0], [float("nan"), 1.0, 0.0],
+])
+def test_boundary_radius_rejects_bad_direction(direction):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="direction"):
+            boundary_radius(A_SI, direction)
 
 
 def test_boundary_point_is_on_hull(si):

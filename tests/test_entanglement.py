@@ -25,7 +25,7 @@ def test_product_state_reduces_to_pure_density():
     orb = np.zeros(5, dtype=complex)
     orb[2] = 1.0
     up = np.kron([1.0, 0.0], orb)       # spin slow, orbital fast
-    rho = reduce_spin(up, orbital_dim=5)
+    rho = reduce_spin(up)
     assert np.abs(rho - np.diag([1.0, 0.0])).max() < 1e-15
     assert entropy(rho) == 0.0
 
@@ -37,7 +37,7 @@ def test_spin_harmonic_reduces_to_one_third_two_thirds():
     state[2] = s3            # up, z
     state[3 + 0] = s3        # dn, x
     state[3 + 1] = 1j * s3   # dn, y
-    rho = reduce_spin(state, orbital_dim=3)
+    rho = reduce_spin(state)
     w = np.sort(np.linalg.eigvalsh(rho))
     assert np.abs(w - [1.0 / 3.0, 2.0 / 3.0]).max() < 1e-14
 
@@ -61,7 +61,7 @@ def test_random_states_give_valid_densities():
     for _ in range(10):
         psi = rng.normal(size=12) + 1j * rng.normal(size=12)
         psi /= np.linalg.norm(psi)
-        rho = reduce_spin(psi, orbital_dim=6)
+        rho = reduce_spin(psi)
         assert np.abs(np.trace(rho) - 1.0) < 1e-12
         assert np.abs(rho - rho.conj().T).max() < 1e-15
         assert np.linalg.eigvalsh(rho).min() > -1e-14

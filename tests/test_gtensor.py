@@ -4,17 +4,17 @@ import pytest
 from gtensor_tb import (NearDegenerateIntermediateError, PairUndefinedError,
                         ZeroSplittingError, align_pair_to_spin_frame,
                         boundary_radius, cubic_group, det_sign, g_tensor_set,
-                        momentum_table, orbital_g, orbital_matrices,
-                        pair_zeeman_hamiltonian, proper_svd, remix_pair,
-                        select_pair, solve, spin_g, spin_matrices,
-                        wedge_directions, zeeman_response)
+                        gtensor, momentum_table, orbital_g, orbital_matrices,
+                        proper_svd, remix_pair, select_pair, solve, spin_g,
+                        spin_matrices, wedge_directions, zeeman_response)
 from gtensor_tb.hamiltonian import dipole_matrix, hamiltonian_gradient
 from gtensor_tb.surface import N_COARSE
-from gtensor_tb.su2 import random_su2, su2_from_rotation
+from gtensor_tb.su2 import su2_from_rotation
 from gtensor_tb.units import MU_B
 
 from conftest import bitwise_k_points, random_k_points, random_unit_vectors
-from oracles import EPS_CYCLES, orbital_matrices_commutator
+from oracles import (EPS_CYCLES, orbital_matrices_commutator,
+                     pair_zeeman_hamiltonian, random_su2)
 
 
 def _pair_and_tensors(model, k, band_id="split-off"):
@@ -100,12 +100,13 @@ def test_orbital_matrices_hermitian_blocks(si):
         assert np.abs(blocks[i] - blocks[i].conj().T).max() < 1e-12
 
 
-def test_near_degenerate_intermediate_guard(si):
+def test_near_degenerate_intermediate_guard(si, monkeypatch):
     sol = solve(si, np.array([0.05, 0.02, 0.01]))
     pair = select_pair(si, sol, "split-off")
     pi = momentum_table(si, sol)
+    monkeypatch.setattr(gtensor, "ENERGY_FLOOR", 10.0)
     with pytest.raises(NearDegenerateIntermediateError):
-        orbital_matrices(pair, sol, pi, energy_floor=10.0)
+        orbital_matrices(pair, sol, pi)
 
 
 def test_no_hopping_no_dipole_kills_orbital_moment(si):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gtensor_tb import BracketError, atomic_g, fit_dipole, fit_report
+from gtensor_tb import BracketError, atomic_g, fit_dipole, fit_report, lande
 
 # published <s|r|p> fits for these parameter sets (Bohr)
 EXPECTED_DIPOLES = {
@@ -58,9 +58,10 @@ def test_fit_monotone_in_dipole(si):
     assert all(b > a for a, b in zip(g_vals, g_vals[1:]))
 
 
-def test_unbracketed_target_raises(si):
+def test_unbracketed_target_raises(si, monkeypatch):
+    monkeypatch.setattr(lande, "DIPOLE_BRACKET", (0.0, 0.5))
     with pytest.raises(BracketError):
-        fit_dipole(si, "Si", bracket=(0.0, 0.5))
+        fit_dipole(si, "Si")
 
 
 def test_fit_report_covers_all_species(gaas):

@@ -97,12 +97,6 @@ def test_soc_scaling_helper(si):
         assert scaled.soc[sp] == pytest.approx(0.5 * si.soc[sp])
 
 
-def test_without_hopping_helper(si):
-    bare = si.without_hopping()
-    assert all(v == 0.0 for table in bare.sk.values() for v in table.values())
-    assert bare.onsite == si.onsite
-
-
 def test_split_off_pair_is_below_fourfold(si):
     lo, hi = si.band_pairs["split-off"]
     assert (lo, hi) == (2, 3)

@@ -1,7 +1,8 @@
 import numpy as np
 
-from gtensor_tb.su2 import (PAULI, random_su2, rotation_from_su2,
-                            su2_from_rotation)
+from gtensor_tb.su2 import PAULI, su2_from_rotation
+
+from oracles import random_su2, rotation_from_su2
 
 
 def test_pauli_algebra():

@@ -4,19 +4,18 @@ import numpy as np
 import pytest
 
 from gtensor_tb import (boundary_radius, build_surface, cubic_group,
-                        det_along_ray, export_cloud, scan_ray,
-                        surface, wedge_directions)
-from gtensor_tb.brillouin import in_first_zone, wedge_representative
+                        export_cloud, scan_ray, surface, wedge_directions)
+from gtensor_tb.brillouin import wedge_representative
 
 from conftest import random_unit_vectors
-from oracles import read_cloud_csv
+from oracles import dense_det, in_first_zone, read_cloud_csv
 
 
 def _dense_roots(model, band_id, direction, r_max, which_det, samples=2000):
     """Independent oracle: linear interpolation of a dense determinant
-    trace (no bisection machinery involved)."""
+    trace on the full spectrum (no band window, no bisection)."""
     radii = np.linspace(1e-6, r_max, samples)
-    det = det_along_ray(model, band_id, direction, radii, which_det=which_det)
+    det = dense_det(model, band_id, direction, radii, which_det=which_det)
     roots = []
     for i in range(len(radii) - 1):
         a, b = det[i], det[i + 1]
@@ -100,17 +99,15 @@ def test_gtot_dets_also_scanned(si):
     r_max = 0.2 * boundary_radius(si.lattice_constant, [1, 0, 0])
     scan = scan_ray(si, "split-off", [1, 0, 0], r_max=r_max, which_det="gtot")
     oracle = _dense_roots(si, "split-off", [1, 0, 0], r_max, "gtot")
+    assert scan.which_det == "gtot"
     assert len(scan.crossings) == len(oracle)
     for c, r in zip(scan.crossings, oracle):
         assert c.radius == pytest.approx(r, abs=1e-5)
-        assert c.which_det == "gtot"
 
 
 def test_unknown_which_det_is_rejected(si):
     with pytest.raises(ValueError, match="which_det"):
         scan_ray(si, "split-off", [1, 0, 0], which_det="bogus")
-    with pytest.raises(ValueError, match="which_det"):
-        det_along_ray(si, "split-off", [1, 0, 0], [0.01], which_det="bogus")
 
 
 @pytest.mark.parametrize("kwargs, match", [
@@ -139,8 +136,6 @@ def test_bad_direction_is_rejected(si, direction):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="direction"):
             scan_ray(si, "split-off", direction)
-        with pytest.raises(ValueError, match="direction"):
-            det_along_ray(si, "split-off", direction, [0.0, 0.01])
 
 
 def test_build_surface_deterministic_across_workers(si):

@@ -51,18 +51,14 @@ def solve(model: MaterialModel, k, bands: tuple | None = None) -> BlochSolution:
     """Diagonalize the Bloch Hamiltonian at one k-point.
 
     ``bands=(lo, hi)`` computes bands ``lo..hi`` (inclusive, 0-based in
-    the full ascending spectrum) and nothing else, through
-    :func:`~gtensor_tb.blas.eigh_window`; the solution records ``lo`` as
-    ``first``.  A window outside ``0..model.dim - 1`` raises
+    the full ascending spectrum) and nothing else; the solution records
+    ``lo`` as ``first``.  A window outside ``0..model.dim - 1`` raises
     ``ValueError``.  By default the full spectrum is solved.
+    :func:`~gtensor_tb.blas.eigh_window` picks the eigensolver.
     """
     k = np.asarray(k, dtype=float)
-    h = bloch_hamiltonian(model, k)
-    if bands is None:
-        energies, states = np.linalg.eigh(h)
-        return BlochSolution(k=k, energies=energies, states=states)
-    lo, hi = bands
-    energies, states = eigh_window(h, lo, hi)
+    lo, hi = (0, model.dim - 1) if bands is None else bands
+    energies, states = eigh_window(bloch_hamiltonian(model, k), lo, hi)
     return BlochSolution(k=k, energies=energies, states=states, first=lo)
 
 

@@ -18,8 +18,9 @@ symbol, the decorator does nothing.
 The g_S scan reads only a pair and its two neighbours of the spectrum.
 :func:`eigh_window` computes just those eigenpairs with LAPACK's ZHEEVR
 (bisection and inverse iteration for an index range), called from the
-OpenBLAS numpy itself is linked against, so no SciPy is loaded.  Where
-that build is not found, it slices a full ``np.linalg.eigh`` instead.
+OpenBLAS numpy itself is linked against, so no SciPy is loaded.  The
+whole spectrum, or a window where that build is absent, is sliced from
+a full ``np.linalg.eigh``.
 """
 from __future__ import annotations
 
@@ -120,9 +121,10 @@ def eigh_window(h: np.ndarray, lo: int, hi: int) -> tuple:
     complex128 square matrix with both triangles filled, and it is
     overwritten.  LAPACK reads the C-ordered array as its transpose,
     conj(h), which has the same eigenvalues and conjugate eigenvectors,
-    so the vectors are conjugated on return.  Raises ``ValueError`` for
-    a bad window or array before any foreign call, and
-    ``np.linalg.LinAlgError`` if LAPACK fails or finds fewer eigenvalues.
+    so the vectors are conjugated on return; ``np.linalg.eigh`` solves
+    the whole spectrum, and any window where ZHEEVR is absent.  Raises
+    ``ValueError`` for a bad window or array before any foreign call,
+    and ``np.linalg.LinAlgError`` if LAPACK fails or finds fewer eigenvalues.
     """
     if not (isinstance(h, np.ndarray) and h.dtype == np.complex128
             and h.ndim == 2 and h.shape[0] == h.shape[1]
@@ -134,11 +136,11 @@ def eigh_window(h: np.ndarray, lo: int, hi: int) -> tuple:
     if not (isinstance(lo, integer) and isinstance(hi, integer)
             and 0 <= lo <= hi < n):
         raise ValueError(f"band window ({lo}, {hi}) is not within 0..{n - 1}")
-    zheevr = _lapacke_zheevr()
+    count = hi - lo + 1
+    zheevr = None if count == n else _lapacke_zheevr()
     if zheevr is None:
         energies, states = np.linalg.eigh(h)
         return energies[lo:hi + 1], states[:, lo:hi + 1]
-    count = hi - lo + 1
     energies = np.empty(n)
     z = np.empty((count, n), dtype=complex)  # column-major (n, count)
     isuppz = np.empty(2 * count, dtype=np.int64)

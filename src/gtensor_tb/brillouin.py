@@ -81,8 +81,7 @@ def named_direction(name: str) -> np.ndarray:
     """Unit vector of a direction family (Delta, Sigma, Lambda)."""
     for key, vec in DIRECTION_FAMILIES.items():
         if key.lower() == name.lower():
-            v = np.asarray(vec)
-            return v / np.linalg.norm(v)
+            return unit_direction(vec)
     raise KeyError(f"unknown direction family {name!r}; "
                    f"known: {sorted(DIRECTION_FAMILIES)}")
 

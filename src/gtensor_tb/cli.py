@@ -40,9 +40,7 @@ class UsageError(ValueError):
 def _parse_direction(spec: str, seed: int) -> np.ndarray:
     """Resolve --direction: 'x,y,z', 'random', or a family name."""
     if spec == "random":
-        rng = np.random.default_rng(seed)
-        v = rng.normal(size=3)
-        return v / np.linalg.norm(v)
+        return unit_direction(np.random.default_rng(seed).normal(size=3))
     try:
         return named_direction(spec)
     except KeyError:

@@ -18,6 +18,7 @@ import dataclasses
 import numpy as np
 
 from .bands import KramersPair
+from .brillouin import unit_direction
 from .errors import DirectionNotApplicableError, PhysicsError
 from .materials import MaterialModel
 from .su2 import PAULI
@@ -73,9 +74,7 @@ def entropy(rho: np.ndarray) -> float:
 
 def _family(direction: np.ndarray) -> str | None:
     """Classify a unit direction as '100', '111', or None."""
-    d = np.abs(np.asarray(direction, dtype=float))
-    d = d / np.linalg.norm(d)
-    d = np.sort(d)
+    d = np.sort(np.abs(direction))
     if np.allclose(d, [0.0, 0.0, 1.0], atol=1e-9):
         return "100"
     r3 = 1.0 / np.sqrt(3.0)
@@ -88,20 +87,21 @@ def direction_applicable(model: MaterialModel, direction) -> bool:
     """Whether the spin-flip relation holds along ``direction``.
 
     For the inversion-symmetric group O_h every direction qualifies;
-    for T_d only the <100> and <111> families do.
+    for T_d only the <100> and <111> families do.  Raises ValueError
+    for a direction that :func:`unit_direction` rejects.
     """
+    d = unit_direction(direction)
     if model.point_group == "Oh":
         return True
-    return _family(direction) in _TD_FAMILIES
+    return _family(d) in _TD_FAMILIES
 
 
 def require_applicable(model: MaterialModel, k) -> None:
     """Raise :class:`DirectionNotApplicableError` unless the direction of
     ``k`` is in a valid family; at Gamma the relation always applies."""
     k = np.asarray(k, dtype=float)
-    norm = np.linalg.norm(k)
-    if norm > 0.0 and not direction_applicable(model, k / norm):
-        raise DirectionNotApplicableError(model.point_group, k / norm)
+    if k.any() and not direction_applicable(model, k):
+        raise DirectionNotApplicableError(model.point_group, unit_direction(k))
 
 
 def spin_flip_residual(model: MaterialModel, pair: KramersPair) -> float:

@@ -73,9 +73,7 @@ def spin_matrices(pair: KramersPair) -> np.ndarray:
 
 def spin_g(pair: KramersPair) -> np.ndarray:
     """g_S: contraction of the pair spin blocks with the pair Paulis."""
-    two_s = spin_matrices(pair)
-    g = np.einsum('iab,jba->ij', two_s, PAULI)
-    return np.ascontiguousarray(g.real)
+    return orbital_g(spin_matrices(pair))
 
 
 def orbital_matrices(pair: KramersPair, sol: BlochSolution,
@@ -107,9 +105,9 @@ def orbital_matrices(pair: KramersPair, sol: BlochSolution,
     return -0.5j * (pw[_CYCLE_J] @ q[_CYCLE_K] - pw[_CYCLE_K] @ q[_CYCLE_J])
 
 
-def orbital_g(l_blocks: np.ndarray) -> np.ndarray:
-    """g_L from the pair-space orbital-moment blocks."""
-    g = np.einsum('iab,jba->ij', l_blocks, PAULI)
+def orbital_g(blocks: np.ndarray) -> np.ndarray:
+    """g_L from pair-space orbital blocks L_i, or g_S from spin blocks 2S_i."""
+    g = np.einsum('iab,jba->ij', blocks, PAULI)
     return np.ascontiguousarray(g.real)
 
 
@@ -148,13 +146,11 @@ def det_sign(g: np.ndarray) -> int:
     return 1 if det >= 0.0 else -1
 
 
-def g_tensor_set(model: MaterialModel, sol: BlochSolution, pair: KramersPair,
-                 pi: np.ndarray | None = None) -> GTensorSet:
+def g_tensor_set(model: MaterialModel, sol: BlochSolution,
+                 pair: KramersPair) -> GTensorSet:
     """Evaluate g_S, g_L, g_tot, G and their SVDs at one k-point."""
-    if pi is None:
-        pi = momentum_table(model, sol)
     g_s = spin_g(pair)
-    g_l = orbital_g(orbital_matrices(pair, sol, pi))
+    g_l = orbital_g(orbital_matrices(pair, sol, momentum_table(model, sol)))
     g_tot = g_s + g_l
     both = np.stack([g_s, g_tot])
     u, sigma, vh = np.linalg.svd(both)

@@ -83,6 +83,14 @@ def _number(value, path):
     return float(value)
 
 
+def _numbers(doc, section, entry, keys) -> dict:
+    """Finite floats ``doc[section][entry][key]``; errors name that path."""
+    table = _require(_require(doc, section, ""), entry, f"{section}.")
+    return {key: _number(_require(table, key, f"{section}.{entry}."),
+                         f"{section}.{entry}.{key}")
+            for key in keys}
+
+
 def builtin_material_path(name: str) -> Path:
     """Path of a packaged material file ('si', 'ge', 'gaas')."""
     if name not in BUILTIN_MATERIALS:
@@ -139,51 +147,33 @@ def load_material(path) -> MaterialModel:
     species = tuple(species_raw)
     unique_species = sorted(set(species))
 
-    onsite_raw = _require(doc, "onsite", "")
-    onsite = {}
-    for sp in unique_species:
-        table = _require(onsite_raw, sp, "onsite.")
-        onsite[sp] = {}
-        for shell in _ONSITE_SHELLS[basis]:
-            val = _number(_require(table, shell, f"onsite.{sp}."),
-                          f"onsite.{sp}.{shell}")
-            onsite[sp][shell] = ev_to_hartree(val)
+    onsite = {sp: {shell: ev_to_hartree(val) for shell, val in
+                   _numbers(doc, "onsite", sp, _ONSITE_SHELLS[basis]).items()}
+              for sp in unique_species}
 
-    sk_raw = _require(doc, "sk", "")
     sk = {}
-    pairs_needed = {(species[0], species[1]), (species[1], species[0])}
-    for a, b in pairs_needed:
+    for a, b in dict.fromkeys((species, species[::-1])):
         key = f"{a}-{b}"
-        table = _require(sk_raw, key, "sk.")
+        table = _require(_require(doc, "sk", ""), key, "sk.")
         unknown = sorted(set(table) - set(_SK_KEYS[basis]))
         if unknown:
             raise MaterialValidationError(
                 f"sk.{key}.{unknown[0]}",
                 f"not a {basis} Slater-Koster integral; "
                 f"valid keys: {sorted(_SK_KEYS[basis])}")
-        sk[(a, b)] = {}
-        for ik in _SK_KEYS[basis]:
-            val = _number(_require(table, ik, f"sk.{key}."),
-                          f"sk.{key}.{ik}")
-            sk[(a, b)][ik] = ev_to_hartree(val)
+        sk[(a, b)] = {ik: ev_to_hartree(val) for ik, val in
+                      _numbers(doc, "sk", key, _SK_KEYS[basis]).items()}
 
-    soc_raw = _require(doc, "soc", "")
     soc = {}
     for sp in unique_species:
-        table = _require(soc_raw, sp, "soc.")
-        lam = _number(_require(table, "lambda_p_ev", f"soc.{sp}."),
-                      f"soc.{sp}.lambda_p_ev")
+        lam = _numbers(doc, "soc", sp, ["lambda_p_ev"])["lambda_p_ev"]
         if lam < 0:
             raise MaterialValidationError(f"soc.{sp}.lambda_p_ev",
                                           "must be non-negative")
         soc[sp] = ev_to_hartree(lam)
 
-    dipole_raw = _require(doc, "dipole", "")
-    dipole = {}
-    for sp in unique_species:
-        table = _require(dipole_raw, sp, "dipole.")
-        dipole[sp] = _number(_require(table, "s_p_bohr", f"dipole.{sp}."),
-                             f"dipole.{sp}.s_p_bohr")
+    dipole = {sp: _numbers(doc, "dipole", sp, ["s_p_bohr"])["s_p_bohr"]
+              for sp in unique_species}
 
     orbitals = _ORBITALS[basis]
     dim = 4 * len(orbitals)

@@ -21,7 +21,6 @@ ORBITALS_SP3 = ("s", "px", "py", "pz")
 ORBITALS_SP3D5S = ("s", "px", "py", "pz",
                    "dxy", "dyz", "dzx", "dx2y2", "dz2", "s2")
 
-P_ORBITALS = ("px", "py", "pz")
 D_ORBITALS = ("dxy", "dyz", "dzx", "dx2y2", "dz2")
 
 SHELL = {"s": "s", "px": "p", "py": "p", "pz": "p",

@@ -131,36 +131,31 @@ def scan_ray(model: MaterialModel, band_id, direction,
     radii = np.linspace(0.0, r_max, n_coarse)
     crossings = []
     failures = []
-    prev_r = None
-    prev_sign = None
-    fail_start = None
-    fail_reason = None
+    prev = None     # (r, sign) of the last sample where the pair is defined
+    gap = None      # (start, reason) of the excluded interval being passed
     for r in radii:
         try:
             sign = det_sign(_g_at(model, band_id, r * direction, which_det))
         except PairUndefinedError as err:
-            if fail_start is None:
-                fail_start = prev_r if prev_r is not None else r
-                fail_reason = type(err).__name__
+            if gap is None:
+                gap = (r if prev is None else prev[0], type(err).__name__)
             continue
-        if fail_start is not None:
-            failures.append((fail_start, r, fail_reason))
-            fail_start = None
-            # no bracketing across an excluded interval: the sign there
-            # is unknowable, so restart the parity bookkeeping
-            prev_sign = None
-        if prev_sign is not None and sign != prev_sign:
+        if gap is not None:
+            failures.append((gap[0], r, gap[1]))
+            gap = None
+            # no bracketing across an excluded interval: its sign is unknown
+        elif prev is not None and sign != prev[1]:
             try:
-                mid, width = _bisect(model, band_id, direction, prev_r, r,
-                                     prev_sign, which_det, bisect_tol)
+                mid, width = _bisect(model, band_id, direction, prev[0], r,
+                                     prev[1], which_det, bisect_tol)
             except PairUndefinedError as err:
-                failures.append((prev_r, r, type(err).__name__))
+                failures.append((prev[0], r, type(err).__name__))
             else:
                 crossings.append(Crossing(radius=mid, bracket_width=width,
                                           slope_sign=sign))
-        prev_r, prev_sign = r, sign
-    if fail_start is not None:
-        failures.append((fail_start, r_max, fail_reason))
+        prev = (r, sign)
+    if gap is not None:
+        failures.append((gap[0], r_max, gap[1]))
     return RayScan(direction=direction, r_max=r_max, which_det=which_det,
                    crossings=crossings, failures=failures, clipped=clipped)
 

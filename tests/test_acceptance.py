@@ -165,7 +165,7 @@ def test_criterion_5b_zeeman_splitting_oracle(si):
         sol = solve(si, np.array([0.05, 0.03, 0.02]))
         pair = select_pair(si, sol, "split-off")
         pi = momentum_table(si, sol)
-        gset = g_tensor_set(si, sol, pair, pi)
+        gset = g_tensor_set(si, sol, pair)
         for b_hat in random_unit_vectors(313, 100):
             b = 1e-6 * b_hat
             w = np.linalg.eigvalsh(pair_zeeman_hamiltonian(pair, sol, pi, b))

@@ -26,6 +26,21 @@ def test_solve_reproduces_eigensystem(si):
     assert np.abs(resid).max() < 1e-12
 
 
+@pytest.mark.parametrize("material", ["si", "gaas"])
+def test_full_solve_is_plain_eigh(request, material, monkeypatch):
+    # the whole spectrum never asks for ZHEEVR and gives eigh's bytes
+    model = request.getfixturevalue(material)
+    calls = []
+    monkeypatch.setattr(blas, "_lapacke_zheevr", lambda: calls.append(1))
+    for k in random_k_points(17, 5, scale=0.6):
+        energies, states = np.linalg.eigh(bloch_hamiltonian(model, k))
+        for sol in (solve(model, k), solve(model, k, (0, model.dim - 1))):
+            assert sol.first == 0
+            assert sol.energies.tobytes() == energies.tobytes()
+            assert sol.states.tobytes() == states.tobytes()
+    assert calls == []
+
+
 def test_resolve_band_labels(si):
     assert resolve_band_indices(si, "split-off") == (2, 3)
     assert resolve_band_indices(si, "first-conduction") == (8, 9)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,22 @@ def test_td_families(gaas, direction, ok):
     if not ok:
         with pytest.raises(DirectionNotApplicableError):
             require_applicable(gaas, direction)
+
+
+@pytest.mark.parametrize("direction", [
+    [0.0, 0.0, 0.0], [1e300, 1e300, 0.0], [float("nan"), 1.0, 0.0],
+])
+def test_direction_applicable_rejects_bad_direction(si, gaas, direction):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for model in (si, gaas):
+            with pytest.raises(ValueError, match="direction"):
+                direction_applicable(model, direction)
+
+
+def test_gamma_always_applicable(si, gaas):
+    for model in (si, gaas):
+        assert require_applicable(model, np.zeros(3)) is None
 
 
 def test_spin_flip_refused_off_family_for_td(gaas):

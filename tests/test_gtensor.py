@@ -21,7 +21,7 @@ def _pair_and_tensors(model, k, band_id="split-off"):
     sol = solve(model, np.asarray(k, dtype=float))
     pair = select_pair(model, sol, band_id)
     pi = momentum_table(model, sol)
-    return sol, pair, pi, g_tensor_set(model, sol, pair, pi)
+    return sol, pair, pi, g_tensor_set(model, sol, pair)
 
 
 # --- momentum table -------------------------------------------------------
@@ -126,11 +126,10 @@ def test_su2_gauge_invariance_of_G_and_det(si):
     rng = np.random.default_rng(5)
     sol = solve(si, np.array([0.06, 0.03, 0.02]))
     pair = select_pair(si, sol, "split-off")
-    pi = momentum_table(si, sol)
-    ref = g_tensor_set(si, sol, pair, pi)
+    ref = g_tensor_set(si, sol, pair)
     for _ in range(4):
         mixed = remix_pair(pair, random_su2(rng))
-        alt = g_tensor_set(si, sol, mixed, pi)
+        alt = g_tensor_set(si, sol, mixed)
         # g transforms as g -> g R^T: G, dets, singular values invariant
         assert np.abs(alt.G - ref.G).max() < 1e-10
         assert alt.det_g_s == pytest.approx(ref.det_g_s, abs=1e-12)
@@ -332,7 +331,7 @@ def test_g_tensor_set_bitwise_equals_separate_factorisations(material,
     model = request.getfixturevalue(material)
     for k, sol, pair in _pair_points(model, 103):
         pi = momentum_table(model, sol)
-        gset = g_tensor_set(model, sol, pair, pi)
+        gset = g_tensor_set(model, sol, pair)
         g_s = spin_g(pair)
         g_tot = g_s + orbital_g(_reference_orbital_matrices(pair, sol, pi))
         assert _bytes(gset.g_s, gset.g_tot, gset.G) == _bytes(

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gtensor_tb
 from gtensor_tb import (MaterialParseError, MaterialValidationError,
                         builtin_material_path, load_material,
                         resolve_material_path)
@@ -79,6 +84,28 @@ def test_validation_unknown_sk_key(tmp_path):
     with pytest.raises(MaterialValidationError) as err:
         load_material(_dump(tmp_path, data))
     assert "bogus" in str(err.value)
+
+
+def test_missing_sk_tables_reported_in_species_order(tmp_path):
+    # the first missing table is named the same under every hash seed
+    data = json.loads(builtin_material_path("gaas").read_text())
+    data["sk"] = {}
+    path = _dump(tmp_path, data)
+    script = ("import sys\n"
+              "from gtensor_tb import MaterialValidationError, load_material\n"
+              "try:\n"
+              "    load_material(sys.argv[1])\n"
+              "except MaterialValidationError as err:\n"
+              "    print(err.key)\n")
+    src = str(Path(gtensor_tb.__file__).parents[1])
+    for seed in range(8):
+        env = {**os.environ, "PYTHONHASHSEED": str(seed),
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", script, str(path)],
+                             env=env, capture_output=True, text=True,
+                             check=True)
+        assert out.stdout == "sk.Ga-As\n", seed
 
 
 def test_band_pair_checked_against_gamma_pattern(tmp_path):

@@ -6,6 +6,8 @@ import pytest
 from gtensor_tb import (boundary_radius, build_surface, cubic_group,
                         export_cloud, scan_ray, surface, wedge_directions)
 from gtensor_tb.brillouin import wedge_representative
+from gtensor_tb.errors import (NearDegenerateIntermediateError,
+                               PairingAmbiguityError)
 
 from conftest import random_unit_vectors
 from oracles import dense_det, in_first_zone, read_cloud_csv
@@ -83,7 +85,7 @@ def test_rmax_clipping_flagged(si):
     assert scan.r_max == pytest.approx(r_zone)
 
 
-def test_failure_intervals_recorded_not_fatal(ge):
+def test_failure_intervals_recorded_not_fatal(si, ge):
     # the Ge split-off pair collides with the heavy bands further out;
     # scans must record excluded intervals instead of dying
     d = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
@@ -93,6 +95,45 @@ def test_failure_intervals_recorded_not_fatal(ge):
     for lo, hi, reason in scan.failures:
         assert 0 <= lo < hi <= r_max
         assert isinstance(reason, str) and reason
+    # the Si first-conduction pair meets the next band at X, so the last
+    # coarse sample along [100] is undefined; the interval must match
+    # the NaN pattern of the full-spectrum oracle on the same grid
+    d = np.array([1.0, 0.0, 0.0])
+    scan = scan_ray(si, "first-conduction", d, n_coarse=120)
+    radii = np.linspace(0.0, scan.r_max, 120)
+    det = dense_det(si, "first-conduction", d, radii)
+    assert np.flatnonzero(np.isnan(det)).tolist() == [119]
+    assert scan.failures == [(radii[118], radii[119], "PairingAmbiguityError")]
+    assert scan.failures[0][:2] == pytest.approx((0.60707, 0.61221), abs=1e-5)
+    assert len(scan.crossings) == 1
+
+
+def test_undefined_runs_split_the_ray(si, monkeypatch):
+    # leading, middle and trailing undefined runs; the sign differs
+    # across each run, and one real sign change at 0.65 r_max lies
+    # between defined samples
+    r_max = boundary_radius(si.lattice_constant, [1, 0, 0])
+
+    def fake_g_at(model, band_id, k, which_det):
+        f = k[0] / r_max
+        if f < 0.15:
+            raise PairingAmbiguityError(k, (0, 1), 1.0, 0.0)
+        if 0.35 <= f < 0.45 or f >= 0.85:
+            raise NearDegenerateIntermediateError(k, 2, 0.0, 1e-5)
+        sign = -1.0 if 0.45 <= f < 0.65 else 1.0
+        return np.diag([sign, 1.0, 1.0])
+
+    monkeypatch.setattr(surface, "_g_at", fake_g_at)
+    scan = scan_ray(si, "split-off", [1, 0, 0], n_coarse=11)
+    radii = np.linspace(0.0, r_max, 11)
+    assert scan.failures == [
+        (radii[0], radii[2], "PairingAmbiguityError"),
+        (radii[3], radii[5], "NearDegenerateIntermediateError"),
+        (radii[8], r_max, "NearDegenerateIntermediateError"),
+    ]
+    assert len(scan.crossings) == 1
+    assert scan.crossings[0].radius == pytest.approx(0.65 * r_max, abs=1e-6)
+    assert scan.crossings[0].slope_sign == 1
 
 
 def test_gtot_dets_also_scanned(si):

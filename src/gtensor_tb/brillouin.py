@@ -29,6 +29,11 @@ DIRECTION_FAMILIES = {
 
 _POINT_ALIASES = {"GAMMA": "G"}
 
+# the four A -> B nearest-neighbour bonds in units of a/4; T_d is the
+# part of O_h that maps this set onto itself
+NN_SIGNS = np.array([(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)],
+                    dtype=float)
+
 
 def zone_faces(a: float) -> np.ndarray:
     """The 14 reciprocal vectors whose bisector planes bound the zone."""
@@ -142,13 +147,10 @@ def cubic_group() -> np.ndarray:
 
 def tetrahedral_group() -> np.ndarray:
     """The 24 operations of T_d: cubic operations fixing the bond set."""
-    bonds = np.array([
-        [1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0],
-    ])
-    bond_set = {tuple(b) for b in bonds}
+    bond_set = {tuple(b) for b in NN_SIGNS}
     keep = []
     for op in cubic_group():
-        image = {tuple(np.rint(op @ b)) for b in bonds}
+        image = {tuple(np.rint(op @ b)) for b in NN_SIGNS}
         if image == bond_set:
             keep.append(op)
     return np.array(keep)

@@ -217,21 +217,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="k-points per path segment")
     p.set_defaults(func=cmd_bands)
 
-    p = sub.add_parser("gline", help="singular values / determinants along a ray")
-    common(p)
-    p.add_argument("--direction", required=True,
-                   help="'x,y,z', 'random', or Delta/Sigma/Lambda")
-    p.add_argument("--rmax", type=float, default=None,
-                   help="ray length in Bohr^-1 (default: zone boundary)")
-    p.add_argument("--samples", type=int, default=200)
-    p.set_defaults(func=cmd_gline)
-
-    p = sub.add_parser("entropy", help="pair entropies and spin-flip residual")
-    common(p)
-    p.add_argument("--direction", required=True)
-    p.add_argument("--rmax", type=float, default=None)
-    p.add_argument("--samples", type=int, default=200)
-    p.set_defaults(func=cmd_entropy)
+    for name, text, func in (
+            ("gline", "singular values / determinants along a ray", cmd_gline),
+            ("entropy", "pair entropies and spin-flip residual", cmd_entropy)):
+        p = sub.add_parser(name, help=text)
+        common(p)
+        p.add_argument("--direction", required=True,
+                       help="'x,y,z', 'random', or Delta/Sigma/Lambda")
+        p.add_argument("--rmax", type=float, default=None,
+                       help="ray length in Bohr^-1 (default: zone boundary)")
+        p.add_argument("--samples", type=int, default=200)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("surface", help="det(g)=0 point cloud over the zone")
     common(p)

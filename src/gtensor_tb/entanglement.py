@@ -18,17 +18,13 @@ import dataclasses
 import numpy as np
 
 from .bands import KramersPair
-from .brillouin import unit_direction
+from .brillouin import named_direction, unit_direction, wedge_representative
 from .errors import DirectionNotApplicableError, PhysicsError
 from .materials import MaterialModel
 from .su2 import PAULI
 
 # |det(g_S)| below this counts as "on the surface" after bisection
 DET_TOL = 1e-6
-
-# direction families (unit vectors, expanded under the point group) on
-# which the spin-flip relation holds for T_d; O_h needs no table
-_TD_FAMILIES = ("100", "111")
 
 
 @dataclasses.dataclass
@@ -72,28 +68,19 @@ def entropy(rho: np.ndarray) -> float:
     return float(-(nz * np.log2(nz)).sum())
 
 
-def _family(direction: np.ndarray) -> str | None:
-    """Classify a unit direction as '100', '111', or None."""
-    d = np.sort(np.abs(direction))
-    if np.allclose(d, [0.0, 0.0, 1.0], atol=1e-9):
-        return "100"
-    r3 = 1.0 / np.sqrt(3.0)
-    if np.allclose(d, [r3, r3, r3], atol=1e-9):
-        return "111"
-    return None
-
-
 def direction_applicable(model: MaterialModel, direction) -> bool:
     """Whether the spin-flip relation holds along ``direction``.
 
     For the inversion-symmetric group O_h every direction qualifies;
-    for T_d only the <100> and <111> families do.  Raises ValueError
-    for a direction that :func:`unit_direction` rejects.
+    for T_d only the Delta <100> and Lambda <111> families do, to 1e-9
+    in each component of the unit vector.  Raises ValueError for a
+    direction that :func:`unit_direction` rejects.
     """
-    d = unit_direction(direction)
+    rep = wedge_representative(unit_direction(direction))
     if model.point_group == "Oh":
         return True
-    return _family(d) in _TD_FAMILIES
+    return any(np.allclose(rep, named_direction(family), rtol=0.0, atol=1e-9)
+               for family in ("Delta", "Lambda"))
 
 
 def require_applicable(model: MaterialModel, k) -> None:

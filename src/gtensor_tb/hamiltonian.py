@@ -23,13 +23,10 @@ import weakref
 
 import numpy as np
 
+from .brillouin import NN_SIGNS
 from .materials import MaterialModel
 from .slater_koster import SHELL, hop_block
 from .su2 import PAULI
-
-# A -> B bond directions in units of a/4
-NN_SIGNS = np.array([(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)],
-                    dtype=float)
 
 _LEVI_CIVITA = np.zeros((3, 3, 3))
 for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
@@ -108,15 +105,19 @@ class _Engine:
                     d[j, base + 1 + j, base] = d0
         return d
 
-    def h(self, k):
+    def _put_hopping(self, out, weights):
+        """Write the A->B block sum_b weights[b] * hop_b and its adjoint
+        into both spin blocks of ``out``."""
         n = self.n
-        phases = np.exp(1j * (self.nn @ k))
-        hab = np.dot(phases[None], self.hop_flat).reshape(n, n)
+        hab = np.dot(weights[None], self.hop_flat).reshape(n, n)
         hba = hab.conj().T
+        for s in (0, 2 * n):
+            out[s:s + n, s + n:s + 2 * n] = hab
+            out[s + n:s + 2 * n, s:s + n] = hba
+
+    def h(self, k):
         h = self.base.copy()
-        for s in (0, 2 * n):              # the two spin blocks
-            h[s:s + n, s + n:s + 2 * n] = hab
-            h[s + n:s + 2 * n, s:s + n] = hba
+        self._put_hopping(h, np.exp(1j * (self.nn @ k)))
         h += 0.0          # clears the sign of zeros: bitwise onsite + hop + SOC
         return h
 
@@ -124,17 +125,12 @@ class _Engine:
         """dH/dk_j for j = x, y, z, shape (3, dim, dim).
 
         Only the A-B hopping depends on k: each direction's derivative
-        block goes straight into both spin blocks of a zero array.
+        block goes straight into a zero array.
         """
-        n = self.n
         phases = np.exp(1j * (self.nn @ k))
         out = np.zeros((3, self.dim, self.dim), dtype=complex)
         for j, weights in enumerate(self.i_nn * phases):
-            dhab = np.dot(weights[None], self.hop_flat).reshape(n, n)
-            dhba = dhab.conj().T
-            for s in (0, 2 * n):          # the two spin blocks
-                out[j, s:s + n, s + n:s + 2 * n] = dhab
-                out[j, s + n:s + 2 * n, s:s + n] = dhba
+            self._put_hopping(out[j], weights)
         return out
 
 

@@ -19,7 +19,7 @@ import dataclasses
 
 import numpy as np
 
-from .bands import BlochSolution, KramersPair, solve
+from .bands import select_pair, solve
 from .errors import BracketError
 from .gtensor import g_tensor_set
 from .materials import MaterialModel
@@ -58,43 +58,21 @@ def _atomic_pair(model: MaterialModel, species: str,
     """Solution and analytic j=1/2 reference pair of one isolated atom."""
     iso = _single_species_model(model, species, dipole)
     sol = solve(iso, np.zeros(3))
-
-    n = iso.n_orb
-    lam = iso.soc[species]
-    e_half = iso.onsite[species]["p"] - lam
+    e_half = iso.onsite[species]["p"] - iso.soc[species]
     idx = np.flatnonzero(np.abs(sol.energies - e_half) < 1e-12)
     if idx.size != 2:
         raise RuntimeError("j=1/2 level not isolated in the atomic limit")
 
-    dim = iso.dim
+    # replace the two degenerate eigh columns by the analytic doublet;
+    # px, py, pz of atom 0 are orbitals 1-3 of each spin block
+    up, dn = 0, 2 * iso.n_orb
     s3 = 1.0 / np.sqrt(3.0)
-    up = lambda orb: 0 * 2 * n + orb            # atom 0
-    dn = lambda orb: 1 * 2 * n + orb
-    xi = np.zeros(dim, dtype=complex)
-    xi[up(3)] = s3
-    xi[dn(1)] = s3
-    xi[dn(2)] = 1j * s3
-    xib = np.zeros(dim, dtype=complex)
-    xib[dn(3)] = s3
-    xib[up(1)] = -s3
-    xib[up(2)] = 1j * s3
-
-    # replace the two degenerate eigh columns by the analytic doublet
     states = sol.states.copy()
-    states[:, idx[0]] = xi
-    states[:, idx[1]] = xib
-    sol = BlochSolution(k=sol.k, energies=sol.energies, states=states)
-    pair = KramersPair(
-        k=sol.k,
-        band_indices=(int(idx[0]), int(idx[1])),
-        energies=sol.energies[idx].copy(),
-        states=states[:, idx].copy(),
-        pair_energy=float(e_half),
-        split=0.0,
-        gap_to_rest=float(np.abs(np.delete(sol.energies, idx)
-                                 - e_half).min()),
-    )
-    return iso, sol, pair
+    states[:, idx] = 0.0
+    states[[up + 3, dn + 1, dn + 2], idx[0]] = s3 * np.array([1, 1, 1j])
+    states[[dn + 3, up + 1, up + 2], idx[1]] = s3 * np.array([1, -1, 1j])
+    sol = dataclasses.replace(sol, states=states)
+    return iso, sol, select_pair(iso, sol, tuple(idx))
 
 
 def atomic_g(model: MaterialModel, species: str,

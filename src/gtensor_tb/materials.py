@@ -70,9 +70,17 @@ class MaterialModel:
         return dataclasses.replace(self, soc=soc)
 
 
+def _object(value, path):
+    if not isinstance(value, dict):
+        raise MaterialValidationError(path, "must be an object")
+    return value
+
+
 def _require(mapping, key, path):
-    if key not in mapping:
-        raise MaterialValidationError(f"{path}{key}", "missing required key")
+    """``mapping[key]``; ``path`` names ``mapping`` ("" at the top level)."""
+    if key not in _object(mapping, path):
+        raise MaterialValidationError(f"{path}.{key}" if path else key,
+                                      "missing required key")
     return mapping[key]
 
 
@@ -85,8 +93,8 @@ def _number(value, path):
 
 def _numbers(doc, section, entry, keys) -> dict:
     """Finite floats ``doc[section][entry][key]``; errors name that path."""
-    table = _require(_require(doc, section, ""), entry, f"{section}.")
-    return {key: _number(_require(table, key, f"{section}.{entry}."),
+    table = _require(_require(doc, section, ""), entry, section)
+    return {key: _number(_require(table, key, f"{section}.{entry}"),
                          f"{section}.{entry}.{key}")
             for key in keys}
 
@@ -154,7 +162,8 @@ def load_material(path) -> MaterialModel:
     sk = {}
     for a, b in dict.fromkeys((species, species[::-1])):
         key = f"{a}-{b}"
-        table = _require(_require(doc, "sk", ""), key, "sk.")
+        table = _object(_require(_require(doc, "sk", ""), key, "sk"),
+                        f"sk.{key}")
         unknown = sorted(set(table) - set(_SK_KEYS[basis]))
         if unknown:
             raise MaterialValidationError(

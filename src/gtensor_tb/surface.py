@@ -67,9 +67,7 @@ class SurfaceCloud:
     band_id: str
     which_det: str
     points: np.ndarray
-    dir_index: np.ndarray
-    crossing_ordinal: np.ndarray
-    slope_sign: np.ndarray
+    labels: np.ndarray  # (N, 3) int: dir_index, crossing_ordinal, slope_sign
     symmetry_ops_applied: int     # 0 = raw rays, else point-group order
     failures: list
 
@@ -189,36 +187,29 @@ def build_surface(model: MaterialModel, band_id, directions,
     else:
         results = map(scan, directions)
 
-    points, dir_index, ordinals, slopes, failures = [], [], [], [], []
+    points, labels, failures = [], [], []
     for index, ray in enumerate(results):  # map preserves direction order
         for ordinal, crossing in enumerate(ray.crossings):
             points.append(crossing.radius * ray.direction)
-            dir_index.append(index)
-            ordinals.append(ordinal)
-            slopes.append(crossing.slope_sign)
+            labels.append((index, ordinal, crossing.slope_sign))
         for (lo, hi, reason) in ray.failures:
             failures.append((index, lo, hi, reason))
     points = np.array(points).reshape(-1, 3)
-    dir_index = np.array(dir_index, dtype=int)
-    ordinals = np.array(ordinals, dtype=int)
-    slopes = np.array(slopes, dtype=int)
+    labels = np.array(labels, dtype=int).reshape(-1, 3)
 
     n_ops = 0
     if replicate:
         ops = point_group_ops(model.point_group)
         n_ops = len(ops)
         points, source = replicate_points(points, ops)
-        dir_index, ordinals, slopes = (dir_index[source], ordinals[source],
-                                       slopes[source])
+        labels = labels[source]
 
     return SurfaceCloud(
         material=model.name,
         band_id=str(band_id),
         which_det=which_det,
         points=points,
-        dir_index=dir_index,
-        crossing_ordinal=ordinals,
-        slope_sign=slopes,
+        labels=labels,
         symmetry_ops_applied=n_ops,
         failures=failures,
     )
@@ -243,9 +234,8 @@ def export_cloud(cloud: SurfaceCloud, path, fmt: str = "csv",
             f"symmetry_ops: {cloud.symmetry_ops_applied}"]
     if fmt == "csv":
         rows = [[*point, index, ordinal, cloud.which_det, slope]
-                for point, index, ordinal, slope in zip(
-                    cloud.points, cloud.dir_index, cloud.crossing_ordinal,
-                    cloud.slope_sign)]
+                for point, (index, ordinal, slope) in zip(cloud.points,
+                                                          cloud.labels)]
         write_csv(path, provenance + meta, CSV_COLUMNS, rows)
     elif fmt == "ply":
         with open(path, "w", newline="") as fh:

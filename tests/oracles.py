@@ -118,7 +118,7 @@ def read_cloud_csv(path) -> SurfaceCloud:
     Cloud metadata (material, band, symmetry-op count) is recovered
     from the structured header comments export_cloud writes.
     """
-    points, dir_index, ordinals, slopes = [], [], [], []
+    points, labels = [], []
     meta = {"material": "", "band": "", "det": "", "symmetry_ops": "0"}
     with open(path, newline="") as fh:
         raw = list(csv.reader(fh))
@@ -138,16 +138,12 @@ def read_cloud_csv(path) -> SurfaceCloud:
     which = meta["det"]
     for row in rows[1:]:
         points.append([float(row[0]), float(row[1]), float(row[2])])
-        dir_index.append(int(row[3]))
-        ordinals.append(int(row[4]))
+        labels.append([int(row[3]), int(row[4]), int(row[6])])
         which = row[5]
-        slopes.append(int(row[6]))
     return SurfaceCloud(
         material=meta["material"], band_id=meta["band"], which_det=which,
         points=np.array(points).reshape(-1, 3),
-        dir_index=np.array(dir_index, dtype=int),
-        crossing_ordinal=np.array(ordinals, dtype=int),
-        slope_sign=np.array(slopes, dtype=int),
+        labels=np.array(labels, dtype=int).reshape(-1, 3),
         symmetry_ops_applied=int(meta["symmetry_ops"]),
         failures=[],
     )

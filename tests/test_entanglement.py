@@ -85,10 +85,19 @@ def test_oh_applies_everywhere(si):
         assert direction_applicable(si, d)
 
 
+def _off_111(angle):
+    """A direction ``angle`` radians off [111] (to first order), towards
+    [1,-1,0]."""
+    return (np.ones(3) / np.sqrt(3.0)
+            + angle * np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0))
+
+
 @pytest.mark.parametrize("direction,ok", [
     ([1, 0, 0], True), ([0, -1, 0], True), ([0, 0, 1], True),
     ([1, 1, 1], True), ([-1, 1, -1], True),
     ([1, 1, 0], False), ([1, 2, 3], False), ([0.6, 0.8, 0.0], False),
+    # each unit-vector component is compared to 1e-9
+    (_off_111(5e-10), True), (_off_111(1e-6), False),
 ])
 def test_td_families(gaas, direction, ok):
     assert direction_applicable(gaas, direction) == ok

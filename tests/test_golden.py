@@ -1,12 +1,16 @@
-"""Byte contract of the surface CLI: data rows pinned by sha256.
+"""Byte contract of the CLI: surface data rows and atomfit report lines.
 
-Each entry runs ``gtensor-tb surface ... --level 1`` and hashes the
+Each surface entry runs ``gtensor-tb surface ... --level 1`` and hashes the
 lines that do not start with '#' (the CSV header and the points); the
 comment block holds the configuration echo, which names the output
 path, so it is left out.  Radii are bisection midpoints, exact sums of
 powers of two times the coarse radii, so the hashes change only when a
 determinant sign does, not with LAPACK rounding.  A change to the
 numerics that moves any of them must say so and record the new values.
+
+The atomfit lines are pinned as text: dipoles print at 6 decimals and
+g-factors at 9, far coarser than the 1e-10 Bohr fit tolerance, so they
+do not depend on the host.
 """
 import hashlib
 
@@ -35,3 +39,24 @@ def test_surface_level_1_data_rows(tmp_path, args):
     with open(out, "rb") as fh:
         rows = [line for line in fh if not line.startswith(b"#")]
     assert (len(rows), hashlib.sha256(b"".join(rows)).hexdigest()) == GOLDEN[args]
+
+
+ATOMFIT = {
+    "si": ["Si: <s|d|p> = 2.788037 Bohr, g_S = -0.666666667, "
+           "g_L = +1.333333333, g_tot = +0.666666667"],
+    "ge": ["Ge: <s|d|p> = 2.535968 Bohr, g_S = -0.666666667, "
+           "g_L = +1.333333333, g_tot = +0.666666667"],
+    "gaas": ["As: <s|d|p> = 2.454985 Bohr, g_S = -0.666666667, "
+             "g_L = +1.333333333, g_tot = +0.666666667",
+             "Ga: <s|d|p> = 2.891011 Bohr, g_S = -0.666666667, "
+             "g_L = +1.333333333, g_tot = +0.666666667"],
+}
+
+
+@pytest.mark.parametrize("material", sorted(ATOMFIT))
+def test_atomfit_report_lines(tmp_path, material):
+    out = tmp_path / "atomfit.txt"
+    assert cli.main(["atomfit", "--material", material, "--out", str(out)]) == 0
+    body = [line for line in out.read_text().splitlines()
+            if not line.startswith("#")]
+    assert body == ATOMFIT[material]

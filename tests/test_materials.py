@@ -108,6 +108,23 @@ def test_missing_sk_tables_reported_in_species_order(tmp_path):
         assert out.stdout == "sk.Ga-As\n", seed
 
 
+@pytest.mark.parametrize("section,value,key", [
+    ("sk", 5, "sk"),
+    ("dipole", 3, "dipole"),
+    ("onsite", None, "onsite"),
+    ("soc", "Si Si", "soc"),
+    ("onsite", {"Si": [1, 2]}, "onsite.Si"),
+    ("sk", {"Si-Si": [1]}, "sk.Si-Si"),
+], ids=["sk-number", "dipole-number", "onsite-null", "soc-string",
+        "onsite-entry-list", "sk-entry-list"])
+def test_non_object_section_or_entry_is_named(tmp_path, section, value, key):
+    data = _si_dict()
+    data[section] = value
+    with pytest.raises(MaterialValidationError) as err:
+        load_material(_dump(tmp_path, data))
+    assert (err.value.key, str(err.value)) == (key, f"{key}: must be an object")
+
+
 def test_band_pair_checked_against_gamma_pattern(tmp_path):
     # bands 10-13 form a four-fold level at Gamma; calling two of them
     # a Kramers pair must be rejected at load time

@@ -185,9 +185,7 @@ def test_build_surface_deterministic_across_workers(si):
     one = build_surface(si, "split-off", dirs, workers=1, **kw)
     two = build_surface(si, "split-off", dirs, workers=2, **kw)
     assert np.array_equal(one.points, two.points)
-    assert np.array_equal(one.dir_index, two.dir_index)
-    assert np.array_equal(one.crossing_ordinal, two.crossing_ordinal)
-    assert np.array_equal(one.slope_sign, two.slope_sign)
+    assert np.array_equal(one.labels, two.labels)
 
 
 def test_replicated_cloud_is_symmetry_closed(si):
@@ -234,8 +232,7 @@ def test_csv_round_trip_bit_exact(si, tmp_path):
     export_cloud(cloud, path)
     back = read_cloud_csv(path)
     assert np.array_equal(back.points, cloud.points)
-    assert np.array_equal(back.dir_index, cloud.dir_index)
-    assert np.array_equal(back.slope_sign, cloud.slope_sign)
+    assert np.array_equal(back.labels, cloud.labels)
     assert back.material == cloud.material
     assert back.band_id == cloud.band_id
     assert back.which_det == cloud.which_det

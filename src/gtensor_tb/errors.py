@@ -76,4 +76,5 @@ class ZeroSplittingError(PhysicsError):
 
 
 class BracketError(PhysicsError):
-    """A bracketed scalar search found no sign change over the bracket."""
+    """The fitted root lies outside its admissible bracket
+    (``lande.DIPOLE_BRACKET`` for the dipole fit)."""

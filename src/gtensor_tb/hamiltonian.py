@@ -70,40 +70,24 @@ class _Engine:
         self.dipole = self._dipole_matrix(model)
 
     def _soc_matrix(self, model):
-        n, dim = self.n, self.dim
-        soc = np.zeros((dim, dim), dtype=complex)
+        # lambda_p L.S = sum_a sigma_a (x) (lambda_p/2) L_a, with
+        # (L_a)_jk = -i eps_ajk on each atom's p slots
+        n = self.n
+        half_l = np.zeros((3, 2 * n, 2 * n), dtype=complex)
         for atom, sp in enumerate(model.species):
-            lam = model.soc[sp]
-            if lam == 0.0:
-                continue
-            for a in range(3):
-                for j in range(3):
-                    for k in range(3):
-                        eps = _LEVI_CIVITA[a, j, k]
-                        if eps == 0.0:
-                            continue
-                        for s in range(2):
-                            for t in range(2):
-                                sig = PAULI[a, s, t]
-                                if sig == 0:
-                                    continue
-                                row = s * 2 * n + atom * n + 1 + j
-                                col = t * 2 * n + atom * n + 1 + k
-                                soc[row, col] += 0.5 * lam * (-1j) * eps * sig
-        return soc
+            p = slice(atom * n + 1, atom * n + 4)
+            half_l[:, p, p] = -0.5j * model.soc[sp] * _LEVI_CIVITA
+        return sum(np.kron(PAULI[a], half_l[a]) for a in range(3))
 
     def _dipole_matrix(self, model):
         # intra-atomic <s|r_j|p_j> only; x -> px, y -> py, z -> pz
-        n, dim = self.n, self.dim
-        d = np.zeros((3, dim, dim))
+        n = self.n
+        block = np.zeros((3, 2 * n, 2 * n))
         for atom, sp in enumerate(model.species):
-            d0 = model.dipole[sp]
-            for s in range(2):
-                base = s * 2 * n + atom * n
-                for j in range(3):
-                    d[j, base, base + 1 + j] = d0
-                    d[j, base + 1 + j, base] = d0
-        return d
+            s, p = atom * n, np.arange(atom * n + 1, atom * n + 4)
+            block[[0, 1, 2], s, p] = model.dipole[sp]
+            block[[0, 1, 2], p, s] = model.dipole[sp]
+        return np.array([np.kron(np.eye(2), b) for b in block])
 
     def _put_hopping(self, out, weights):
         """Write the A->B block sum_b weights[b] * hop_b and its adjoint

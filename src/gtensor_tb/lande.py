@@ -12,6 +12,11 @@ contribution g_L = +4/3 through virtual s states, so the total must
 reproduce the Lande value g_j(l=1, s=1/2, j=1/2) = +2/3.  Fitting the
 single free dipole to that anchor is how the <s|r|p> input of the
 momentum tables is produced.
+
+The fit is closed-form.  With hopping off, dH/dk vanishes, so the
+momentum table is i (E_n - E_m) d0 <n|D|m>: g_L scales as d0**2 and
+g_S does not depend on d0.  One evaluation at d0 = 1 gives both, and
+d0 = sqrt((LANDE_TARGET - g_S) / g_L).
 """
 from __future__ import annotations
 
@@ -25,7 +30,7 @@ from .gtensor import g_tensor_set
 from .materials import MaterialModel
 
 LANDE_TARGET = 2.0 / 3.0
-DIPOLE_BRACKET = (0.0, 10.0)  # Bohr, searched by fit_dipole
+DIPOLE_BRACKET = (0.0, 10.0)  # Bohr, admissible range of fit_dipole
 
 
 # spectator-sublattice rigid shift; with hopping off it cannot affect
@@ -87,29 +92,22 @@ def atomic_g(model: MaterialModel, species: str,
 
 
 def fit_dipole(model: MaterialModel, species: str) -> float:
-    """Bracketed scalar fit of the intra-atomic dipole (Bohr).
+    """Intra-atomic dipole (Bohr) with g_tot,zz = LANDE_TARGET.
 
-    Finds d0 with g_tot,zz(d0) = LANDE_TARGET for the species' isolated
-    j=1/2 doublet, to 1e-10 Bohr.  Raises :class:`BracketError` when the
-    target is not enclosed by ``DIPOLE_BRACKET``.
+    For the species' isolated j=1/2 doublet g_tot,zz(d0) = g_S + d0**2
+    g_L(1) exactly (see the module docstring), so the root is a square
+    root, not a search.  Raises :class:`BracketError` when it lies
+    outside ``DIPOLE_BRACKET`` or does not exist (g_L <= 0).
     """
-    # imported here so that SciPy stays off the package's import path
-    from scipy.optimize import brentq
-
-    def objective(d0: float) -> float:
-        return atomic_g(model, species, dipole=d0).g_tot[2, 2] - LANDE_TARGET
-
-    bracket = DIPOLE_BRACKET
-    fa, fb = objective(bracket[0]), objective(bracket[1])
-    if fa == 0.0:
-        return bracket[0]
-    if fb == 0.0:
-        return bracket[1]
-    if np.sign(fa) == np.sign(fb):
+    gset = atomic_g(model, species, dipole=1.0)
+    g_s, g_l = gset.g_s[2, 2], gset.g_l[2, 2]
+    lo, hi = DIPOLE_BRACKET
+    if not (g_l > 0.0 and g_s + lo * lo * g_l <= LANDE_TARGET
+            <= g_s + hi * hi * g_l):
         raise BracketError(
-            f"dipole target {LANDE_TARGET} for {species} not bracketed on "
-            f"{bracket}: g-{LANDE_TARGET} spans [{fa:.3e}, {fb:.3e}]")
-    return float(brentq(objective, bracket[0], bracket[1], xtol=1e-10))
+            f"dipole target {LANDE_TARGET} for {species} not reached on "
+            f"{DIPOLE_BRACKET}: g_S = {g_s:.3e}, g_L/d0^2 = {g_l:.3e}")
+    return float(np.sqrt((LANDE_TARGET - g_s) / g_l))
 
 
 def fit_report(model: MaterialModel) -> dict:

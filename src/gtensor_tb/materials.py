@@ -194,7 +194,8 @@ def load_material(path) -> MaterialModel:
     for label, idx in bp_raw.items():
         path_key = f"band_pairs.{label}"
         if (not isinstance(idx, list) or len(idx) != 2
-                or not all(isinstance(i, int) for i in idx)):
+                or not all(isinstance(i, int) and not isinstance(i, bool)
+                           for i in idx)):
             raise MaterialValidationError(path_key,
                                           "must be a pair of band indices")
         i, j = idx

@@ -9,8 +9,8 @@ determinant sign does, not with LAPACK rounding.  A change to the
 numerics that moves any of them must say so and record the new values.
 
 The atomfit lines are pinned as text: dipoles print at 6 decimals and
-g-factors at 9, far coarser than the 1e-10 Bohr fit tolerance, so they
-do not depend on the host.
+g-factors at 9, far coarser than the rounding of the closed-form fit,
+so they do not depend on the host.
 """
 import hashlib
 

@@ -89,6 +89,33 @@ def test_soc_matrix_spectrum(si):
                        [-lam, lam / 2.0])
 
 
+# Chadi, PRB 16, 790 (1977): lambda_p L.S on one atom's p shell in units
+# of lambda_p/2, basis order (px up, py up, pz up, px dn, py dn, pz dn)
+CHADI_SOC = np.array([
+    [0, -1j, 0, 0, 0, 1],
+    [1j, 0, 0, 0, 0, -1j],
+    [0, 0, 0, -1, 1j, 0],
+    [0, 0, -1, 0, 1j, 0],
+    [0, 0, -1j, -1j, 0, 0],
+    [1, 1j, 0, 0, 0, 0],
+])
+
+
+@pytest.mark.parametrize("material", ["si", "gaas"])
+def test_soc_matrix_matches_chadi_table(material, request):
+    model = request.getfixturevalue(material)
+    soc = soc_matrix(model)
+    n = len(model.orbitals)
+    rest = np.ones(soc.shape, dtype=bool)
+    for atom, species in enumerate(model.species):
+        p = [s * 2 * n + atom * n + 1 + j for s in (0, 1) for j in range(3)]
+        block = np.ix_(p, p)
+        assert np.array_equal(soc[block],
+                              model.soc[species] / 2 * CHADI_SOC)
+        rest[block] = False
+    assert not soc[rest].any()
+
+
 def test_dipole_matrix_is_hermitian_s_p_only(si):
     d = dipole_matrix(si)
     orb = len(si.orbitals)

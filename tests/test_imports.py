@@ -1,9 +1,9 @@
-"""Import-path guards: the package and its CLI load without SciPy.
+"""Import-path guards: the package and its CLI run without SciPy.
 
-SciPy is imported on first use by ``fit_dipole`` only, so every
-``gtensor-tb`` command other than ``atomfit`` starts without paying for
-it.  Each check runs in a fresh interpreter, because the test process
-itself has long since imported SciPy through other tests.
+SciPy is not a run-time dependency: ``fit_dipole`` (the ``atomfit``
+command) is closed-form, and nothing else under the package imports it.
+Each check runs in a fresh interpreter, because the test process itself
+has long since imported SciPy through other tests.
 """
 import os
 import subprocess
@@ -35,15 +35,17 @@ def test_package_and_cli_import_without_scipy():
     assert out.strip() == "[]"
 
 
-def test_fit_dipole_loads_scipy_on_first_call(si):
+def test_fit_dipole_and_atomfit_run_without_scipy(si, tmp_path):
+    report = str(tmp_path / "atomfit.txt")
     out = _fresh(
         "import sys\n"
-        "from gtensor_tb import builtin_material_path, fit_dipole, load_material\n"
+        "from gtensor_tb import (builtin_material_path, cli, fit_dipole,\n"
+        "                        load_material)\n"
         "si = load_material(builtin_material_path('si'))\n"
-        f"print(bool({_SCIPY_LOADED}))\n"
         "d0 = fit_dipole(si, 'Si')\n"
-        f"print(bool({_SCIPY_LOADED}))\n"
-        "print(repr(d0))\n")
-    before, after, value = out.split()
-    assert (before, after) == ("False", "True")
+        "rc = cli.main(['atomfit', '--material', 'gaas',\n"
+        f"               '--out', {report!r}])\n"
+        f"print(rc, {_SCIPY_LOADED} == [], repr(d0))\n")
+    rc, clean, value = out.split()
+    assert (rc, clean) == ("0", "True")
     assert float(value) == fit_dipole(si, "Si")

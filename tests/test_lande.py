@@ -51,11 +51,25 @@ def test_fitted_dipoles_match_published_values(material, species, request):
 
 
 def test_fit_monotone_in_dipole(si):
-    # orbital moment grows with the dipole strength: the objective is
-    # monotone, which is what makes the bracket search safe
+    # orbital moment grows with the dipole strength: g_tot is monotone
+    # in d0, so the Lande target has at most one root in the bracket
     g_vals = [atomic_g(si, "Si", dipole=d).g_tot[2, 2]
               for d in (0.0, 1.0, 2.0, 3.0)]
     assert all(b > a for a, b in zip(g_vals, g_vals[1:]))
+
+
+@pytest.mark.parametrize("material,species", [("si", "Si"), ("ge", "Ge"),
+                                              ("gaas", "Ga"), ("gaas", "As")])
+def test_orbital_part_scales_as_dipole_squared(material, species, request):
+    # the premise of the closed-form fit: with hopping off, g_L is
+    # quadratic in the dipole and g_S does not depend on it
+    model = request.getfixturevalue(material)
+    unit = atomic_g(model, species, dipole=1.0)
+    for d in (0.5, 2.7, 9.0):
+        gset = atomic_g(model, species, dipole=d)
+        assert gset.g_l[2, 2] == pytest.approx(d * d * unit.g_l[2, 2],
+                                               rel=1e-12)
+        assert gset.g_s[2, 2] == pytest.approx(unit.g_s[2, 2], rel=1e-12)
 
 
 def test_unbracketed_target_raises(si, monkeypatch):

@@ -135,6 +135,17 @@ def test_band_pair_checked_against_gamma_pattern(tmp_path):
     assert "second-conduction" in str(err.value)
 
 
+@pytest.mark.parametrize("pair", [[False, True], [True, 2]],
+                         ids=["false-true", "true-2"])
+def test_band_pair_booleans_rejected(tmp_path, pair):
+    # JSON true/false are not band indices, although Python's bool is an int
+    data = _si_dict()
+    data["band_pairs"]["bogus"] = pair
+    with pytest.raises(MaterialValidationError) as err:
+        load_material(_dump(tmp_path, data))
+    assert str(err.value) == "band_pairs.bogus: must be a pair of band indices"
+
+
 def test_soc_scaling_helper(si):
     scaled = si.with_soc_scaled(0.5)
     for sp in si.soc:

@@ -171,6 +171,23 @@ def wedge_representative(direction) -> np.ndarray:
     return np.sort(d)[::-1]
 
 
+def unique_rows(rows) -> tuple:
+    """Distinct rows in lexicographic order, and where each first occurs.
+
+    Returns what ``np.unique(rows, axis=0, return_index=True)`` does:
+    rows compare by value (so -0.0 equals 0.0), and each kept row and
+    index are those of its first occurrence.  A stable sort and a
+    neighbour comparison do it without the ``numpy.ma`` import that
+    ``np.unique(axis=0)`` makes.
+    """
+    rows = np.asarray(rows)
+    order = np.lexsort(rows.T[::-1])  # lexsort's last key sorts first
+    rows = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    return rows[first], order[first]
+
+
 def wedge_directions(level: int) -> np.ndarray:
     """Unique wedge representatives of an icosphere direction set.
 
@@ -180,7 +197,7 @@ def wedge_directions(level: int) -> np.ndarray:
     lexicographically sorted for deterministic output.
     """
     reps = np.array([wedge_representative(d) for d in icosphere_directions(level)])
-    reps = np.unique(np.round(reps, 9), axis=0)
+    reps = unique_rows(np.round(reps, 9))[0]
     reps = reps / np.linalg.norm(reps, axis=1)[:, None]
     order = np.lexsort((reps[:, 2], reps[:, 1], reps[:, 0]))
     return reps[order]
@@ -197,5 +214,5 @@ def replicate_points(points: np.ndarray, ops: np.ndarray) -> tuple:
     """
     points = np.asarray(points, dtype=float)
     images = np.concatenate([points @ op.T for op in ops])
-    images, first = np.unique(images, axis=0, return_index=True)
+    images, first = unique_rows(images)
     return images, first % len(points)  # images are stacked op by op

@@ -12,7 +12,6 @@ fit bracket failure); 4 I/O failure.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import sys
@@ -24,7 +23,7 @@ from .brillouin import boundary_radius, named_direction, wedge_directions, \
     icosphere_directions, unit_direction
 from .errors import GTensorError
 from .lande import fit_report
-from .materials import load_material, resolve_material_path
+from .materials import load_material, resolve_material_path, sha256
 from .surface import build_surface, export_cloud
 from .tables import band_path_rows, entropy_rows, gline_rows, write_csv
 
@@ -82,7 +81,7 @@ def _provenance(args: argparse.Namespace) -> list:
     """Provenance lines: version, config echo, config hash, seed."""
     config = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
     blob = json.dumps(config, sort_keys=True, default=str)
-    digest = hashlib.sha256(blob.encode()).hexdigest()
+    digest = sha256(blob.encode()).hexdigest()
     return [
         f"gtensor-tb {__version__}",
         f"config {blob}",

@@ -10,10 +10,20 @@ model is handed out.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import math
 from pathlib import Path
+
+# hashlib loads OpenSSL's _hashlib (about 3.5 MB of RSS) for two small
+# digests; CPython's own random module takes its hash from the builtin
+# module first in the same way
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from .errors import MaterialParseError, MaterialValidationError
 from .slater_koster import (ORBITALS_SP3, ORBITALS_SP3D5S,
@@ -222,7 +232,7 @@ def load_material(path) -> MaterialModel:
         point_group="Oh" if inversion else "Td",
         pair_split_tol=PAIR_SPLIT_TOL if inversion else None,
         meta={"path": str(path),
-              "file_sha256": hashlib.sha256(raw_bytes).hexdigest(),
+              "file_sha256": sha256(raw_bytes).hexdigest(),
               "description": doc.get("description", "")},
     )
     _verify_band_pairs_at_gamma(model)

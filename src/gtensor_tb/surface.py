@@ -21,7 +21,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import multiprocessing
 
 import numpy as np
 
@@ -181,7 +180,9 @@ def build_surface(model: MaterialModel, band_id, directions,
     directions = np.asarray(directions, dtype=float)
     scan = functools.partial(scan_ray, model, band_id, r_max=r_max,
                              n_coarse=n_coarse, which_det=which_det)
+    workers = min(workers, len(directions))  # no idle pool processes
     if workers > 1:
+        import multiprocessing  # not loaded on the serial path
         with multiprocessing.Pool(processes=workers) as pool:
             results = pool.map(scan, directions)
     else:

@@ -2,12 +2,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gtensor_tb import (boundary_radius, cubic_group, high_symmetry_point,
                         icosphere_directions, named_direction, point_group_ops,
                         tetrahedral_group, wedge_directions)
-from gtensor_tb.brillouin import (replicate_points, wedge_representative,
-                                  zone_faces)
+from gtensor_tb.brillouin import (replicate_points, unique_rows,
+                                  wedge_representative, zone_faces)
 
 from conftest import random_unit_vectors
 from oracles import in_first_zone
@@ -171,3 +173,33 @@ def test_replicate_points_dedupes_and_sorts():
     assert np.array_equal(np.bincount(source), [48, 48])
     empty, source = replicate_points(np.zeros((0, 3)), ops)
     assert empty.shape == (0, 3) and source.shape == (0,)
+
+
+_OH = cubic_group()
+# few distinct values, so that rows repeat; 0.0 and -0.0 are equal
+_COMPONENT = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0]),
+                       st.floats(-2.0, 2.0, allow_nan=False))
+
+
+@st.composite
+def _rows_with_repeats(draw):
+    """Rows with exact repeats, signed zeros and O_h images, shuffled."""
+    rows = draw(st.lists(st.tuples(_COMPONENT, _COMPONENT, _COMPONENT),
+                         max_size=12))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=6)) if rows else []
+    for point in draw(st.lists(st.tuples(_COMPONENT, _COMPONENT, _COMPONENT),
+                               max_size=2)):
+        ops = draw(st.lists(st.integers(0, 47), min_size=1, max_size=48))
+        rows += [tuple(_OH[i] @ point) for i in ops]
+    order = draw(st.permutations(range(len(rows))))
+    return np.array([rows[i] for i in order], dtype=float).reshape(-1, 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rows_with_repeats())
+def test_unique_rows_matches_numpy_unique(rows):
+    have, first = unique_rows(rows)
+    want, want_first = np.unique(rows, axis=0, return_index=True)
+    assert have.tobytes() == want.tobytes()   # -0.0 and 0.0 bits included
+    assert first.dtype == want_first.dtype
+    assert np.array_equal(first, want_first)

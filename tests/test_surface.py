@@ -1,10 +1,14 @@
+import collections
+import math
+import multiprocessing
 import warnings
 
 import numpy as np
 import pytest
 
 from gtensor_tb import (boundary_radius, build_surface, cubic_group,
-                        export_cloud, scan_ray, surface, wedge_directions)
+                        export_cloud, scan_ray, select_pair, solve, spin_g,
+                        surface, wedge_directions)
 from gtensor_tb.brillouin import wedge_representative
 from gtensor_tb.errors import (NearDegenerateIntermediateError,
                                PairingAmbiguityError)
@@ -55,6 +59,21 @@ def test_no_soc_no_surface(si_nosoc):
                     r_max=0.3 * boundary_radius(si_nosoc.lattice_constant,
                                                 [1, 0, 0]))
     assert scan.crossings == []
+
+
+@pytest.mark.parametrize("band", ["split-off", "first-conduction"])
+def test_surface_survives_weak_soc(si, band):
+    # the paper: det(g_S) = 0 surfaces exist however weak the spin-orbit
+    # coupling; on [100] the crossing moves in as k_c ~ f^(1/2)
+    scaled = []
+    for f in (1.0, 0.1, 0.01, 0.003):
+        model = si.with_soc_scaled(f)
+        scan = scan_ray(model, band, [1, 0, 0], r_max=0.05, n_coarse=400)
+        assert len(scan.crossings) == 1, (f, scan.crossings)
+        scaled.append(scan.crossings[0].radius / math.sqrt(f))
+        g = spin_g(select_pair(model, solve(model, np.zeros(3)), band))
+        assert np.linalg.det(g) == pytest.approx(-8.0 / 27.0, abs=1e-9)
+    assert max(scaled) / min(scaled) < 1.02, scaled
 
 
 def test_sign_parity_between_consecutive_crossings(si):
@@ -186,6 +205,67 @@ def test_build_surface_deterministic_across_workers(si):
     two = build_surface(si, "split-off", dirs, workers=2, **kw)
     assert np.array_equal(one.points, two.points)
     assert np.array_equal(one.labels, two.labels)
+
+
+class _InProcessPool:
+    """Stands in for ``multiprocessing.Pool``: records its size, maps here."""
+
+    sizes = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, func, items):
+        return list(map(func, items))
+
+
+@pytest.mark.parametrize("level, pool_sizes", [(0, []), (1, [3])])
+def test_pool_is_no_larger_than_the_ray_count(si, monkeypatch, level,
+                                              pool_sizes):
+    # one ray starts no pool and three rays start three processes, not 64
+    monkeypatch.setattr(multiprocessing, "Pool", _InProcessPool)
+    monkeypatch.setattr(_InProcessPool, "sizes", [])
+    dirs = wedge_directions(level)
+    kw = dict(r_max=0.05, n_coarse=60)
+    many = build_surface(si, "split-off", dirs, workers=64, **kw)
+    assert _InProcessPool.sizes == pool_sizes
+    one = build_surface(si, "split-off", dirs, workers=1, **kw)
+    assert np.array_equal(many.points, one.points)
+    assert np.array_equal(many.labels, one.labels)
+
+
+def _stabiliser_order(direction) -> int:
+    """Signed permutations fixing a wedge direction x >= y >= z >= 0.
+
+    Zero components may be permuted among themselves and flipped; equal
+    non-zero components may be permuted among themselves.
+    """
+    zeros = int(np.count_nonzero(direction == 0.0))
+    equal = collections.Counter(direction[direction != 0.0].tolist())
+    return (2 ** zeros * math.factorial(zeros)
+            * math.prod(math.factorial(n) for n in equal.values()))
+
+
+def test_replicated_cloud_is_the_sum_of_ray_orbits(si, monkeypatch):
+    # every crossing on ray d has exactly 48 / |stabiliser(d)| images
+    scans = []
+
+    def recording_scan(*args, **kwargs):
+        scans.append(scan_ray(*args, **kwargs))
+        return scans[-1]
+
+    monkeypatch.setattr(surface, "scan_ray", recording_scan)
+    dirs = wedge_directions(3)
+    cloud = build_surface(si, "split-off", dirs, replicate=True)
+    expected = sum(len(scan.crossings) * 48 // _stabiliser_order(d)
+                   for scan, d in zip(scans, dirs, strict=True))
+    assert len(cloud.points) == expected == 1254
 
 
 def test_replicated_cloud_is_symmetry_closed(si):

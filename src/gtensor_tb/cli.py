@@ -24,7 +24,7 @@ from .brillouin import boundary_radius, named_direction, wedge_directions, \
 from .errors import GTensorError
 from .lande import fit_report
 from .materials import load_material, resolve_material_path, sha256
-from .surface import build_surface, export_cloud
+from .surface import N_COARSE, build_surface, export_cloud
 from .tables import band_path_rows, entropy_rows, gline_rows, write_csv
 
 USAGE_EXIT = 2
@@ -101,10 +101,13 @@ def _load(args):
 
 def cmd_bands(args) -> int:
     model = _load(args)
-    names = [p for p in args.path.split(",") if p.strip()]
+    names = [p.strip() for p in args.path.split(",") if p.strip()]
     if len(names) < 2:
         raise UsageError("--path must name at least two comma-separated "
                          "high-symmetry points, e.g. 'L,G,X'")
+    if args.samples < 2:
+        raise UsageError("--samples must be >= 2 on a band path, "
+                         f"got {args.samples}")
     header, rows, ticks = band_path_rows(model, names, args.samples)
     ticking = ["path ticks: " + "  ".join(f"{name}@{s:.17g}" for s, name in ticks),
                "energies in Hartree"]
@@ -234,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=int, default=4,
                    help="icosphere subdivision level; O_h scans its wedge only")
     p.add_argument("--rmax", type=float, default=None)
-    p.add_argument("--ncoarse", type=int, default=200,
+    p.add_argument("--ncoarse", type=int, default=N_COARSE,
                    help="coarse samples per ray before bisection")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--format", choices=("csv", "ply"), default="csv")

@@ -26,16 +26,8 @@ except ImportError:
         from hashlib import sha256
 
 from .errors import MaterialParseError, MaterialValidationError
-from .slater_koster import (ORBITALS_SP3, ORBITALS_SP3D5S,
-                            SK_KEYS_SP3, SK_KEYS_SP3D5S)
+from .slater_koster import BASES, SHELL
 from .units import angstrom_to_bohr, ev_to_hartree
-
-BASIS_SP3 = "sp3"
-BASIS_SP3D5S = "sp3d5s*"
-
-_ONSITE_SHELLS = {BASIS_SP3: ("s", "p"), BASIS_SP3D5S: ("s", "p", "d", "s2")}
-_SK_KEYS = {BASIS_SP3: SK_KEYS_SP3, BASIS_SP3D5S: SK_KEYS_SP3D5S}
-_ORBITALS = {BASIS_SP3: ORBITALS_SP3, BASIS_SP3D5S: ORBITALS_SP3D5S}
 
 # Kramers pairs must be isolated by more than this for inversion-symmetric
 # crystals; for compound (Td) materials the intra-pair split is physical
@@ -154,9 +146,10 @@ def load_material(path) -> MaterialModel:
         raise MaterialValidationError("lattice_constant_angstrom",
                                       "must be positive")
     basis = _require(doc, "basis", "")
-    if basis not in (_ONSITE_SHELLS):
+    if not (isinstance(basis, str) and basis in BASES):
         raise MaterialValidationError(
-            "basis", f"must be '{BASIS_SP3}' or '{BASIS_SP3D5S}'")
+            "basis", "must be " + " or ".join(map(repr, BASES)))
+    orbitals, sk_keys = BASES[basis]
     species_raw = _require(doc, "species", "")
     if (not isinstance(species_raw, list) or len(species_raw) != 2
             or not all(isinstance(s, str) for s in species_raw)):
@@ -165,8 +158,9 @@ def load_material(path) -> MaterialModel:
     species = tuple(species_raw)
     unique_species = sorted(set(species))
 
+    shells = dict.fromkeys(SHELL[o] for o in orbitals)
     onsite = {sp: {shell: ev_to_hartree(val) for shell, val in
-                   _numbers(doc, "onsite", sp, _ONSITE_SHELLS[basis]).items()}
+                   _numbers(doc, "onsite", sp, shells).items()}
               for sp in unique_species}
 
     sk = {}
@@ -174,14 +168,14 @@ def load_material(path) -> MaterialModel:
         key = f"{a}-{b}"
         table = _object(_require(_require(doc, "sk", ""), key, "sk"),
                         f"sk.{key}")
-        unknown = sorted(set(table) - set(_SK_KEYS[basis]))
+        unknown = sorted(set(table) - set(sk_keys))
         if unknown:
             raise MaterialValidationError(
                 f"sk.{key}.{unknown[0]}",
                 f"not a {basis} Slater-Koster integral; "
-                f"valid keys: {sorted(_SK_KEYS[basis])}")
+                f"valid keys: {sorted(sk_keys)}")
         sk[(a, b)] = {ik: ev_to_hartree(val) for ik, val in
-                      _numbers(doc, "sk", key, _SK_KEYS[basis]).items()}
+                      _numbers(doc, "sk", key, sk_keys).items()}
 
     soc = {}
     for sp in unique_species:
@@ -194,7 +188,6 @@ def load_material(path) -> MaterialModel:
     dipole = {sp: _numbers(doc, "dipole", sp, ["s_p_bohr"])["s_p_bohr"]
               for sp in unique_species}
 
-    orbitals = _ORBITALS[basis]
     dim = 4 * len(orbitals)
     bp_raw = _require(doc, "band_pairs", "")
     if not isinstance(bp_raw, dict) or not bp_raw:

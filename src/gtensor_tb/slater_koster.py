@@ -6,10 +6,11 @@ Orbital ordering within one atom is fixed package-wide:
     s, px, py, pz                                     (sp3 basis)
 
 ``s2`` denotes the excited s* orbital.  Hopping integrals are keyed per
-ordered species pair (from, to); canonical integral names put the lower
-shell first (``sp_sigma`` couples s on the source atom to p on the
-target atom).  Matrix elements for the reversed orbital order follow
-from the two-center parity relation
+ordered species pair (from, to); integral names put the lower shell
+first in the rank s < s2 < p < d (``sp_sigma`` couples s on the source
+atom to p on the target atom), and d-d elements are tabulated in
+``D_ORBITALS`` order.  Matrix elements for the reversed orbital order
+follow from the two-center parity relation
 
     E_{ba}(l, m, n; V_from_to) = (-1)^{l_a + l_b} E_{ab}(l, m, n; V_to_from).
 """
@@ -17,9 +18,17 @@ from __future__ import annotations
 
 import numpy as np
 
-ORBITALS_SP3 = ("s", "px", "py", "pz")
-ORBITALS_SP3D5S = ("s", "px", "py", "pz",
-                   "dxy", "dyz", "dzx", "dx2y2", "dz2", "s2")
+# basis name -> (orbitals, Slater-Koster integral keys)
+BASES = {
+    "sp3": (("s", "px", "py", "pz"),
+            ("ss_sigma", "sp_sigma", "pp_sigma", "pp_pi")),
+    "sp3d5s*": (("s", "px", "py", "pz",
+                 "dxy", "dyz", "dzx", "dx2y2", "dz2", "s2"),
+                ("ss_sigma", "sp_sigma", "sd_sigma", "ss2_sigma",
+                 "pp_sigma", "pp_pi", "pd_sigma", "pd_pi",
+                 "dd_sigma", "dd_pi", "dd_delta",
+                 "s2p_sigma", "s2d_sigma", "s2s2_sigma")),
+}
 
 D_ORBITALS = ("dxy", "dyz", "dzx", "dx2y2", "dz2")
 
@@ -29,12 +38,6 @@ SHELL = {"s": "s", "px": "p", "py": "p", "pz": "p",
 
 # (-1)^l of each shell
 PARITY = {"s": 1.0, "p": -1.0, "d": 1.0, "s2": 1.0}
-
-SK_KEYS_SP3 = ("ss_sigma", "sp_sigma", "pp_sigma", "pp_pi")
-SK_KEYS_SP3D5S = ("ss_sigma", "sp_sigma", "sd_sigma", "ss2_sigma",
-                  "pp_sigma", "pp_pi", "pd_sigma", "pd_pi",
-                  "dd_sigma", "dd_pi", "dd_delta",
-                  "s2p_sigma", "s2d_sigma", "s2s2_sigma")
 
 _P_INDEX = {"px": 0, "py": 1, "pz": 2}
 
@@ -131,42 +134,32 @@ def _dd_element(a, b, l, m, n, vs, vp, vd):
     raise KeyError(key)
 
 
-# d-orbital pairs that the explicit table covers (row index <= col index)
-_DD_ORDER = {o: i for i, o in enumerate(D_ORBITALS)}
-
-
 def _canonical(orb_a, orb_b, l, m, n, v):
+    # (orb_a, orb_b) is in the order of ``_order``: s or s2 rows, p-p, p-d, d-d
     sa, sb = SHELL[orb_a], SHELL[orb_b]
-    if (sa, sb) == ("s", "s"):
-        return v["ss_sigma"]
-    if (sa, sb) == ("s", "s2"):
-        return v["ss2_sigma"]
-    if (sa, sb) == ("s2", "s2"):
-        return v["s2s2_sigma"]
-    if (sa, sb) == ("s", "p"):
-        return (l, m, n)[_P_INDEX[orb_b]] * v["sp_sigma"]
-    if (sa, sb) == ("s2", "p"):
-        return (l, m, n)[_P_INDEX[orb_b]] * v["s2p_sigma"]
-    if (sa, sb) == ("s", "d"):
-        return _sd_angular(orb_b, l, m, n) * v["sd_sigma"]
-    if (sa, sb) == ("s2", "d"):
-        return _sd_angular(orb_b, l, m, n) * v["s2d_sigma"]
-    if (sa, sb) == ("p", "p"):
+    if sa in ("s", "s2"):
+        angular = 1.0
+        if sb == "p":
+            angular = (l, m, n)[_P_INDEX[orb_b]]
+        elif sb == "d":
+            angular = _sd_angular(orb_b, l, m, n)
+        return angular * v[f"{sa}{sb}_sigma"]
+    if sb == "p":
         ca = (l, m, n)[_P_INDEX[orb_a]]
         cb = (l, m, n)[_P_INDEX[orb_b]]
         diag = 1.0 if orb_a == orb_b else 0.0
         return ca * cb * v["pp_sigma"] + (diag - ca * cb) * v["pp_pi"]
-    if (sa, sb) == ("p", "d"):
+    if sa == "p":
         return _pd_element(orb_a, orb_b, l, m, n, v["pd_sigma"], v["pd_pi"])
-    if (sa, sb) == ("d", "d"):
-        return _dd_element(orb_a, orb_b, l, m, n,
-                           v["dd_sigma"], v["dd_pi"], v["dd_delta"])
-    raise KeyError((orb_a, orb_b))
+    return _dd_element(orb_a, orb_b, l, m, n,
+                       v["dd_sigma"], v["dd_pi"], v["dd_delta"])
 
 
-_CANONICAL_SHELL_PAIRS = {("s", "s"), ("s", "p"), ("s", "d"), ("s", "s2"),
-                          ("s2", "p"), ("s2", "d"), ("s2", "s2"),
-                          ("p", "p"), ("p", "d"), ("d", "d")}
+def _order(orb):
+    # s < s2 < p < d; d orbitals among themselves in D_ORBITALS order
+    shell = SHELL[orb]
+    return (("s", "s2", "p", "d").index(shell),
+            D_ORBITALS.index(orb) if shell == "d" else 0)
 
 
 def sk_element(orb_a: str, orb_b: str, direction, v_ab: dict, v_ba: dict) -> float:
@@ -176,13 +169,10 @@ def sk_element(orb_a: str, orb_b: str, direction, v_ab: dict, v_ba: dict) -> flo
     ``v_ba`` are the integral dictionaries of the two ordered species pairs.
     """
     l, m, n = direction
-    sa, sb = SHELL[orb_a], SHELL[orb_b]
-    canonical = (sa, sb) in _CANONICAL_SHELL_PAIRS
-    if canonical and (sa, sb) == ("d", "d") and _DD_ORDER[orb_a] > _DD_ORDER[orb_b]:
-        canonical = False
-    if canonical:
+    if _order(orb_a) <= _order(orb_b):
         return _canonical(orb_a, orb_b, l, m, n, v_ab)
-    return PARITY[sa] * PARITY[sb] * _canonical(orb_b, orb_a, l, m, n, v_ba)
+    return (PARITY[SHELL[orb_a]] * PARITY[SHELL[orb_b]]
+            * _canonical(orb_b, orb_a, l, m, n, v_ba))
 
 
 def hop_block(orbitals, direction, v_ab: dict, v_ba: dict) -> np.ndarray:

@@ -59,6 +59,8 @@ def band_path_rows(model: MaterialModel, path_names,
     """
     if len(path_names) < 2:
         raise ValueError("a band path needs at least two points")
+    if samples_per_segment < 2:
+        raise ValueError("a band path needs at least two samples per segment")
     a = model.lattice_constant
     anchors = [high_symmetry_point(name, a) for name in path_names]
     header = BANDS_FIXED_COLUMNS + tuple(f"e_{n}" for n in range(model.dim))

@@ -38,6 +38,18 @@ def test_bands_success(tmp_path):
     assert abs(e[4] - e[7]) < 1e-9
 
 
+def test_bands_path_names_may_carry_spaces(tmp_path):
+    rows = {}
+    for spec in ("L,G,X", "L, G , X"):
+        out = tmp_path / "bands.csv"
+        rc = main(["bands", "--material", "si", "--path", spec,
+                   "--samples", "4", "--out", str(out)])
+        assert rc == 0
+        rows[spec] = [line for line in out.read_text().splitlines()
+                      if not line.startswith("# config")]
+    assert rows["L,G,X"] == rows["L, G , X"]
+
+
 def test_unknown_material_is_usage_error(tmp_path, capsys):
     rc = main(["bands", "--material", "unobtainium",
                "--out", str(tmp_path / "x.csv")])
@@ -89,6 +101,9 @@ _RMAX = "--rmax must be a positive finite number"
                         "got '1e300,1e300,0'"),
     (["entropy", "--material", "si", "--band", "split-off", "--direction",
       "0,0,0"], "--direction must have a finite, non-zero length"),
+    # one sample per segment would drop the end point of the path
+    (["bands", "--material", "si", "--samples", "1"],
+     "--samples must be >= 2 on a band path, got 1"),
 ])
 def test_out_of_domain_number_is_usage_error(tmp_path, capsys, argv, message):
     out = tmp_path / "x.csv"

@@ -3,6 +3,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gtensor_tb import (bloch_hamiltonian, builtin_material_path, cubic_group,
                         dipole_matrix, hamiltonian_gradient, load_material,
@@ -146,6 +148,24 @@ def _hop_blocks(model):
     unit = nn / np.linalg.norm(nn, axis=1)[:, None]
     return np.array([hop_block(model.orbitals, u, model.sk[(sp_a, sp_b)],
                                model.sk[(sp_b, sp_a)]) for u in unit])
+
+
+@settings(max_examples=60, deadline=None)
+@given(material=st.sampled_from(["si", "ge", "gaas"]),
+       vector=st.tuples(*[st.floats(-1.0, 1.0)] * 3))
+def test_hop_block_two_center_symmetry(si, ge, gaas, material, vector):
+    # <a, A | H | b, B> at u is <b, B | H | a, A> at -u with the two
+    # species tables swapped, whichever order the table stores
+    model = {"si": si, "ge": ge, "gaas": gaas}[material]
+    norm = np.linalg.norm(vector)
+    assume(norm > 1e-3)
+    u = np.array(vector) / norm
+    sp_a, sp_b = model.species
+    v_ab, v_ba = model.sk[(sp_a, sp_b)], model.sk[(sp_b, sp_a)]
+    forward = hop_block(model.orbitals, u, v_ab, v_ba)
+    backward = hop_block(model.orbitals, -u, v_ba, v_ab)
+    # exact equality; on an axis direction a zero element may differ in sign
+    assert np.array_equal(forward, backward.T)
 
 
 def _reference_hamiltonian(model, k):

@@ -125,6 +125,17 @@ def test_non_object_section_or_entry_is_named(tmp_path, section, value, key):
     assert (err.value.key, str(err.value)) == (key, f"{key}: must be an object")
 
 
+@pytest.mark.parametrize("basis", [["sp3"], {"sp3": 1}, 3, "sp3d5s"],
+                         ids=["list", "object", "number", "unknown-name"])
+def test_malformed_basis_is_named(tmp_path, basis):
+    # a list or object basis is not hashable: still a validation error
+    data = _si_dict()
+    data["basis"] = basis
+    with pytest.raises(MaterialValidationError) as err:
+        load_material(_dump(tmp_path, data))
+    assert str(err.value) == "basis: must be 'sp3' or 'sp3d5s*'"
+
+
 def test_band_pair_checked_against_gamma_pattern(tmp_path):
     # bands 10-13 form a four-fold level at Gamma; calling two of them
     # a Kramers pair must be rejected at load time

@@ -39,6 +39,12 @@ def test_band_path_needs_two_points(si):
         band_path_rows(si, ["G"])
 
 
+def test_band_path_needs_two_samples_per_segment(si):
+    # one sample per segment would drop the end point of the path
+    with pytest.raises(ValueError):
+        band_path_rows(si, ["L", "G", "X"], samples_per_segment=1)
+
+
 def test_gline_anchors_and_shape(si):
     header, rows = gline_rows(si, "split-off", [1, 0, 0], r_max=0.05,
                               samples=11)

@@ -99,8 +99,7 @@ def _load(args):
     return load_material(path)
 
 
-def cmd_bands(args) -> int:
-    model = _load(args)
+def cmd_bands(args, model) -> int:
     names = [p.strip() for p in args.path.split(",") if p.strip()]
     if len(names) < 2:
         raise UsageError("--path must name at least two comma-separated "
@@ -115,42 +114,29 @@ def cmd_bands(args) -> int:
     return 0
 
 
-def _ray(args, model) -> tuple:
-    """Unit direction and length (default: zone boundary) of the ray."""
+def cmd_ray(args, model) -> int:
+    """gline or entropy rows along one ray, by default to the zone boundary."""
     direction = _parse_direction(args.direction, args.seed)
-    r_max = args.rmax
-    if r_max is None:
-        r_max = boundary_radius(model.lattice_constant, direction)
-    return direction, r_max
-
-
-def cmd_gline(args) -> int:
-    model = _load(args)
-    direction, r_max = _ray(args, model)
-    header, rows = gline_rows(model, args.band, direction, r_max, args.samples)
-    note = ["direction %s" % np.array2string(direction, precision=8)]
-    write_csv(args.out, _provenance(args) + note, header, rows)
-    return 0
-
-
-def cmd_entropy(args) -> int:
-    model = _load(args)
-    direction, r_max = _ray(args, model)
-    header, rows, flip_ok = entropy_rows(model, args.band, direction,
-                                         r_max, args.samples)
+    r_max = (boundary_radius(model.lattice_constant, direction)
+             if args.rmax is None else args.rmax)
     notes = ["direction %s" % np.array2string(direction, precision=8)]
-    if not flip_ok:
-        notes.append("spin-flip check refused: direction outside the valid "
-                     f"families of point group {model.point_group}; "
-                     "residual column is NaN")
-        print("note: spin-flip relation not applicable on this direction; "
-              "emitting entropies only", file=sys.stderr)
+    if args.command == "gline":
+        header, rows = gline_rows(model, args.band, direction, r_max,
+                                  args.samples)
+    else:
+        header, rows, flip_ok = entropy_rows(model, args.band, direction,
+                                             r_max, args.samples)
+        if not flip_ok:
+            notes.append("spin-flip check refused: direction outside the "
+                         f"valid families of point group {model.point_group}; "
+                         "residual column is NaN")
+            print("note: spin-flip relation not applicable on this "
+                  "direction; emitting entropies only", file=sys.stderr)
     write_csv(args.out, _provenance(args) + notes, header, rows)
     return 0
 
 
-def cmd_surface(args) -> int:
-    model = _load(args)
+def cmd_surface(args, model) -> int:
     # the wedge x >= y >= z >= 0 is a fundamental domain of O_h only
     wedge = model.point_group == "Oh"
     if wedge:
@@ -173,8 +159,7 @@ def cmd_surface(args) -> int:
     return 0
 
 
-def cmd_atomfit(args) -> int:
-    model = _load(args)
+def cmd_atomfit(args, model) -> int:
     report = fit_report(model)
     lines = _provenance(args)
     body = []
@@ -219,9 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="k-points per path segment")
     p.set_defaults(func=cmd_bands)
 
-    for name, text, func in (
-            ("gline", "singular values / determinants along a ray", cmd_gline),
-            ("entropy", "pair entropies and spin-flip residual", cmd_entropy)):
+    for name, text in (
+            ("gline", "singular values / determinants along a ray"),
+            ("entropy", "pair entropies and spin-flip residual")):
         p = sub.add_parser(name, help=text)
         common(p)
         p.add_argument("--direction", required=True,
@@ -229,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rmax", type=float, default=None,
                        help="ray length in Bohr^-1 (default: zone boundary)")
         p.add_argument("--samples", type=int, default=200)
-        p.set_defaults(func=func)
+        p.set_defaults(func=cmd_ray)
 
     p = sub.add_parser("surface", help="det(g)=0 point cloud over the zone")
     common(p)
@@ -259,9 +244,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_numbers(args)
-        return args.func(args)
+        return args.func(args, _load(args))
     except (UsageError, KeyError) as err:
-        print(f"usage error: {err}", file=sys.stderr)
+        # args, not str(): str() of a KeyError is the repr of its message
+        print("usage error:", *err.args, file=sys.stderr)
         return USAGE_EXIT
     except GTensorError as err:
         print(f"physics-contract error: {err}", file=sys.stderr)

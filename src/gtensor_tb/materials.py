@@ -93,6 +93,13 @@ def _number(value, path):
     return float(value)
 
 
+def _single_line(value, path):
+    """A string that stays on its one line when written to an output file."""
+    if not isinstance(value, str) or "\n" in value or "\r" in value:
+        raise MaterialValidationError(path, "must be a single-line string")
+    return value
+
+
 def _numbers(doc, section, entry, keys) -> dict:
     """Finite floats ``doc[section][entry][key]``; errors name that path."""
     table = _require(_require(doc, section, ""), entry, section)
@@ -139,12 +146,21 @@ def load_material(path) -> MaterialModel:
     if not isinstance(doc, dict):
         raise MaterialParseError(f"{path}: top level must be an object")
 
-    name = str(_require(doc, "name", ""))
+    name = _single_line(_require(doc, "name", ""), "name")
     a_ang = _number(_require(doc, "lattice_constant_angstrom", ""),
                     "lattice_constant_angstrom")
     if a_ang <= 0:
         raise MaterialValidationError("lattice_constant_angstrom",
                                       "must be positive")
+    # the hopping direction cosines divide by the length of the A->B
+    # bonds (a/4)(+-1,+-1,+-1); k-space scans square the zone faces,
+    # the longest of which is (2 pi/a)(2,0,0)
+    bond = angstrom_to_bohr(a_ang) / 4.0
+    face = math.pi / bond
+    if not all(0.0 < x < math.inf for x in (bond * bond * 3.0, face * face)):
+        raise MaterialValidationError(
+            "lattice_constant_angstrom", "bond vectors and zone faces must "
+            "have a finite, non-zero length in atomic units")
     basis = _require(doc, "basis", "")
     if not (isinstance(basis, str) and basis in BASES):
         raise MaterialValidationError(
@@ -155,7 +171,7 @@ def load_material(path) -> MaterialModel:
             or not all(isinstance(s, str) for s in species_raw)):
         raise MaterialValidationError("species",
                                       "must be a list of two species names")
-    species = tuple(species_raw)
+    species = tuple(_single_line(sp, "species") for sp in species_raw)
     unique_species = sorted(set(species))
 
     shells = dict.fromkeys(SHELL[o] for o in orbitals)
@@ -195,6 +211,8 @@ def load_material(path) -> MaterialModel:
                                       "must be a non-empty object")
     band_pairs = {}
     for label, idx in bp_raw.items():
+        # the repr keeps a label's line break out of the error message
+        _single_line(label, f"band_pairs.{label!r}")
         path_key = f"band_pairs.{label}"
         if (not isinstance(idx, list) or len(idx) != 2
                 or not all(isinstance(i, int) and not isinstance(i, bool)

@@ -68,9 +68,8 @@ def band_path_rows(model: MaterialModel, path_names,
     ticks = [(0.0, path_names[0])]
     s = 0.0
     for seg, (start, stop) in enumerate(zip(anchors[:-1], anchors[1:])):
-        ts = np.linspace(0.0, 1.0, samples_per_segment, endpoint=False)
-        if seg == len(anchors) - 2:
-            ts = np.linspace(0.0, 1.0, samples_per_segment)
+        ts = np.linspace(0.0, 1.0, samples_per_segment,
+                         endpoint=seg == len(anchors) - 2)
         seg_len = float(np.linalg.norm(stop - start))
         for t in ts:
             k = start + t * (stop - start)

@@ -56,10 +56,23 @@ def test_unknown_material_is_usage_error(tmp_path, capsys):
     assert rc == 2
 
 
-def test_unknown_band_label_is_usage_error(tmp_path):
+def test_unknown_band_label_is_usage_error(tmp_path, capsys):
     rc = main(["gline", "--material", "si", "--band", "nope",
                "--direction", "Delta", "--out", str(tmp_path / "x.csv")])
     assert rc == 2
+    # the message itself, not the quoted repr that str() of a KeyError gives
+    assert capsys.readouterr().err == (
+        "usage error: material 'Si' configures pairs "
+        "['first-conduction', 'split-off'], not 'nope'\n")
+
+
+def test_unknown_path_point_is_usage_error(tmp_path, capsys):
+    rc = main(["bands", "--material", "si", "--path", "L,Q",
+               "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "usage error: unknown symmetry point 'Q'; "
+        "known: ['G', 'K', 'L', 'U', 'W', 'X']\n")
 
 
 def test_bad_direction_is_usage_error(tmp_path):

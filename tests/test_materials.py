@@ -72,10 +72,41 @@ def test_validation_missing_key(tmp_path):
 
 
 def test_validation_negative_lattice_constant(tmp_path):
+    # positive constants whose bonds or zone faces overflow or underflow
+    # in atomic units are rejected as well
     data = _si_dict()
-    data["lattice_constant_angstrom"] = -1.0
-    with pytest.raises(MaterialValidationError):
+    for a_ang in (-1.0, 1e308, 1e-320, 1e-200, 1e155, 1e-160):
+        data["lattice_constant_angstrom"] = a_ang
+        with pytest.raises(MaterialValidationError) as err:
+            load_material(_dump(tmp_path, data))
+        assert err.value.key == "lattice_constant_angstrom"
+
+
+@pytest.mark.parametrize("key, value", [
+    ("name", "Si\n1,2,3"), ("name", "Si\r"), ("name", {"x": 1}),
+    ("name", 14), ("name", None), ("species", ["Si", "Si\n1,2"]),
+], ids=["name-lf", "name-cr", "name-object", "name-number", "name-null",
+        "species-lf"])
+def test_written_strings_must_be_one_line(tmp_path, key, value):
+    # the name goes into the '# material:' comment of a surface file and
+    # each species starts a line of the atomfit report
+    data = _si_dict()
+    data[key] = value
+    with pytest.raises(MaterialValidationError) as err:
         load_material(_dump(tmp_path, data))
+    assert err.value.key == key
+
+
+@pytest.mark.parametrize("label", ["split\noff", "split-off\r"],
+                         ids=["lf", "cr"])
+def test_band_pair_label_must_be_one_line(tmp_path, label):
+    # labels are written into the '# band:' comment of a surface file
+    data = _si_dict()
+    data["band_pairs"][label] = data["band_pairs"].pop("split-off")
+    with pytest.raises(MaterialValidationError) as err:
+        load_material(_dump(tmp_path, data))
+    assert err.value.key == f"band_pairs.{label!r}"
+    assert "\n" not in str(err.value) and "\r" not in str(err.value)
 
 
 def test_validation_unknown_sk_key(tmp_path):

@@ -61,11 +61,11 @@ def test_gline_anchors_and_shape(si):
 
 def test_gline_nan_rows_on_pairing_failure(si):
     # the (4,5) labels sit inside the fourfold multiplet at Gamma: the
-    # r=0 row must be NaN, later rows valid
-    header, rows = gline_rows(si, (4, 5), [1, 0, 0], r_max=0.05, samples=6)
-    det_gs = header.index("det_gs")
-    assert np.isnan(rows[0][det_gs])
-    assert np.isfinite(rows[-1][det_gs])
+    # r=0 row must be NaN, later rows valid, in both ray tables
+    for build in (gline_rows, entropy_rows):
+        rows = build(si, (4, 5), [1, 0, 0], r_max=0.05, samples=6)[1]
+        assert np.isnan(rows[0][4:]).all()
+        assert np.isfinite(rows[1:]).all()
 
 
 def test_entropy_rows_residual_column_oh(si):

@@ -134,5 +134,9 @@ def select_pair(model: MaterialModel, sol: BlochSolution, band_id) -> KramersPai
 
 
 def remix_pair(pair: KramersPair, w: np.ndarray) -> KramersPair:
-    """Apply a 2x2 unitary to the pair basis: xi'_a = sum_b w[a,b] xi_b."""
-    return dataclasses.replace(pair, states=pair.states @ w.T)
+    """Apply a 2x2 unitary to the pair basis: xi'_a = sum_b w[a,b] xi_b.
+
+    On a stack of pairs (``states`` (..., dim, 2)) ``w`` is one 2x2
+    matrix or a stack (..., 2, 2) over the same leading axes.
+    """
+    return dataclasses.replace(pair, states=pair.states @ w.swapaxes(-1, -2))

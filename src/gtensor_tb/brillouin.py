@@ -66,7 +66,9 @@ def boundary_radius(a: float, direction) -> float:
     d = unit_direction(direction)
     faces = zone_faces(a)
     proj = faces @ d
-    mask = proj > 1e-12
+    # the faces the ray meets, tested in units of 2 pi/a so that the
+    # test holds at every lattice constant
+    mask = proj > 1e-12 * (2.0 * np.pi / a)
     return float((0.5 * (faces[mask] ** 2).sum(axis=1) / proj[mask]).min())
 
 

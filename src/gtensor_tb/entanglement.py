@@ -39,33 +39,46 @@ def reduce_spin(state: np.ndarray) -> np.ndarray:
     """Partial trace over the orbital slots of one normalized state.
 
     The spin index is the slow one: the first half of the state is spin
-    up, the second spin down, as in the engine layout.
+    up, the second spin down, as in the engine layout.  A stack of
+    states (..., dim) gives a stack of densities (..., 2, 2), each bit
+    for bit the density of that state alone.
     """
-    psi = np.asarray(state).reshape(2, -1)
-    rho = psi @ psi.conj().T
-    return 0.5 * (rho + rho.conj().T)
+    psi = np.asarray(state)
+    psi = psi.reshape(*psi.shape[:-1], 2, psi.shape[-1] // 2)
+    rho = psi @ psi.conj().swapaxes(-1, -2)
+    return 0.5 * (rho + rho.conj().swapaxes(-1, -2))
 
 
 def pair_spin_densities(pair: KramersPair) -> SpinDensity:
-    """Reduced spin density matrices of (xi, xi_bar)."""
+    """Reduced spin density matrices of (xi, xi_bar).
+
+    For a stack of pairs (``states`` (..., dim, 2)) both fields are
+    stacks (..., 2, 2).
+    """
     return SpinDensity(
-        rho_s=reduce_spin(pair.states[:, 0]),
-        rho_s_bar=reduce_spin(pair.states[:, 1]),
+        rho_s=reduce_spin(pair.states[..., 0]),
+        rho_s_bar=reduce_spin(pair.states[..., 1]),
     )
 
 
-def entropy(rho: np.ndarray) -> float:
+def entropy(rho: np.ndarray) -> float | np.ndarray:
     """Von Neumann entropy, log base 2, of a density matrix.
 
     Eigenvalues in [-1e-12, 0) are clamped to zero; anything more
-    negative indicates the input was not PSD and raises.
+    negative indicates the input was not PSD and raises, whichever
+    matrix of a stack it belongs to.  One matrix gives a ``float``; a
+    stack (..., n, n) gives an array of shape (...), each entry bit for
+    bit the entropy of that matrix alone.
     """
     w = np.linalg.eigvalsh(np.asarray(rho))
-    if w.min() < -1e-12:
-        raise PhysicsError(f"density matrix has eigenvalue {w.min():.3e} < 0")
+    lowest = w.min(initial=0.0)
+    if lowest < -1e-12:
+        raise PhysicsError(f"density matrix has eigenvalue {lowest:.3e} < 0")
     w = np.clip(w, 0.0, None)
-    nz = w[w > 0.0]
-    return float(-(nz * np.log2(nz)).sum())
+    nz = w > 0.0
+    log_w = np.log2(w, out=np.zeros_like(w), where=nz)
+    s = -(w * log_w).sum(axis=-1, where=nz)
+    return float(s) if s.ndim == 0 else s
 
 
 def direction_applicable(model: MaterialModel, direction) -> bool:

@@ -202,12 +202,15 @@ def zeeman_response(gset: GTensorSet, field) -> FieldResponse:
 
 
 def _make_proper(u, sigma, vh) -> tuple:
-    """Move a reflection of ``vh`` into ``u``, leaving the inputs intact."""
-    if np.linalg.det(vh) < 0:
-        vh = vh.copy()
-        vh[2, :] *= -1.0
-        u = u.copy()
-        u[:, 2] *= -1.0
+    """Move a reflection of ``vh`` into ``u``, leaving the inputs intact.
+
+    Works on one SVD or on stacked factors (..., 3, 3), row by row.
+    """
+    sign = np.where(np.linalg.det(vh) < 0, -1.0, 1.0)[..., None]
+    vh = vh.copy()
+    vh[..., 2, :] *= sign
+    u = u.copy()
+    u[..., :, 2] *= sign
     return u, sigma, vh
 
 
@@ -215,7 +218,7 @@ def proper_svd(g: np.ndarray) -> tuple:
     """SVD g = u diag(sigma) vh with det(vh) = +1.
 
     A sign flip is absorbed into u, so u may be improper; sigma stays
-    descending and non-negative.
+    descending and non-negative.  ``g`` may be a stack (..., 3, 3).
     """
     return _make_proper(*np.linalg.svd(g))
 
@@ -234,8 +237,16 @@ def align_pair_to_spin_frame(pair: KramersPair,
     ``svd`` is ``np.linalg.svd`` of the pair's g_S when the caller has
     it already (``GTensorSet.svd_s``); otherwise g_S is formed and
     factored here.  Its arrays are not modified.
+
+    A stack of pairs is one ``KramersPair`` whose ``states`` are
+    (..., dim, 2), with ``svd`` factors stacked over the same leading
+    axes (u and vh (..., 3, 3), sigma (..., 3)); ``svd`` is required
+    then (``ValueError``).  Each row of the result is bit for bit the
+    result for that pair alone.
     """
     if svd is None:
+        if np.ndim(pair.states) != 2:
+            raise ValueError("a stack of pairs needs the SVD of its g_S")
         svd = np.linalg.svd(spin_g(pair))
     u, sigma, vh = _make_proper(*svd)
     w_adjoint = su2_from_rotation(vh)

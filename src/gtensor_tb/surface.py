@@ -2,8 +2,10 @@
 
 A ray from Gamma is sampled at ``n_coarse`` radii; every sign change of
 the chosen determinant is refined by bisection on the sign down to
-``bisect_tol`` in radius.  The sign is that of the 3x3 cofactor
-determinant, with an exact 0.0 counted as +1, so it is always +-1.
+``bisect_tol`` in radius, or to four float spacings where those are
+wider (lattice constants far from atomic scale), in at most about 52
+halvings.  The sign is that of the 3x3 cofactor determinant, with an
+exact 0.0 counted as +1, so it is always +-1.
 Rays are independent work items, so surface assembly
 parallelizes over a worker pool with a deterministic merge by direction
 index.
@@ -87,8 +89,16 @@ def _g_at(model: MaterialModel, band_id, k, which_det: str) -> np.ndarray:
 
 
 def _bisect(model, band_id, direction, lo, hi, sign_lo, which_det, tol):
-    """Shrink a sign-change bracket below tol; returns (mid, width)."""
-    while hi - lo > tol:
+    """Shrink a sign-change bracket below tol; returns (mid, width).
+
+    Halving stops early once the bracket is within four float spacings
+    of ``hi``, where a midpoint could equal an end and the bracket would
+    stop shrinking, or at 2**-52 of its starting width (a root next to
+    r = 0 has float spacings far finer than its bracket), so a bracket
+    takes at most about 52 halvings.  ``width`` is the final width.
+    """
+    floor = max(tol, (hi - lo) * 2.0 ** -52)
+    while hi - lo > max(floor, 4.0 * math.ulp(hi)):
         mid = 0.5 * (lo + hi)
         g = _g_at(model, band_id, mid * direction, which_det)
         if det_sign(g) == sign_lo:

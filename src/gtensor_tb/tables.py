@@ -3,21 +3,24 @@
 Each builder returns (header, rows) with plain Python floats; callers
 pass them with their provenance comments to :func:`write_csv`.
 Pair-state entropies are only defined once the pair gauge is fixed, so
-every row aligns the pair to its spin frame first (the frame in which
-g_S has identity right factor); rows where pair selection fails carry
-NaNs instead of aborting the table.
+the pairs of a ray are aligned to their spin frames first (the frame in
+which g_S has identity right factor), all rows in one stacked pass;
+rows where pair selection fails carry NaNs instead of aborting the
+table.
 """
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
-from .bands import select_pair, solve
+from .bands import KramersPair, resolve_band_indices, select_pair, solve
 from .blas import one_blas_thread
 from .brillouin import high_symmetry_point, unit_direction
 from .entanglement import (direction_applicable, entropy,
                            pair_spin_densities, spin_flip_residual)
 from .errors import PairUndefinedError
-from .gtensor import align_pair_to_spin_frame, g_tensor_set
+from .gtensor import align_pair_to_spin_frame, g_tensor_set, spin_g
 from .materials import MaterialModel
 
 BANDS_FIXED_COLUMNS = ("path_s", "kx", "ky", "kz")
@@ -80,10 +83,30 @@ def band_path_rows(model: MaterialModel, path_names,
     return header, rows, ticks
 
 
-def _aligned_pair_entropies(pair, svd=None):
-    aligned, _, _ = align_pair_to_spin_frame(pair, svd)
+def _spin_frame_entropies(model: MaterialModel, band_id, pairs,
+                          svd) -> tuple:
+    """S(xi) and S(xi_bar) of the pairs of a ray, in one stacked pass.
+
+    ``pairs`` are the rows where the pair is defined (possibly none) and
+    ``svd`` stacks the SVD factors of their g_S.  The pairs become one
+    ``KramersPair`` with a leading row axis, which is aligned to its
+    spin frames, reduced and scored at once.  Returns the two entropy
+    lists and the aligned stack.
+    """
+    stacked = KramersPair(
+        k=np.reshape([p.k for p in pairs], (-1, 3)),
+        band_indices=resolve_band_indices(model, band_id),
+        energies=np.reshape([p.energies for p in pairs], (-1, 2)),
+        states=np.reshape(np.array([p.states for p in pairs], dtype=complex),
+                          (-1, model.dim, 2)),
+        pair_energy=np.array([p.pair_energy for p in pairs]),
+        split=np.array([p.split for p in pairs]),
+        gap_to_rest=np.array([p.gap_to_rest for p in pairs]),
+    )
+    aligned, _, _ = align_pair_to_spin_frame(stacked, svd)
     dens = pair_spin_densities(aligned)
-    return entropy(dens.rho_s), entropy(dens.rho_s_bar), aligned
+    return (entropy(dens.rho_s).tolist(), entropy(dens.rho_s_bar).tolist(),
+            aligned)
 
 
 @one_blas_thread
@@ -91,25 +114,33 @@ def gline_rows(model: MaterialModel, band_id, direction,
                r_max: float, samples: int = 200) -> tuple:
     """Singular values, determinants, and entropies along a ray.
 
-    Raises ``ValueError`` for a direction without a finite, non-zero norm.
+    Each row solves, selects the pair and forms its g-tensor set; the
+    spin-frame alignment and entropies then run once over the rows
+    where the pair is defined.  Raises ``ValueError`` for a direction
+    without a finite, non-zero norm.
     """
     direction = unit_direction(direction)
-    rows = []
+    rows, defined, pairs, svd_s = [], [], [], []
     for r in np.linspace(0.0, r_max, samples):
         k = r * direction
-        base = [r, *k]
+        rows.append([r, *k])
         try:
             sol = solve(model, k)
             pair = select_pair(model, sol, band_id)
             gset = g_tensor_set(model, sol, pair)
-            s_xi, s_xib, _ = _aligned_pair_entropies(pair, gset.svd_s)
         except PairUndefinedError:
-            rows.append(base + [np.nan] * (len(GLINE_COLUMNS) - 4))
+            rows[-1] += [np.nan] * (len(GLINE_COLUMNS) - 4)
             continue
-        rows.append(base
-                    + list(gset.svd_s[1]) + [gset.det_g_s]
-                    + list(gset.svd_tot[1]) + [gset.det_g_tot]
-                    + [s_xi, s_xib])
+        rows[-1] += [*gset.svd_s[1], gset.det_g_s,
+                     *gset.svd_tot[1], gset.det_g_tot]
+        defined.append(rows[-1])
+        pairs.append(pair)
+        svd_s.append(gset.svd_s)
+    svd = [np.reshape([factors[n] for factors in svd_s], (-1, *shape))
+           for n, shape in enumerate(((3, 3), (3,), (3, 3)))]
+    s_xi, s_xib, _ = _spin_frame_entropies(model, band_id, pairs, svd)
+    for row, a, b in zip(defined, s_xi, s_xib):
+        row += [a, b]
     return GLINE_COLUMNS, rows
 
 
@@ -120,21 +151,32 @@ def entropy_rows(model: MaterialModel, band_id, direction,
 
     Off the valid direction families of the material's point group the
     residual column is NaN: the relation is not defined there, which is
-    a contract fact, not a numerical failure.  Raises ``ValueError`` for
-    a direction without a finite, non-zero norm.
+    a contract fact, not a numerical failure.  g_S is formed row by
+    row and factored, aligned and scored once over the rows where the
+    pair is defined.  Raises ``ValueError`` for a direction without a
+    finite, non-zero norm.
     """
     direction = unit_direction(direction)
     flip_ok = direction_applicable(model, direction)
-    rows = []
+    rows, defined, pairs, g_s = [], [], [], []
     for r in np.linspace(0.0, r_max, samples):
         k = r * direction
+        rows.append([r, *k])
         try:
             sol = solve(model, k)
             pair = select_pair(model, sol, band_id)
-            s_xi, s_xib, aligned = _aligned_pair_entropies(pair)
         except PairUndefinedError:
-            rows.append([r, *k] + [np.nan] * 3)
+            rows[-1] += [np.nan] * 3
             continue
-        residual = spin_flip_residual(model, aligned) if flip_ok else np.nan
-        rows.append([r, *k, s_xi, s_xib, residual])
+        defined.append(rows[-1])
+        pairs.append(pair)
+        g_s.append(spin_g(pair))
+    svd = np.linalg.svd(np.reshape(g_s, (-1, 3, 3)))
+    s_xi, s_xib, aligned = _spin_frame_entropies(model, band_id, pairs, svd)
+    for row, pair, states, a, b in zip(defined, pairs, aligned.states,
+                                       s_xi, s_xib):
+        residual = (spin_flip_residual(
+            model, dataclasses.replace(pair, states=states))
+            if flip_ok else np.nan)
+        row += [a, b, residual]
     return ENTROPY_COLUMNS, rows, flip_ok

@@ -71,6 +71,33 @@ def rotation_from_su2(w: np.ndarray) -> np.ndarray:
     return r
 
 
+def shepperd_su2(r: np.ndarray) -> np.ndarray:
+    """SU(2) preimage of one proper rotation, one Shepperd branch at a time.
+
+    The scalar loop-free form that ``gtensor_tb.su2.su2_from_rotation``
+    vectorises over stacks; both must agree bit for bit.
+    """
+    t = np.trace(r)
+    if t > max(r[0, 0], r[1, 1], r[2, 2]):
+        s = 2.0 * np.sqrt(1.0 + t)
+        q = np.array([s / 4.0,
+                      (r[2, 1] - r[1, 2]) / s,
+                      (r[0, 2] - r[2, 0]) / s,
+                      (r[1, 0] - r[0, 1]) / s])
+    else:
+        i = int(np.argmax([r[0, 0], r[1, 1], r[2, 2]]))
+        j, k = (i + 1) % 3, (i + 2) % 3
+        s = 2.0 * np.sqrt(1.0 + r[i, i] - r[j, j] - r[k, k])
+        q = np.empty(4)
+        q[0] = (r[k, j] - r[j, k]) / s
+        q[1 + i] = s / 4.0
+        q[1 + j] = (r[j, i] + r[i, j]) / s
+        q[1 + k] = (r[k, i] + r[i, k]) / s
+    q /= np.linalg.norm(q)
+    return q[0] * np.eye(2, dtype=complex) - 1j * (
+        q[1] * SIGMA_X + q[2] * SIGMA_Y + q[3] * SIGMA_Z)
+
+
 def random_su2(rng: np.random.Generator) -> np.ndarray:
     """Haar-ish random SU(2) element from a random unit quaternion."""
     q = rng.normal(size=4)

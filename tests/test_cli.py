@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from gtensor_tb import builtin_material_path
 from gtensor_tb.cli import main
 from gtensor_tb.units import HARTREE_EV
 
@@ -300,3 +303,22 @@ def test_provenance_block_present_and_seedful(tmp_path):
     assert "config-hash " in text
     assert "seed 0" in text
     assert "time" not in text.lower()
+
+
+@pytest.mark.parametrize("a_ang", [1e-153, 1e13])
+def test_extreme_lattice_constants_finish(tmp_path, capsys, a_ang):
+    # a Si file that loads: at 1e-153 one float spacing of the zone
+    # radius exceeds the bisection tolerance, at 1e13 every zone face
+    # is shorter than 1e-12 Bohr^-1
+    doc = json.loads(builtin_material_path("si").read_text())
+    material = tmp_path / "si.json"
+    material.write_text(json.dumps({**doc, "lattice_constant_angstrom": a_ang}))
+    for argv in (["surface", "--band", "split-off", "--level", "0",
+                  "--ncoarse", "4"],
+                 ["gline", "--band", "split-off", "--direction", "1,0,0",
+                  "--samples", "20"]):
+        out = tmp_path / f"{argv[0]}.csv"
+        assert main(argv + ["--material", str(material),
+                            "--out", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert len(_read_data(out)[2]) > 0

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -190,3 +191,50 @@ def test_cardinal_entropies_at_crossing_match_each_other(si):
     assert vals["+i"] == pytest.approx(vals["-i"], abs=1e-9)
     assert min(vals.values()) > 0.75
     assert max(vals.values()) < 0.90
+
+
+# --- stacks of states and densities -----------------------------------------
+
+def test_stacked_densities_bitwise_equal_single_calls(si):
+    pairs = [_pair_at(si, k) for k in ([0.02, 0.0, 0.0], [0.01, 0.03, 0.0],
+                                       [0.04, 0.01, 0.02])]
+    stacked = dataclasses.replace(pairs[0],
+                                  states=np.array([p.states for p in pairs]))
+    dens = pair_spin_densities(stacked)
+    for field in ("rho_s", "rho_s_bar"):
+        assert getattr(dens, field).tobytes() == np.array(
+            [getattr(pair_spin_densities(p), field) for p in pairs]).tobytes()
+    states = stacked.states[..., 0].reshape(3, 1, si.dim)
+    assert reduce_spin(states).shape == (3, 1, 2, 2)
+    assert reduce_spin(states).tobytes() == dens.rho_s.tobytes()
+    assert reduce_spin(np.zeros((0, si.dim), complex)).shape == (0, 2, 2)
+
+
+def test_stacked_entropy_bitwise_equals_single_calls():
+    rng = np.random.default_rng(43)
+    psi = rng.normal(size=(6, 12)) + 1j * rng.normal(size=(6, 12))
+    psi /= np.linalg.norm(psi, axis=1)[:, None]
+    rhos = np.concatenate([
+        [np.diag([1.0, 0.0]), np.diag([0.0, 1.0]),     # pure
+         0.5 * np.eye(2),                               # maximally mixed
+         np.diag([1.0, -1e-13]), np.diag([-1e-13, 1.0])],   # clamped
+        reduce_spin(psi)])
+    single = [entropy(rho) for rho in rhos]
+    assert all(type(s) is float for s in single)
+    # the spectrum's non-zero part, as one sum per matrix
+    nonzero = [np.clip(np.linalg.eigvalsh(rho), 0.0, None) for rho in rhos]
+    nonzero = [w[w > 0.0] for w in nonzero]
+    assert np.array(single).tobytes() == np.array(
+        [float(-(w * np.log2(w)).sum()) for w in nonzero]).tobytes()
+    stacked = entropy(rhos)
+    assert stacked.shape == (len(rhos),)
+    assert stacked.tobytes() == np.array(single).tobytes()
+    assert entropy(rhos.reshape(1, -1, 2, 2)).tobytes() == stacked.tobytes()
+    assert entropy(np.zeros((0, 2, 2))).shape == (0,)
+
+
+def test_stacked_entropy_rejects_any_negative_row():
+    rhos = np.array([0.5 * np.eye(2), np.diag([1.0, -1e-13]),
+                     np.diag([1.0 + 1e-11, -1e-11])])
+    with pytest.raises(PhysicsError, match="-1.000e-11"):
+        entropy(rhos)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -357,3 +359,55 @@ def test_align_with_given_svd_bitwise_equals_proper_svd_route(material,
             aligned, u_out, sigma_out = align_pair_to_spin_frame(pair, given)
             assert _bytes(aligned.states, u_out, sigma_out) == expected, k
         assert _bytes(*svd) == kept         # the given SVD is not modified
+
+
+def _stacked(pairs):
+    """The pairs as one KramersPair whose states carry a leading row axis."""
+    return dataclasses.replace(pairs[0],
+                               states=np.array([p.states for p in pairs]))
+
+
+def test_proper_svd_of_a_stack_bitwise_equals_single_calls():
+    g = np.random.default_rng(37).normal(size=(30, 3, 3))
+    single = [proper_svd(m) for m in g]
+    flips = [np.linalg.det(vh) < 0 for vh in np.linalg.svd(g)[2]]
+    assert any(flips) and not all(flips)
+    for n, factor in enumerate(proper_svd(g)):
+        assert factor.tobytes() == np.array([s[n] for s in single]).tobytes()
+
+
+@pytest.mark.parametrize("material", ["si", "gaas"])
+def test_align_on_a_stack_bitwise_equals_single_calls(material, request):
+    model = request.getfixturevalue(material)
+    points = _pair_points(model, 109)
+    pairs = [pair for _, _, pair in points]
+    given = [g_tensor_set(model, sol, pair).svd_s for _, sol, pair in points]
+    svd = [np.array([s[n] for s in given]) for n in range(3)]
+    kept = _bytes(*svd)
+    aligned, u, sigma = align_pair_to_spin_frame(_stacked(pairs), svd)
+    assert _bytes(*svd) == kept         # the given SVD is not modified
+    single = [align_pair_to_spin_frame(pair, s)
+              for pair, s in zip(pairs, given)]
+    assert _bytes(aligned.states, u, sigma) == _bytes(
+        np.array([a.states for a, _, _ in single]),
+        np.array([x for _, x, _ in single]),
+        np.array([x for _, _, x in single]))
+    # remix_pair with one matrix per row, and with one shared matrix
+    w = np.array([random_su2(np.random.default_rng(n)) for n in range(2)])
+    two = _stacked(pairs[:2])
+    assert remix_pair(two, w).states.tobytes() == np.array(
+        [remix_pair(p, m).states for p, m in zip(pairs[:2], w)]).tobytes()
+    assert remix_pair(two, w[0]).states.tobytes() == np.array(
+        [remix_pair(p, w[0]).states for p in pairs[:2]]).tobytes()
+
+
+def test_align_on_an_empty_stack(si):
+    pair = select_pair(si, solve(si, np.array([0.02, 0.0, 0.0])), "split-off")
+    empty = dataclasses.replace(pair, states=np.zeros((0, si.dim, 2), complex))
+    svd = (np.zeros((0, 3, 3)), np.zeros((0, 3)), np.zeros((0, 3, 3)))
+    aligned, u, sigma = align_pair_to_spin_frame(empty, svd)
+    assert aligned.states.shape == (0, si.dim, 2)
+    assert u.shape == (0, 3, 3) and sigma.shape == (0, 3)
+    # a stack cannot be factored here: spin_g takes one pair
+    with pytest.raises(ValueError, match="stack"):
+        align_pair_to_spin_frame(_stacked([pair, pair]))

@@ -1,14 +1,20 @@
 import collections
+import contextlib
+import json
 import math
 import multiprocessing
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gtensor_tb import (boundary_radius, build_surface, cubic_group,
-                        export_cloud, scan_ray, select_pair, solve, spin_g,
-                        surface, wedge_directions)
+from gtensor_tb import (MaterialValidationError, boundary_radius,
+                        build_surface, builtin_material_path, cubic_group,
+                        export_cloud, icosphere_directions, load_material,
+                        scan_ray, select_pair, solve, spin_g, surface,
+                        wedge_directions)
 from gtensor_tb.brillouin import wedge_representative
 from gtensor_tb.errors import (NearDegenerateIntermediateError,
                                PairingAmbiguityError)
@@ -153,6 +159,84 @@ def test_undefined_runs_split_the_ray(si, monkeypatch):
     assert len(scan.crossings) == 1
     assert scan.crossings[0].radius == pytest.approx(0.65 * r_max, abs=1e-6)
     assert scan.crossings[0].slope_sign == 1
+
+
+@contextlib.contextmanager
+def _counted_solves(n_coarse):
+    """Count the evaluations of scan_ray; fail, rather than loop, past
+    ``n_coarse`` coarse samples and 64 halvings per possible bracket."""
+    calls = []
+    original = surface.solve
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        assert len(calls) <= n_coarse + 64 * (n_coarse - 1), "runaway scan"
+        return original(*args, **kwargs)
+
+    surface.solve = counted
+    try:
+        yield calls
+    finally:
+        surface.solve = original
+
+
+def _si_with_lattice_constant(directory, a_ang):
+    doc = json.loads(builtin_material_path("si").read_text())
+    path = directory / f"si-{a_ang!r}.json"
+    path.write_text(json.dumps({**doc, "lattice_constant_angstrom": a_ang}))
+    return load_material(path)
+
+
+def test_bisection_stops_at_float_resolution(tmp_path):
+    # at 1e-153 Angstrom the zone radius is ~4e153 Bohr^-1 along this
+    # ray, where one float spacing is ~1e137, far above BISECT_TOL: the
+    # halving ends after about 52 steps instead of looping
+    model = _si_with_lattice_constant(tmp_path, 1e-153)
+    with _counted_solves(4) as calls:
+        scan = scan_ray(model, "split-off", wedge_directions(0)[0], n_coarse=4)
+    assert len(scan.crossings) == 1 and not scan.failures
+    assert len(calls) <= 4 + 53
+    assert scan.crossings[0].bracket_width > surface.BISECT_TOL
+
+
+def test_bisection_next_to_gamma_is_bounded(si, monkeypatch):
+    # a root at 1e-250 r_max sits in the bracket [0, r_1], where float
+    # spacings shrink with the bracket: halving stops at 2**-52 of the
+    # starting width, not after ~830 halvings down to the root
+    r_max = boundary_radius(si.lattice_constant, [1, 0, 0])
+    calls = []
+
+    def fake_g_at(model, band_id, k, which_det):
+        calls.append(k[0])
+        return np.diag([1.0 if k[0] < 1e-250 * r_max else -1.0, 1.0, 1.0])
+
+    monkeypatch.setattr(surface, "_g_at", fake_g_at)
+    scan = scan_ray(si, "split-off", [1, 0, 0], n_coarse=4, bisect_tol=1e-300)
+    assert len(scan.crossings) == 1
+    assert len(calls) <= 4 + 53
+    width = scan.crossings[0].bracket_width
+    assert width <= (r_max / 3) * 2.0 ** -52
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(-150.0, 150.0), st.sampled_from(range(42)))
+def test_any_lattice_constant_scans_in_bounded_work(tmp_path_factory, log_a,
+                                                    ray):
+    # log-uniform lattice constants from 1e-150 to 1e150 Angstrom: the
+    # file is rejected, or the zone radius is positive and finite and a
+    # ray is scanned within n_coarse + 64 x (sign changes) evaluations
+    try:
+        model = _si_with_lattice_constant(tmp_path_factory.mktemp("a"),
+                                          10.0 ** log_a)
+    except MaterialValidationError:
+        return
+    direction = icosphere_directions(1)[ray]
+    radius = boundary_radius(model.lattice_constant, direction)
+    assert 0.0 < radius < math.inf
+    with _counted_solves(4) as calls:
+        scan = scan_ray(model, "split-off", direction, n_coarse=4)
+    assert scan.r_max == radius
+    assert len(calls) <= 4 + 64 * (len(scan.crossings) + len(scan.failures))
 
 
 def test_gtot_dets_also_scanned(si):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from gtensor_tb import (align_pair_to_spin_frame, boundary_radius, entropy,
-                        g_tensor_set, pair_spin_densities, select_pair, solve)
+from gtensor_tb import (PairUndefinedError, align_pair_to_spin_frame,
+                        boundary_radius, entropy, g_tensor_set,
+                        pair_spin_densities, select_pair, solve,
+                        spin_flip_residual)
 from gtensor_tb import tables
 from gtensor_tb.tables import (ENTROPY_COLUMNS, GLINE_COLUMNS, band_path_rows,
                                entropy_rows, gline_rows)
@@ -61,11 +63,36 @@ def test_gline_anchors_and_shape(si):
 
 def test_gline_nan_rows_on_pairing_failure(si):
     # the (4,5) labels sit inside the fourfold multiplet at Gamma: the
-    # r=0 row must be NaN, later rows valid, in both ray tables
+    # r=0 row must be NaN, later rows valid, in both ray tables; within
+    # 1e-6 of Gamma every row is NaN and the stacked tail gets no row
     for build in (gline_rows, entropy_rows):
         rows = build(si, (4, 5), [1, 0, 0], r_max=0.05, samples=6)[1]
         assert np.isnan(rows[0][4:]).all()
         assert np.isfinite(rows[1:]).all()
+        rows = build(si, (4, 5), [1, 0, 0], r_max=1e-6, samples=3)[1]
+        assert np.array(rows).shape == (3, len(rows[0]))
+        assert np.isfinite(np.array(rows)[:, :4]).all()
+        assert np.isnan(np.array(rows)[:, 4:]).all()
+
+
+@pytest.mark.parametrize("build", [gline_rows, entropy_rows])
+def test_ray_tables_align_and_score_once(si, build, monkeypatch):
+    # the per-row work stops at the pair (and its g-tensors); alignment,
+    # densities and entropies run once over the stacked rows
+    calls = []
+
+    def counted(name, layer):
+        def wrapper(*args):
+            calls.append(name)
+            return layer(*args)
+        return wrapper
+
+    for name in ("align_pair_to_spin_frame", "pair_spin_densities",
+                 "entropy"):
+        monkeypatch.setattr(tables, name, counted(name, getattr(tables, name)))
+    build(si, "split-off", [1, 2, 0], r_max=0.04, samples=7)
+    assert sorted(calls) == ["align_pair_to_spin_frame", "entropy",
+                             "entropy", "pair_spin_densities"]
 
 
 def test_entropy_rows_residual_column_oh(si):
@@ -115,6 +142,35 @@ def test_gline_rows_bitwise_equal_public_chain(gaas):
         expected.append([r, *k, *gset.sigma_s, gset.det_g_s,
                          *gset.sigma_tot, gset.det_g_tot,
                          entropy(dens.rho_s), entropy(dens.rho_s_bar)])
+    assert np.array(rows).tobytes() == np.array(expected).tobytes()
+
+
+@pytest.mark.parametrize("material, band", [("si", "split-off"),
+                                            ("si", (4, 5)),
+                                            ("gaas", "split-off")])
+def test_entropy_rows_bitwise_equal_public_chain(material, band, request):
+    # the point chain written out with public calls, one row at a time;
+    # the T_d ray is off <100> and <111>, so its residual column is NaN
+    model = request.getfixturevalue(material)
+    raw = np.random.default_rng(43).normal(size=3)
+    direction = raw / np.linalg.norm(raw)
+    r_max = boundary_radius(model.lattice_constant, direction)
+    _, rows, flip_ok = entropy_rows(model, band, raw, r_max, samples=40)
+    assert flip_ok == (model.point_group == "Oh")
+    expected = []
+    for r in np.linspace(0.0, r_max, 40):
+        k = r * direction
+        try:
+            pair = select_pair(model, solve(model, k), band)
+        except PairUndefinedError:
+            expected.append([r, *k, np.nan, np.nan, np.nan])
+            continue
+        aligned = align_pair_to_spin_frame(pair)[0]
+        dens = pair_spin_densities(aligned)
+        expected.append([r, *k, entropy(dens.rho_s), entropy(dens.rho_s_bar),
+                         spin_flip_residual(model, aligned)
+                         if flip_ok else np.nan])
+    assert np.isnan(np.array(expected)[:, 4]).any() == (band == (4, 5))
     assert np.array(rows).tobytes() == np.array(expected).tobytes()
 
 

@@ -18,7 +18,7 @@ directions = wedge_directions(3)
 print(f"scanning {len(directions)} wedge rays x 48 point-group images")
 
 cloud = build_surface(si, "split-off", directions, which_det="gs",
-                      r_max=0.06, n_coarse=150, workers=4, replicate=True)
+                      r_max=0.06, n_coarse=150, workers=4)
 
 radii = np.linalg.norm(cloud.points, axis=1)
 gx = 2.0 * np.pi / si.lattice_constant

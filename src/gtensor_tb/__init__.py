@@ -9,8 +9,8 @@ bisection.
 from .bands import (BlochSolution, KramersPair, UnknownBandLabelError,
                     remix_pair, resolve_band_indices, select_pair, solve)
 from .brillouin import (boundary_radius, cubic_group, high_symmetry_point,
-                        icosphere_directions, named_direction, point_group_ops,
-                        tetrahedral_group, wedge_directions)
+                        icosphere_directions, named_direction,
+                        wedge_directions)
 from .entanglement import (DET_TOL, SpinDensity, cardinal_states,
                            direction_applicable, entropies_at_crossing,
                            entropy, pair_spin_densities, reduce_spin,
@@ -51,10 +51,10 @@ __all__ = [
     "g_tensor_set", "hamiltonian_gradient", "high_symmetry_point",
     "icosphere_directions", "load_material", "momentum_table",
     "named_direction", "orbital_g", "orbital_matrices",
-    "pair_spin_densities", "point_group_ops",
+    "pair_spin_densities",
     "proper_svd", "reduce_spin", "remix_pair",
     "resolve_band_indices", "resolve_material_path", "scan_ray",
     "select_pair", "soc_matrix", "solve", "spin_flip_residual", "spin_g",
-    "spin_matrices", "tetrahedral_group", "wedge_directions",
+    "spin_matrices", "wedge_directions",
     "zeeman_response",
 ]

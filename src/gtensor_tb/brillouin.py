@@ -1,4 +1,4 @@
-"""FCC Brillouin-zone geometry, direction sampling, and cubic point groups.
+"""FCC Brillouin-zone geometry, direction sampling, and the cubic point group.
 
 All wavevectors are Cartesian in Bohr^-1.  The first zone of the FCC
 lattice is the truncated octahedron bounded by the bisector planes of
@@ -145,26 +145,6 @@ def cubic_group() -> np.ndarray:
                 m[row, col] = 1.0 - 2.0 * signs[row]
             ops.append(m)
     return np.array(ops)
-
-
-def tetrahedral_group() -> np.ndarray:
-    """The 24 operations of T_d: cubic operations fixing the bond set."""
-    bond_set = {tuple(b) for b in NN_SIGNS}
-    keep = []
-    for op in cubic_group():
-        image = {tuple(np.rint(op @ b)) for b in NN_SIGNS}
-        if image == bond_set:
-            keep.append(op)
-    return np.array(keep)
-
-
-def point_group_ops(name: str) -> np.ndarray:
-    """Operations of a named point group ('Oh' or 'Td')."""
-    if name == "Oh":
-        return cubic_group()
-    if name == "Td":
-        return tetrahedral_group()
-    raise KeyError(f"unknown point group {name!r}")
 
 
 def wedge_representative(direction) -> np.ndarray:

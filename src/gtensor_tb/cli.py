@@ -19,8 +19,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .brillouin import boundary_radius, named_direction, wedge_directions, \
-    icosphere_directions, unit_direction
+from .brillouin import (boundary_radius, named_direction, unit_direction,
+                        wedge_directions)
 from .errors import GTensorError
 from .lande import fit_report
 from .materials import load_material, resolve_material_path, sha256
@@ -137,22 +137,16 @@ def cmd_ray(args, model) -> int:
 
 
 def cmd_surface(args, model) -> int:
-    # the wedge x >= y >= z >= 0 is a fundamental domain of O_h only
-    wedge = model.point_group == "Oh"
-    if wedge:
-        directions = wedge_directions(args.level)
-    else:
-        directions = icosphere_directions(args.level)
+    directions = wedge_directions(args.level)
     cloud = build_surface(
         model, args.band, directions,
         which_det=args.det,
         r_max=args.rmax,
         n_coarse=args.ncoarse,
         workers=args.workers,
-        replicate=wedge,
     )
     notes = _provenance(args) + [
-        f"rays {len(directions)} wedge {'on' if wedge else 'off'}",
+        f"rays {len(directions)} wedge on",
         f"crossings {len(cloud.points)} failures {len(cloud.failures)}",
     ]
     export_cloud(cloud, args.out, fmt=args.format, provenance=notes)
@@ -220,7 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--det", choices=("gs", "gtot"), default="gs")
     p.add_argument("--level", type=int, default=4,
-                   help="icosphere subdivision level; O_h scans its wedge only")
+                   help="icosphere subdivision level; only its O_h wedge "
+                        "is scanned, for every material")
     p.add_argument("--rmax", type=float, default=None)
     p.add_argument("--ncoarse", type=int, default=N_COARSE,
                    help="coarse samples per ray before bisection")

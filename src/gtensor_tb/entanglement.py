@@ -104,16 +104,24 @@ def require_applicable(model: MaterialModel, k) -> None:
         raise DirectionNotApplicableError(model.point_group, unit_direction(k))
 
 
+def _spin_flip_defect(dens: SpinDensity) -> np.ndarray:
+    """rho_bar_S - sigma_y rho_S^T sigma_y of one pair or a stack.
+
+    A stack (..., 2, 2) gives a stack, each matrix bit for bit the
+    defect of that pair alone.
+    """
+    sy = PAULI[1]
+    return dens.rho_s_bar - sy @ dens.rho_s.swapaxes(-1, -2) @ sy
+
+
 def spin_flip_residual(model: MaterialModel, pair: KramersPair) -> float:
     """Frobenius residual of rho_bar_S = sigma_y rho_S^T sigma_y.
 
     The direction is taken from the pair's k-point.
     """
     require_applicable(model, pair.k)
-    dens = pair_spin_densities(pair)
-    sy = PAULI[1]
-    flipped = sy @ dens.rho_s.T @ sy
-    return float(np.linalg.norm(dens.rho_s_bar - flipped, "fro"))
+    defect = _spin_flip_defect(pair_spin_densities(pair))
+    return float(np.linalg.norm(defect, "fro"))
 
 
 def entropies_at_crossing(model: MaterialModel, pair: KramersPair,

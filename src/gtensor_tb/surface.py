@@ -10,6 +10,13 @@ Rays are independent work items, so surface assembly
 parallelizes over a worker pool with a deterministic merge by direction
 index.
 
+Every cubic model scans the wedge x >= y >= z >= 0 and closes the
+crossings under the 48 operations of O_h.  For O_h models that is the
+crystal group.  For T_d models the determinant still has the full O_h
+symmetry: time reversal maps the pair at k onto the pair at -k and g to
+diag(-1, 1, -1) g, so det g(-k) = det g(k), and T_d with inversion is
+O_h.
+
 Narrow features need commensurate coarse sampling: the Sigma-direction
 torus walls of the Si first-conduction pair are ~3e-5 Bohr^-1 apart and
 the Ge <111> rod walls sit ~3e-4 Bohr^-1 off the axis, so resolving
@@ -28,7 +35,7 @@ import numpy as np
 
 from .bands import pair_window, select_pair, solve
 from .blas import one_blas_thread
-from .brillouin import (boundary_radius, point_group_ops, replicate_points,
+from .brillouin import (boundary_radius, cubic_group, replicate_points,
                         unit_direction)
 from .errors import PairUndefinedError
 from .gtensor import det_sign, g_tensor_set, spin_g
@@ -69,7 +76,6 @@ class SurfaceCloud:
     which_det: str
     points: np.ndarray
     labels: np.ndarray  # (N, 3) int: dir_index, crossing_ordinal, slope_sign
-    symmetry_ops_applied: int     # 0 = raw rays, else point-group order
     failures: list
 
 
@@ -171,22 +177,14 @@ def build_surface(model: MaterialModel, band_id, directions,
                   which_det: str = "gs",
                   r_max: float | None = None,
                   n_coarse: int = N_COARSE,
-                  workers: int = 1,
-                  replicate: bool = False) -> SurfaceCloud:
+                  workers: int = 1) -> SurfaceCloud:
     """Assemble a det(g)=0 point cloud from rays along ``directions``.
 
-    With ``replicate`` the crossing set is closed under the O_h point
-    group, so wedge directions cover the sphere at ~1/48 the ray count;
-    T_d models scan ``icosphere_directions`` unreplicated instead.
-    Results are merged by direction index, so the cloud is independent
-    of worker scheduling.
+    The crossing set is closed under the 48 operations of O_h, for T_d
+    models too (see the module docstring), so ``wedge_directions``
+    cover the sphere at ~1/48 the ray count.  Results are merged by
+    direction index, so the cloud is independent of worker scheduling.
     """
-    if replicate and model.point_group != "Oh":
-        # the O_h wedge replicated by a smaller group leaves octants empty
-        raise ValueError(
-            f"replicate=True needs an O_h model, {model.name} is "
-            f"{model.point_group}; scan icosphere_directions(level) "
-            "unreplicated instead")
     directions = np.asarray(directions, dtype=float)
     scan = functools.partial(scan_ray, model, band_id, r_max=r_max,
                              n_coarse=n_coarse, which_det=which_det)
@@ -206,22 +204,14 @@ def build_surface(model: MaterialModel, band_id, directions,
         for (lo, hi, reason) in ray.failures:
             failures.append((index, lo, hi, reason))
     points = np.array(points).reshape(-1, 3)
-    labels = np.array(labels, dtype=int).reshape(-1, 3)
-
-    n_ops = 0
-    if replicate:
-        ops = point_group_ops(model.point_group)
-        n_ops = len(ops)
-        points, source = replicate_points(points, ops)
-        labels = labels[source]
+    points, source = replicate_points(points, cubic_group())
 
     return SurfaceCloud(
         material=model.name,
         band_id=str(band_id),
         which_det=which_det,
         points=points,
-        labels=labels,
-        symmetry_ops_applied=n_ops,
+        labels=np.array(labels, dtype=int).reshape(-1, 3)[source],
         failures=failures,
     )
 
@@ -242,7 +232,7 @@ def export_cloud(cloud: SurfaceCloud, path, fmt: str = "csv",
     meta = [f"material: {cloud.material}",
             f"band: {cloud.band_id}",
             f"det: {cloud.which_det}",
-            f"symmetry_ops: {cloud.symmetry_ops_applied}"]
+            f"symmetry_ops: {len(cubic_group())}"]
     if fmt == "csv":
         rows = [[*point, index, ordinal, cloud.which_det, slope]
                 for point, (index, ordinal, slope) in zip(cloud.points,

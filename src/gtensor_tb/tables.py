@@ -10,15 +10,13 @@ table.
 """
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
 from .bands import KramersPair, resolve_band_indices, select_pair, solve
 from .blas import one_blas_thread
 from .brillouin import high_symmetry_point, unit_direction
-from .entanglement import (direction_applicable, entropy,
-                           pair_spin_densities, spin_flip_residual)
+from .entanglement import (_spin_flip_defect, direction_applicable, entropy,
+                           pair_spin_densities)
 from .errors import PairUndefinedError
 from .gtensor import align_pair_to_spin_frame, g_tensor_set, spin_g
 from .materials import MaterialModel
@@ -91,7 +89,7 @@ def _spin_frame_entropies(model: MaterialModel, band_id, pairs,
     ``svd`` stacks the SVD factors of their g_S.  The pairs become one
     ``KramersPair`` with a leading row axis, which is aligned to its
     spin frames, reduced and scored at once.  Returns the two entropy
-    lists and the aligned stack.
+    lists and the stacked ``SpinDensity``.
     """
     stacked = KramersPair(
         k=np.reshape([p.k for p in pairs], (-1, 3)),
@@ -106,7 +104,7 @@ def _spin_frame_entropies(model: MaterialModel, band_id, pairs,
     aligned, _, _ = align_pair_to_spin_frame(stacked, svd)
     dens = pair_spin_densities(aligned)
     return (entropy(dens.rho_s).tolist(), entropy(dens.rho_s_bar).tolist(),
-            aligned)
+            dens)
 
 
 @one_blas_thread
@@ -152,9 +150,9 @@ def entropy_rows(model: MaterialModel, band_id, direction,
     Off the valid direction families of the material's point group the
     residual column is NaN: the relation is not defined there, which is
     a contract fact, not a numerical failure.  g_S is formed row by
-    row and factored, aligned and scored once over the rows where the
-    pair is defined.  Raises ``ValueError`` for a direction without a
-    finite, non-zero norm.
+    row and factored, aligned, scored and spin-flipped once over the
+    rows where the pair is defined.  Raises ``ValueError`` for a
+    direction without a finite, non-zero norm.
     """
     direction = unit_direction(direction)
     flip_ok = direction_applicable(model, direction)
@@ -172,11 +170,10 @@ def entropy_rows(model: MaterialModel, band_id, direction,
         pairs.append(pair)
         g_s.append(spin_g(pair))
     svd = np.linalg.svd(np.reshape(g_s, (-1, 3, 3)))
-    s_xi, s_xib, aligned = _spin_frame_entropies(model, band_id, pairs, svd)
-    for row, pair, states, a, b in zip(defined, pairs, aligned.states,
-                                       s_xi, s_xib):
-        residual = (spin_flip_residual(
-            model, dataclasses.replace(pair, states=states))
-            if flip_ok else np.nan)
+    s_xi, s_xib, dens = _spin_frame_entropies(model, band_id, pairs, svd)
+    residuals = ([float(np.linalg.norm(defect, "fro"))
+                  for defect in _spin_flip_defect(dens)]
+                 if flip_ok else [np.nan] * len(defined))
+    for row, a, b, residual in zip(defined, s_xi, s_xib, residuals):
         row += [a, b, residual]
     return ENTROPY_COLUMNS, rows, flip_ok

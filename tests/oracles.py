@@ -9,7 +9,8 @@ import numpy as np
 
 from gtensor_tb.bands import select_pair, solve
 from gtensor_tb.blas import one_blas_thread
-from gtensor_tb.brillouin import unit_direction, zone_faces
+from gtensor_tb.brillouin import (NN_SIGNS, cubic_group, unit_direction,
+                                  zone_faces)
 from gtensor_tb.errors import PairUndefinedError
 from gtensor_tb.gtensor import (g_tensor_set, orbital_matrices, spin_g,
                                 spin_matrices)
@@ -106,6 +107,17 @@ def random_su2(rng: np.random.Generator) -> np.ndarray:
         q[1] * SIGMA_X + q[2] * SIGMA_Y + q[3] * SIGMA_Z)
 
 
+def tetrahedral_group() -> np.ndarray:
+    """The 24 operations of T_d: cubic operations fixing the bond set."""
+    bond_set = {tuple(b) for b in NN_SIGNS}
+    keep = []
+    for op in cubic_group():
+        image = {tuple(np.rint(op @ b)) for b in NN_SIGNS}
+        if image == bond_set:
+            keep.append(op)
+    return np.array(keep)
+
+
 def in_first_zone(a: float, k, tol: float = 1e-9) -> bool:
     """Whether k lies inside (or on) the first-zone polyhedron."""
     k = np.asarray(k, dtype=float)
@@ -142,11 +154,11 @@ def orbital_matrices_commutator(pair, sol, pi) -> np.ndarray:
 def read_cloud_csv(path) -> SurfaceCloud:
     """Re-import an exported CSV cloud (inverse of ``gtensor_tb.surface.export_cloud``).
 
-    Cloud metadata (material, band, symmetry-op count) is recovered
-    from the structured header comments export_cloud writes.
+    Cloud metadata (material, band, det) is recovered from the
+    structured header comments export_cloud writes.
     """
     points, labels = [], []
-    meta = {"material": "", "band": "", "det": "", "symmetry_ops": "0"}
+    meta = {"material": "", "band": "", "det": ""}
     with open(path, newline="") as fh:
         raw = list(csv.reader(fh))
     rows = []
@@ -171,6 +183,5 @@ def read_cloud_csv(path) -> SurfaceCloud:
         material=meta["material"], band_id=meta["band"], which_det=which,
         points=np.array(points).reshape(-1, 3),
         labels=np.array(labels, dtype=int).reshape(-1, 3),
-        symmetry_ops_applied=int(meta["symmetry_ops"]),
         failures=[],
     )

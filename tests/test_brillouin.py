@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gtensor_tb import (boundary_radius, cubic_group, high_symmetry_point,
-                        icosphere_directions, named_direction, point_group_ops,
-                        tetrahedral_group, wedge_directions)
+                        icosphere_directions, named_direction,
+                        wedge_directions)
 from gtensor_tb.brillouin import (replicate_points, unique_rows,
                                   wedge_representative, zone_faces)
 
 from conftest import random_unit_vectors
-from oracles import in_first_zone
+from oracles import in_first_zone, tetrahedral_group
 
 A_SI = 10.2625  # Bohr, arbitrary but realistic
 
@@ -123,13 +123,6 @@ def test_tetrahedral_group_is_subgroup_of_24():
     dets = np.array([np.linalg.det(op) for op in td])
     assert np.sum(np.isclose(dets, -1.0)) == 12
     assert tuple((-np.eye(3)).astype(int).ravel()) not in td_set
-
-
-def test_point_group_lookup(si, gaas):
-    assert point_group_ops(si.point_group).shape[0] == 48
-    assert point_group_ops(gaas.point_group).shape[0] == 24
-    with pytest.raises(KeyError):
-        point_group_ops("C2v")
 
 
 def test_wedge_representative_is_canonical():

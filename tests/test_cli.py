@@ -244,7 +244,7 @@ def test_surface_ply_output(tmp_path):
 
 
 def test_surface_has_no_wedge_option(tmp_path):
-    # the wedge follows from the point group; T_d has no 48-fold wedge
+    # every material scans its O_h wedge, so there is nothing to choose
     out = tmp_path / "cloud.csv"
     with pytest.raises(SystemExit) as exc:
         main(["surface", "--material", "gaas", "--band", "split-off",
@@ -254,7 +254,7 @@ def test_surface_has_no_wedge_option(tmp_path):
 
 
 @pytest.mark.parametrize("material, ops, wedge", [
-    ("si", 48, "on"), ("gaas", 0, "off")])
+    ("si", 48, "on"), ("gaas", 48, "on")])
 def test_surface_sampling_follows_point_group(tmp_path, material, ops, wedge):
     out = tmp_path / "cloud.csv"
     rc = main(["surface", "--material", material, "--band", "split-off",

@@ -25,7 +25,7 @@ GOLDEN = {
     "--material si --band first-conduction": (
         79, "5d637e569981711e707c5d7dee8aa1358d62cf677b5a4f656b0d4100735c9fe2"),
     "--material gaas --band split-off": (
-        43, "37d8a481a09c1352388f65bee85953d04d92c5559ab9473b5e2dc0355cf93b84"),
+        79, "fd382fa02b871e5d9c065cafe7f0a9f0d3b7ed4e8e696df93cbf7ddacb8a02c5"),
     "--material si --band split-off --det gtot": (
         157, "3b637df1f50e169329ee1795acde0e0fff813fdaec3804cb0439a431a2f6af68"),
 }

@@ -148,6 +148,20 @@ def test_point_group_covariance_of_G(si):
         assert rot.det_g_tot == pytest.approx(ref.det_g_tot, abs=1e-9)
 
 
+def test_td_determinants_have_full_cubic_symmetry(gaas):
+    # T_d lacks inversion, but time reversal maps the pair at k onto the
+    # pair at -k and g to diag(-1, 1, -1) g, so det g(-k) = det g(k) and
+    # both determinants are invariant under all 48 operations of O_h
+    ops = cubic_group()
+    for band in gaas.band_pairs:
+        for k in random_k_points(71, 8, scale=0.3):
+            ref = _pair_and_tensors(gaas, k, band)[3]
+            images = [_pair_and_tensors(gaas, op @ k, band)[3] for op in ops]
+            for name in ("det_g_s", "det_g_tot"):
+                assert np.allclose([getattr(g, name) for g in images],
+                                   getattr(ref, name), rtol=1e-10, atol=0.0)
+
+
 # --- Zeeman response --------------------------------------------------------
 
 def test_pair_hamiltonian_splitting_matches_G_formula(si, gaas):

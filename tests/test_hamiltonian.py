@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 
 from gtensor_tb import (bloch_hamiltonian, builtin_material_path, cubic_group,
                         dipole_matrix, hamiltonian_gradient, load_material,
-                        soc_matrix, tetrahedral_group)
+                        soc_matrix)
 from gtensor_tb.hamiltonian import nn_vectors
 from gtensor_tb.slater_koster import SHELL, hop_block
 
 from conftest import bitwise_k_points, random_k_points
+from oracles import tetrahedral_group
 
 
 @pytest.mark.parametrize("material", ["si", "ge", "gaas"])

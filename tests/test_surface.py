@@ -346,7 +346,7 @@ def test_replicated_cloud_is_the_sum_of_ray_orbits(si, monkeypatch):
 
     monkeypatch.setattr(surface, "scan_ray", recording_scan)
     dirs = wedge_directions(3)
-    cloud = build_surface(si, "split-off", dirs, replicate=True)
+    cloud = build_surface(si, "split-off", dirs)
     expected = sum(len(scan.crossings) * 48 // _stabiliser_order(d)
                    for scan, d in zip(scans, dirs, strict=True))
     assert len(cloud.points) == expected == 1254
@@ -354,9 +354,7 @@ def test_replicated_cloud_is_the_sum_of_ray_orbits(si, monkeypatch):
 
 def test_replicated_cloud_is_symmetry_closed(si):
     dirs = wedge_directions(0)
-    cloud = build_surface(si, "split-off", dirs, r_max=0.05, n_coarse=60,
-                          replicate=True)
-    assert cloud.symmetry_ops_applied == 48
+    cloud = build_surface(si, "split-off", dirs, r_max=0.05, n_coarse=60)
     pts = cloud.points
     assert len(pts) > len(dirs)
     for op in cubic_group()[::7]:
@@ -368,25 +366,37 @@ def test_replicated_cloud_is_symmetry_closed(si):
         assert in_first_zone(si.lattice_constant, p, tol=1e-6)
 
 
-def test_replicate_rejects_td_before_scanning(gaas, monkeypatch):
-    # the O_h wedge replicated by T_d's 24 operations left the (-,-,-)
-    # octant empty; T_d surfaces scan icosphere_directions unreplicated
-    def no_scan(*args, **kwargs):
-        raise AssertionError("a ray was scanned")
-
-    monkeypatch.setattr(surface, "scan_ray", no_scan)
-    with pytest.raises(ValueError, match="icosphere_directions"):
-        build_surface(gaas, "split-off", wedge_directions(1), replicate=True)
-
-
 def test_replication_preserves_radius(si):
-    dirs = wedge_directions(0)
-    plain = build_surface(si, "split-off", dirs, r_max=0.05, n_coarse=60)
-    closed = build_surface(si, "split-off", dirs, r_max=0.05, n_coarse=60,
-                           replicate=True)
-    radii_plain = np.unique(np.round(np.linalg.norm(plain.points, axis=1), 5))
-    radii_closed = np.unique(np.round(np.linalg.norm(closed.points, axis=1), 5))
-    assert set(radii_closed) <= set(np.round(radii_plain, 5))
+    # every image lies at the radius its ray's scan found for its label
+    dirs = wedge_directions(1)
+    kw = dict(r_max=0.05, n_coarse=60)
+    cloud = build_surface(si, "split-off", dirs, **kw)
+    scans = [scan_ray(si, "split-off", d, **kw) for d in dirs]
+    expected = [scans[index].crossings[ordinal].radius
+                for index, ordinal, _ in cloud.labels]
+    assert len(cloud.points) > len(dirs)
+    assert np.allclose(np.linalg.norm(cloud.points, axis=1), expected,
+                       rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("band", ["split-off", "second-conduction"])
+def test_td_rays_scan_like_their_wedge_representatives(gaas, band):
+    # det g of a T_d model has the full O_h symmetry (time reversal sends
+    # det g(-k) to det g(k)), so scanning the wedge and replicating by
+    # all 48 operations loses no crossing
+    wedge = {}
+    for d in icosphere_directions(1):
+        rep = wedge_representative(d)
+        key = tuple(np.round(rep, 9))  # as wedge_directions merges them
+        if key not in wedge:
+            wedge[key] = scan_ray(gaas, band, rep)
+        full = scan_ray(gaas, band, d)
+        expected = [c.radius for c in wedge[key].crossings]
+        assert len(full.crossings) == len(expected)
+        assert np.allclose([c.radius for c in full.crossings], expected,
+                           rtol=0.0, atol=surface.BISECT_TOL)
+    assert len(wedge) == len(wedge_directions(1))
+    assert all(scan.crossings for scan in wedge.values())
 
 
 def test_csv_round_trip_bit_exact(si, tmp_path):
@@ -400,7 +410,7 @@ def test_csv_round_trip_bit_exact(si, tmp_path):
     assert back.material == cloud.material
     assert back.band_id == cloud.band_id
     assert back.which_det == cloud.which_det
-    assert back.symmetry_ops_applied == cloud.symmetry_ops_applied
+    assert "# symmetry_ops: 48\n" in path.read_text()
     assert b"\r" not in path.read_bytes()
 
 

@@ -19,9 +19,10 @@ from .errors import (BracketError, DirectionNotApplicableError, GTensorError,
                      MaterialParseError, MaterialValidationError,
                      NearDegenerateIntermediateError, PairingAmbiguityError,
                      PairUndefinedError, PhysicsError, ZeroSplittingError)
-from .gtensor import (FieldResponse, GTensorSet, align_pair_to_spin_frame,
-                      det_sign, g_tensor_set, momentum_table, orbital_g,
-                      orbital_matrices, proper_svd, spin_g, spin_matrices,
+from .gtensor import (FieldResponse, GTensorSet, PairMomenta,
+                      align_pair_to_spin_frame, det_sign, g_tensor_set,
+                      momentum_table, orbital_g, orbital_matrices,
+                      pair_momenta, proper_svd, spin_g, spin_matrices,
                       zeeman_response)
 from .hamiltonian import (bloch_hamiltonian, dipole_matrix,
                           hamiltonian_gradient, soc_matrix)
@@ -40,7 +41,7 @@ __all__ = [
     "GTensorSet", "HARTREE_EV", "KramersPair", "MU_B", "MaterialModel",
     "MaterialParseError", "MaterialValidationError",
     "NearDegenerateIntermediateError", "PairUndefinedError",
-    "PairingAmbiguityError", "PhysicsError",
+    "PairMomenta", "PairingAmbiguityError", "PhysicsError",
     "RayScan", "SpinDensity", "SurfaceCloud", "UnknownBandLabelError",
     "ZeroSplittingError", "align_pair_to_spin_frame", "atomic_g",
     "bloch_hamiltonian", "boundary_radius", "build_surface",
@@ -51,7 +52,7 @@ __all__ = [
     "g_tensor_set", "hamiltonian_gradient", "high_symmetry_point",
     "icosphere_directions", "load_material", "momentum_table",
     "named_direction", "orbital_g", "orbital_matrices",
-    "pair_spin_densities",
+    "pair_momenta", "pair_spin_densities",
     "proper_svd", "reduce_spin", "remix_pair",
     "resolve_band_indices", "resolve_material_path", "scan_ray",
     "select_pair", "soc_matrix", "solve", "spin_flip_residual", "spin_g",

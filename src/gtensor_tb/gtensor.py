@@ -22,6 +22,7 @@ d_k-derivative overlaps, sum_l pi_j[a,l] pi_k[l,b] (E_l - E_pair) /
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -65,55 +66,110 @@ def momentum_table(model: MaterialModel, sol: BlochSolution) -> np.ndarray:
 
 
 def spin_matrices(pair: KramersPair) -> np.ndarray:
-    """Pair-space blocks of the spin operator, (2 S_i) as (3, 2, 2)."""
-    x = pair.states.reshape(2, -1, 2)          # (spin, orbital*atom, pair)
-    overlap = np.einsum('sra,trb->stab', x.conj(), x)
-    return np.einsum('ist,stab->iab', PAULI, overlap)
+    """Pair-space blocks of the spin operator, (2 S_i) as (3, 2, 2).
+
+    A stack of pairs (``states`` (..., dim, 2)) gives (..., 3, 2, 2),
+    each row bit for bit the blocks of that pair alone.
+    """
+    states = pair.states
+    # (..., spin, orbital*atom, pair)
+    x = states.reshape(states.shape[:-2] + (2, states.shape[-2] // 2, 2))
+    overlap = np.einsum('...sra,...trb->...stab', x.conj(), x)
+    return np.einsum('ist,...stab->...iab', PAULI, overlap)
 
 
 def spin_g(pair: KramersPair) -> np.ndarray:
-    """g_S: contraction of the pair spin blocks with the pair Paulis."""
+    """g_S: contraction of the pair spin blocks with the pair Paulis.
+
+    A stack of pairs (``states`` (..., dim, 2)) gives (..., 3, 3), each
+    row bit for bit the g_S of that pair alone.
+    """
     return orbital_g(spin_matrices(pair))
 
 
-def orbital_matrices(pair: KramersPair, sol: BlochSolution,
-                     pi: np.ndarray) -> np.ndarray:
-    """Pair-space orbital-moment blocks L_i, shape (3, 2, 2).
+@dataclasses.dataclass
+class PairMomenta:
+    """The part of one k-point's momentum table the orbital sum reads.
 
-    The mean-energy assembly of the module docstring, with the three
-    eps_{ijk} cycles taken as two stacked products.  Intermediate bands
-    within ``ENERGY_FLOOR`` of the pair energy raise
+    With M = dim - 2 other bands: the pair's rows ``pair_rest`` =
+    pi[:, pair, others] (3, 2, M) and columns ``rest_pair`` =
+    pi[:, others, pair] (3, M, 2), in the pair's own (possibly remixed)
+    basis, and the other bands' energies ``rest_energies`` (M,).  A
+    stack of k-points carries the same leading axes on every field.
+    """
+
+    pair_rest: np.ndarray
+    rest_pair: np.ndarray
+    rest_energies: np.ndarray
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_and_rest(dim: int, ia: int, ib: int) -> tuple:
+    """Index arrays of a pair's two bands and of the other dim - 2."""
+    pair = np.array([ia, ib])
+    return pair, np.delete(np.arange(dim), pair)
+
+
+def pair_momenta(model: MaterialModel, sol: BlochSolution,
+                 pair: KramersPair) -> PairMomenta:
+    """Form the momentum table at one k-point and keep the pair's part.
+
+    Intermediate bands within ``ENERGY_FLOOR`` of the pair energy raise
     :class:`NearDegenerateIntermediateError`.
     """
-    ia, ib = pair.band_indices
-    others = np.delete(np.arange(sol.energies.size), [ia, ib])
+    pi = momentum_table(model, sol)
+    ab, others = _pair_and_rest(sol.energies.size, *pair.band_indices)
     e_rest = sol.energies[others]
     sep = np.abs(e_rest - pair.pair_energy)
     worst = int(np.argmin(sep))
     if sep[worst] <= ENERGY_FLOOR:
         raise NearDegenerateIntermediateError(
             sol.k, int(others[worst]), float(sep[worst]), ENERGY_FLOOR)
-
-    p = pi[:, [[ia], [ib]], others]            # (3, 2, M)
-    q = pi[:, others[:, None], [ia, ib]]       # (3, M, 2)
     # the pi table lives in the eigh gauge; re-express the pair rows and
-    # columns in the pair's own (possibly remixed) basis so spin and
-    # orbital blocks always share one gauge
-    w2 = sol.states[:, [ia, ib]].conj().T @ pair.states
-    pw = np.matmul(w2.conj().T, p) * (1.0 / (pair.pair_energy - e_rest))
-    q = np.matmul(q, w2)
-    return -0.5j * (pw[_CYCLE_J] @ q[_CYCLE_K] - pw[_CYCLE_K] @ q[_CYCLE_J])
+    # columns in the pair's own basis so spin and orbital blocks always
+    # share one gauge
+    w2 = sol.states.take(ab, axis=1).conj().T @ pair.states
+    return PairMomenta(
+        pair_rest=np.matmul(w2.conj().T,
+                            pi.take(ab, axis=1).take(others, axis=2)),
+        rest_pair=np.matmul(pi.take(others, axis=1).take(ab, axis=2), w2),
+        rest_energies=e_rest,
+    )
+
+
+def orbital_matrices(pair: KramersPair, momenta: PairMomenta) -> np.ndarray:
+    """Pair-space orbital-moment blocks L_i, shape (3, 2, 2).
+
+    The mean-energy assembly of the module docstring: every
+    pi_j pi_k / (E_pair - E_l) sum is formed, and the three eps_{ijk}
+    cycles are read off them.  A stack of pairs with the stacked
+    :class:`PairMomenta` of their k-points gives (..., 3, 2, 2), each
+    row bit for bit the blocks of that pair alone.
+    """
+    denom = np.asarray(pair.pair_energy)[..., None] - momenta.rest_energies
+    w = (1.0 / denom)[..., None, :]
+    # mass[..., j, k, :, :] = sum_l pi_j[:, l] pi_k[l, :] / (E_pair - E_l),
+    # one j at a time: on a 200-row stack this holds one weighted block
+    # of pi_j rows, not all three
+    mass = np.stack([(momenta.pair_rest[..., j, :, :] * w)[..., None, :, :]
+                     @ momenta.rest_pair for j in range(3)], axis=-4)
+    return -0.5j * (mass[..., _CYCLE_J, _CYCLE_K, :, :]
+                    - mass[..., _CYCLE_K, _CYCLE_J, :, :])
 
 
 def orbital_g(blocks: np.ndarray) -> np.ndarray:
-    """g_L from pair-space orbital blocks L_i, or g_S from spin blocks 2S_i."""
-    g = np.einsum('iab,jba->ij', blocks, PAULI)
+    """g_L from pair-space orbital blocks L_i, or g_S from spin blocks 2S_i.
+
+    Stacked blocks (..., 3, 2, 2) give (..., 3, 3), each row bit for bit
+    the tensor of those blocks alone.
+    """
+    g = np.einsum('...iab,jba->...ij', blocks, PAULI)
     return np.ascontiguousarray(g.real)
 
 
 @dataclasses.dataclass
 class GTensorSet:
-    """All g-tensor data of one pair at one k-point."""
+    """All g-tensor data of one pair at one k-point, or of a stack."""
 
     g_s: np.ndarray
     g_l: np.ndarray
@@ -121,8 +177,8 @@ class GTensorSet:
     G: np.ndarray                       # g_tot g_tot^T
     svd_s: tuple                        # (u, sigma, vh) of g_s
     svd_tot: tuple
-    det_g_s: float
-    det_g_tot: float
+    det_g_s: float | np.ndarray
+    det_g_tot: float | np.ndarray
 
     @property
     def sigma_s(self) -> np.ndarray:
@@ -146,20 +202,31 @@ def det_sign(g: np.ndarray) -> int:
     return 1 if det >= 0.0 else -1
 
 
-def g_tensor_set(model: MaterialModel, sol: BlochSolution,
+def g_tensor_set(model: MaterialModel, sol: BlochSolution | PairMomenta,
                  pair: KramersPair) -> GTensorSet:
-    """Evaluate g_S, g_L, g_tot, G and their SVDs at one k-point."""
+    """Evaluate g_S, g_L, g_tot, G and their SVDs at one k-point.
+
+    ``sol`` is the pair's solved k-point, or the :class:`PairMomenta`
+    already taken from it.  A stack of pairs (``states`` (..., dim, 2))
+    with the stacked ``PairMomenta`` of their k-points gives every field
+    the same leading axes: tensors (..., 3, 3), singular values (..., 3)
+    and determinants (...) as arrays.  Each row is bit for bit the set
+    of that pair alone, whose determinants are Python floats.
+    """
+    momenta = (sol if isinstance(sol, PairMomenta)
+               else pair_momenta(model, sol, pair))
     g_s = spin_g(pair)
-    g_l = orbital_g(orbital_matrices(pair, sol, momentum_table(model, sol)))
+    g_l = orbital_g(orbital_matrices(pair, momenta))
     g_tot = g_s + g_l
     both = np.stack([g_s, g_tot])
     u, sigma, vh = np.linalg.svd(both)
-    det_s, det_tot = np.linalg.det(both).tolist()
+    dets = np.linalg.det(both)
+    det_s, det_tot = dets.tolist() if dets.ndim == 1 else dets
     return GTensorSet(
         g_s=g_s,
         g_l=g_l,
         g_tot=g_tot,
-        G=g_tot @ g_tot.T,
+        G=g_tot @ g_tot.swapaxes(-1, -2),
         svd_s=(u[0], sigma[0], vh[0]),
         svd_tot=(u[1], sigma[1], vh[1]),
         det_g_s=det_s,
@@ -239,14 +306,11 @@ def align_pair_to_spin_frame(pair: KramersPair,
     factored here.  Its arrays are not modified.
 
     A stack of pairs is one ``KramersPair`` whose ``states`` are
-    (..., dim, 2), with ``svd`` factors stacked over the same leading
-    axes (u and vh (..., 3, 3), sigma (..., 3)); ``svd`` is required
-    then (``ValueError``).  Each row of the result is bit for bit the
-    result for that pair alone.
+    (..., dim, 2), with any ``svd`` factors stacked over the same
+    leading axes (u and vh (..., 3, 3), sigma (..., 3)).  Each row of
+    the result is bit for bit the result for that pair alone.
     """
     if svd is None:
-        if np.ndim(pair.states) != 2:
-            raise ValueError("a stack of pairs needs the SVD of its g_S")
         svd = np.linalg.svd(spin_g(pair))
     u, sigma, vh = _make_proper(*svd)
     w_adjoint = su2_from_rotation(vh)

@@ -4,11 +4,15 @@ Each builder returns (header, rows) with plain Python floats; callers
 pass them with their provenance comments to :func:`write_csv`.
 Pair-state entropies are only defined once the pair gauge is fixed, so
 the pairs of a ray are aligned to their spin frames first (the frame in
-which g_S has identity right factor), all rows in one stacked pass;
-rows where pair selection fails carry NaNs instead of aborting the
+which g_S has identity right factor).  The ray tables solve and select
+the pair (and form the momentum table) one k-point at a time; the
+g-tensors, alignment and entropies then run once over the stacked rows.
+Rows where pair selection fails carry NaNs instead of aborting the
 table.
 """
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 
@@ -18,7 +22,8 @@ from .brillouin import high_symmetry_point, unit_direction
 from .entanglement import (_spin_flip_defect, direction_applicable, entropy,
                            pair_spin_densities)
 from .errors import PairUndefinedError
-from .gtensor import align_pair_to_spin_frame, g_tensor_set, spin_g
+from .gtensor import (PairMomenta, align_pair_to_spin_frame, g_tensor_set,
+                      pair_momenta, spin_g)
 from .materials import MaterialModel
 
 BANDS_FIXED_COLUMNS = ("path_s", "kx", "ky", "kz")
@@ -81,30 +86,85 @@ def band_path_rows(model: MaterialModel, path_names,
     return header, rows, ticks
 
 
-def _spin_frame_entropies(model: MaterialModel, band_id, pairs,
-                          svd) -> tuple:
-    """S(xi) and S(xi_bar) of the pairs of a ray, in one stacked pass.
-
-    ``pairs`` are the rows where the pair is defined (possibly none) and
-    ``svd`` stacks the SVD factors of their g_S.  The pairs become one
-    ``KramersPair`` with a leading row axis, which is aligned to its
-    spin frames, reduced and scored at once.  Returns the two entropy
-    lists and the stacked ``SpinDensity``.
-    """
-    stacked = KramersPair(
-        k=np.reshape([p.k for p in pairs], (-1, 3)),
+def _pair_stack(model: MaterialModel, band_id, rows: int) -> KramersPair:
+    """Room for ``rows`` pairs: one ``KramersPair`` with a leading row axis."""
+    return KramersPair(
+        k=np.empty((rows, 3)),
         band_indices=resolve_band_indices(model, band_id),
-        energies=np.reshape([p.energies for p in pairs], (-1, 2)),
-        states=np.reshape(np.array([p.states for p in pairs], dtype=complex),
-                          (-1, model.dim, 2)),
-        pair_energy=np.array([p.pair_energy for p in pairs]),
-        split=np.array([p.split for p in pairs]),
-        gap_to_rest=np.array([p.gap_to_rest for p in pairs]),
+        energies=np.empty((rows, 2)),
+        states=np.empty((rows, model.dim, 2), complex),
+        pair_energy=np.empty(rows),
+        split=np.empty(rows),
+        gap_to_rest=np.empty(rows),
     )
-    aligned, _, _ = align_pair_to_spin_frame(stacked, svd)
+
+
+def _momenta_stack(model: MaterialModel, rows: int) -> PairMomenta:
+    """Room for the ``PairMomenta`` of ``rows`` k-points."""
+    rest = model.dim - 2
+    return PairMomenta(
+        pair_rest=np.empty((rows, 3, 2, rest), complex),
+        rest_pair=np.empty((rows, 3, rest, 2), complex),
+        rest_energies=np.empty((rows, rest)),
+    )
+
+
+def _ray_rows(model: MaterialModel, band_id, direction, r_max: float,
+              samples: int, stacks, keep) -> tuple:
+    """Solve and select the pair at each sample of a ray.
+
+    ``stacks`` are records with a leading row axis and room for every
+    sample (see :func:`_pair_stack`).  Where the pair is defined,
+    ``keep(sol, pair)`` returns the matching per-row records, whose
+    array fields are copied into the next row of each stack, so neither
+    a solution nor a per-row array outlives its row.  A row where
+    selection or ``keep`` raises :class:`PairUndefinedError` is
+    undefined.  Returns (rows, defined, stacks): [r, kx, ky, kz] of
+    every sample, the defined ones among them, and the stacks cut to
+    the defined rows.  Raises ``ValueError`` for a direction without a
+    finite, non-zero norm.
+    """
+    direction = unit_direction(direction)
+    fields = [[name for name, value in vars(stack).items()
+               if isinstance(value, np.ndarray)] for stack in stacks]
+    rows, defined = [], []
+    for r in np.linspace(0.0, r_max, samples):
+        k = r * direction
+        rows.append([r, *k])
+        try:
+            sol = solve(model, k)
+            records = keep(sol, select_pair(model, sol, band_id))
+        except PairUndefinedError:
+            continue
+        for stack, names, record in zip(stacks, fields, records):
+            for name in names:
+                getattr(stack, name)[len(defined)] = getattr(record, name)
+        defined.append(rows[-1])
+    cut = [dataclasses.replace(
+        stack, **{name: getattr(stack, name)[:len(defined)] for name in names})
+        for stack, names in zip(stacks, fields)]
+    return rows, defined, cut
+
+
+def _finish_rows(rows, defined, columns, values) -> list:
+    """Append ``values`` to the defined rows and NaNs to the others."""
+    for row, tail in zip(defined, values):
+        row += tail
+    for row in rows:
+        row += [np.nan] * (len(columns) - len(row))
+    return rows
+
+
+def _spin_frame_entropies(pairs: KramersPair, svd) -> tuple:
+    """S(xi) and S(xi_bar) of the stacked pairs of a ray, in one pass.
+
+    ``svd`` stacks the SVD factors of the pairs' g_S.  The pairs are
+    aligned to their spin frames, reduced and scored at once.  Returns
+    the two entropy arrays and the stacked ``SpinDensity``.
+    """
+    aligned, _, _ = align_pair_to_spin_frame(pairs, svd)
     dens = pair_spin_densities(aligned)
-    return (entropy(dens.rho_s).tolist(), entropy(dens.rho_s_bar).tolist(),
-            dens)
+    return entropy(dens.rho_s), entropy(dens.rho_s_bar), dens
 
 
 @one_blas_thread
@@ -112,34 +172,21 @@ def gline_rows(model: MaterialModel, band_id, direction,
                r_max: float, samples: int = 200) -> tuple:
     """Singular values, determinants, and entropies along a ray.
 
-    Each row solves, selects the pair and forms its g-tensor set; the
-    spin-frame alignment and entropies then run once over the rows
-    where the pair is defined.  Raises ``ValueError`` for a direction
-    without a finite, non-zero norm.
+    Each row solves, selects the pair and keeps the pair's part of the
+    momentum table; the g-tensor sets, spin-frame alignment and
+    entropies then run once over the rows where the pair is defined.
+    Raises ``ValueError`` for a direction without a finite, non-zero
+    norm.
     """
-    direction = unit_direction(direction)
-    rows, defined, pairs, svd_s = [], [], [], []
-    for r in np.linspace(0.0, r_max, samples):
-        k = r * direction
-        rows.append([r, *k])
-        try:
-            sol = solve(model, k)
-            pair = select_pair(model, sol, band_id)
-            gset = g_tensor_set(model, sol, pair)
-        except PairUndefinedError:
-            rows[-1] += [np.nan] * (len(GLINE_COLUMNS) - 4)
-            continue
-        rows[-1] += [*gset.svd_s[1], gset.det_g_s,
-                     *gset.svd_tot[1], gset.det_g_tot]
-        defined.append(rows[-1])
-        pairs.append(pair)
-        svd_s.append(gset.svd_s)
-    svd = [np.reshape([factors[n] for factors in svd_s], (-1, *shape))
-           for n, shape in enumerate(((3, 3), (3,), (3, 3)))]
-    s_xi, s_xib, _ = _spin_frame_entropies(model, band_id, pairs, svd)
-    for row, a, b in zip(defined, s_xi, s_xib):
-        row += [a, b]
-    return GLINE_COLUMNS, rows
+    rows, defined, (pairs, momenta) = _ray_rows(
+        model, band_id, direction, r_max, samples,
+        [_pair_stack(model, band_id, samples), _momenta_stack(model, samples)],
+        lambda sol, pair: (pair, pair_momenta(model, sol, pair)))
+    gset = g_tensor_set(model, momenta, pairs)
+    s_xi, s_xib, _ = _spin_frame_entropies(pairs, gset.svd_s)
+    values = np.column_stack([gset.sigma_s, gset.det_g_s, gset.sigma_tot,
+                              gset.det_g_tot, s_xi, s_xib]).tolist()
+    return GLINE_COLUMNS, _finish_rows(rows, defined, GLINE_COLUMNS, values)
 
 
 @one_blas_thread
@@ -149,31 +196,20 @@ def entropy_rows(model: MaterialModel, band_id, direction,
 
     Off the valid direction families of the material's point group the
     residual column is NaN: the relation is not defined there, which is
-    a contract fact, not a numerical failure.  g_S is formed row by
-    row and factored, aligned, scored and spin-flipped once over the
-    rows where the pair is defined.  Raises ``ValueError`` for a
-    direction without a finite, non-zero norm.
+    a contract fact, not a numerical failure.  Each row solves and
+    selects the pair; g_S is formed, factored, aligned, scored and
+    spin-flipped once over the rows where the pair is defined.  Raises
+    ``ValueError`` for a direction without a finite, non-zero norm.
     """
-    direction = unit_direction(direction)
     flip_ok = direction_applicable(model, direction)
-    rows, defined, pairs, g_s = [], [], [], []
-    for r in np.linspace(0.0, r_max, samples):
-        k = r * direction
-        rows.append([r, *k])
-        try:
-            sol = solve(model, k)
-            pair = select_pair(model, sol, band_id)
-        except PairUndefinedError:
-            rows[-1] += [np.nan] * 3
-            continue
-        defined.append(rows[-1])
-        pairs.append(pair)
-        g_s.append(spin_g(pair))
-    svd = np.linalg.svd(np.reshape(g_s, (-1, 3, 3)))
-    s_xi, s_xib, dens = _spin_frame_entropies(model, band_id, pairs, svd)
-    residuals = ([float(np.linalg.norm(defect, "fro"))
+    rows, defined, (pairs,) = _ray_rows(
+        model, band_id, direction, r_max, samples,
+        [_pair_stack(model, band_id, samples)], lambda sol, pair: (pair,))
+    s_xi, s_xib, dens = _spin_frame_entropies(
+        pairs, np.linalg.svd(spin_g(pairs)))
+    residuals = ([np.linalg.norm(defect, "fro")
                   for defect in _spin_flip_defect(dens)]
                  if flip_ok else [np.nan] * len(defined))
-    for row, a, b, residual in zip(defined, s_xi, s_xib, residuals):
-        row += [a, b, residual]
-    return ENTROPY_COLUMNS, rows, flip_ok
+    values = np.column_stack([s_xi, s_xib, residuals]).tolist()
+    return (ENTROPY_COLUMNS, _finish_rows(rows, defined, ENTROPY_COLUMNS,
+                                          values), flip_ok)

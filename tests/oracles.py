@@ -46,14 +46,15 @@ def dense_det(model, band_id, direction, radii, which_det="gs") -> np.ndarray:
     return out
 
 
-def pair_zeeman_hamiltonian(pair, sol, pi, field) -> np.ndarray:
+def pair_zeeman_hamiltonian(pair, momenta, field) -> np.ndarray:
     """Direct 2x2 pair Hamiltonian mu_B sum_i B_i (2S_i + L_i).
 
     Oracle counterpart of ``gtensor_tb.gtensor.zeeman_response``: its
-    eigenvalue splitting must match mu_B sqrt(B.G B).
+    eigenvalue splitting must match mu_B sqrt(B.G B).  ``momenta`` is
+    the pair's ``gtensor_tb.gtensor.PairMomenta``.
     """
     b = np.asarray(field, dtype=float)
-    blocks = spin_matrices(pair) + orbital_matrices(pair, sol, pi)
+    blocks = spin_matrices(pair) + orbital_matrices(pair, momenta)
     return MU_B * np.einsum('i,iab->ab', b, blocks)
 
 

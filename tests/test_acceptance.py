@@ -16,7 +16,7 @@ from gtensor_tb import (align_pair_to_spin_frame, atomic_g, boundary_radius,
                         remix_pair, scan_ray, select_pair, solve,
                         spin_flip_residual, spin_g, wedge_directions,
                         zeeman_response)
-from gtensor_tb.gtensor import orbital_matrices
+from gtensor_tb.gtensor import orbital_matrices, pair_momenta
 from gtensor_tb.hamiltonian import (bloch_hamiltonian, dipole_matrix,
                                     hamiltonian_gradient)
 
@@ -164,11 +164,11 @@ def test_criterion_5b_zeeman_splitting_oracle(si):
                          "100 fields"):
         sol = solve(si, np.array([0.05, 0.03, 0.02]))
         pair = select_pair(si, sol, "split-off")
-        pi = momentum_table(si, sol)
+        momenta = pair_momenta(si, sol, pair)
         gset = g_tensor_set(si, sol, pair)
         for b_hat in random_unit_vectors(313, 100):
             b = 1e-6 * b_hat
-            w = np.linalg.eigvalsh(pair_zeeman_hamiltonian(pair, sol, pi, b))
+            w = np.linalg.eigvalsh(pair_zeeman_hamiltonian(pair, momenta, b))
             resp = zeeman_response(gset, b)
             assert abs((w[1] - w[0]) - resp.splitting) <= 1e-8 * resp.splitting
 
@@ -200,7 +200,8 @@ def test_criterion_5c_orbital_moment_assemblies_agree(si):
             pair = select_pair(si, sol, "split-off")
             table = momentum_table(si, sol)
             for route, blocks in (
-                    ("mean-energy", orbital_matrices(pair, sol, table)),
+                    ("mean-energy", orbital_matrices(
+                        pair, pair_momenta(si, sol, pair))),
                     ("commutator",
                      orbital_matrices_commutator(pair, sol, table))):
                 assert np.abs(blocks - local).max() < 1e-10, route

@@ -9,6 +9,7 @@ from gtensor_tb import (NearDegenerateIntermediateError, PairUndefinedError,
                         gtensor, momentum_table, orbital_g, orbital_matrices,
                         proper_svd, remix_pair, select_pair, solve, spin_g,
                         spin_matrices, wedge_directions, zeeman_response)
+from gtensor_tb.gtensor import pair_momenta
 from gtensor_tb.hamiltonian import dipole_matrix, hamiltonian_gradient
 from gtensor_tb.surface import N_COARSE
 from gtensor_tb.su2 import su2_from_rotation
@@ -88,7 +89,7 @@ def test_orbital_routes_agree_for_degenerate_pair(si, ge):
             sol = solve(model, k)
             pair = select_pair(model, sol, "split-off")
             pi = momentum_table(model, sol)
-            la = orbital_matrices(pair, sol, pi)
+            la = orbital_matrices(pair, pair_momenta(model, sol, pair))
             lb = orbital_matrices_commutator(pair, sol, pi)
             assert np.abs(la - lb).max() < 1e-10
 
@@ -96,8 +97,7 @@ def test_orbital_routes_agree_for_degenerate_pair(si, ge):
 def test_orbital_matrices_hermitian_blocks(si):
     sol = solve(si, np.array([0.05, 0.02, 0.01]))
     pair = select_pair(si, sol, "split-off")
-    pi = momentum_table(si, sol)
-    blocks = orbital_matrices(pair, sol, pi)
+    blocks = orbital_matrices(pair, pair_momenta(si, sol, pair))
     for i in range(3):
         assert np.abs(blocks[i] - blocks[i].conj().T).max() < 1e-12
 
@@ -105,10 +105,10 @@ def test_orbital_matrices_hermitian_blocks(si):
 def test_near_degenerate_intermediate_guard(si, monkeypatch):
     sol = solve(si, np.array([0.05, 0.02, 0.01]))
     pair = select_pair(si, sol, "split-off")
-    pi = momentum_table(si, sol)
     monkeypatch.setattr(gtensor, "ENERGY_FLOOR", 10.0)
-    with pytest.raises(NearDegenerateIntermediateError):
-        orbital_matrices(pair, sol, pi)
+    for reduce in (pair_momenta, g_tensor_set):
+        with pytest.raises(NearDegenerateIntermediateError):
+            reduce(si, sol, pair)
 
 
 def test_no_hopping_no_dipole_kills_orbital_moment(si):
@@ -170,7 +170,8 @@ def test_pair_hamiltonian_splitting_matches_G_formula(si, gaas):
             model, np.array([0.05, 0.03, 0.02]), band)
         for b_hat in random_unit_vectors(31, 5):
             b = 1e-6 * b_hat     # linear-response scale, atomic units
-            h2 = pair_zeeman_hamiltonian(pair, sol, pi, b)
+            h2 = pair_zeeman_hamiltonian(
+                pair, pair_momenta(model, sol, pair), b)
             assert np.abs(h2 - h2.conj().T).max() < 1e-18
             w = np.linalg.eigvalsh(h2)
             resp = zeeman_response(gset, b)
@@ -337,7 +338,8 @@ def test_orbital_matrices_bitwise_equal_cycle_loop(material, request):
     model = request.getfixturevalue(material)
     for k, sol, pair in _pair_points(model, 101):
         pi = momentum_table(model, sol)
-        assert (orbital_matrices(pair, sol, pi).tobytes()
+        blocks = orbital_matrices(pair, pair_momenta(model, sol, pair))
+        assert (blocks.tobytes()
                 == _reference_orbital_matrices(pair, sol, pi).tobytes()), k
 
 
@@ -415,6 +417,58 @@ def test_align_on_a_stack_bitwise_equals_single_calls(material, request):
         [remix_pair(p, w[0]).states for p in pairs[:2]]).tobytes()
 
 
+def _stack_like(template, records):
+    """``template`` with every array or float field stacked over
+    ``records`` on a new leading axis, of length 0 when there are none;
+    tuple fields (band indices) are shared."""
+    stacked = {}
+    for field in dataclasses.fields(template):
+        value = getattr(template, field.name)
+        if not isinstance(value, tuple):
+            stacked[field.name] = np.array(
+                [getattr(r, field.name) for r in records],
+                dtype=np.result_type(value)).reshape(-1, *np.shape(value))
+    return dataclasses.replace(template, **stacked)
+
+
+def _gset_fields(gset):
+    return [gset.g_s, gset.g_l, gset.g_tot, gset.G, *gset.svd_s,
+            *gset.svd_tot, gset.det_g_s, gset.det_g_tot]
+
+
+@pytest.mark.parametrize("rows", [0, 1, 52])
+@pytest.mark.parametrize("material", ["si", "gaas"])
+def test_g_tensors_of_a_stack_bitwise_equal_single_calls(material, rows,
+                                                         request):
+    # every other pair is remixed, so its momenta change gauge too
+    model = request.getfixturevalue(material)
+    everything = _pair_points(model, 113)
+    points = everything[:rows]
+    rng = np.random.default_rng(5)
+    pairs = [remix_pair(pair, random_su2(rng)) if n % 2 else pair
+             for n, (_, _, pair) in enumerate(points)]
+    momenta = [pair_momenta(model, sol, pair)
+               for (_, sol, _), pair in zip(points, pairs)]
+    _, sol0, pair0 = everything[0]
+    pair_stack = _stack_like(pair0, pairs)
+    momenta_stack = _stack_like(pair_momenta(model, sol0, pair0), momenta)
+    single = [g_tensor_set(model, sol, pair)
+              for (_, sol, _), pair in zip(points, pairs)]
+    stacked = g_tensor_set(model, momenta_stack, pair_stack)
+    assert all(type(g.det_g_s) is float and type(g.det_g_tot) is float
+               for g in single)
+    for n, field in enumerate(_gset_fields(stacked)):
+        assert field.shape[0] == rows
+        assert field.tobytes() == np.array(
+            [_gset_fields(g)[n] for g in single],
+            dtype=field.dtype).tobytes(), n
+    assert spin_g(pair_stack).tobytes() == np.array(
+        [spin_g(p) for p in pairs]).reshape(-1, 3, 3).tobytes()
+    assert orbital_matrices(pair_stack, momenta_stack).tobytes() == np.array(
+        [orbital_matrices(p, m) for p, m in zip(pairs, momenta)],
+        dtype=complex).reshape(-1, 3, 2, 2).tobytes()
+
+
 def test_align_on_an_empty_stack(si):
     pair = select_pair(si, solve(si, np.array([0.02, 0.0, 0.0])), "split-off")
     empty = dataclasses.replace(pair, states=np.zeros((0, si.dim, 2), complex))
@@ -422,6 +476,8 @@ def test_align_on_an_empty_stack(si):
     aligned, u, sigma = align_pair_to_spin_frame(empty, svd)
     assert aligned.states.shape == (0, si.dim, 2)
     assert u.shape == (0, 3, 3) and sigma.shape == (0, 3)
-    # a stack cannot be factored here: spin_g takes one pair
-    with pytest.raises(ValueError, match="stack"):
-        align_pair_to_spin_frame(_stacked([pair, pair]))
+    # without an SVD a stack factors its own g_S, row by row alike
+    aligned, u, sigma = align_pair_to_spin_frame(_stacked([pair, pair]))
+    single = align_pair_to_spin_frame(pair)
+    assert _bytes(aligned.states, u, sigma) == _bytes(
+        *[np.array([x, x]) for x in (single[0].states, *single[1:])])

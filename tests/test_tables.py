@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from gtensor_tb import (PairUndefinedError, align_pair_to_spin_frame,
-                        boundary_radius, entropy, g_tensor_set,
-                        pair_spin_densities, select_pair, solve,
+from gtensor_tb import (NearDegenerateIntermediateError, PairUndefinedError,
+                        align_pair_to_spin_frame, boundary_radius, entropy,
+                        g_tensor_set, pair_spin_densities, select_pair, solve,
                         spin_flip_residual)
-from gtensor_tb import tables
+from gtensor_tb import gtensor, tables
 from gtensor_tb.tables import (ENTROPY_COLUMNS, GLINE_COLUMNS, band_path_rows,
                                entropy_rows, gline_rows)
 
@@ -75,10 +75,13 @@ def test_gline_nan_rows_on_pairing_failure(si):
         assert np.isnan(np.array(rows)[:, 4:]).all()
 
 
-@pytest.mark.parametrize("build", [gline_rows, entropy_rows])
-def test_ray_tables_align_and_score_once(si, build, monkeypatch):
-    # the per-row work stops at the pair (and its g-tensors); alignment,
-    # densities and entropies run once over the stacked rows
+@pytest.mark.parametrize("build, stacked", [
+    (gline_rows, "g_tensor_set"), (entropy_rows, "spin_g")],
+    ids=["gline_rows", "entropy_rows"])
+def test_ray_tables_align_and_score_once(si, build, stacked, monkeypatch):
+    # the per-row work stops at the pair (and, for g-lines, the momentum
+    # table); the g-tensors, alignment, densities and entropies run once
+    # over the stacked rows
     calls = []
 
     def counted(name, layer):
@@ -88,11 +91,15 @@ def test_ray_tables_align_and_score_once(si, build, monkeypatch):
         return wrapper
 
     for name in ("align_pair_to_spin_frame", "pair_spin_densities",
-                 "entropy"):
+                 "entropy", "g_tensor_set", "spin_g"):
         monkeypatch.setattr(tables, name, counted(name, getattr(tables, name)))
+    monkeypatch.setattr(gtensor, "momentum_table",
+                        counted("momentum_table", gtensor.momentum_table))
     build(si, "split-off", [1, 2, 0], r_max=0.04, samples=7)
-    assert sorted(calls) == ["align_pair_to_spin_frame", "entropy",
-                             "entropy", "pair_spin_densities"]
+    per_row = ["momentum_table"] * 7 if build is gline_rows else []
+    assert sorted(calls) == sorted(["align_pair_to_spin_frame", "entropy",
+                                    "entropy", "pair_spin_densities",
+                                    stacked, *per_row])
 
 
 def test_entropy_rows_residual_column_oh(si):
@@ -125,24 +132,73 @@ def test_entropy_rows_residual_allowed_td_family(gaas):
     assert finite and max(finite) < 1e-8
 
 
-def test_gline_rows_bitwise_equal_public_chain(gaas):
-    # the point chain written out with public calls; the alignment
-    # factors g_S afresh instead of reusing the g-tensor set's SVD
-    raw = np.random.default_rng(41).normal(size=3)
-    direction = raw / np.linalg.norm(raw)
-    r_max = boundary_radius(gaas.lattice_constant, direction)
-    _, rows = gline_rows(gaas, "split-off", raw, r_max, samples=40)
+def _gline_point_chain(model, band, direction, radii) -> list:
+    """The g-line rows written out with public calls, one row at a time;
+    the alignment factors g_S afresh instead of reusing the g-tensor
+    set's SVD."""
     expected = []
-    for r in np.linspace(0.0, r_max, 40):
+    for r in radii:
         k = r * direction
-        sol = solve(gaas, k)
-        pair = select_pair(gaas, sol, "split-off")
-        gset = g_tensor_set(gaas, sol, pair)
+        try:
+            sol = solve(model, k)
+            pair = select_pair(model, sol, band)
+            gset = g_tensor_set(model, sol, pair)
+        except PairUndefinedError:
+            expected.append([r, *k] + [np.nan] * (len(GLINE_COLUMNS) - 4))
+            continue
         dens = pair_spin_densities(align_pair_to_spin_frame(pair)[0])
         expected.append([r, *k, *gset.sigma_s, gset.det_g_s,
                          *gset.sigma_tot, gset.det_g_tot,
                          entropy(dens.rho_s), entropy(dens.rho_s_bar)])
+    return expected
+
+
+@pytest.mark.parametrize("material, band", [
+    ("gaas", "split-off"), ("si", "split-off"), ("si", (4, 5)),
+    ("ge", "second-conduction")],
+    ids=["gaas-split-off", "si-split-off", "si-4-5", "ge-second-conduction"])
+def test_gline_rows_bitwise_equal_public_chain(material, band, request):
+    # Si (4, 5) has a NaN row at Gamma, so its stack is partial
+    model = request.getfixturevalue(material)
+    raw = np.random.default_rng(41).normal(size=3)
+    direction = raw / np.linalg.norm(raw)
+    r_max = boundary_radius(model.lattice_constant, direction)
+    _, rows = gline_rows(model, band, raw, r_max, samples=40)
+    expected = _gline_point_chain(model, band, direction,
+                                  np.linspace(0.0, r_max, 40))
+    assert np.isnan(np.array(expected)[:, 4]).any() == (band == (4, 5))
     assert np.array(rows).tobytes() == np.array(expected).tobytes()
+
+
+def test_gline_rows_nan_exactly_where_intermediates_are_near(gaas,
+                                                             monkeypatch):
+    # a floor between the smallest and largest pair-to-other-band gap of
+    # the ray fails a known subset of its rows; only those turn NaN
+    raw = np.random.default_rng(47).normal(size=3)
+    direction = raw / np.linalg.norm(raw)
+    radii = np.linspace(0.0, boundary_radius(gaas.lattice_constant,
+                                             direction), 40)
+    gaps = []
+    for r in radii:
+        sol = solve(gaas, r * direction)
+        pair = select_pair(gaas, sol, "split-off")
+        rest = np.delete(sol.energies, pair.band_indices)
+        gaps.append(np.abs(rest - pair.pair_energy).min())
+    floor = float(np.median(gaps))
+    near = np.array(gaps) <= floor
+    assert 0 < near.sum() < len(radii)
+    monkeypatch.setattr(gtensor, "ENERGY_FLOOR", floor)
+    _, rows = gline_rows(gaas, "split-off", raw, radii[-1], samples=40)
+    rows = np.array(rows)
+    assert (np.isnan(rows[:, 4:]).all(axis=1) == near).all()
+    assert not np.isnan(rows[~near]).any()
+    expected = _gline_point_chain(gaas, "split-off", direction, radii)
+    assert rows[~near].tobytes() == np.array(expected)[~near].tobytes()
+    for r in radii[near]:
+        sol = solve(gaas, r * direction)
+        pair = select_pair(gaas, sol, "split-off")
+        with pytest.raises(NearDegenerateIntermediateError):
+            g_tensor_set(gaas, sol, pair)
 
 
 @pytest.mark.parametrize("material, band", [("si", "split-off"),

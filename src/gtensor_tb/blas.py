@@ -21,6 +21,21 @@ The g_S scan reads only a pair and its two neighbours of the spectrum.
 OpenBLAS numpy itself is linked against, so no SciPy is loaded.  The
 whole spectrum, or a window where that build is absent, is sliced from
 a full ``np.linalg.eigh``.
+
+A surface makes thousands of these window solves, each about 130 us of
+LAPACK at n = 40.  Reading an array's address through
+``ndarray.ctypes.data`` costs about 2 us and a call passes seven
+addresses, so each thread keeps one ZHEEVR workspace per ``(n, count)``:
+the six output and scratch arrays, their addresses and the argument tail
+built from them (:func:`_workspace`).  Those arguments, and the ones no
+call changes, are converted to ctypes once, which saves about 1.5 us of
+argument conversion per call.  The matrix's own address comes from a
+ctypes view of its buffer.  An entry holds the arrays themselves,
+not only their addresses: the address of a freed array points into
+memory the allocator hands out again, and LAPACK would then write over
+the heap.  The workspace is per thread because ZHEEVR writes into it,
+and the energies and vectors returned are fresh copies, so no result
+aliases it.
 """
 from __future__ import annotations
 
@@ -38,6 +53,11 @@ _saved: tuple = ()
 _COL_MAJOR = 102            # LAPACK_COL_MAJOR in lapacke.h
 _INT = ctypes.c_int64       # numpy's OpenBLAS is an ILP64 build
 _PTR = ctypes.c_void_p
+# ZHEEVR arguments that no call changes, converted to ctypes once:
+# layout, jobz (vectors), range (index range), uplo; vl, vu and abstol
+_MODE = (ctypes.c_int(_COL_MAJOR), ctypes.c_char(b"V"), ctypes.c_char(b"I"),
+         ctypes.c_char(b"L"))
+_ZERO = ctypes.c_double(0.0)
 
 
 @functools.cache
@@ -112,6 +132,48 @@ def _lapacke_zheevr():
     return None
 
 
+class _Workspaces(threading.local):
+    """One thread's ZHEEVR workspaces, keyed by ``(n, count)``."""
+
+    def __init__(self):
+        self.by_shape = {}
+
+
+_workspaces = _Workspaces()
+
+
+def _workspace(n: int, count: int) -> tuple:
+    """This thread's ZHEEVR arrays for ``count`` eigenpairs of an n x n matrix.
+
+    Returns ``(energies, z, found, order, tail, arrays)``: ``order`` is
+    ``n`` as a ctypes integer, ``tail`` every argument after ``abstol``,
+    with ``found`` by reference and the addresses of the six arrays, all
+    converted to ctypes once, and ``arrays`` keeps those arrays alive for
+    as long as the addresses are in use.
+    """
+    ws = _workspaces.by_shape.get((n, count))
+    if ws is None:
+        energies = np.empty(n)
+        z = np.empty((count, n), dtype=complex)  # column-major (n, count)
+        isuppz = np.empty(2 * count, dtype=np.int64)
+        # the smallest workspace ZHEEVR accepts: it selects the unblocked
+        # tridiagonal reduction, about 10% faster at n = 40 than the
+        # blocked one an optimal-size workspace selects
+        work = np.empty(2 * n, dtype=complex)
+        rwork = np.empty(24 * n)
+        iwork = np.empty(10 * n, dtype=np.int64)
+        found = _INT()
+        order = _INT(n)
+        tail = (ctypes.byref(found), _PTR(energies.ctypes.data),
+                _PTR(z.ctypes.data), order, _PTR(isuppz.ctypes.data),
+                _PTR(work.ctypes.data), _INT(work.size),
+                _PTR(rwork.ctypes.data), _INT(rwork.size),
+                _PTR(iwork.ctypes.data), _INT(iwork.size))
+        ws = (energies, z, found, order, tail, (isuppz, work, rwork, iwork))
+        _workspaces.by_shape[(n, count)] = ws
+    return ws
+
+
 def eigh_window(h: np.ndarray, lo: int, hi: int) -> tuple:
     """Eigenpairs ``lo..hi`` (inclusive) of the Hermitian matrix ``h``.
 
@@ -141,26 +203,16 @@ def eigh_window(h: np.ndarray, lo: int, hi: int) -> tuple:
     if zheevr is None:
         energies, states = np.linalg.eigh(h)
         return energies[lo:hi + 1], states[:, lo:hi + 1]
-    energies = np.empty(n)
-    z = np.empty((count, n), dtype=complex)  # column-major (n, count)
-    isuppz = np.empty(2 * count, dtype=np.int64)
-    # the smallest workspace ZHEEVR accepts: it selects the unblocked
-    # tridiagonal reduction, about 10% faster at n = 40 than the
-    # blocked one an optimal-size workspace selects
-    work = np.empty(2 * n, dtype=complex)
-    rwork = np.empty(24 * n)
-    iwork = np.empty(10 * n, dtype=np.int64)
-    found = _INT()
-    info = zheevr(_COL_MAJOR, b"V", b"I", b"L", n, h.ctypes.data, n,
-                  0.0, 0.0, lo + 1, hi + 1, 0.0, ctypes.byref(found),
-                  energies.ctypes.data, z.ctypes.data, n, isuppz.ctypes.data,
-                  work.ctypes.data, work.size, rwork.ctypes.data, rwork.size,
-                  iwork.ctypes.data, iwork.size)
+    energies, z, found, order, tail, _ = _workspace(n, count)
+    # a ctypes view of h's buffer passes its address for a quarter of
+    # the cost of h.ctypes.data, and keeps h alive through the call
+    info = zheevr(*_MODE, order, ctypes.byref(ctypes.c_char.from_buffer(h)),
+                  order, _ZERO, _ZERO, lo + 1, hi + 1, _ZERO, *tail)
     if info != 0 or found.value != count:
         raise np.linalg.LinAlgError(
             f"zheevr returned info {info} and {found.value} of {count} "
             f"eigenvalues for the window ({lo}, {hi})")
-    return energies[:count], z.T.conj()
+    return energies[:count].copy(), z.T.conj()
 
 
 def one_blas_thread(func):

@@ -19,6 +19,7 @@ Conventions
 """
 from __future__ import annotations
 
+import threading
 import weakref
 
 import numpy as np
@@ -39,6 +40,24 @@ def nn_vectors(model: MaterialModel) -> np.ndarray:
     return NN_SIGNS * (model.lattice_constant / 4.0)
 
 
+class _Scratch(threading.local):
+    """One thread's H(k) buffer: the k-independent part of H, and views
+    of its A->B and B->A hopping blocks in both spin blocks at once.
+
+    Only the hopping blocks are written, and every H(k) is a fresh sum
+    taken from the buffer, so the rest of it keeps the k-independent
+    part.  The buffer is per thread because it is written per call.
+    """
+
+    def __init__(self, base, n):
+        self.h = base.copy()
+        m = 2 * n
+        # (spin, orbital, spin, orbital) -> the two spin-diagonal blocks
+        spin_blocks = np.einsum('sisj->sij', self.h.reshape(2, m, 2, m))
+        self.ab = spin_blocks[:, :n, n:]
+        self.ba = spin_blocks[:, n:, :n]
+
+
 class _Engine:
     """Precomputed k-independent pieces for one material.
 
@@ -55,9 +74,10 @@ class _Engine:
         v_ab = model.sk[(sp_a, sp_b)]
         v_ba = model.sk[(sp_b, sp_a)]
         unit = self.nn / np.linalg.norm(self.nn, axis=1)[:, None]
+        # complex, so that no product casts it per call
         self.hop_flat = np.array(
-            [hop_block(model.orbitals, u, v_ab, v_ba) for u in unit]
-        ).reshape(len(unit), n * n)
+            [hop_block(model.orbitals, u, v_ab, v_ba) for u in unit],
+            dtype=complex).reshape(len(unit), n * n)
         # d/dk_j of the bond phase exponents, one contiguous row per j
         self.i_nn = np.ascontiguousarray(1j * self.nn.T)
         onsite = [model.onsite[sp][SHELL[o]]
@@ -68,6 +88,7 @@ class _Engine:
         self.base[np.arange(self.dim), np.arange(self.dim)] = onsite * 2
         self.base += self.soc
         self.dipole = self._dipole_matrix(model)
+        self._scratch = _Scratch(self.base, n)
 
     def _soc_matrix(self, model):
         # lambda_p L.S = sum_a sigma_a (x) (lambda_p/2) L_a, with
@@ -100,10 +121,14 @@ class _Engine:
             out[s + n:s + 2 * n, s:s + n] = hba
 
     def h(self, k):
-        h = self.base.copy()
-        self._put_hopping(h, np.exp(1j * (self.nn @ k)))
-        h += 0.0          # clears the sign of zeros: bitwise onsite + hop + SOC
-        return h
+        n = self.n
+        scratch = self._scratch
+        hab = (np.exp(1j * (self.nn @ k)) @ self.hop_flat).reshape(n, n)
+        scratch.ab[...] = hab
+        scratch.ba[...] = hab.conj().T
+        # a fresh array; + 0.0 clears the sign of zeros, so H is bitwise
+        # onsite + hop + SOC
+        return scratch.h + 0.0
 
     def grad(self, k):
         """dH/dk_j for j = x, y, z, shape (3, dim, dim).

@@ -33,7 +33,7 @@ import math
 
 import numpy as np
 
-from .bands import pair_window, select_pair, solve
+from .bands import pair_window, resolve_band_indices, select_pair, solve
 from .blas import one_blas_thread
 from .brillouin import (boundary_radius, cubic_group, replicate_points,
                         unit_direction)
@@ -79,24 +79,38 @@ class SurfaceCloud:
     failures: list
 
 
-def _g_at(model: MaterialModel, band_id, k, which_det: str) -> np.ndarray:
+def _g_at(model: MaterialModel, pair: tuple, bands: tuple, which_det: str,
+          k) -> np.ndarray:
     """The chosen 3x3 g-tensor (g_S or g_tot) at one k-point.
+
+    ``pair`` holds the pair's band indices and ``bands`` the window
+    :func:`_ray_bands` solves for them.
+    """
+    sol = solve(model, k, bands)
+    selected = select_pair(model, sol, pair)
+    if which_det == "gs":
+        return spin_g(selected)
+    return g_tensor_set(model, sol, selected).g_tot
+
+
+def _ray_bands(model: MaterialModel, band_id, which_det: str) -> tuple:
+    """The pair's band indices and the bands each evaluation solves.
 
     g_S reads only the pair and its neighbours, so only that window of
     bands is solved; g_tot sums over all bands and solves them all.
     """
+    if which_det not in ("gs", "gtot"):
+        raise ValueError(f"which_det must be 'gs' or 'gtot', not {which_det!r}")
+    pair = resolve_band_indices(model, band_id)
     if which_det == "gs":
-        sol = solve(model, k, bands=pair_window(model, band_id))
-        return spin_g(select_pair(model, sol, band_id))
-    if which_det == "gtot":
-        sol = solve(model, k)
-        return g_tensor_set(model, sol, select_pair(model, sol, band_id)).g_tot
-    raise ValueError(f"which_det must be 'gs' or 'gtot', not {which_det!r}")
+        return pair, pair_window(model, pair)
+    return pair, (0, model.dim - 1)
 
 
-def _bisect(model, band_id, direction, lo, hi, sign_lo, which_det, tol):
+def _bisect(g_at, direction, lo, hi, sign_lo, tol):
     """Shrink a sign-change bracket below tol; returns (mid, width).
 
+    ``g_at(k)`` is the g-tensor whose determinant changes sign.
     Halving stops early once the bracket is within four float spacings
     of ``hi``, where a midpoint could equal an end and the bracket would
     stop shrinking, or at 2**-52 of its starting width (a root next to
@@ -106,8 +120,7 @@ def _bisect(model, band_id, direction, lo, hi, sign_lo, which_det, tol):
     floor = max(tol, (hi - lo) * 2.0 ** -52)
     while hi - lo > max(floor, 4.0 * math.ulp(hi)):
         mid = 0.5 * (lo + hi)
-        g = _g_at(model, band_id, mid * direction, which_det)
-        if det_sign(g) == sign_lo:
+        if det_sign(g_at(mid * direction)) == sign_lo:
             lo = mid
         else:
             hi = mid
@@ -141,14 +154,17 @@ def scan_ray(model: MaterialModel, band_id, direction,
     if r_max is None or clipped:
         r_max = r_boundary
 
+    # labels and the band window are resolved once per ray
+    pair, bands = _ray_bands(model, band_id, which_det)
+    g_at = functools.partial(_g_at, model, pair, bands, which_det)
     radii = np.linspace(0.0, r_max, n_coarse)
     crossings = []
     failures = []
     prev = None     # (r, sign) of the last sample where the pair is defined
     gap = None      # (start, reason) of the excluded interval being passed
-    for r in radii:
+    for r, k in zip(radii, radii[:, None] * direction):
         try:
-            sign = det_sign(_g_at(model, band_id, r * direction, which_det))
+            sign = det_sign(g_at(k))
         except PairUndefinedError as err:
             if gap is None:
                 gap = (r if prev is None else prev[0], type(err).__name__)
@@ -159,8 +175,8 @@ def scan_ray(model: MaterialModel, band_id, direction,
             # no bracketing across an excluded interval: its sign is unknown
         elif prev is not None and sign != prev[1]:
             try:
-                mid, width = _bisect(model, band_id, direction, prev[0], r,
-                                     prev[1], which_det, bisect_tol)
+                mid, width = _bisect(g_at, direction, prev[0], r, prev[1],
+                                     bisect_tol)
             except PairUndefinedError as err:
                 failures.append((prev[0], r, type(err).__name__))
             else:

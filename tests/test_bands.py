@@ -191,7 +191,8 @@ def _full_chain_sign(model, band, k):
 def _window_chain_sign(model, band, k):
     """det(g_S) sign from the scanner's windowed chain, or the error type."""
     try:
-        return det_sign(surface._g_at(model, band, k, "gs"))
+        pair, bands = surface._ray_bands(model, band, "gs")
+        return det_sign(surface._g_at(model, pair, bands, "gs", k))
     except PairUndefinedError as err:
         return type(err).__name__
 
@@ -284,6 +285,26 @@ def test_lapack_failure_raises_linalg_error(si, monkeypatch):
         monkeypatch.setattr(blas, "_lapacke_zheevr", lambda: fake(info, found))
         with pytest.raises(np.linalg.LinAlgError, match="zheevr"):
             blas.eigh_window(h.copy(), 1, 4)
+
+
+@pytest.mark.parametrize("pair, bands", [
+    ((2, 3), None), ((2, 3), (1, 4)), ((3, 2), None), ((3, 2), (1, 4)),
+    ((-2, -1), None), ((0, 1), (0, 2))])
+def test_select_pair_arrays_equal_fancy_index(si, pair, bands):
+    # the pair's arrays are the fancy index of the solution's, with the
+    # same bytes and the same (column-major) layout, and own their memory
+    sol = solve(si, np.array([0.31, 0.17, 0.05]), bands=bands)
+    a, b = (i % si.dim - sol.first for i in pair)
+    try:
+        selected = select_pair(si, sol, pair)
+    except PairingAmbiguityError:
+        pytest.fail(f"pair {pair} is isolated at this k")
+    for got, want in ((selected.energies, sol.energies[[a, b]]),
+                      (selected.states, sol.states[:, [a, b]])):
+        assert got.tobytes() == want.tobytes()
+        assert got.strides == want.strides
+        assert not np.shares_memory(got, sol.states)
+        assert not np.shares_memory(got, sol.energies)
 
 
 def test_select_pair_needs_pair_and_neighbours(si):

@@ -1,9 +1,12 @@
+import sys
 import threading
 
 import numpy as np
 import pytest
 
-from gtensor_tb import blas, surface, tables, wedge_directions
+from conftest import random_k_points
+from gtensor_tb import bloch_hamiltonian, blas, surface, tables, wedge_directions
+from gtensor_tb.bands import pair_window
 from gtensor_tb.blas import one_blas_thread
 
 
@@ -121,3 +124,76 @@ def test_without_openblas_same_crossings(si, monkeypatch):
     unpinned = surface.scan_ray(si, "split-off", d, r_max=0.1)
     assert pinned.crossings
     assert pinned.crossings == unpinned.crossings
+
+
+# --- the per-thread ZHEEVR workspace of eigh_window
+
+@pytest.fixture
+def zheevr():
+    if blas._lapacke_zheevr() is None:
+        pytest.skip("numpy's OpenBLAS does not export LAPACKE_zheevr_work")
+
+
+def _bytes(energies, states):
+    return energies.tobytes(), states.tobytes()
+
+
+def test_window_result_survives_later_solves(si, zheevr):
+    # a result must own its arrays: 100 later solves reuse the workspace
+    # and must not reach an earlier result
+    h = bloch_hamiltonian(si, np.array([0.02, 0.01, 0.0]))
+    energies, states = blas.eigh_window(h, 1, 4)
+    saved = _bytes(energies, states)
+    for k in random_k_points(5, 100, scale=0.5):
+        blas.eigh_window(bloch_hamiltonian(si, k), 1, 4)
+    assert _bytes(energies, states) == saved
+
+
+def test_alternating_windows_match_fresh_workspaces(si, gaas, zheevr):
+    # Si (n = 40) and GaAs (n = 16) windows of three or four bands, in
+    # turn, each bitwise equal to a solve on a workspace of its own
+    cases = []
+    for k in random_k_points(7, 20, scale=0.5):
+        for model, band in ((si, "split-off"), (gaas, "split-off"),
+                            (si, (0, 1))):
+            lo, hi = pair_window(model, band)
+            cases.append((bloch_hamiltonian(model, k), lo, hi))
+    assert {(h.shape[0], hi - lo + 1) for h, lo, hi in cases} == {
+        (40, 4), (16, 4), (40, 3)}
+    alternating = [_bytes(*blas.eigh_window(h.copy(), lo, hi))
+                   for h, lo, hi in cases]
+    for (h, lo, hi), result in zip(cases, alternating):
+        blas._workspaces.by_shape.clear()
+        assert _bytes(*blas.eigh_window(h.copy(), lo, hi)) == result
+
+
+def test_threads_solve_like_serial(si, zheevr):
+    # two threads solve 200 different Si windows each at the same time;
+    # ctypes releases the GIL around ZHEEVR, so a workspace or H buffer
+    # shared between threads would mix their results
+    ks = random_k_points(11, 400, scale=0.5)
+
+    def solved(k):
+        return _bytes(*blas.eigh_window(bloch_hamiltonian(si, k), 1, 4))
+
+    serial = [solved(k) for k in ks]
+    start = threading.Barrier(2, timeout=30)
+    results = {}
+
+    def work(t):
+        start.wait()
+        results[t] = [solved(k) for k in ks[t::2]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(120)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert results[0] == serial[0::2]
+    assert results[1] == serial[1::2]

@@ -3,7 +3,8 @@
 Each surface entry runs ``gtensor-tb surface ... --level 1`` and hashes the
 lines that do not start with '#' (the CSV header and the points); the
 comment block holds the configuration echo, which names the output
-path, so it is left out.  Radii are bisection midpoints, exact sums of
+path, so it is left out.  The si-so-surface benchmark's own job, at
+``--level 3``, is pinned the same way.  Radii are bisection midpoints, exact sums of
 powers of two times the coarse radii, so the hashes change only when a
 determinant sign does, not with LAPACK rounding.  A change to the
 numerics that moves any of them must say so and record the new values.
@@ -31,14 +32,29 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("args", sorted(GOLDEN))
-def test_surface_level_1_data_rows(tmp_path, args):
-    out = tmp_path / "surface.csv"
-    argv = ["surface", *args.split(), "--level", "1", "--out", str(out)]
-    assert cli.main(argv) == 0
+# the si-so-surface benchmark job, at its own level
+BENCHMARK_SURFACE = (
+    "--material si --band split-off --det gs --level 3",
+    (1255, "2cda480e71f2cb32337cbdb1779d9b4127c300e940d50c7228b842c2a70f71d9"))
+
+
+def _data_rows(out_dir, args):
+    """(line count, sha256) of the non-comment lines of a surface CSV."""
+    out = out_dir / "surface.csv"
+    assert cli.main(["surface", *args.split(), "--out", str(out)]) == 0
     with open(out, "rb") as fh:
         rows = [line for line in fh if not line.startswith(b"#")]
-    assert (len(rows), hashlib.sha256(b"".join(rows)).hexdigest()) == GOLDEN[args]
+    return len(rows), hashlib.sha256(b"".join(rows)).hexdigest()
+
+
+@pytest.mark.parametrize("args", sorted(GOLDEN))
+def test_surface_level_1_data_rows(tmp_path, args):
+    assert _data_rows(tmp_path, args + " --level 1") == GOLDEN[args]
+
+
+def test_benchmark_surface_data_rows(tmp_path):
+    args, expected = BENCHMARK_SURFACE
+    assert _data_rows(tmp_path, args) == expected
 
 
 ATOMFIT = {

@@ -139,7 +139,7 @@ def test_undefined_runs_split_the_ray(si, monkeypatch):
     # between defined samples
     r_max = boundary_radius(si.lattice_constant, [1, 0, 0])
 
-    def fake_g_at(model, band_id, k, which_det):
+    def fake_g_at(model, pair, bands, which_det, k):
         f = k[0] / r_max
         if f < 0.15:
             raise PairingAmbiguityError(k, (0, 1), 1.0, 0.0)
@@ -206,7 +206,7 @@ def test_bisection_next_to_gamma_is_bounded(si, monkeypatch):
     r_max = boundary_radius(si.lattice_constant, [1, 0, 0])
     calls = []
 
-    def fake_g_at(model, band_id, k, which_det):
+    def fake_g_at(model, pair, bands, which_det, k):
         calls.append(k[0])
         return np.diag([1.0 if k[0] < 1e-250 * r_max else -1.0, 1.0, 1.0])
 

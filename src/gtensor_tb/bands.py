@@ -80,10 +80,17 @@ def pair_window(model: MaterialModel, band_id) -> tuple:
     """The bands :func:`select_pair` reads: the pair and its neighbours.
 
     Returns the inclusive ``(lo, hi)`` range for ``solve(..., bands=)``.
+    In a Kramers-degenerate model (``pair_split_tol`` set) bands 2m and
+    2m + 1 are one doublet, and the window takes whole doublets: an
+    index range whose edge splits a degenerate cluster costs ZHEEVR
+    more than one with two bands more.
     """
     i, j = resolve_band_indices(model, band_id)
     dim = model.dim
-    return _neighbour_window(dim, i % dim, j % dim)
+    lo, hi = _neighbour_window(dim, i % dim, j % dim)
+    if model.pair_split_tol is None:
+        return lo, hi
+    return lo - lo % 2, hi | 1  # dim is even, so hi | 1 < dim
 
 
 def _neighbour_window(dim: int, a: int, b: int) -> tuple:

@@ -15,16 +15,19 @@ leave the process at one thread.  Where there is no ``/proc`` (macOS),
 no OpenBLAS (MKL, Accelerate) or no ``openblas_set_num_threads_local``
 symbol, the decorator does nothing.
 
-The g_S scan reads only a pair and its two neighbours of the spectrum.
+The g_S scan reads only a pair and its neighbours in the spectrum
+(whole Kramers doublets where every band is degenerate, see
+:func:`~gtensor_tb.bands.pair_window`).
 :func:`eigh_window` computes just those eigenpairs with LAPACK's ZHEEVR
 (bisection and inverse iteration for an index range), called from the
 OpenBLAS numpy itself is linked against, so no SciPy is loaded.  The
 whole spectrum, or a window where that build is absent, is sliced from
 a full ``np.linalg.eigh``.
 
-A surface makes thousands of these window solves, each about 130 us of
-LAPACK at n = 40.  Reading an array's address through
-``ndarray.ctypes.data`` costs about 2 us and a call passes seven
+A surface makes thousands of these window solves, each about 110-125
+us of LAPACK for six of the 40 bands (a window that ends inside a
+degenerate doublet costs about 10 us more).  Reading an array's address
+through ``ndarray.ctypes.data`` costs about 2 us and a call passes seven
 addresses, so each thread keeps one ZHEEVR workspace per ``(n, count)``:
 the six output and scratch arrays, their addresses and the argument tail
 built from them (:func:`_workspace`).  Those arguments, and the ones no

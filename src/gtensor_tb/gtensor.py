@@ -189,17 +189,27 @@ class GTensorSet:
         return self.svd_tot[1]
 
 
-def det_sign(g: np.ndarray) -> int:
+def det_sign(g: np.ndarray) -> int | np.ndarray:
     """Sign of det(g) from its cofactor expansion along the first row.
 
     Returns +1 or -1, never 0: an exact 0.0 counts as +1.  The rounding
     error is of order 1e-16 |g|^3, so the sign is exact unless the
     smallest singular value is below about 1e-15 |g| (an SVD cannot
     resolve the sign there either).
+
+    A stack (..., 3, 3) gives an int array (...): the same products and
+    sums, one element-wise operation at a time, so each row is bit for
+    bit the sign of that g alone.
     """
-    (a, b, c), (d, e, f), (p, q, r) = g.tolist()
+    single = g.ndim == 2
+    # a single g goes through Python floats, a stack through numpy
+    # arrays of its nine entries
+    rows = g.tolist() if single else np.moveaxis(g, (-2, -1), (0, 1))
+    (a, b, c), (d, e, f), (p, q, r) = rows
     det = a * (e * r - f * q) - b * (d * r - f * p) + c * (d * q - e * p)
-    return 1 if det >= 0.0 else -1
+    if single:
+        return 1 if det >= 0.0 else -1
+    return np.where(det >= 0.0, 1, -1)
 
 
 def g_tensor_set(model: MaterialModel, sol: BlochSolution | PairMomenta,

@@ -1,10 +1,13 @@
 """Radial scanning for det(g)=0 surfaces: bracketing, bisection, export.
 
-A ray from Gamma is sampled at ``n_coarse`` radii; every sign change of
-the chosen determinant is refined by bisection on the sign down to
-``bisect_tol`` in radius, or to four float spacings where those are
-wider (lattice constants far from atomic scale), in at most about 52
-halvings.  The sign is that of the 3x3 cofactor determinant, with an
+A ray from Gamma is sampled at ``n_coarse`` radii.  Each sample is
+solved and its pair selected on its own; g and the determinant signs
+of all samples where the pair is defined are then formed in one stacked
+pass.  Every sign change is refined by bisection on the sign, one
+k-point at a time, down to ``bisect_tol`` in radius, capped at
+``TOL_PER_ZONE`` of 2 pi / a so that the tolerance shrinks with the
+zone, or to four float spacings where those are wider, in at most about
+52 halvings.  The sign is that of the 3x3 cofactor determinant, with an
 exact 0.0 counted as +1, so it is always +-1.
 Rays are independent work items, so surface assembly
 parallelizes over a worker pool with a deterministic merge by direction
@@ -38,11 +41,15 @@ from .blas import one_blas_thread
 from .brillouin import (boundary_radius, cubic_group, replicate_points,
                         unit_direction)
 from .errors import PairUndefinedError
-from .gtensor import det_sign, g_tensor_set, spin_g
+from .gtensor import det_sign, g_tensor_set, pair_momenta, spin_g
 from .materials import MaterialModel
 from .tables import write_csv
 
 BISECT_TOL = 1e-6  # Bohr^-1
+# bisection always reaches this fraction of 2 pi / a, the reciprocal
+# lattice scale: 2.2-2.3e-6 Bohr^-1 for Si, Ge and GaAs, above
+# BISECT_TOL, so it binds only at lattice constants far from atomic scale
+TOL_PER_ZONE = 2.0 ** -18
 N_COARSE = 200
 
 
@@ -93,6 +100,47 @@ def _g_at(model: MaterialModel, pair: tuple, bands: tuple, which_det: str,
     return g_tensor_set(model, sol, selected).g_tot
 
 
+def _stack(records: list):
+    """One record whose array and float fields stack those of ``records``."""
+    return dataclasses.replace(records[0], **{
+        name: np.array([getattr(record, name) for record in records])
+        for name, value in vars(records[0]).items()
+        if isinstance(value, (np.ndarray, float))})
+
+
+def _coarse_signs(model: MaterialModel, pair: tuple, bands: tuple,
+                  which_det: str, ks) -> list:
+    """The determinant sign at each k-point of ``ks``, in one stacked pass.
+
+    Each k-point is solved and its pair selected (and, for g_tot, its
+    momentum table reduced) on its own; the g-tensors and their signs
+    are then formed once over the stacked rows where the pair is
+    defined.  An entry is +1 or -1, bit for bit
+    ``det_sign(_g_at(model, pair, bands, which_det, k))``, or the class
+    name of the :class:`PairUndefinedError` that k-point raised.
+    """
+    entries, pairs, momenta = [], [], []
+    for k in ks:
+        try:
+            sol = solve(model, k, bands)
+            selected = select_pair(model, sol, pair)
+            if which_det == "gtot":
+                momenta.append(pair_momenta(model, sol, selected))
+        except PairUndefinedError as err:
+            entries.append(type(err).__name__)
+            continue
+        pairs.append(selected)
+        entries.append(None)
+    if not pairs:
+        return entries
+    if which_det == "gs":
+        g = spin_g(_stack(pairs))
+    else:
+        g = g_tensor_set(model, _stack(momenta), _stack(pairs)).g_tot
+    signs = iter(det_sign(g).tolist())
+    return [next(signs) if entry is None else entry for entry in entries]
+
+
 def _ray_bands(model: MaterialModel, band_id, which_det: str) -> tuple:
     """The pair's band indices and the bands each evaluation solves.
 
@@ -138,9 +186,11 @@ def scan_ray(model: MaterialModel, band_id, direction,
     ``r_max`` defaults to the Brillouin-zone boundary; larger requests
     are clipped to it (and flagged in ``clipped``).  Pairing failures
     are recorded as excluded radius intervals and the scan continues
-    beyond them; an empty crossing list is a valid result.  Raises
-    ``ValueError`` for a zero or non-finite direction, an ``r_max`` or
-    ``bisect_tol`` that is not positive and finite, or ``n_coarse < 2``.
+    beyond them; an empty crossing list is a valid result.  Bisection
+    stops at ``bisect_tol`` or ``TOL_PER_ZONE * 2 pi / a``, whichever is
+    smaller.  Raises ``ValueError`` for a zero or non-finite direction,
+    an ``r_max`` or ``bisect_tol`` that is not positive and finite, or
+    ``n_coarse < 2``.
     """
     direction = unit_direction(direction)
     for name, value in (("r_max", r_max), ("bisect_tol", bisect_tol)):
@@ -157,17 +207,19 @@ def scan_ray(model: MaterialModel, band_id, direction,
     # labels and the band window are resolved once per ray
     pair, bands = _ray_bands(model, band_id, which_det)
     g_at = functools.partial(_g_at, model, pair, bands, which_det)
+    tol = min(bisect_tol,
+              TOL_PER_ZONE * 2.0 * math.pi / model.lattice_constant)
     radii = np.linspace(0.0, r_max, n_coarse)
+    signs = _coarse_signs(model, pair, bands, which_det,
+                          radii[:, None] * direction)
     crossings = []
     failures = []
     prev = None     # (r, sign) of the last sample where the pair is defined
     gap = None      # (start, reason) of the excluded interval being passed
-    for r, k in zip(radii, radii[:, None] * direction):
-        try:
-            sign = det_sign(g_at(k))
-        except PairUndefinedError as err:
+    for r, sign in zip(radii, signs):
+        if isinstance(sign, str):   # the pair is undefined at r
             if gap is None:
-                gap = (r if prev is None else prev[0], type(err).__name__)
+                gap = (r if prev is None else prev[0], sign)
             continue
         if gap is not None:
             failures.append((gap[0], r, gap[1]))
@@ -176,7 +228,7 @@ def scan_ray(model: MaterialModel, band_id, direction,
         elif prev is not None and sign != prev[1]:
             try:
                 mid, width = _bisect(g_at, direction, prev[0], r, prev[1],
-                                     bisect_tol)
+                                     tol)
             except PairUndefinedError as err:
                 failures.append((prev[0], r, type(err).__name__))
             else:

@@ -7,13 +7,14 @@ import csv
 
 import numpy as np
 
+from gtensor_tb import surface
 from gtensor_tb.bands import select_pair, solve
 from gtensor_tb.blas import one_blas_thread
 from gtensor_tb.brillouin import (NN_SIGNS, cubic_group, unit_direction,
                                   zone_faces)
 from gtensor_tb.errors import PairUndefinedError
-from gtensor_tb.gtensor import (g_tensor_set, orbital_matrices, spin_g,
-                                spin_matrices)
+from gtensor_tb.gtensor import (det_sign, g_tensor_set, orbital_matrices,
+                                spin_g, spin_matrices)
 from gtensor_tb.su2 import PAULI, SIGMA_X, SIGMA_Y, SIGMA_Z
 from gtensor_tb.surface import CSV_COLUMNS, SurfaceCloud
 from gtensor_tb.units import MU_B
@@ -44,6 +45,24 @@ def dense_det(model, band_id, direction, radii, which_det="gs") -> np.ndarray:
             continue
         out[i] = np.linalg.det(g)
     return out
+
+
+def point_signs(model, pair, bands, which_det, ks) -> list:
+    """Per-point counterpart of ``gtensor_tb.surface._coarse_signs``.
+
+    At each k-point the scalar chain: ``surface._g_at`` (looked up at
+    call time, so a test may replace it) and the scalar ``det_sign``.
+    An entry is +1 or -1, or the class name of the
+    ``PairUndefinedError`` raised there.
+    """
+    entries = []
+    for k in ks:
+        try:
+            entries.append(det_sign(surface._g_at(model, pair, bands,
+                                                  which_det, k)))
+        except PairUndefinedError as err:
+            entries.append(type(err).__name__)
+    return entries
 
 
 def pair_zeeman_hamiltonian(pair, momenta, field) -> np.ndarray:

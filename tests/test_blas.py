@@ -150,8 +150,9 @@ def test_window_result_survives_later_solves(si, zheevr):
 
 
 def test_alternating_windows_match_fresh_workspaces(si, gaas, zheevr):
-    # Si (n = 40) and GaAs (n = 16) windows of three or four bands, in
-    # turn, each bitwise equal to a solve on a workspace of its own
+    # Si (n = 40) windows of whole Kramers pairs (four or six bands) and
+    # GaAs (n = 16) windows of four bands, in turn, each bitwise equal to
+    # a solve on a workspace of its own
     cases = []
     for k in random_k_points(7, 20, scale=0.5):
         for model, band in ((si, "split-off"), (gaas, "split-off"),
@@ -159,7 +160,7 @@ def test_alternating_windows_match_fresh_workspaces(si, gaas, zheevr):
             lo, hi = pair_window(model, band)
             cases.append((bloch_hamiltonian(model, k), lo, hi))
     assert {(h.shape[0], hi - lo + 1) for h, lo, hi in cases} == {
-        (40, 4), (16, 4), (40, 3)}
+        (40, 6), (16, 4), (40, 4)}
     alternating = [_bytes(*blas.eigh_window(h.copy(), lo, hi))
                    for h, lo, hi in cases]
     for (h, lo, hi), result in zip(cases, alternating):

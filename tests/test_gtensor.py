@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gtensor_tb import (NearDegenerateIntermediateError, PairUndefinedError,
                         ZeroSplittingError, align_pair_to_spin_frame,
@@ -250,6 +252,43 @@ def test_det_sign_of_zero_row_is_plus_one():
             g = rng.normal(size=(3, 3))
             g[row] = 0.0
             assert det_sign(g) == 1
+
+
+@st.composite
+def _g_stacks(draw):
+    """A stack of 3x3 matrices, some of whose determinants are exactly 0.0.
+
+    A matrix with a zero row, or of small integers with two equal rows,
+    is singular, and its cofactor sum is exactly zero (of either sign).
+    """
+    n = draw(st.integers(0, 12))
+    entries = (st.floats(-1e3, 1e3) | st.integers(-3, 3).map(float)
+               | st.sampled_from([0.0, -0.0]))
+    g = np.array(draw(st.lists(entries, min_size=9 * n, max_size=9 * n)),
+                 dtype=float).reshape(n, 3, 3)
+    for row in g:
+        kind = draw(st.sampled_from(["any", "zero row", "equal rows"]))
+        i, j = draw(st.permutations(range(3)))[:2]
+        if kind == "zero row":
+            row[i] = 0.0
+        elif kind == "equal rows":
+            row[:] = np.round(row) % 4.0 - 2.0
+            row[j] = row[i]
+    return g
+
+
+@settings(max_examples=200, deadline=None)
+@given(_g_stacks())
+def test_stacked_det_sign_equals_single_calls(g):
+    single = [det_sign(row) for row in g]
+    stacked = det_sign(g)
+    assert stacked.shape == (len(g),)
+    assert np.issubdtype(stacked.dtype, np.integer)
+    assert stacked.tolist() == single
+    assert det_sign(g[None]).tolist() == [single]
+    dets = [a * (e * r - f * q) - b * (d * r - f * p) + c * (d * q - e * p)
+            for (a, b, c), (d, e, f), (p, q, r) in g.tolist()]
+    assert all(sign == 1 for sign, det in zip(single, dets) if det == 0.0)
 
 
 def test_proper_svd_reconstructs_with_proper_right_factor(si):

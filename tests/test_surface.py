@@ -20,7 +20,7 @@ from gtensor_tb.errors import (NearDegenerateIntermediateError,
                                PairingAmbiguityError)
 
 from conftest import random_unit_vectors
-from oracles import dense_det, in_first_zone, read_cloud_csv
+from oracles import dense_det, in_first_zone, point_signs, read_cloud_csv
 
 
 def _dense_roots(model, band_id, direction, r_max, which_det, samples=2000):
@@ -133,6 +133,13 @@ def test_failure_intervals_recorded_not_fatal(si, ge):
     assert len(scan.crossings) == 1
 
 
+def _scan_with(monkeypatch, fake_g_at):
+    """Make scan_ray evaluate ``fake_g_at`` at every sample: its coarse
+    pass per point, as the reference scan does, and its bisection."""
+    monkeypatch.setattr(surface, "_g_at", fake_g_at)
+    monkeypatch.setattr(surface, "_coarse_signs", point_signs)
+
+
 def test_undefined_runs_split_the_ray(si, monkeypatch):
     # leading, middle and trailing undefined runs; the sign differs
     # across each run, and one real sign change at 0.65 r_max lies
@@ -148,7 +155,7 @@ def test_undefined_runs_split_the_ray(si, monkeypatch):
         sign = -1.0 if 0.45 <= f < 0.65 else 1.0
         return np.diag([sign, 1.0, 1.0])
 
-    monkeypatch.setattr(surface, "_g_at", fake_g_at)
+    _scan_with(monkeypatch, fake_g_at)
     scan = scan_ray(si, "split-off", [1, 0, 0], n_coarse=11)
     radii = np.linspace(0.0, r_max, 11)
     assert scan.failures == [
@@ -210,12 +217,25 @@ def test_bisection_next_to_gamma_is_bounded(si, monkeypatch):
         calls.append(k[0])
         return np.diag([1.0 if k[0] < 1e-250 * r_max else -1.0, 1.0, 1.0])
 
-    monkeypatch.setattr(surface, "_g_at", fake_g_at)
+    _scan_with(monkeypatch, fake_g_at)
     scan = scan_ray(si, "split-off", [1, 0, 0], n_coarse=4, bisect_tol=1e-300)
     assert len(scan.crossings) == 1
     assert len(calls) <= 4 + 53
     width = scan.crossings[0].bracket_width
     assert width <= (r_max / 3) * 2.0 ** -52
+
+
+def test_bisection_tolerance_scales_with_the_zone(tmp_path):
+    # at 1e13 Angstrom the whole ray is shorter than BISECT_TOL; the
+    # tolerance is capped at 2**-18 of 2 pi / a, so the crossing is still
+    # bisected instead of reported at the middle of a coarse interval
+    model = _si_with_lattice_constant(tmp_path, 1e13)
+    direction = wedge_directions(0)[0]
+    scan = scan_ray(model, "split-off", direction, n_coarse=4)
+    assert len(scan.crossings) == 1 and not scan.failures
+    zone = 2.0 * math.pi / model.lattice_constant
+    width = scan.crossings[0].bracket_width
+    assert 0.0 < width <= 2.0 ** -18 * zone
 
 
 @settings(max_examples=40, deadline=None)
@@ -237,6 +257,59 @@ def test_any_lattice_constant_scans_in_bounded_work(tmp_path_factory, log_a,
         scan = scan_ray(model, "split-off", direction, n_coarse=4)
     assert scan.r_max == radius
     assert len(calls) <= 4 + 64 * (len(scan.crossings) + len(scan.failures))
+
+
+def _scans_both_ways(monkeypatch, model, band, directions, which_det):
+    """scan_ray on every direction with the stacked coarse pass, then
+    with the per-point reference: (coarse entries, scans) of each."""
+    both = []
+    for coarse in (surface._coarse_signs, point_signs):
+        entries = []
+
+        def recorded(*args, coarse=coarse, entries=entries):
+            entries.append(coarse(*args))
+            return entries[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(surface, "_coarse_signs", recorded)
+            scans = [scan_ray(model, band, d, which_det=which_det)
+                     for d in directions]
+        both.append((entries, scans))
+    return both
+
+
+@pytest.mark.parametrize("band, level, which_det", [
+    ("split-off", 3, "gs"), ("first-conduction", 3, "gs"),
+    ("split-off", 1, "gtot")])
+def test_coarse_pass_matches_per_point_scan(si, monkeypatch, band, level,
+                                            which_det):
+    # the stacked g pass gives every coarse sample the sign (or failure)
+    # of the scalar chain, so crossings and failure intervals agree too
+    directions = wedge_directions(level)
+    (stacked, stacked_scans), (points, point_scans) = _scans_both_ways(
+        monkeypatch, si, band, directions, which_det)
+    assert len(stacked) == len(points) == len(directions)
+    assert stacked == points
+    assert {1, -1} <= {e for entries in points for e in entries}
+    for ray, (a, b) in enumerate(zip(stacked_scans, point_scans)):
+        assert a.crossings == b.crossings, ray
+        assert a.failures == b.failures, ray
+    failed = {ray: scan.failures for ray, scan in enumerate(stacked_scans)
+              if scan.failures}
+    last = len(directions) - 1  # [100]: the pair meets another band at X
+    assert list(failed) == [last]
+    [(_, hi, reason)] = failed[last]
+    assert reason == "PairingAmbiguityError"
+    assert hi == stacked_scans[last].r_max
+
+
+@pytest.mark.parametrize("which_det", ["gs", "gtot"])
+def test_ray_without_a_defined_sample(si, which_det):
+    # bands 1 and 4 belong to two different Kramers doublets, so the pair
+    # is ambiguous at every sample and the stacked pass has no row
+    scan = scan_ray(si, (1, 4), [1, 0, 0], n_coarse=20, which_det=which_det)
+    assert scan.crossings == []
+    assert scan.failures == [(0.0, scan.r_max, "PairingAmbiguityError")]
 
 
 def test_gtot_dets_also_scanned(si):

@@ -64,7 +64,11 @@ def solve(model: MaterialModel, k, bands: tuple | None = None) -> BlochSolution:
 
 
 def resolve_band_indices(model: MaterialModel, band_id) -> tuple:
-    """Map a configured label (or explicit index pair) to band indices."""
+    """Map a configured label (or explicit index pair) to band indices.
+
+    An explicit pair, in either order, must name two different bands of
+    ``-dim..dim - 1``; ``ValueError`` is raised otherwise.
+    """
     if isinstance(band_id, str):
         try:
             return model.band_pairs[band_id]
@@ -73,7 +77,11 @@ def resolve_band_indices(model: MaterialModel, band_id) -> tuple:
                 f"material {model.name!r} configures pairs "
                 f"{sorted(model.band_pairs)}, not {band_id!r}") from None
     i, j = band_id
-    return (int(i), int(j))
+    i, j, dim = int(i), int(j), model.dim
+    if not (-dim <= i < dim and -dim <= j < dim) or i % dim == j % dim:
+        raise ValueError(f"band pair {(i, j)} does not name two different "
+                         f"bands of {-dim}..{dim - 1}")
+    return i, j
 
 
 def pair_window(model: MaterialModel, band_id) -> tuple:
@@ -132,10 +140,11 @@ def select_pair(model: MaterialModel, sol: BlochSolution, band_id) -> KramersPai
     for m in (a - 1, a + 1, b - 1, b + 1):
         if m != a and m != b and lo <= m + first <= hi:
             gap_to_rest = min(gap_to_rest, abs(e[m] - ea), abs(e[m] - eb))
-    floor = split
+    # a reversed pair (j below i) has a negative split
+    floor = abs(split)
     if model.pair_split_tol is not None:
         floor = max(floor, model.pair_split_tol)
-        if split > model.pair_split_tol:
+        if abs(split) > model.pair_split_tol:
             raise PairingAmbiguityError(sol.k, (i, j), split, gap_to_rest)
     if gap_to_rest <= floor:
         raise PairingAmbiguityError(sol.k, (i, j), split, gap_to_rest)

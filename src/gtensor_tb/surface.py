@@ -1,17 +1,17 @@
 """Radial scanning for det(g)=0 surfaces: bracketing, bisection, export.
 
-A ray from Gamma is sampled at ``n_coarse`` radii.  Each sample is
-solved and its pair selected on its own; g and the determinant signs
-of all samples where the pair is defined are then formed in one stacked
-pass.  Every sign change is refined by bisection on the sign, one
-k-point at a time, down to ``bisect_tol`` in radius, capped at
-``TOL_PER_ZONE`` of 2 pi / a so that the tolerance shrinks with the
-zone, or to four float spacings where those are wider, in at most about
-52 halvings.  The sign is that of the 3x3 cofactor determinant, with an
-exact 0.0 counted as +1, so it is always +-1.
-Rays are independent work items, so surface assembly
-parallelizes over a worker pool with a deterministic merge by direction
-index.
+A ray from Gamma is sampled at ``n_coarse`` radii by the one ray
+sampler, :func:`gtensor_tb.tables.sample_pairs`, which solves each
+sample and selects its pair; g and the determinant signs of all
+samples where the pair is defined are then formed in one stacked pass.
+Every sign change is refined by bisection on the sign, one k-point at
+a time through the scalar chain ``_g_at``, down to ``bisect_tol`` in
+radius, capped at ``TOL_PER_ZONE`` of 2 pi / a so that the tolerance
+shrinks with the zone, or to four float spacings where those are
+wider, in at most about 52 halvings.  The sign is that of the 3x3
+cofactor determinant, with an exact 0.0 counted as +1, so it is always
++-1.  Rays are independent work items, so surface assembly parallelizes
+over a worker pool with a deterministic merge by direction index.
 
 Every cubic model scans the wedge x >= y >= z >= 0 and closes the
 crossings under the 48 operations of O_h.  For O_h models that is the
@@ -41,9 +41,9 @@ from .blas import one_blas_thread
 from .brillouin import (boundary_radius, cubic_group, replicate_points,
                         unit_direction)
 from .errors import PairUndefinedError
-from .gtensor import det_sign, g_tensor_set, pair_momenta, spin_g
+from .gtensor import det_sign, g_tensor_set, spin_g
 from .materials import MaterialModel
-from .tables import write_csv
+from .tables import sample_pairs, write_csv
 
 BISECT_TOL = 1e-6  # Bohr^-1
 # bisection always reaches this fraction of 2 pi / a, the reciprocal
@@ -100,45 +100,25 @@ def _g_at(model: MaterialModel, pair: tuple, bands: tuple, which_det: str,
     return g_tensor_set(model, sol, selected).g_tot
 
 
-def _stack(records: list):
-    """One record whose array and float fields stack those of ``records``."""
-    return dataclasses.replace(records[0], **{
-        name: np.array([getattr(record, name) for record in records])
-        for name, value in vars(records[0]).items()
-        if isinstance(value, (np.ndarray, float))})
-
-
 def _coarse_signs(model: MaterialModel, pair: tuple, bands: tuple,
                   which_det: str, ks) -> list:
     """The determinant sign at each k-point of ``ks``, in one stacked pass.
 
-    Each k-point is solved and its pair selected (and, for g_tot, its
-    momentum table reduced) on its own; the g-tensors and their signs
-    are then formed once over the stacked rows where the pair is
-    defined.  An entry is +1 or -1, bit for bit
+    :func:`~gtensor_tb.tables.sample_pairs` solves and selects the pair
+    (and, for g_tot, reduces the momentum table) at each k-point; the
+    g-tensors and their signs are then formed once over the stacked
+    rows where the pair is defined.  An entry is +1 or -1, bit for bit
     ``det_sign(_g_at(model, pair, bands, which_det, k))``, or the class
     name of the :class:`PairUndefinedError` that k-point raised.
     """
-    entries, pairs, momenta = [], [], []
-    for k in ks:
-        try:
-            sol = solve(model, k, bands)
-            selected = select_pair(model, sol, pair)
-            if which_det == "gtot":
-                momenta.append(pair_momenta(model, sol, selected))
-        except PairUndefinedError as err:
-            entries.append(type(err).__name__)
-            continue
-        pairs.append(selected)
-        entries.append(None)
-    if not pairs:
-        return entries
+    reasons, pairs, momenta = sample_pairs(model, pair, ks, bands,
+                                           momenta=which_det == "gtot")
     if which_det == "gs":
-        g = spin_g(_stack(pairs))
+        g = spin_g(pairs)
     else:
-        g = g_tensor_set(model, _stack(momenta), _stack(pairs)).g_tot
+        g = g_tensor_set(model, momenta, pairs).g_tot
     signs = iter(det_sign(g).tolist())
-    return [next(signs) if entry is None else entry for entry in entries]
+    return [next(signs) if reason is None else reason for reason in reasons]
 
 
 def _ray_bands(model: MaterialModel, band_id, which_det: str) -> tuple:

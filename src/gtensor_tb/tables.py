@@ -4,11 +4,15 @@ Each builder returns (header, rows) with plain Python floats; callers
 pass them with their provenance comments to :func:`write_csv`.
 Pair-state entropies are only defined once the pair gauge is fixed, so
 the pairs of a ray are aligned to their spin frames first (the frame in
-which g_S has identity right factor).  The ray tables solve and select
-the pair (and form the momentum table) one k-point at a time; the
-g-tensors, alignment and entropies then run once over the stacked rows.
-Rows where pair selection fails carry NaNs instead of aborting the
-table.
+which g_S has identity right factor).
+
+:func:`sample_pairs` is the one ray sampler: it solves and selects the
+pair (and, on request, reduces the momentum table) one k-point at a
+time, stacks the rows where the pair is defined and records why the
+others are not.  The g-line and entropy tables here and the coarse pass
+of ``surface.scan_ray`` all run on it; the g-tensors, alignment and
+entropies then run once over the stacked rows.  Rows where pair
+selection fails carry NaNs instead of aborting the table.
 """
 from __future__ import annotations
 
@@ -109,50 +113,56 @@ def _momenta_stack(model: MaterialModel, rows: int) -> PairMomenta:
     )
 
 
-def _ray_rows(model: MaterialModel, band_id, direction, r_max: float,
-              samples: int, stacks, keep) -> tuple:
-    """Solve and select the pair at each sample of a ray.
+def sample_pairs(model: MaterialModel, band_id, ks, bands: tuple | None = None,
+                 momenta: bool = False) -> tuple:
+    """Solve and select the pair at each k-point of ``ks``.
 
-    ``stacks`` are records with a leading row axis and room for every
-    sample (see :func:`_pair_stack`).  Where the pair is defined,
-    ``keep(sol, pair)`` returns the matching per-row records, whose
-    array fields are copied into the next row of each stack, so neither
-    a solution nor a per-row array outlives its row.  A row where
-    selection or ``keep`` raises :class:`PairUndefinedError` is
-    undefined.  Returns (rows, defined, stacks): [r, kx, ky, kz] of
-    every sample, the defined ones among them, and the stacks cut to
-    the defined rows.  Raises ``ValueError`` for a direction without a
-    finite, non-zero norm.
+    Each k-point solves ``bands`` (see :func:`solve`) and, with
+    ``momenta``, keeps the pair's part of its full-spectrum momentum
+    table.  Returns (reasons, pairs, momenta): ``reasons`` has one entry
+    per k-point, None where the pair is defined, else the class name of
+    the :class:`PairUndefinedError` raised there; ``pairs`` and
+    ``momenta`` (None unless asked for) stack the defined rows along a
+    leading axis.  Rows are copied into stacks with room for every
+    k-point, so no solution outlives its row.
     """
-    direction = unit_direction(direction)
-    fields = [[name for name, value in vars(stack).items()
+    stacks = [_pair_stack(model, band_id, len(ks))]
+    if momenta:
+        stacks.append(_momenta_stack(model, len(ks)))
+    fields = [[(name, value) for name, value in vars(stack).items()
                if isinstance(value, np.ndarray)] for stack in stacks]
-    rows, defined = [], []
-    for r in np.linspace(0.0, r_max, samples):
-        k = r * direction
-        rows.append([r, *k])
+    reasons, defined = [], 0
+    for k in ks:
         try:
-            sol = solve(model, k)
-            records = keep(sol, select_pair(model, sol, band_id))
-        except PairUndefinedError:
+            sol = solve(model, k, bands)
+            pair = select_pair(model, sol, band_id)
+            records = ((pair, pair_momenta(model, sol, pair)) if momenta
+                       else (pair,))
+        except PairUndefinedError as err:
+            reasons.append(type(err).__name__)
             continue
-        for stack, names, record in zip(stacks, fields, records):
-            for name in names:
-                getattr(stack, name)[len(defined)] = getattr(record, name)
-        defined.append(rows[-1])
+        for record, arrays in zip(records, fields):
+            for name, rows in arrays:
+                rows[defined] = getattr(record, name)
+        reasons.append(None)
+        defined += 1
     cut = [dataclasses.replace(
-        stack, **{name: getattr(stack, name)[:len(defined)] for name in names})
-        for stack, names in zip(stacks, fields)]
-    return rows, defined, cut
+        stack, **{name: rows[:defined] for name, rows in arrays})
+        for stack, arrays in zip(stacks, fields)]
+    return reasons, cut[0], cut[1] if momenta else None
 
 
-def _finish_rows(rows, defined, columns, values) -> list:
-    """Append ``values`` to the defined rows and NaNs to the others."""
-    for row, tail in zip(defined, values):
-        row += tail
-    for row in rows:
-        row += [np.nan] * (len(columns) - len(row))
-    return rows
+def _ray_table(radii, ks, reasons, values) -> list:
+    """Rows [r, kx, ky, kz, *values] of a sampled ray.
+
+    ``values`` are columns over the rows where the pair is defined
+    (``reasons`` entry None); the other rows get NaNs.
+    """
+    values = np.column_stack(values)
+    table = np.full((len(radii), 4 + values.shape[1]), np.nan)
+    table[:, 0], table[:, 1:4] = radii, ks
+    table[[reason is None for reason in reasons], 4:] = values
+    return table.tolist()
 
 
 def _spin_frame_entropies(pairs: KramersPair, svd) -> tuple:
@@ -178,15 +188,14 @@ def gline_rows(model: MaterialModel, band_id, direction,
     Raises ``ValueError`` for a direction without a finite, non-zero
     norm.
     """
-    rows, defined, (pairs, momenta) = _ray_rows(
-        model, band_id, direction, r_max, samples,
-        [_pair_stack(model, band_id, samples), _momenta_stack(model, samples)],
-        lambda sol, pair: (pair, pair_momenta(model, sol, pair)))
+    radii = np.linspace(0.0, r_max, samples)
+    ks = radii[:, None] * unit_direction(direction)
+    reasons, pairs, momenta = sample_pairs(model, band_id, ks, momenta=True)
     gset = g_tensor_set(model, momenta, pairs)
     s_xi, s_xib, _ = _spin_frame_entropies(pairs, gset.svd_s)
-    values = np.column_stack([gset.sigma_s, gset.det_g_s, gset.sigma_tot,
-                              gset.det_g_tot, s_xi, s_xib]).tolist()
-    return GLINE_COLUMNS, _finish_rows(rows, defined, GLINE_COLUMNS, values)
+    return GLINE_COLUMNS, _ray_table(radii, ks, reasons, [
+        gset.sigma_s, gset.det_g_s, gset.sigma_tot, gset.det_g_tot, s_xi,
+        s_xib])
 
 
 @one_blas_thread
@@ -202,14 +211,13 @@ def entropy_rows(model: MaterialModel, band_id, direction,
     ``ValueError`` for a direction without a finite, non-zero norm.
     """
     flip_ok = direction_applicable(model, direction)
-    rows, defined, (pairs,) = _ray_rows(
-        model, band_id, direction, r_max, samples,
-        [_pair_stack(model, band_id, samples)], lambda sol, pair: (pair,))
+    radii = np.linspace(0.0, r_max, samples)
+    ks = radii[:, None] * unit_direction(direction)
+    reasons, pairs, _ = sample_pairs(model, band_id, ks)
     s_xi, s_xib, dens = _spin_frame_entropies(
         pairs, np.linalg.svd(spin_g(pairs)))
     residuals = ([np.linalg.norm(defect, "fro")
                   for defect in _spin_flip_defect(dens)]
-                 if flip_ok else [np.nan] * len(defined))
-    values = np.column_stack([s_xi, s_xib, residuals]).tolist()
-    return (ENTROPY_COLUMNS, _finish_rows(rows, defined, ENTROPY_COLUMNS,
-                                          values), flip_ok)
+                 if flip_ok else np.full_like(s_xi, np.nan))
+    return (ENTROPY_COLUMNS,
+            _ray_table(radii, ks, reasons, [s_xi, s_xib, residuals]), flip_ok)

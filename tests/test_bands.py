@@ -49,6 +49,29 @@ def test_resolve_band_labels(si):
         resolve_band_indices(si, "no-such-band")
 
 
+@pytest.mark.parametrize("pair", [(3, 3), (3, -13), (18, 19), (16, 17),
+                                  (0, -17)])
+def test_explicit_pair_names_two_bands(gaas, pair):
+    # GaAs has 16 bands: an index outside -16..15 or a pair that names
+    # one band twice is refused, not wrapped into another pair
+    with pytest.raises(ValueError, match="two different bands"):
+        resolve_band_indices(gaas, pair)
+    with pytest.raises(ValueError, match="two different bands"):
+        select_pair(gaas, solve(gaas, np.array([0.08, 0.05, 0.02])), pair)
+
+
+def test_reversed_pair_is_isolated_like_its_ascending_order(gaas):
+    # a T_d pair split by 5.7e-3 Ha with another band 3.7e-3 Ha away is
+    # ambiguous in either order: the reversed pair's split is negative,
+    # and isolation reads its size
+    sol = solve(gaas, np.array([-0.4182, -0.0118, -0.5949]))
+    for pair in ((8, 9), (9, 8)):
+        with pytest.raises(PairingAmbiguityError) as info:
+            select_pair(gaas, sol, pair)
+        assert abs(info.value.split) == pytest.approx(5.7e-3, abs=1e-4)
+        assert info.value.gap_to_rest == pytest.approx(3.7e-3, abs=1e-4)
+
+
 def test_select_pair_reports_isolation(si):
     sol = solve(si, np.array([0.03, 0.01, 0.0]))
     pair = select_pair(si, sol, "split-off")
@@ -113,8 +136,9 @@ def _reference_isolation(e, i, j, tol):
     others = np.delete(np.arange(e.size), [i, j])
     gap = float(np.minimum(np.abs(e[others] - e[i]),
                            np.abs(e[others] - e[j])).min())
-    floor = split if tol is None else max(split, tol)
-    raises = (tol is not None and split > tol) or gap <= floor
+    # a reversed pair has a negative split; isolation reads its size
+    floor = abs(split) if tol is None else max(abs(split), tol)
+    raises = (tol is not None and abs(split) > tol) or gap <= floor
     return split, gap, float(0.5 * (e[i] + e[j])), raises
 
 

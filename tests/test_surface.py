@@ -14,7 +14,7 @@ from gtensor_tb import (MaterialValidationError, boundary_radius,
                         build_surface, builtin_material_path, cubic_group,
                         export_cloud, icosphere_directions, load_material,
                         scan_ray, select_pair, solve, spin_g, surface,
-                        wedge_directions)
+                        tables, wedge_directions)
 from gtensor_tb.brillouin import wedge_representative
 from gtensor_tb.errors import (NearDegenerateIntermediateError,
                                PairingAmbiguityError)
@@ -170,21 +170,25 @@ def test_undefined_runs_split_the_ray(si, monkeypatch):
 
 @contextlib.contextmanager
 def _counted_solves(n_coarse):
-    """Count the evaluations of scan_ray; fail, rather than loop, past
-    ``n_coarse`` coarse samples and 64 halvings per possible bracket."""
+    """Count the evaluations of scan_ray: the coarse samples, which
+    tables.sample_pairs solves, and the bisection steps; fail, rather
+    than loop, past ``n_coarse`` coarse samples and 64 halvings per
+    possible bracket."""
     calls = []
-    original = surface.solve
+    modules = (surface, tables)
 
     def counted(*args, **kwargs):
         calls.append(args)
         assert len(calls) <= n_coarse + 64 * (n_coarse - 1), "runaway scan"
-        return original(*args, **kwargs)
+        return solve(*args, **kwargs)
 
-    surface.solve = counted
+    for module in modules:
+        module.solve = counted
     try:
         yield calls
     finally:
-        surface.solve = original
+        for module in modules:
+            module.solve = solve
 
 
 def _si_with_lattice_constant(directory, a_ang):
@@ -257,6 +261,33 @@ def test_any_lattice_constant_scans_in_bounded_work(tmp_path_factory, log_a,
         scan = scan_ray(model, "split-off", direction, n_coarse=4)
     assert scan.r_max == radius
     assert len(calls) <= 4 + 64 * (len(scan.crossings) + len(scan.failures))
+
+
+def test_evaluation_counts_are_exact(si, monkeypatch):
+    # on a ray without failure intervals every solve is one of the
+    # n_coarse samples of a single sampler pass or one halving of a
+    # bracket, which starts at the coarse spacing; the ray tables solve
+    # each of their samples once
+    direction = wedge_directions(1)[0]
+    passes = []
+
+    def recorded(model, band_id, ks, *args, **kwargs):
+        passes.append(len(ks))
+        return tables.sample_pairs(model, band_id, ks, *args, **kwargs)
+
+    monkeypatch.setattr(surface, "sample_pairs", recorded)
+    with _counted_solves(40) as calls:
+        scan = scan_ray(si, "split-off", direction, n_coarse=40)
+    assert scan.crossings and not scan.failures
+    spacing = scan.r_max / 39
+    halvings = [round(math.log2(spacing / crossing.bracket_width))
+                for crossing in scan.crossings]
+    assert passes == [40]
+    assert len(calls) == 40 + sum(halvings)
+    for build in (tables.gline_rows, tables.entropy_rows):
+        with _counted_solves(40) as calls:
+            build(si, "split-off", direction, scan.r_max, samples=40)
+        assert len(calls) == 40
 
 
 def _scans_both_ways(monkeypatch, model, band, directions, which_det):

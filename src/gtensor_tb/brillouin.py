@@ -58,6 +58,14 @@ def unit_direction(direction) -> np.ndarray:
     return direction / norm
 
 
+def positive_finite(name: str, value: float) -> float:
+    """``value`` unchanged; ValueError unless it is positive and finite."""
+    if not (value > 0.0 and np.isfinite(value)):
+        raise ValueError(f"{name} must be a positive finite number, "
+                         f"got {value}")
+    return value
+
+
 def boundary_radius(a: float, direction) -> float:
     """Distance from Gamma to the zone boundary along a direction.
 

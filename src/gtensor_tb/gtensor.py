@@ -52,17 +52,17 @@ def momentum_table(model: MaterialModel, sol: BlochSolution) -> np.ndarray:
     untouched.  It sums over every band, so ``sol`` must hold the full
     spectrum, not a window of it (``ValueError``).
 
-    All three directions go through each matrix product as one stack.
+    Gradient and dipole blocks go through one chain, A^dag [grad; D] A.
     """
     if sol.first != 0 or sol.energies.size != model.dim:
         raise ValueError("momentum_table needs the full spectrum, got bands "
                          f"{sol.first}..{sol.first + sol.energies.size - 1} "
                          f"of {model.dim}")
     a = sol.states
-    ah = a.conj().T
-    grad = hamiltonian_gradient(model, sol.k)
+    t = a.conj().T @ np.concatenate(
+        (hamiltonian_gradient(model, sol.k), dipole_matrix(model))) @ a
     ediff = sol.energies[:, None] - sol.energies[None, :]
-    return ah @ grad @ a + 1j * ediff * (ah @ dipole_matrix(model) @ a)
+    return t[:3] + 1j * ediff * t[3:]
 
 
 def spin_matrices(pair: KramersPair) -> np.ndarray:

@@ -110,16 +110,6 @@ class _Engine:
             block[[0, 1, 2], p, s] = model.dipole[sp]
         return np.array([np.kron(np.eye(2), b) for b in block])
 
-    def _put_hopping(self, out, weights):
-        """Write the A->B block sum_b weights[b] * hop_b and its adjoint
-        into both spin blocks of ``out``."""
-        n = self.n
-        hab = np.dot(weights[None], self.hop_flat).reshape(n, n)
-        hba = hab.conj().T
-        for s in (0, 2 * n):
-            out[s:s + n, s + n:s + 2 * n] = hab
-            out[s + n:s + 2 * n, s:s + n] = hba
-
     def h(self, k):
         n = self.n
         scratch = self._scratch
@@ -133,13 +123,17 @@ class _Engine:
     def grad(self, k):
         """dH/dk_j for j = x, y, z, shape (3, dim, dim).
 
-        Only the A-B hopping depends on k: each direction's derivative
-        block goes straight into a zero array.
+        Only the A-B hopping depends on k: one product forms the A->B
+        derivative block of all three directions, and it and its adjoint
+        go straight into both spin blocks of a zero array.
         """
+        n = self.n
         phases = np.exp(1j * (self.nn @ k))
+        hab = np.dot(self.i_nn * phases, self.hop_flat).reshape(3, n, n)
         out = np.zeros((3, self.dim, self.dim), dtype=complex)
-        for j, weights in enumerate(self.i_nn * phases):
-            self._put_hopping(out[j], weights)
+        out[:, :n, n:2 * n] = out[:, 2 * n:3 * n, 3 * n:] = hab
+        out[:, n:2 * n, :n] = out[:, 3 * n:, 2 * n:3 * n] = \
+            hab.conj().transpose(0, 2, 1)
         return out
 
 

@@ -38,8 +38,8 @@ import numpy as np
 
 from .bands import pair_window, resolve_band_indices, select_pair, solve
 from .blas import one_blas_thread
-from .brillouin import (boundary_radius, cubic_group, replicate_points,
-                        unit_direction)
+from .brillouin import (boundary_radius, cubic_group, positive_finite,
+                        replicate_points, unit_direction)
 from .errors import PairUndefinedError
 from .gtensor import det_sign, g_tensor_set, spin_g
 from .materials import MaterialModel
@@ -174,9 +174,8 @@ def scan_ray(model: MaterialModel, band_id, direction,
     """
     direction = unit_direction(direction)
     for name, value in (("r_max", r_max), ("bisect_tol", bisect_tol)):
-        if value is not None and not (value > 0.0 and math.isfinite(value)):
-            raise ValueError(f"{name} must be a positive finite number, "
-                             f"got {value}")
+        if value is not None:
+            positive_finite(name, value)
     if n_coarse < 2:
         raise ValueError(f"n_coarse must be >= 2, got {n_coarse}")
     r_boundary = boundary_radius(model.lattice_constant, direction)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .bands import KramersPair, resolve_band_indices, select_pair, solve
 from .blas import one_blas_thread
-from .brillouin import high_symmetry_point, unit_direction
+from .brillouin import high_symmetry_point, positive_finite, unit_direction
 from .entanglement import (_spin_flip_defect, direction_applicable, entropy,
                            pair_spin_densities)
 from .errors import PairUndefinedError
@@ -51,12 +51,16 @@ def write_csv(path, comments, header, rows) -> None:
     Floats get 17 significant digits, so reading a file back
     reproduces every value bit-exactly.
     """
+    floats = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", newline="") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_format_cell(v) for v in row) + "\n")
+            if len(row) == len(header) and set(map(type, row)) == {float}:
+                fh.write(floats % tuple(row))
+            else:
+                fh.write(",".join(_format_cell(v) for v in row) + "\n")
 
 
 @one_blas_thread
@@ -186,9 +190,9 @@ def gline_rows(model: MaterialModel, band_id, direction,
     momentum table; the g-tensor sets, spin-frame alignment and
     entropies then run once over the rows where the pair is defined.
     Raises ``ValueError`` for a direction without a finite, non-zero
-    norm.
+    norm or an ``r_max`` that is not positive and finite.
     """
-    radii = np.linspace(0.0, r_max, samples)
+    radii = np.linspace(0.0, positive_finite("r_max", r_max), samples)
     ks = radii[:, None] * unit_direction(direction)
     reasons, pairs, momenta = sample_pairs(model, band_id, ks, momenta=True)
     gset = g_tensor_set(model, momenta, pairs)
@@ -208,10 +212,10 @@ def entropy_rows(model: MaterialModel, band_id, direction,
     a contract fact, not a numerical failure.  Each row solves and
     selects the pair; g_S is formed, factored, aligned, scored and
     spin-flipped once over the rows where the pair is defined.  Raises
-    ``ValueError`` for a direction without a finite, non-zero norm.
+    ``ValueError`` as :func:`gline_rows` does.
     """
     flip_ok = direction_applicable(model, direction)
-    radii = np.linspace(0.0, r_max, samples)
+    radii = np.linspace(0.0, positive_finite("r_max", r_max), samples)
     ks = radii[:, None] * unit_direction(direction)
     reasons, pairs, _ = sample_pairs(model, band_id, ks)
     s_xi, s_xib, dens = _spin_frame_entropies(

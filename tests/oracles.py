@@ -15,6 +15,8 @@ from gtensor_tb.brillouin import (NN_SIGNS, cubic_group, unit_direction,
 from gtensor_tb.errors import PairUndefinedError
 from gtensor_tb.gtensor import (det_sign, g_tensor_set, orbital_matrices,
                                 spin_g, spin_matrices)
+from gtensor_tb.hamiltonian import dipole_matrix, nn_vectors
+from gtensor_tb.slater_koster import hop_block
 from gtensor_tb.su2 import PAULI, SIGMA_X, SIGMA_Y, SIGMA_Z
 from gtensor_tb.surface import CSV_COLUMNS, SurfaceCloud
 from gtensor_tb.units import MU_B
@@ -45,6 +47,54 @@ def dense_det(model, band_id, direction, radii, which_det="gs") -> np.ndarray:
             continue
         out[i] = np.linalg.det(g)
     return out
+
+
+def hop_blocks(model) -> np.ndarray:
+    """The four A->B hopping blocks, shape (4, n_orb, n_orb)."""
+    sp_a, sp_b = model.species
+    nn = nn_vectors(model)
+    unit = nn / np.linalg.norm(nn, axis=1)[:, None]
+    return np.array([hop_block(model.orbitals, u, model.sk[(sp_a, sp_b)],
+                               model.sk[(sp_b, sp_a)]) for u in unit])
+
+
+def gradient_per_direction(model, k) -> np.ndarray:
+    """Loop-built dH/dk_j: per-direction tensordot into a zero block.
+
+    Oracle of ``gtensor_tb.hamiltonian_gradient``, which forms all three
+    directions in one product; both must agree bit for bit.
+    """
+    n, dim = model.n_orb, model.dim
+    nn = nn_vectors(model)
+    blocks = hop_blocks(model)
+    phases = np.exp(1j * (nn @ np.asarray(k, dtype=float)))
+    out = np.zeros((3, dim, dim), dtype=complex)
+    for j in range(3):
+        dhab = np.tensordot(1j * nn[:, j] * phases, blocks, axes=1)
+        block = np.zeros((2 * n, 2 * n), dtype=complex)
+        block[:n, n:] = dhab
+        block[n:, :n] = dhab.conj().T
+        out[j, :2 * n, :2 * n] = block
+        out[j, 2 * n:, 2 * n:] = block
+    return out
+
+
+def momentum_table_four_products(model, sol) -> np.ndarray:
+    """Velocity matrix elements one direction at a time, four products each.
+
+    pi_j = A^dag grad_j A + i (E_n - E_m) A^dag D_j A, with the
+    loop-built gradient.  Oracle of ``gtensor_tb.momentum_table``, which
+    runs one stacked chain A^dag [grad; D] A; both must agree bit for bit.
+    """
+    a = sol.states
+    grad = gradient_per_direction(model, sol.k)
+    dip = dipole_matrix(model)
+    ediff = sol.energies[:, None] - sol.energies[None, :]
+    pi = np.empty_like(grad)
+    for j in range(3):
+        pi[j] = a.conj().T @ grad[j] @ a \
+            + 1j * ediff * (a.conj().T @ dip[j] @ a)
+    return pi
 
 
 def point_signs(model, pair, bands, which_det, ks) -> list:

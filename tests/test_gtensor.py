@@ -12,14 +12,14 @@ from gtensor_tb import (NearDegenerateIntermediateError, PairUndefinedError,
                         proper_svd, remix_pair, select_pair, solve, spin_g,
                         spin_matrices, wedge_directions, zeeman_response)
 from gtensor_tb.gtensor import pair_momenta
-from gtensor_tb.hamiltonian import dipole_matrix, hamiltonian_gradient
 from gtensor_tb.surface import N_COARSE
 from gtensor_tb.su2 import su2_from_rotation
 from gtensor_tb.units import MU_B
 
 from conftest import bitwise_k_points, random_k_points, random_unit_vectors
-from oracles import (EPS_CYCLES, orbital_matrices_commutator,
-                     pair_zeeman_hamiltonian, random_su2)
+from oracles import (EPS_CYCLES, momentum_table_four_products,
+                     orbital_matrices_commutator, pair_zeeman_hamiltonian,
+                     random_su2)
 
 
 def _pair_and_tensors(model, k, band_id="split-off"):
@@ -333,18 +333,6 @@ def _pair_points(model, seed):
     return out
 
 
-def _reference_momentum_table(model, sol):
-    a = sol.states
-    grad = hamiltonian_gradient(model, sol.k)
-    dip = dipole_matrix(model)
-    ediff = sol.energies[:, None] - sol.energies[None, :]
-    pi = np.empty_like(grad)
-    for j in range(3):
-        pi[j] = a.conj().T @ grad[j] @ a \
-            + 1j * ediff * (a.conj().T @ dip[j] @ a)
-    return pi
-
-
 def _reference_orbital_matrices(pair, sol, pi):
     ia, ib = pair.band_indices
     others = np.delete(np.arange(sol.energies.size), [ia, ib])
@@ -369,7 +357,7 @@ def test_momentum_table_bitwise_equals_reference_loop(material, request):
     for k in bitwise_k_points(model, 97):
         sol = solve(model, k)
         assert (momentum_table(model, sol).tobytes()
-                == _reference_momentum_table(model, sol).tobytes()), k
+                == momentum_table_four_products(model, sol).tobytes()), k
 
 
 @pytest.mark.parametrize("material", ["si", "ge", "gaas"])

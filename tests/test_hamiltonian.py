@@ -13,7 +13,7 @@ from gtensor_tb.hamiltonian import nn_vectors
 from gtensor_tb.slater_koster import SHELL, hop_block
 
 from conftest import bitwise_k_points, random_k_points
-from oracles import tetrahedral_group
+from oracles import gradient_per_direction, hop_blocks, tetrahedral_group
 
 
 @pytest.mark.parametrize("material", ["si", "ge", "gaas"])
@@ -142,15 +142,6 @@ def test_gamma_degeneracy_pattern(si):
     assert gap_ev == pytest.approx(0.0440, abs=0.002)
 
 
-def _hop_blocks(model):
-    """The four A->B hopping blocks, shape (4, n_orb, n_orb)."""
-    sp_a, sp_b = model.species
-    nn = nn_vectors(model)
-    unit = nn / np.linalg.norm(nn, axis=1)[:, None]
-    return np.array([hop_block(model.orbitals, u, model.sk[(sp_a, sp_b)],
-                               model.sk[(sp_b, sp_a)]) for u in unit])
-
-
 @settings(max_examples=60, deadline=None)
 @given(material=st.sampled_from(["si", "ge", "gaas"]),
        vector=st.tuples(*[st.floats(-1.0, 1.0)] * 3))
@@ -174,7 +165,7 @@ def _reference_hamiltonian(model, k):
     n, dim = model.n_orb, model.dim
     sp_a, sp_b = model.species
     nn = nn_vectors(model)
-    blocks = _hop_blocks(model)
+    blocks = hop_blocks(model)
     onsite = [model.onsite[sp][SHELL[o]]
               for sp in model.species for o in model.orbitals]
     hab = np.tensordot(np.exp(1j * (nn @ k)), blocks, axes=1)
@@ -200,29 +191,12 @@ def test_hamiltonian_bitwise_equals_reference_assembly(material, request):
         assert h.tobytes() == ref.tobytes(), k
 
 
-def _reference_gradient(model, k):
-    """Loop-built dH/dk_j: per-direction tensordot into a zero block."""
-    n, dim = model.n_orb, model.dim
-    nn = nn_vectors(model)
-    blocks = _hop_blocks(model)
-    phases = np.exp(1j * (nn @ k))
-    out = np.zeros((3, dim, dim), dtype=complex)
-    for j in range(3):
-        dhab = np.tensordot(1j * nn[:, j] * phases, blocks, axes=1)
-        block = np.zeros((2 * n, 2 * n), dtype=complex)
-        block[:n, n:] = dhab
-        block[n:, :n] = dhab.conj().T
-        out[j, :2 * n, :2 * n] = block
-        out[j, 2 * n:, 2 * n:] = block
-    return out
-
-
 @pytest.mark.parametrize("material", ["si", "ge", "gaas"])
 def test_gradient_bitwise_equals_reference_loop(material, request):
     model = request.getfixturevalue(material)
     for k in bitwise_k_points(model, 89):
         grad = hamiltonian_gradient(model, k)
-        assert grad.tobytes() == _reference_gradient(model, k).tobytes(), k
+        assert grad.tobytes() == gradient_per_direction(model, k).tobytes(), k
 
 
 def test_engine_cache_releases_unused_models():

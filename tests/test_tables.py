@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gtensor_tb import (NearDegenerateIntermediateError, PairUndefinedError,
                         align_pair_to_spin_frame, boundary_radius, entropy,
@@ -240,3 +242,46 @@ def test_bad_direction_rejected_before_any_solve(si, build, direction,
     with pytest.raises(ValueError, match="direction"):
         build(si, "split-off", direction, 0.02, samples=3)
     assert not solved
+
+
+@pytest.mark.parametrize("r_max", [np.nan, np.inf, -0.02, 0.0])
+@pytest.mark.parametrize("build", [gline_rows, entropy_rows])
+def test_bad_r_max_rejected_before_any_solve(si, build, r_max, monkeypatch):
+    # as scan_ray does: no LinAlgError, no RuntimeWarning and no rows at
+    # negative radii
+    solved = []
+    monkeypatch.setattr(tables, "solve", lambda *args: solved.append(args))
+    with pytest.raises(ValueError,
+                       match="r_max must be a positive finite number"):
+        build(si, "split-off", [1, 0, 0], r_max, samples=3)
+    assert not solved
+
+
+_CELLS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308,
+                     float("nan"), float("inf"), float("-inf")]),
+    st.floats(allow_nan=True).map(np.float64),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    st.integers(-10 ** 30, 10 ** 30),
+    st.booleans(),
+    st.text(alphabet="abc-_.e0123456789", max_size=6),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(width=st.integers(1, 6), data=st.data())
+def test_write_csv_bytes_equal_per_cell_join(tmp_path_factory, width, data):
+    # rows of Python floats only take the one-format path; every row,
+    # mixed or not, must read as the per-cell formatting joined by commas
+    header = tuple(f"c{i}" for i in range(width))
+    float_rows = st.lists(st.floats(allow_nan=True, allow_infinity=True),
+                          min_size=width, max_size=width)
+    rows = data.draw(st.lists(st.one_of(
+        float_rows, st.lists(_CELLS, min_size=width, max_size=width),
+        st.lists(_CELLS, min_size=0, max_size=width + 2)), max_size=6))
+    path = tmp_path_factory.getbasetemp() / "write_csv_property.csv"
+    tables.write_csv(path, ["note"], header, rows)
+    expected = "# note\n" + ",".join(header) + "\n" + "".join(
+        ",".join(tables._format_cell(v) for v in row) + "\n" for row in rows)
+    assert path.read_bytes() == expected.encode()

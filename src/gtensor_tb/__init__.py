@@ -22,8 +22,7 @@ from .errors import (BracketError, DirectionNotApplicableError, GTensorError,
 from .gtensor import (FieldResponse, GTensorSet, PairMomenta,
                       align_pair_to_spin_frame, det_sign, g_tensor_set,
                       momentum_table, orbital_g, orbital_matrices,
-                      pair_momenta, proper_svd, spin_g, spin_matrices,
-                      zeeman_response)
+                      pair_momenta, spin_g, spin_matrices, zeeman_response)
 from .hamiltonian import (bloch_hamiltonian, dipole_matrix,
                           hamiltonian_gradient, soc_matrix)
 from .lande import atomic_g, fit_dipole, fit_report
@@ -53,7 +52,7 @@ __all__ = [
     "icosphere_directions", "load_material", "momentum_table",
     "named_direction", "orbital_g", "orbital_matrices",
     "pair_momenta", "pair_spin_densities",
-    "proper_svd", "reduce_spin", "remix_pair",
+    "reduce_spin", "remix_pair",
     "resolve_band_indices", "resolve_material_path", "scan_ray",
     "select_pair", "soc_matrix", "solve", "spin_flip_residual", "spin_g",
     "spin_matrices", "wedge_directions",

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
 
 from . import __version__
-from .brillouin import (boundary_radius, named_direction, unit_direction,
-                        wedge_directions)
+from .brillouin import (boundary_radius, named_direction, positive_finite,
+                        unit_direction, wedge_directions)
 from .errors import GTensorError
 from .lande import fit_report
 from .materials import load_material, resolve_material_path, sha256
@@ -73,8 +72,11 @@ def _check_numbers(args: argparse.Namespace) -> None:
         if value is not None and value < minimum:
             raise UsageError(f"--{option} must be >= {minimum}, got {value}")
     r_max = getattr(args, "rmax", None)
-    if r_max is not None and not (r_max > 0.0 and math.isfinite(r_max)):
-        raise UsageError(f"--rmax must be a positive finite number, got {r_max}")
+    if r_max is not None:
+        try:
+            positive_finite("--rmax", r_max)
+        except ValueError as err:
+            raise UsageError(*err.args) from None
 
 
 def _provenance(args: argparse.Namespace) -> list:

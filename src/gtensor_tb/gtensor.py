@@ -197,19 +197,18 @@ def det_sign(g: np.ndarray) -> int | np.ndarray:
     smallest singular value is below about 1e-15 |g| (an SVD cannot
     resolve the sign there either).
 
-    A stack (..., 3, 3) gives an int array (...): the same products and
-    sums, one element-wise operation at a time, so each row is bit for
-    bit the sign of that g alone.
+    A single g gives an int, a stack (..., 3, 3) an int array (...).
+    Each g is expanded in Python floats from its nine entries, so a row
+    of a stack is the sign of that g alone.  A scan takes far more
+    one-row stacks (bisection) than long ones, and on one row this is a
+    small fraction of the cost of numpy element-wise arrays.
     """
-    single = g.ndim == 2
-    # a single g goes through Python floats, a stack through numpy
-    # arrays of its nine entries
-    rows = g.tolist() if single else np.moveaxis(g, (-2, -1), (0, 1))
-    (a, b, c), (d, e, f), (p, q, r) = rows
-    det = a * (e * r - f * q) - b * (d * r - f * p) + c * (d * q - e * p)
-    if single:
-        return 1 if det >= 0.0 else -1
-    return np.where(det >= 0.0, 1, -1)
+    signs = [1 if a * (e * r - f * q) - b * (d * r - f * p)
+             + c * (d * q - e * p) >= 0.0 else -1
+             for a, b, c, d, e, f, p, q, r in g.reshape(-1, 9).tolist()]
+    if g.ndim == 2:
+        return signs[0]
+    return np.array(signs, dtype=int).reshape(g.shape[:-2])
 
 
 def g_tensor_set(model: MaterialModel, sol: BlochSolution | PairMomenta,
@@ -289,15 +288,6 @@ def _make_proper(u, sigma, vh) -> tuple:
     u = u.copy()
     u[..., :, 2] *= sign
     return u, sigma, vh
-
-
-def proper_svd(g: np.ndarray) -> tuple:
-    """SVD g = u diag(sigma) vh with det(vh) = +1.
-
-    A sign flip is absorbed into u, so u may be improper; sigma stays
-    descending and non-negative.  ``g`` may be a stack (..., 3, 3).
-    """
-    return _make_proper(*np.linalg.svd(g))
 
 
 def align_pair_to_spin_frame(pair: KramersPair,

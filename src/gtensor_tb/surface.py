@@ -1,17 +1,18 @@
 """Radial scanning for det(g)=0 surfaces: bracketing, bisection, export.
 
-A ray from Gamma is sampled at ``n_coarse`` radii by the one ray
-sampler, :func:`gtensor_tb.tables.sample_pairs`, which solves each
-sample and selects its pair; g and the determinant signs of all
-samples where the pair is defined are then formed in one stacked pass.
-Every sign change is refined by bisection on the sign, one k-point at
-a time through the scalar chain ``_g_at``, down to ``bisect_tol`` in
-radius, capped at ``TOL_PER_ZONE`` of 2 pi / a so that the tolerance
-shrinks with the zone, or to four float spacings where those are
-wider, in at most about 52 halvings.  The sign is that of the 3x3
-cofactor determinant, with an exact 0.0 counted as +1, so it is always
-+-1.  Rays are independent work items, so surface assembly parallelizes
-over a worker pool with a deterministic merge by direction index.
+A ray from Gamma is sampled at ``n_coarse`` radii, and every sign change
+is refined by bisection on the sign down to ``bisect_tol`` in radius,
+capped at ``TOL_PER_ZONE`` of 2 pi / a so that the tolerance shrinks
+with the zone, or to four float spacings where those are wider, in at
+most about 52 halvings.  Every sign, coarse or bisection, comes from one
+evaluator, ``_coarse_signs``: the ray sampler
+:func:`gtensor_tb.tables.sample_pairs` solves each k-point and selects
+its pair, and g and the determinant signs of the k-points where the pair
+is defined are then formed in one stacked pass (a bisection midpoint is
+a one-row pass).  The sign is that of the 3x3 cofactor determinant, with
+an exact 0.0 counted as +1, so it is always +-1.  Rays are independent
+work items, so surface assembly parallelizes over a worker pool with a
+deterministic merge by direction index.
 
 Every cubic model scans the wedge x >= y >= z >= 0 and closes the
 crossings under the 48 operations of O_h.  For O_h models that is the
@@ -36,11 +37,12 @@ import math
 
 import numpy as np
 
+# nothing here calls solve or select_pair: they stay imported because
+# the benchmark's tracer wraps them by these names and fails without them
 from .bands import pair_window, resolve_band_indices, select_pair, solve
 from .blas import one_blas_thread
 from .brillouin import (boundary_radius, cubic_group, positive_finite,
                         replicate_points, unit_direction)
-from .errors import PairUndefinedError
 from .gtensor import det_sign, g_tensor_set, spin_g
 from .materials import MaterialModel
 from .tables import sample_pairs, write_csv
@@ -86,30 +88,18 @@ class SurfaceCloud:
     failures: list
 
 
-def _g_at(model: MaterialModel, pair: tuple, bands: tuple, which_det: str,
-          k) -> np.ndarray:
-    """The chosen 3x3 g-tensor (g_S or g_tot) at one k-point.
-
-    ``pair`` holds the pair's band indices and ``bands`` the window
-    :func:`_ray_bands` solves for them.
-    """
-    sol = solve(model, k, bands)
-    selected = select_pair(model, sol, pair)
-    if which_det == "gs":
-        return spin_g(selected)
-    return g_tensor_set(model, sol, selected).g_tot
-
-
 def _coarse_signs(model: MaterialModel, pair: tuple, bands: tuple,
                   which_det: str, ks) -> list:
     """The determinant sign at each k-point of ``ks``, in one stacked pass.
 
+    ``pair`` holds the pair's band indices and ``bands`` the window
+    :func:`_ray_bands` solves for them.
     :func:`~gtensor_tb.tables.sample_pairs` solves and selects the pair
     (and, for g_tot, reduces the momentum table) at each k-point; the
-    g-tensors and their signs are then formed once over the stacked
-    rows where the pair is defined.  An entry is +1 or -1, bit for bit
-    ``det_sign(_g_at(model, pair, bands, which_det, k))``, or the class
-    name of the :class:`PairUndefinedError` that k-point raised.
+    chosen g-tensors (g_S or g_tot) and their signs are then formed once
+    over the stacked rows where the pair is defined.  An entry is +1 or
+    -1, or the class name of the
+    :class:`~gtensor_tb.errors.PairUndefinedError` that k-point raised.
     """
     reasons, pairs, momenta = sample_pairs(model, pair, ks, bands,
                                            momenta=which_det == "gtot")
@@ -135,20 +125,25 @@ def _ray_bands(model: MaterialModel, band_id, which_det: str) -> tuple:
     return pair, (0, model.dim - 1)
 
 
-def _bisect(g_at, direction, lo, hi, sign_lo, tol):
+def _bisect(sign_at, lo, hi, sign_lo, tol):
     """Shrink a sign-change bracket below tol; returns (mid, width).
 
-    ``g_at(k)`` is the g-tensor whose determinant changes sign.
-    Halving stops early once the bracket is within four float spacings
-    of ``hi``, where a midpoint could equal an end and the bracket would
-    stop shrinking, or at 2**-52 of its starting width (a root next to
-    r = 0 has float spacings far finer than its bracket), so a bracket
-    takes at most about 52 halvings.  ``width`` is the final width.
+    ``sign_at(r)`` is the determinant sign at radius r, or the reason
+    the pair is undefined there; a reason ends the bisection and is
+    returned instead.  Halving stops early once the bracket is within
+    four float spacings of ``hi``, where a midpoint could equal an end
+    and the bracket would stop shrinking, or at 2**-52 of its starting
+    width (a root next to r = 0 has float spacings far finer than its
+    bracket), so a bracket takes at most about 52 halvings.  ``width``
+    is the final width.
     """
     floor = max(tol, (hi - lo) * 2.0 ** -52)
     while hi - lo > max(floor, 4.0 * math.ulp(hi)):
         mid = 0.5 * (lo + hi)
-        if det_sign(g_at(mid * direction)) == sign_lo:
+        sign = sign_at(mid)
+        if isinstance(sign, str):
+            return sign
+        if sign == sign_lo:
             lo = mid
         else:
             hi = mid
@@ -185,7 +180,11 @@ def scan_ray(model: MaterialModel, band_id, direction,
 
     # labels and the band window are resolved once per ray
     pair, bands = _ray_bands(model, band_id, which_det)
-    g_at = functools.partial(_g_at, model, pair, bands, which_det)
+
+    def sign_at(r):
+        return _coarse_signs(model, pair, bands, which_det,
+                             [r * direction])[0]
+
     tol = min(bisect_tol,
               TOL_PER_ZONE * 2.0 * math.pi / model.lattice_constant)
     radii = np.linspace(0.0, r_max, n_coarse)
@@ -205,12 +204,11 @@ def scan_ray(model: MaterialModel, band_id, direction,
             gap = None
             # no bracketing across an excluded interval: its sign is unknown
         elif prev is not None and sign != prev[1]:
-            try:
-                mid, width = _bisect(g_at, direction, prev[0], r, prev[1],
-                                     tol)
-            except PairUndefinedError as err:
-                failures.append((prev[0], r, type(err).__name__))
+            found = _bisect(sign_at, prev[0], r, prev[1], tol)
+            if isinstance(found, str):
+                failures.append((prev[0], r, found))
             else:
+                mid, width = found
                 crossings.append(Crossing(radius=mid, bracket_width=width,
                                           slope_sign=sign))
         prev = (r, sign)

@@ -88,7 +88,8 @@ def band_path_rows(model: MaterialModel, path_names,
         for t in ts:
             k = start + t * (stop - start)
             sol = solve(model, k)
-            rows.append([s + t * seg_len, *k, *sol.energies])
+            rows.append([float(s + t * seg_len), *k.tolist(),
+                         *sol.energies.tolist()])
         s += seg_len
         ticks.append((s, path_names[seg + 1]))
     return header, rows, ticks

@@ -7,7 +7,6 @@ import csv
 
 import numpy as np
 
-from gtensor_tb import surface
 from gtensor_tb.bands import select_pair, solve
 from gtensor_tb.blas import one_blas_thread
 from gtensor_tb.brillouin import (NN_SIGNS, cubic_group, unit_direction,
@@ -100,19 +99,38 @@ def momentum_table_four_products(model, sol) -> np.ndarray:
 def point_signs(model, pair, bands, which_det, ks) -> list:
     """Per-point counterpart of ``gtensor_tb.surface._coarse_signs``.
 
-    At each k-point the scalar chain: ``surface._g_at`` (looked up at
-    call time, so a test may replace it) and the scalar ``det_sign``.
-    An entry is +1 or -1, or the class name of the
+    At each k-point the scalar chain: ``solve`` of the window ``bands``,
+    ``select_pair``, g_S or g_tot of that one pair, and ``det_sign`` of
+    one 3x3 tensor.  An entry is +1 or -1, or the class name of the
     ``PairUndefinedError`` raised there.
     """
     entries = []
     for k in ks:
         try:
-            entries.append(det_sign(surface._g_at(model, pair, bands,
-                                                  which_det, k)))
+            sol = solve(model, k, bands)
+            selected = select_pair(model, sol, pair)
+            g = (spin_g(selected) if which_det == "gs"
+                 else g_tensor_set(model, sol, selected).g_tot)
         except PairUndefinedError as err:
             entries.append(type(err).__name__)
+        else:
+            entries.append(det_sign(g))
     return entries
+
+
+def proper_svd(g) -> tuple:
+    """SVD of one 3x3 g = u diag(sigma) vh with det(vh) = +1.
+
+    Reference of the fix-up ``gtensor_tb.align_pair_to_spin_frame``
+    makes: where det(vh) < 0, the third row of vh and the third column
+    of u change sign, so u may be improper; sigma stays descending and
+    non-negative.
+    """
+    u, sigma, vh = np.linalg.svd(g)
+    if np.linalg.det(vh) < 0:
+        u[:, 2] = -u[:, 2]
+        vh[2] = -vh[2]
+    return u, sigma, vh
 
 
 def pair_zeeman_hamiltonian(pair, momenta, field) -> np.ndarray:

@@ -213,12 +213,10 @@ def _full_chain_sign(model, band, k):
 
 
 def _window_chain_sign(model, band, k):
-    """det(g_S) sign from the scanner's windowed chain, or the error type."""
-    try:
-        pair, bands = surface._ray_bands(model, band, "gs")
-        return det_sign(surface._g_at(model, pair, bands, "gs", k))
-    except PairUndefinedError as err:
-        return type(err).__name__
+    """det(g_S) sign from the scanner's windowed chain, or the error type:
+    a one-row pass of its sign evaluator."""
+    pair, bands = surface._ray_bands(model, band, "gs")
+    return surface._coarse_signs(model, pair, bands, "gs", [k])[0]
 
 
 @pytest.mark.parametrize("material, band, directions", [

@@ -34,7 +34,7 @@ def two_threads():
 
 
 _K_LOOPS = {
-    "scan_ray": (surface, lambda m: surface.scan_ray(
+    "scan_ray": (tables, lambda m: surface.scan_ray(
         m, "split-off", [1, 0, 0], r_max=0.05, n_coarse=20)),
     "band_path_rows": (tables, lambda m: tables.band_path_rows(
         m, ["L", "G"], samples_per_segment=3)),

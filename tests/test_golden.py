@@ -25,6 +25,8 @@ GOLDEN = {
         79, "2d5fba2fe8c95af8058e8cfbadef225398db92e23ac6e8f624b0136bc9b121ad"),
     "--material si --band first-conduction": (
         79, "5d637e569981711e707c5d7dee8aa1358d62cf677b5a4f656b0d4100735c9fe2"),
+    "--material ge --band second-conduction": (
+        79, "7c612df1bd59b93927d1910c067478c6e0eb92f5d0543525e6330da1942f77dc"),
     "--material gaas --band split-off": (
         79, "fd382fa02b871e5d9c065cafe7f0a9f0d3b7ed4e8e696df93cbf7ddacb8a02c5"),
     "--material si --band split-off --det gtot": (

@@ -9,8 +9,8 @@ from gtensor_tb import (NearDegenerateIntermediateError, PairUndefinedError,
                         ZeroSplittingError, align_pair_to_spin_frame,
                         boundary_radius, cubic_group, det_sign, g_tensor_set,
                         gtensor, momentum_table, orbital_g, orbital_matrices,
-                        proper_svd, remix_pair, select_pair, solve, spin_g,
-                        spin_matrices, wedge_directions, zeeman_response)
+                        remix_pair, select_pair, solve, spin_g, spin_matrices,
+                        wedge_directions, zeeman_response)
 from gtensor_tb.gtensor import pair_momenta
 from gtensor_tb.surface import N_COARSE
 from gtensor_tb.su2 import su2_from_rotation
@@ -19,7 +19,7 @@ from gtensor_tb.units import MU_B
 from conftest import bitwise_k_points, random_k_points, random_unit_vectors
 from oracles import (EPS_CYCLES, momentum_table_four_products,
                      orbital_matrices_commutator, pair_zeeman_hamiltonian,
-                     random_su2)
+                     proper_svd, random_su2)
 
 
 def _pair_and_tensors(model, k, band_id="split-off"):
@@ -281,6 +281,7 @@ def _g_stacks(draw):
 @given(_g_stacks())
 def test_stacked_det_sign_equals_single_calls(g):
     single = [det_sign(row) for row in g]
+    assert {type(sign) for sign in single} <= {int}
     stacked = det_sign(g)
     assert stacked.shape == (len(g),)
     assert np.issubdtype(stacked.dtype, np.integer)
@@ -411,11 +412,12 @@ def _stacked(pairs):
 
 
 def test_proper_svd_of_a_stack_bitwise_equals_single_calls():
+    # the library's stacked fix-up against the one-matrix reference
     g = np.random.default_rng(37).normal(size=(30, 3, 3))
     single = [proper_svd(m) for m in g]
     flips = [np.linalg.det(vh) < 0 for vh in np.linalg.svd(g)[2]]
     assert any(flips) and not all(flips)
-    for n, factor in enumerate(proper_svd(g)):
+    for n, factor in enumerate(gtensor._make_proper(*np.linalg.svd(g))):
         assert factor.tobytes() == np.array([s[n] for s in single]).tobytes()
 
 

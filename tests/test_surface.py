@@ -16,8 +16,6 @@ from gtensor_tb import (MaterialValidationError, boundary_radius,
                         scan_ray, select_pair, solve, spin_g, surface,
                         tables, wedge_directions)
 from gtensor_tb.brillouin import wedge_representative
-from gtensor_tb.errors import (NearDegenerateIntermediateError,
-                               PairingAmbiguityError)
 
 from conftest import random_unit_vectors
 from oracles import dense_det, in_first_zone, point_signs, read_cloud_csv
@@ -133,11 +131,12 @@ def test_failure_intervals_recorded_not_fatal(si, ge):
     assert len(scan.crossings) == 1
 
 
-def _scan_with(monkeypatch, fake_g_at):
-    """Make scan_ray evaluate ``fake_g_at`` at every sample: its coarse
-    pass per point, as the reference scan does, and its bisection."""
-    monkeypatch.setattr(surface, "_g_at", fake_g_at)
-    monkeypatch.setattr(surface, "_coarse_signs", point_signs)
+def _scan_with(monkeypatch, sign_at):
+    """Make scan_ray take every sign, coarse or bisection, from
+    ``sign_at(k)``: +1, -1 or the reason the pair is undefined at k."""
+    monkeypatch.setattr(surface, "_coarse_signs",
+                        lambda model, pair, bands, which_det, ks:
+                        [sign_at(k) for k in ks])
 
 
 def test_undefined_runs_split_the_ray(si, monkeypatch):
@@ -146,16 +145,15 @@ def test_undefined_runs_split_the_ray(si, monkeypatch):
     # between defined samples
     r_max = boundary_radius(si.lattice_constant, [1, 0, 0])
 
-    def fake_g_at(model, pair, bands, which_det, k):
+    def sign_at(k):
         f = k[0] / r_max
         if f < 0.15:
-            raise PairingAmbiguityError(k, (0, 1), 1.0, 0.0)
+            return "PairingAmbiguityError"
         if 0.35 <= f < 0.45 or f >= 0.85:
-            raise NearDegenerateIntermediateError(k, 2, 0.0, 1e-5)
-        sign = -1.0 if 0.45 <= f < 0.65 else 1.0
-        return np.diag([sign, 1.0, 1.0])
+            return "NearDegenerateIntermediateError"
+        return -1 if 0.45 <= f < 0.65 else 1
 
-    _scan_with(monkeypatch, fake_g_at)
+    _scan_with(monkeypatch, sign_at)
     scan = scan_ray(si, "split-off", [1, 0, 0], n_coarse=11)
     radii = np.linspace(0.0, r_max, 11)
     assert scan.failures == [
@@ -168,27 +166,50 @@ def test_undefined_runs_split_the_ray(si, monkeypatch):
     assert scan.crossings[0].slope_sign == 1
 
 
+def test_undefined_bisection_midpoint_is_a_failure_interval(si, monkeypatch):
+    # every coarse sample is defined; the pair is undefined only strictly
+    # inside the bracket [r_4, r_5], where the first midpoint falls, so
+    # that bracket becomes a failure interval, not a crossing, and the
+    # sign change at 0.75 r_max beyond it is still bisected
+    r_max = boundary_radius(si.lattice_constant, [1, 0, 0])
+    midpoints = []
+
+    def sign_at(k):
+        f = k[0] / r_max
+        if 0.44 < f < 0.46:
+            midpoints.append(f)
+            return "NearDegenerateIntermediateError"
+        return -1 if 0.45 <= f < 0.75 else 1
+
+    _scan_with(monkeypatch, sign_at)
+    scan = scan_ray(si, "split-off", [1, 0, 0], n_coarse=11)
+    radii = np.linspace(0.0, r_max, 11)
+    assert midpoints == [pytest.approx(0.45)]
+    assert scan.failures == [
+        (radii[4], radii[5], "NearDegenerateIntermediateError")]
+    assert len(scan.crossings) == 1
+    assert scan.crossings[0].radius == pytest.approx(0.75 * r_max, abs=1e-6)
+    assert scan.crossings[0].slope_sign == 1
+
+
 @contextlib.contextmanager
 def _counted_solves(n_coarse):
-    """Count the evaluations of scan_ray: the coarse samples, which
-    tables.sample_pairs solves, and the bisection steps; fail, rather
-    than loop, past ``n_coarse`` coarse samples and 64 halvings per
-    possible bracket."""
+    """Count the evaluations of scan_ray, coarse samples and bisection
+    steps, which tables.sample_pairs solves; fail, rather than loop,
+    past ``n_coarse`` coarse samples and 64 halvings per possible
+    bracket."""
     calls = []
-    modules = (surface, tables)
 
     def counted(*args, **kwargs):
         calls.append(args)
         assert len(calls) <= n_coarse + 64 * (n_coarse - 1), "runaway scan"
         return solve(*args, **kwargs)
 
-    for module in modules:
-        module.solve = counted
+    tables.solve = counted
     try:
         yield calls
     finally:
-        for module in modules:
-            module.solve = solve
+        tables.solve = solve
 
 
 def _si_with_lattice_constant(directory, a_ang):
@@ -217,11 +238,11 @@ def test_bisection_next_to_gamma_is_bounded(si, monkeypatch):
     r_max = boundary_radius(si.lattice_constant, [1, 0, 0])
     calls = []
 
-    def fake_g_at(model, pair, bands, which_det, k):
+    def sign_at(k):
         calls.append(k[0])
-        return np.diag([1.0 if k[0] < 1e-250 * r_max else -1.0, 1.0, 1.0])
+        return 1 if k[0] < 1e-250 * r_max else -1
 
-    _scan_with(monkeypatch, fake_g_at)
+    _scan_with(monkeypatch, sign_at)
     scan = scan_ray(si, "split-off", [1, 0, 0], n_coarse=4, bisect_tol=1e-300)
     assert len(scan.crossings) == 1
     assert len(calls) <= 4 + 53
@@ -265,9 +286,9 @@ def test_any_lattice_constant_scans_in_bounded_work(tmp_path_factory, log_a,
 
 def test_evaluation_counts_are_exact(si, monkeypatch):
     # on a ray without failure intervals every solve is one of the
-    # n_coarse samples of a single sampler pass or one halving of a
-    # bracket, which starts at the coarse spacing; the ray tables solve
-    # each of their samples once
+    # n_coarse samples of one sampler pass, or one halving of a bracket,
+    # which starts at the coarse spacing, in a one-row pass of its own;
+    # the ray tables solve each of their samples once
     direction = wedge_directions(1)[0]
     passes = []
 
@@ -282,7 +303,7 @@ def test_evaluation_counts_are_exact(si, monkeypatch):
     spacing = scan.r_max / 39
     halvings = [round(math.log2(spacing / crossing.bracket_width))
                 for crossing in scan.crossings]
-    assert passes == [40]
+    assert passes == [40] + [1] * sum(halvings)
     assert len(calls) == 40 + sum(halvings)
     for build in (tables.gline_rows, tables.entropy_rows):
         with _counted_solves(40) as calls:
@@ -291,8 +312,9 @@ def test_evaluation_counts_are_exact(si, monkeypatch):
 
 
 def _scans_both_ways(monkeypatch, model, band, directions, which_det):
-    """scan_ray on every direction with the stacked coarse pass, then
-    with the per-point reference: (coarse entries, scans) of each."""
+    """scan_ray on every direction with the stacked sign passes, then
+    with the per-point reference: (entries of every pass, coarse or
+    bisection, and scans) of each."""
     both = []
     for coarse in (surface._coarse_signs, point_signs):
         entries = []
@@ -314,12 +336,15 @@ def _scans_both_ways(monkeypatch, model, band, directions, which_det):
     ("split-off", 1, "gtot")])
 def test_coarse_pass_matches_per_point_scan(si, monkeypatch, band, level,
                                             which_det):
-    # the stacked g pass gives every coarse sample the sign (or failure)
-    # of the scalar chain, so crossings and failure intervals agree too
+    # the stacked g pass gives every coarse sample and every bisection
+    # midpoint the sign (or failure) of the scalar chain, so crossings
+    # and failure intervals agree too
     directions = wedge_directions(level)
     (stacked, stacked_scans), (points, point_scans) = _scans_both_ways(
         monkeypatch, si, band, directions, which_det)
-    assert len(stacked) == len(points) == len(directions)
+    sizes = collections.Counter(len(entries) for entries in stacked)
+    assert sizes[surface.N_COARSE] == len(directions)
+    assert set(sizes) == {surface.N_COARSE, 1}  # a midpoint is one row
     assert stacked == points
     assert {1, -1} <= {e for entries in points for e in entries}
     for ray, (a, b) in enumerate(zip(stacked_scans, point_scans)):

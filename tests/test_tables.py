@@ -38,6 +38,13 @@ def test_band_path_energies_are_sorted_hartree(si):
     assert np.abs(energies).max() < 2.0
 
 
+def test_band_path_cells_are_python_floats(si):
+    # np.float64 is a float subclass, but only rows whose cells are all
+    # exactly float take write_csv's one-format path
+    _, rows, _ = band_path_rows(si, ["L", "G", "X"], samples_per_segment=3)
+    assert {type(cell) for row in rows for cell in row} == {float}
+
+
 def test_band_path_needs_two_points(si):
     with pytest.raises(ValueError):
         band_path_rows(si, ["G"])

@@ -147,12 +147,10 @@ def orbital_matrices(pair: KramersPair, momenta: PairMomenta) -> np.ndarray:
     row bit for bit the blocks of that pair alone.
     """
     denom = np.asarray(pair.pair_energy)[..., None] - momenta.rest_energies
-    w = (1.0 / denom)[..., None, :]
-    # mass[..., j, k, :, :] = sum_l pi_j[:, l] pi_k[l, :] / (E_pair - E_l),
-    # one j at a time: on a 200-row stack this holds one weighted block
-    # of pi_j rows, not all three
-    mass = np.stack([(momenta.pair_rest[..., j, :, :] * w)[..., None, :, :]
-                     @ momenta.rest_pair for j in range(3)], axis=-4)
+    w = (1.0 / denom)[..., None, None, :]
+    # mass[..., j, k, :, :] = sum_l pi_j[:, l] pi_k[l, :] / (E_pair - E_l)
+    mass = ((momenta.pair_rest * w)[..., :, None, :, :]
+            @ momenta.rest_pair[..., None, :, :, :])
     return -0.5j * (mass[..., _CYCLE_J, _CYCLE_K, :, :]
                     - mass[..., _CYCLE_K, _CYCLE_J, :, :])
 

@@ -1,7 +1,8 @@
 """Row assembly for the plot-ready CSV outputs, and their one writer.
 
 Each builder returns (header, rows) with plain Python floats; callers
-pass them with their provenance comments to :func:`write_csv`.
+pass them with their provenance comments to :func:`write_csv`, which
+formats every row, whatever its cell types, with one ``%`` template.
 Pair-state entropies are only defined once the pair gauge is fixed, so
 the pairs of a ray are aligned to their spin frames first (the frame in
 which g_S has identity right factor).
@@ -39,28 +40,27 @@ ENTROPY_COLUMNS = ("r", "kx", "ky", "kz",
                    "entropy_xi", "entropy_xi_bar", "spin_flip_residual")
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.17g}"
-    return str(value)
-
-
 def write_csv(path, comments, header, rows) -> None:
     """Write '#' comment lines, a header and rows, with LF line endings.
 
-    Floats get 17 significant digits, so reading a file back
-    reproduces every value bit-exactly.
+    Each row is one ``%`` operation on the template of its cell types,
+    built once per layout: floats (``float`` or ``np.floating``) get 17
+    significant digits, so reading a file back reproduces every value
+    bit-exactly, and every other cell gets ``str()``.
     """
-    floats = ",".join(["%.17g"] * len(header)) + "\n"
+    templates = {}
     with open(path, "w", newline="") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
-            if len(row) == len(header) and set(map(type, row)) == {float}:
-                fh.write(floats % tuple(row))
-            else:
-                fh.write(",".join(_format_cell(v) for v in row) + "\n")
+            layout = tuple(map(type, row))
+            template = templates.get(layout)
+            if template is None:
+                template = templates[layout] = ",".join(
+                    "%.17g" if issubclass(t, (float, np.floating)) else "%s"
+                    for t in layout) + "\n"
+            fh.write(template % tuple(row))
 
 
 @one_blas_thread

@@ -4,12 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gtensor_tb import (NearDegenerateIntermediateError, PairUndefinedError,
-                        align_pair_to_spin_frame, boundary_radius, entropy,
-                        g_tensor_set, pair_spin_densities, select_pair, solve,
+                        align_pair_to_spin_frame, boundary_radius,
+                        direction_applicable, entropy, g_tensor_set,
+                        pair_spin_densities, select_pair, solve, spin_g,
                         spin_flip_residual)
 from gtensor_tb import gtensor, tables
 from gtensor_tb.tables import (ENTROPY_COLUMNS, GLINE_COLUMNS, band_path_rows,
                                entropy_rows, gline_rows)
+
+from conftest import random_unit_vectors
 
 
 def test_band_path_geometry_and_ticks(si):
@@ -39,8 +42,8 @@ def test_band_path_energies_are_sorted_hartree(si):
 
 
 def test_band_path_cells_are_python_floats(si):
-    # np.float64 is a float subclass, but only rows whose cells are all
-    # exactly float take write_csv's one-format path
+    # the band table is built with float() and .tolist(), so its cells
+    # are plain Python floats rather than np.float64 scalars
     _, rows, _ = band_path_rows(si, ["L", "G", "X"], samples_per_segment=3)
     assert {type(cell) for row in rows for cell in row} == {float}
 
@@ -239,6 +242,48 @@ def test_entropy_rows_bitwise_equal_public_chain(material, band, request):
     assert np.array(rows).tobytes() == np.array(expected).tobytes()
 
 
+def _binary_entropy(p):
+    """h2(p) in bits, with 0 log 0 = 0."""
+    return -sum(q * np.log2(q, out=np.zeros_like(q), where=q > 0)
+                for q in (p, 1.0 - p))
+
+
+@pytest.mark.parametrize("material, band, seed", [
+    ("si", "split-off", 51), ("si", "first-conduction", 52),
+    ("ge", "second-conduction", 53), ("gaas", "split-off", 54)])
+def test_gline_entropies_match_spin_frame_closed_form(material, band, seed,
+                                                      request):
+    # in the spin frame 2S_i = s0_i 1 + (1/2) sum_j g_S[i, j] sigma~_j with
+    # g_S = u diag(sigma) and u the proper left factor, so xi and xi_bar
+    # have spin Bloch vectors s0 +- (sigma_3 / 2) u_3 and entropies
+    # h2((1 + |b|) / 2): for O_h pairs s0 = 0, so both are 1 exactly where
+    # det g_S = 0.  The GaAs ray is off <100> and <111>, where s0 is not 0
+    # and the sign of u_3 matters.  The two routes differ by rounding
+    # only, so the tolerance is 1e-12 in bits of entropy.
+    model = request.getfixturevalue(material)
+    direction = random_unit_vectors(seed, 1)[0]
+    assert direction_applicable(model, direction) == (material != "gaas")
+    r_max = boundary_radius(model.lattice_constant, direction)
+    header, rows = gline_rows(model, band, direction, r_max, samples=100)
+    ks = np.linspace(0.0, r_max, 100)[:, None] * direction
+    reasons, pairs, _ = tables.sample_pairs(model, band, ks)
+    s0 = 0.5 * np.trace(gtensor.spin_matrices(pairs), axis1=-2,
+                        axis2=-1).real
+    u, sigma, vh = np.linalg.svd(spin_g(pairs))
+    u3 = u[:, :, 2] * np.sign(np.linalg.det(vh))[:, None]
+    half = 0.5 * sigma[:, 2, None] * u3
+    closed = np.column_stack([
+        _binary_entropy((1.0 + np.linalg.norm(s0 + sign * half, axis=-1)) / 2)
+        for sign in (1.0, -1.0)])
+    columns = [header.index("entropy_xi"), header.index("entropy_xi_bar")]
+    table = np.array(rows)[[reason is None for reason in reasons]][:, columns]
+    assert np.abs(table - closed).max() <= 1e-12
+    if material == "gaas":
+        assert np.abs(s0).max() > 1e-3
+    else:
+        assert np.abs(s0).max() < 1e-12
+
+
 @pytest.mark.parametrize("direction", [[0.0, 0.0, 0.0], [np.nan, 0.0, 1.0],
                                        [1e300, 1e300, 0.0]])
 @pytest.mark.parametrize("build", [gline_rows, entropy_rows])
@@ -264,6 +309,13 @@ def test_bad_r_max_rejected_before_any_solve(si, build, r_max, monkeypatch):
     assert not solved
 
 
+def _format_cell(value) -> str:
+    """One CSV cell: 17 significant digits for a float, else str()."""
+    if isinstance(value, (float, np.floating)):
+        return f"{float(value):.17g}"
+    return str(value)
+
+
 _CELLS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
     st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308,
@@ -279,8 +331,8 @@ _CELLS = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(width=st.integers(1, 6), data=st.data())
 def test_write_csv_bytes_equal_per_cell_join(tmp_path_factory, width, data):
-    # rows of Python floats only take the one-format path; every row,
-    # mixed or not, must read as the per-cell formatting joined by commas
+    # every row, whatever its cell types and width, must read as the
+    # per-cell formatting joined by commas
     header = tuple(f"c{i}" for i in range(width))
     float_rows = st.lists(st.floats(allow_nan=True, allow_infinity=True),
                           min_size=width, max_size=width)
@@ -290,5 +342,5 @@ def test_write_csv_bytes_equal_per_cell_join(tmp_path_factory, width, data):
     path = tmp_path_factory.getbasetemp() / "write_csv_property.csv"
     tables.write_csv(path, ["note"], header, rows)
     expected = "# note\n" + ",".join(header) + "\n" + "".join(
-        ",".join(tables._format_cell(v) for v in row) + "\n" for row in rows)
+        ",".join(_format_cell(v) for v in row) + "\n" for row in rows)
     assert path.read_bytes() == expected.encode()

@@ -15,8 +15,8 @@ leave the process at one thread.  Where there is no ``/proc`` (macOS),
 no OpenBLAS (MKL, Accelerate) or no ``openblas_set_num_threads_local``
 symbol, the decorator does nothing.
 
-The g_S scan reads only a pair and its neighbours in the spectrum
-(whole Kramers doublets where every band is degenerate, see
+g_S scans and entropy tables read only a pair and its neighbours in the
+spectrum (whole Kramers doublets where every band is degenerate, see
 :func:`~gtensor_tb.bands.pair_window`).
 :func:`eigh_window` computes just those eigenpairs with LAPACK's ZHEEVR
 (bisection and inverse iteration for an index range), called from the

@@ -6,13 +6,13 @@ capped at ``TOL_PER_ZONE`` of 2 pi / a so that the tolerance shrinks
 with the zone, or to four float spacings where those are wider, in at
 most about 52 halvings.  Every sign, coarse or bisection, comes from one
 evaluator, ``_coarse_signs``: the ray sampler
-:func:`gtensor_tb.tables.sample_pairs` solves each k-point and selects
-its pair, and g and the determinant signs of the k-points where the pair
-is defined are then formed in one stacked pass (a bisection midpoint is
-a one-row pass).  The sign is that of the 3x3 cofactor determinant, with
-an exact 0.0 counted as +1, so it is always +-1.  Rays are independent
-work items, so surface assembly parallelizes over a worker pool with a
-deterministic merge by direction index.
+:func:`gtensor_tb.tables.sample_pairs` solves the bands it picks at each
+k-point and selects the pair, and g and the determinant signs of the
+k-points where the pair is defined are then formed in one stacked pass
+(a bisection midpoint is a one-row pass).  The sign is that of the 3x3
+cofactor determinant, with an exact 0.0 counted as +1, so it is always
++-1.  Rays are independent work items, so surface assembly parallelizes
+over a worker pool with a deterministic merge by direction index.
 
 Every cubic model scans the wedge x >= y >= z >= 0 and closes the
 crossings under the 48 operations of O_h.  For O_h models that is the
@@ -37,13 +37,15 @@ import math
 
 import numpy as np
 
-# nothing here calls solve or select_pair: they stay imported because
-# the benchmark's tracer wraps them by these names and fails without them
-from .bands import pair_window, resolve_band_indices, select_pair, solve
+# nothing here calls solve, select_pair or g_tensor_set: they stay
+# imported because the benchmark's tracer wraps them by these names and
+# fails without them
+from .bands import select_pair, solve
 from .blas import one_blas_thread
 from .brillouin import (boundary_radius, cubic_group, positive_finite,
                         replicate_points, unit_direction)
-from .gtensor import det_sign, g_tensor_set, spin_g
+from .gtensor import (det_sign, g_tensor_set, orbital_g, orbital_matrices,
+                      spin_g)
 from .materials import MaterialModel
 from .tables import sample_pairs, write_csv
 
@@ -88,41 +90,23 @@ class SurfaceCloud:
     failures: list
 
 
-def _coarse_signs(model: MaterialModel, pair: tuple, bands: tuple,
-                  which_det: str, ks) -> list:
+def _coarse_signs(model: MaterialModel, band_id, which_det: str, ks) -> list:
     """The determinant sign at each k-point of ``ks``, in one stacked pass.
 
-    ``pair`` holds the pair's band indices and ``bands`` the window
-    :func:`_ray_bands` solves for them.
     :func:`~gtensor_tb.tables.sample_pairs` solves and selects the pair
-    (and, for g_tot, reduces the momentum table) at each k-point; the
-    chosen g-tensors (g_S or g_tot) and their signs are then formed once
-    over the stacked rows where the pair is defined.  An entry is +1 or
-    -1, or the class name of the
-    :class:`~gtensor_tb.errors.PairUndefinedError` that k-point raised.
+    (and, for g_tot, reduces the momentum table) at each k-point; g_S,
+    plus g_L for g_tot, and the signs are then formed once over the
+    stacked rows where the pair is defined.  An entry is +1 or -1, or
+    the class name of the :class:`~gtensor_tb.errors.PairUndefinedError`
+    that k-point raised.
     """
-    reasons, pairs, momenta = sample_pairs(model, pair, ks, bands,
+    reasons, pairs, momenta = sample_pairs(model, band_id, ks,
                                            momenta=which_det == "gtot")
-    if which_det == "gs":
-        g = spin_g(pairs)
-    else:
-        g = g_tensor_set(model, momenta, pairs).g_tot
+    g = spin_g(pairs)
+    if momenta is not None:
+        g = g + orbital_g(orbital_matrices(pairs, momenta))
     signs = iter(det_sign(g).tolist())
     return [next(signs) if reason is None else reason for reason in reasons]
-
-
-def _ray_bands(model: MaterialModel, band_id, which_det: str) -> tuple:
-    """The pair's band indices and the bands each evaluation solves.
-
-    g_S reads only the pair and its neighbours, so only that window of
-    bands is solved; g_tot sums over all bands and solves them all.
-    """
-    if which_det not in ("gs", "gtot"):
-        raise ValueError(f"which_det must be 'gs' or 'gtot', not {which_det!r}")
-    pair = resolve_band_indices(model, band_id)
-    if which_det == "gs":
-        return pair, pair_window(model, pair)
-    return pair, (0, model.dim - 1)
 
 
 def _bisect(sign_at, lo, hi, sign_lo, tol):
@@ -164,8 +148,8 @@ def scan_ray(model: MaterialModel, band_id, direction,
     beyond them; an empty crossing list is a valid result.  Bisection
     stops at ``bisect_tol`` or ``TOL_PER_ZONE * 2 pi / a``, whichever is
     smaller.  Raises ``ValueError`` for a zero or non-finite direction,
-    an ``r_max`` or ``bisect_tol`` that is not positive and finite, or
-    ``n_coarse < 2``.
+    an ``r_max`` or ``bisect_tol`` that is not positive and finite,
+    ``n_coarse < 2`` or a ``which_det`` other than "gs" and "gtot".
     """
     direction = unit_direction(direction)
     for name, value in (("r_max", r_max), ("bisect_tol", bisect_tol)):
@@ -173,22 +157,20 @@ def scan_ray(model: MaterialModel, band_id, direction,
             positive_finite(name, value)
     if n_coarse < 2:
         raise ValueError(f"n_coarse must be >= 2, got {n_coarse}")
+    if which_det not in ("gs", "gtot"):
+        raise ValueError(f"which_det must be 'gs' or 'gtot', not {which_det!r}")
     r_boundary = boundary_radius(model.lattice_constant, direction)
     clipped = r_max is not None and r_max > r_boundary
     if r_max is None or clipped:
         r_max = r_boundary
 
-    # labels and the band window are resolved once per ray
-    pair, bands = _ray_bands(model, band_id, which_det)
-
     def sign_at(r):
-        return _coarse_signs(model, pair, bands, which_det,
-                             [r * direction])[0]
+        return _coarse_signs(model, band_id, which_det, [r * direction])[0]
 
     tol = min(bisect_tol,
               TOL_PER_ZONE * 2.0 * math.pi / model.lattice_constant)
     radii = np.linspace(0.0, r_max, n_coarse)
-    signs = _coarse_signs(model, pair, bands, which_det,
+    signs = _coarse_signs(model, band_id, which_det,
                           radii[:, None] * direction)
     crossings = []
     failures = []

@@ -7,13 +7,14 @@ Pair-state entropies are only defined once the pair gauge is fixed, so
 the pairs of a ray are aligned to their spin frames first (the frame in
 which g_S has identity right factor).
 
-:func:`sample_pairs` is the one ray sampler: it solves and selects the
-pair (and, on request, reduces the momentum table) one k-point at a
-time, stacks the rows where the pair is defined and records why the
-others are not.  The g-line and entropy tables here and the coarse pass
-of ``surface.scan_ray`` all run on it; the g-tensors, alignment and
-entropies then run once over the stacked rows.  Rows where pair
-selection fails carry NaNs instead of aborting the table.
+:func:`sample_pairs` is the one ray sampler: it picks the bands each
+k-point solves, solves and selects the pair (and, on request, reduces
+the momentum table) one k-point at a time, stacks the rows where the
+pair is defined and records why the others are not.  The g-line and
+entropy tables here and every sign pass of ``surface.scan_ray`` run on
+it; the g-tensors, alignment and entropies then run once over the
+stacked rows.  Rows where pair selection fails carry NaNs instead of
+aborting the table.
 """
 from __future__ import annotations
 
@@ -21,7 +22,8 @@ import dataclasses
 
 import numpy as np
 
-from .bands import KramersPair, resolve_band_indices, select_pair, solve
+from .bands import (KramersPair, pair_window, resolve_band_indices,
+                    select_pair, solve)
 from .blas import one_blas_thread
 from .brillouin import high_symmetry_point, positive_finite, unit_direction
 from .entanglement import (_spin_flip_defect, direction_applicable, entropy,
@@ -95,11 +97,11 @@ def band_path_rows(model: MaterialModel, path_names,
     return header, rows, ticks
 
 
-def _pair_stack(model: MaterialModel, band_id, rows: int) -> KramersPair:
+def _pair_stack(model: MaterialModel, indices, rows: int) -> KramersPair:
     """Room for ``rows`` pairs: one ``KramersPair`` with a leading row axis."""
     return KramersPair(
         k=np.empty((rows, 3)),
-        band_indices=resolve_band_indices(model, band_id),
+        band_indices=indices,
         energies=np.empty((rows, 2)),
         states=np.empty((rows, model.dim, 2), complex),
         pair_energy=np.empty(rows),
@@ -118,20 +120,23 @@ def _momenta_stack(model: MaterialModel, rows: int) -> PairMomenta:
     )
 
 
-def sample_pairs(model: MaterialModel, band_id, ks, bands: tuple | None = None,
+def sample_pairs(model: MaterialModel, band_id, ks,
                  momenta: bool = False) -> tuple:
     """Solve and select the pair at each k-point of ``ks``.
 
-    Each k-point solves ``bands`` (see :func:`solve`) and, with
-    ``momenta``, keeps the pair's part of its full-spectrum momentum
-    table.  Returns (reasons, pairs, momenta): ``reasons`` has one entry
-    per k-point, None where the pair is defined, else the class name of
-    the :class:`PairUndefinedError` raised there; ``pairs`` and
-    ``momenta`` (None unless asked for) stack the defined rows along a
-    leading axis.  Rows are copied into stacks with room for every
-    k-point, so no solution outlives its row.
+    With ``momenta`` each k-point solves every band and keeps the pair's
+    part of its momentum table, whose orbital sum runs over all bands;
+    otherwise it solves only :func:`pair_window`, the bands
+    :func:`select_pair` reads.  Returns (reasons, pairs, momenta):
+    ``reasons`` has one entry per k-point, None where the pair is
+    defined, else the class name of the :class:`PairUndefinedError`
+    raised there; ``pairs`` and ``momenta`` (None unless asked for)
+    stack the defined rows along a leading axis.  Rows are copied into
+    stacks with room for every k-point, so no solution outlives its row.
     """
-    stacks = [_pair_stack(model, band_id, len(ks))]
+    indices = resolve_band_indices(model, band_id)
+    bands = None if momenta else pair_window(model, indices)
+    stacks = [_pair_stack(model, indices, len(ks))]
     if momenta:
         stacks.append(_momenta_stack(model, len(ks)))
     fields = [[(name, value) for name, value in vars(stack).items()
@@ -187,9 +192,9 @@ def gline_rows(model: MaterialModel, band_id, direction,
                r_max: float, samples: int = 200) -> tuple:
     """Singular values, determinants, and entropies along a ray.
 
-    Each row solves, selects the pair and keeps the pair's part of the
-    momentum table; the g-tensor sets, spin-frame alignment and
-    entropies then run once over the rows where the pair is defined.
+    Each row solves every band, selects the pair and keeps the pair's
+    part of the momentum table; the g-tensor sets, spin-frame alignment
+    and entropies then run once over the rows where the pair is defined.
     Raises ``ValueError`` for a direction without a finite, non-zero
     norm or an ``r_max`` that is not positive and finite.
     """
@@ -210,10 +215,10 @@ def entropy_rows(model: MaterialModel, band_id, direction,
 
     Off the valid direction families of the material's point group the
     residual column is NaN: the relation is not defined there, which is
-    a contract fact, not a numerical failure.  Each row solves and
-    selects the pair; g_S is formed, factored, aligned, scored and
-    spin-flipped once over the rows where the pair is defined.  Raises
-    ``ValueError`` as :func:`gline_rows` does.
+    a contract fact, not a numerical failure.  Each row solves the
+    pair's window and selects the pair; g_S is formed, factored,
+    aligned, scored and spin-flipped once over the rows where the pair
+    is defined.  Raises ``ValueError`` as :func:`gline_rows` does.
     """
     flip_ok = direction_applicable(model, direction)
     radii = np.linspace(0.0, positive_finite("r_max", r_max), samples)

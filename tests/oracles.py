@@ -7,7 +7,7 @@ import csv
 
 import numpy as np
 
-from gtensor_tb.bands import select_pair, solve
+from gtensor_tb.bands import pair_window, select_pair, solve
 from gtensor_tb.blas import one_blas_thread
 from gtensor_tb.brillouin import (NN_SIGNS, cubic_group, unit_direction,
                                   zone_faces)
@@ -96,19 +96,20 @@ def momentum_table_four_products(model, sol) -> np.ndarray:
     return pi
 
 
-def point_signs(model, pair, bands, which_det, ks) -> list:
+def point_signs(model, band_id, which_det, ks) -> list:
     """Per-point counterpart of ``gtensor_tb.surface._coarse_signs``.
 
-    At each k-point the scalar chain: ``solve`` of the window ``bands``,
-    ``select_pair``, g_S or g_tot of that one pair, and ``det_sign`` of
-    one 3x3 tensor.  An entry is +1 or -1, or the class name of the
-    ``PairUndefinedError`` raised there.
+    At each k-point the scalar chain: ``solve`` of the pair's window
+    (g_S) or of every band (g_tot), ``select_pair``, g_S or g_tot of
+    that one pair, and ``det_sign`` of one 3x3 tensor.  An entry is +1
+    or -1, or the class name of the ``PairUndefinedError`` raised there.
     """
+    bands = pair_window(model, band_id) if which_det == "gs" else None
     entries = []
     for k in ks:
         try:
             sol = solve(model, k, bands)
-            selected = select_pair(model, sol, pair)
+            selected = select_pair(model, sol, band_id)
             g = (spin_g(selected) if which_det == "gs"
                  else g_tensor_set(model, sol, selected).g_tot)
         except PairUndefinedError as err:

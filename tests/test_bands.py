@@ -215,8 +215,7 @@ def _full_chain_sign(model, band, k):
 def _window_chain_sign(model, band, k):
     """det(g_S) sign from the scanner's windowed chain, or the error type:
     a one-row pass of its sign evaluator."""
-    pair, bands = surface._ray_bands(model, band, "gs")
-    return surface._coarse_signs(model, pair, bands, "gs", [k])[0]
+    return surface._coarse_signs(model, band, "gs", [k])[0]
 
 
 @pytest.mark.parametrize("material, band, directions", [

@@ -32,8 +32,10 @@ def _fresh(code: str) -> str:
     return done.stdout
 
 
-_SCIPY_LOADED = ("sorted(m for m in sys.modules"
-                 " if m == 'scipy' or m.startswith('scipy.'))")
+# a None entry in sys.modules blocks an import; it is not a loaded module
+_SCIPY_LOADED = ("sorted(m for m, module in sys.modules.items()"
+                 " if module is not None"
+                 " and (m == 'scipy' or m.startswith('scipy.')))")
 
 
 def test_package_and_cli_import_without_scipy():
@@ -43,18 +45,26 @@ def test_package_and_cli_import_without_scipy():
 
 
 def test_fit_dipole_and_atomfit_run_without_scipy(si, tmp_path):
-    report = str(tmp_path / "atomfit.txt")
+    # with SciPy blocked, atomfit, a surface run and a g-line (whose
+    # g-tensors are one stacked pass) still exit 0
+    runs = [["atomfit", "--material", "gaas"],
+            ["surface", "--material", "si", "--band", "split-off",
+             "--level", "0"],
+            ["gline", "--material", "gaas", "--band", "split-off",
+             "--direction", "1,2,3"]]
+    runs = [argv + ["--out", str(tmp_path / f"{argv[0]}.out")]
+            for argv in runs]
     out = _fresh(
         "import sys\n"
+        "sys.modules['scipy'] = None\n"
         "from gtensor_tb import (builtin_material_path, cli, fit_dipole,\n"
         "                        load_material)\n"
         "si = load_material(builtin_material_path('si'))\n"
         "d0 = fit_dipole(si, 'Si')\n"
-        "rc = cli.main(['atomfit', '--material', 'gaas',\n"
-        f"               '--out', {report!r}])\n"
-        f"print(rc, {_SCIPY_LOADED} == [], repr(d0))\n")
-    rc, clean, value = out.split()
-    assert (rc, clean) == ("0", "True")
+        f"rcs = [cli.main(argv) for argv in {runs!r}]\n"
+        f"print(*rcs, {_SCIPY_LOADED} == [], repr(d0))\n")
+    *rcs, clean, value = out.split()
+    assert rcs == ["0", "0", "0"] and clean == "True"
     assert float(value) == fit_dipole(si, "Si")
 
 

@@ -135,7 +135,7 @@ def _scan_with(monkeypatch, sign_at):
     """Make scan_ray take every sign, coarse or bisection, from
     ``sign_at(k)``: +1, -1 or the reason the pair is undefined at k."""
     monkeypatch.setattr(surface, "_coarse_signs",
-                        lambda model, pair, bands, which_det, ks:
+                        lambda model, band_id, which_det, ks:
                         [sign_at(k) for k in ks])
 
 

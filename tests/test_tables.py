@@ -8,7 +8,8 @@ from gtensor_tb import (NearDegenerateIntermediateError, PairUndefinedError,
                         direction_applicable, entropy, g_tensor_set,
                         pair_spin_densities, select_pair, solve, spin_g,
                         spin_flip_residual)
-from gtensor_tb import gtensor, tables
+from gtensor_tb import gtensor, scan_ray, tables
+from gtensor_tb.bands import pair_window
 from gtensor_tb.tables import (ENTROPY_COLUMNS, GLINE_COLUMNS, band_path_rows,
                                entropy_rows, gline_rows)
 
@@ -217,9 +218,11 @@ def test_gline_rows_nan_exactly_where_intermediates_are_near(gaas,
                                             ("si", (4, 5)),
                                             ("gaas", "split-off")])
 def test_entropy_rows_bitwise_equal_public_chain(material, band, request):
-    # the point chain written out with public calls, one row at a time;
-    # the T_d ray is off <100> and <111>, so its residual column is NaN
+    # the point chain written out with public calls, one row at a time,
+    # solving the pair's window as the sampler does; the T_d ray is off
+    # <100> and <111>, so its residual column is NaN
     model = request.getfixturevalue(material)
+    window = pair_window(model, band)
     raw = np.random.default_rng(43).normal(size=3)
     direction = raw / np.linalg.norm(raw)
     r_max = boundary_radius(model.lattice_constant, direction)
@@ -229,7 +232,7 @@ def test_entropy_rows_bitwise_equal_public_chain(material, band, request):
     for r in np.linspace(0.0, r_max, 40):
         k = r * direction
         try:
-            pair = select_pair(model, solve(model, k), band)
+            pair = select_pair(model, solve(model, k, window), band)
         except PairUndefinedError:
             expected.append([r, *k, np.nan, np.nan, np.nan])
             continue
@@ -240,6 +243,73 @@ def test_entropy_rows_bitwise_equal_public_chain(material, band, request):
                          if flip_ok else np.nan])
     assert np.isnan(np.array(expected)[:, 4]).any() == (band == (4, 5))
     assert np.array(rows).tobytes() == np.array(expected).tobytes()
+
+
+@pytest.mark.parametrize("material, band, seed", [
+    ("si", "split-off", 61), ("ge", "second-conduction", 62),
+    ("gaas", "split-off", 63)])
+def test_entropy_rows_match_full_spectrum_chain(material, band, seed,
+                                                request):
+    # the public chain solving every band, one row at a time: the
+    # entropy table solves only the pair's window, which moves the
+    # entropies by rounding and nothing else, so they agree within
+    # 1e-12 bits, and the r/k columns and the NaN pattern are identical
+    model = request.getfixturevalue(material)
+    for raw in np.random.default_rng(seed).normal(size=(2, 3)):
+        direction = raw / np.linalg.norm(raw)
+        r_max = boundary_radius(model.lattice_constant, direction)
+        radii = np.linspace(0.0, r_max, 100)
+        _, rows, flip_ok = entropy_rows(model, band, raw, r_max, samples=100)
+        rows = np.array(rows)
+        expected = np.full((len(radii), 7), np.nan)
+        for n, r in enumerate(radii):
+            k = r * direction
+            expected[n, :4] = r, *k
+            try:
+                pair = select_pair(model, solve(model, k), band)
+            except PairUndefinedError:
+                continue
+            aligned = align_pair_to_spin_frame(pair)[0]
+            dens = pair_spin_densities(aligned)
+            expected[n, 4:] = (entropy(dens.rho_s), entropy(dens.rho_s_bar),
+                               spin_flip_residual(model, aligned)
+                               if flip_ok else np.nan)
+        assert rows[:, :4].tobytes() == expected[:, :4].tobytes()
+        assert (np.isnan(rows) == np.isnan(expected)).all()
+        defined = ~np.isnan(expected[:, 4])
+        assert defined.any()
+        deviation = np.abs(rows[defined, 4:6] - expected[defined, 4:6])
+        assert deviation.max() <= 1e-12
+
+
+@pytest.mark.parametrize("material, band", [
+    ("si", "split-off"), ("si", (4, 5)), ("gaas", "split-off")],
+    ids=["si-split-off", "si-4-5", "gaas-split-off"])
+def test_each_caller_solves_its_window(material, band, request, monkeypatch):
+    # a pass that reduces the momentum table solves every band (bands
+    # None); a g_S sign pass or an entropy table solves the pair's window
+    model = request.getfixturevalue(material)
+    direction = random_unit_vectors(71, 1)[0]
+    r_max = boundary_radius(model.lattice_constant, direction)
+    window = pair_window(model, band)
+    seen = []
+
+    def recorded(model, k, bands=None):
+        seen.append(bands)
+        return solve(model, k, bands)
+
+    monkeypatch.setattr(tables, "solve", recorded)
+    for run, expected in [
+            (lambda: gline_rows(model, band, direction, r_max, samples=8),
+             None),
+            (lambda: scan_ray(model, band, direction, n_coarse=8,
+                              which_det="gtot"), None),
+            (lambda: entropy_rows(model, band, direction, r_max, samples=8),
+             window),
+            (lambda: scan_ray(model, band, direction, n_coarse=8), window)]:
+        seen.clear()
+        run()
+        assert len(seen) >= 8 and set(seen) == {expected}
 
 
 def _binary_entropy(p):

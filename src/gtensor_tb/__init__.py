@@ -5,56 +5,43 @@ band doublets from Slater-Koster models with on-site spin-orbit
 coupling, verifies the entanglement statements tied to det(g_S) = 0,
 and maps those zero surfaces in the Brillouin zone by parallel radial
 bisection.
+
+The package namespace holds only what the command line, the demos,
+the README quick start and the benchmark harness use, and the types
+and exceptions of what those calls return or raise; everything else is
+imported from its submodule.
 """
 from .bands import (BlochSolution, KramersPair, UnknownBandLabelError,
-                    remix_pair, resolve_band_indices, select_pair, solve)
-from .brillouin import (boundary_radius, cubic_group, high_symmetry_point,
-                        icosphere_directions, named_direction,
-                        wedge_directions)
-from .entanglement import (DET_TOL, SpinDensity, cardinal_states,
-                           direction_applicable, entropies_at_crossing,
+                    select_pair, solve)
+from .brillouin import boundary_radius, named_direction, wedge_directions
+from .entanglement import (SpinDensity, cardinal_states, entropies_at_crossing,
                            entropy, pair_spin_densities, reduce_spin,
                            spin_flip_residual)
 from .errors import (BracketError, DirectionNotApplicableError, GTensorError,
                      MaterialParseError, MaterialValidationError,
                      NearDegenerateIntermediateError, PairingAmbiguityError,
-                     PairUndefinedError, PhysicsError, ZeroSplittingError)
-from .gtensor import (FieldResponse, GTensorSet, PairMomenta,
-                      align_pair_to_spin_frame, det_sign, g_tensor_set,
-                      momentum_table, orbital_g, orbital_matrices,
-                      pair_momenta, spin_g, spin_matrices, zeeman_response)
-from .hamiltonian import (bloch_hamiltonian, dipole_matrix,
-                          hamiltonian_gradient, soc_matrix)
-from .lande import atomic_g, fit_dipole, fit_report
+                     PairUndefinedError, PhysicsError)
+from .gtensor import GTensorSet, align_pair_to_spin_frame, g_tensor_set
+from .lande import fit_report
 from .materials import (MaterialModel, builtin_material_path, load_material,
                         resolve_material_path)
 from .surface import (Crossing, RayScan, SurfaceCloud, build_surface,
                       export_cloud, scan_ray)
-from .units import BOHR_ANGSTROM, HARTREE_EV, MU_B
+from .units import HARTREE_EV
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BOHR_ANGSTROM", "BlochSolution", "BracketError", "Crossing", "DET_TOL",
-    "DirectionNotApplicableError", "FieldResponse", "GTensorError",
-    "GTensorSet", "HARTREE_EV", "KramersPair", "MU_B", "MaterialModel",
-    "MaterialParseError", "MaterialValidationError",
-    "NearDegenerateIntermediateError", "PairUndefinedError",
-    "PairMomenta", "PairingAmbiguityError", "PhysicsError",
+    "BlochSolution", "BracketError", "Crossing",
+    "DirectionNotApplicableError", "GTensorError", "GTensorSet",
+    "HARTREE_EV", "KramersPair", "MaterialModel", "MaterialParseError",
+    "MaterialValidationError", "NearDegenerateIntermediateError",
+    "PairUndefinedError", "PairingAmbiguityError", "PhysicsError",
     "RayScan", "SpinDensity", "SurfaceCloud", "UnknownBandLabelError",
-    "ZeroSplittingError", "align_pair_to_spin_frame", "atomic_g",
-    "bloch_hamiltonian", "boundary_radius", "build_surface",
-    "builtin_material_path", "cardinal_states", "cubic_group",
-    "det_sign", "dipole_matrix", "direction_applicable",
-    "entropies_at_crossing", "entropy", "export_cloud", "fit_dipole",
-    "fit_report",
-    "g_tensor_set", "hamiltonian_gradient", "high_symmetry_point",
-    "icosphere_directions", "load_material", "momentum_table",
-    "named_direction", "orbital_g", "orbital_matrices",
-    "pair_momenta", "pair_spin_densities",
-    "reduce_spin", "remix_pair",
-    "resolve_band_indices", "resolve_material_path", "scan_ray",
-    "select_pair", "soc_matrix", "solve", "spin_flip_residual", "spin_g",
-    "spin_matrices", "wedge_directions",
-    "zeeman_response",
+    "align_pair_to_spin_frame", "boundary_radius", "build_surface",
+    "builtin_material_path", "cardinal_states", "entropies_at_crossing",
+    "entropy", "export_cloud", "fit_report", "g_tensor_set",
+    "load_material", "named_direction", "pair_spin_densities",
+    "reduce_spin", "resolve_material_path", "scan_ray", "select_pair",
+    "solve", "spin_flip_residual", "wedge_directions",
 ]

@@ -122,18 +122,23 @@ def cmd_ray(args, model) -> int:
     r_max = (boundary_radius(model.lattice_constant, direction)
              if args.rmax is None else args.rmax)
     notes = ["direction %s" % np.array2string(direction, precision=8)]
-    if args.command == "gline":
-        header, rows = gline_rows(model, args.band, direction, r_max,
-                                  args.samples)
-    else:
-        header, rows, flip_ok = entropy_rows(model, args.band, direction,
-                                             r_max, args.samples)
-        if not flip_ok:
-            notes.append("spin-flip check refused: direction outside the "
-                         f"valid families of point group {model.point_group}; "
-                         "residual column is NaN")
-            print("note: spin-flip relation not applicable on this "
-                  "direction; emitting entropies only", file=sys.stderr)
+    try:
+        if args.command == "gline":
+            header, rows = gline_rows(model, args.band, direction, r_max,
+                                      args.samples)
+        else:
+            header, rows, flip_ok = entropy_rows(model, args.band, direction,
+                                                 r_max, args.samples)
+    except ValueError as err:
+        # the direction and the domain of r_max are checked above; the
+        # one input check left is an r_max whose bond phases overflow
+        raise UsageError(f"--rmax too large: {err}") from None
+    if args.command == "entropy" and not flip_ok:
+        notes.append("spin-flip check refused: direction outside the "
+                     f"valid families of point group {model.point_group}; "
+                     "residual column is NaN")
+        print("note: spin-flip relation not applicable on this "
+              "direction; emitting entropies only", file=sys.stderr)
     write_csv(args.out, _provenance(args) + notes, header, rows)
     return 0
 

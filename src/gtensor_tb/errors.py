@@ -71,10 +71,6 @@ class DirectionNotApplicableError(PhysicsError):
         )
 
 
-class ZeroSplittingError(PhysicsError):
-    """Ground-state moment is undefined at zero Zeeman splitting."""
-
-
 class BracketError(PhysicsError):
     """The fitted root lies outside its admissible bracket
     (``lande.DIPOLE_BRACKET`` for the dipole fit)."""

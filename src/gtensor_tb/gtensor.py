@@ -1,4 +1,4 @@
-"""Spin and orbital g-tensors of a Kramers pair, and the Zeeman response.
+"""Spin and orbital g-tensors of a Kramers pair.
 
 All formulas are atomic-unit (hbar = m = e = 1, mu_B = 1/2) and refer to
 a pair basis (xi, xi_bar); Pauli matrices with a tilde act on that
@@ -27,11 +27,10 @@ import functools
 import numpy as np
 
 from .bands import BlochSolution, KramersPair, remix_pair
-from .errors import NearDegenerateIntermediateError, ZeroSplittingError
+from .errors import NearDegenerateIntermediateError
 from .hamiltonian import dipole_matrix, hamiltonian_gradient
 from .materials import MaterialModel
 from .su2 import PAULI, su2_from_rotation
-from .units import MU_B
 
 # intermediate bands closer than this to the pair energy poison the
 # second-order sum
@@ -238,40 +237,6 @@ def g_tensor_set(model: MaterialModel, sol: BlochSolution | PairMomenta,
         svd_tot=(u[1], sigma[1], vh[1]),
         det_g_s=det_s,
         det_g_tot=det_tot,
-    )
-
-
-@dataclasses.dataclass
-class FieldResponse:
-    """Zeeman response of one pair to a magnetic field B (atomic units)."""
-
-    field: np.ndarray
-    splitting: float                    # Hartree
-    moment: np.ndarray                  # lab frame, ground state
-    moment_principal: np.ndarray        # principal-axis frame of g_tot
-    principal_axes: np.ndarray          # columns: lab directions of axes
-
-
-def zeeman_response(gset: GTensorSet, field) -> FieldResponse:
-    """Splitting and ground-state moment for a field in atomic units.
-
-    Delta E = mu_B sqrt(B.G B); the ground-state magnetic moment in the
-    principal frame is M_i = mu_B^2 Sigma_ii^2 B_i / (2 Delta E).
-    """
-    b = np.asarray(field, dtype=float)
-    u, sigma, _ = gset.svd_tot
-    splitting = MU_B * float(np.sqrt(b @ gset.G @ b))
-    if splitting == 0.0:
-        raise ZeroSplittingError(
-            "Zeeman splitting vanishes; ground-state moment undefined")
-    b_pa = u.T @ b
-    m_pa = MU_B ** 2 * sigma ** 2 * b_pa / (2.0 * splitting)
-    return FieldResponse(
-        field=b,
-        splitting=splitting,
-        moment=u @ m_pa,
-        moment_principal=m_pa,
-        principal_axes=u,
     )
 
 

@@ -82,11 +82,9 @@ class _Engine:
         self.i_nn = np.ascontiguousarray(1j * self.nn.T)
         onsite = [model.onsite[sp][SHELL[o]]
                   for sp in model.species for o in model.orbitals]
-        self.soc = self._soc_matrix(model)
         # k-independent part of H: on-site energies of both spins + SOC
-        self.base = np.zeros((self.dim, self.dim), dtype=complex)
-        self.base[np.arange(self.dim), np.arange(self.dim)] = onsite * 2
-        self.base += self.soc
+        self.base = self._soc_matrix(model)
+        self.base[np.arange(self.dim), np.arange(self.dim)] += onsite * 2
         self.dipole = self._dipole_matrix(model)
         self._scratch = _Scratch(self.base, n)
 
@@ -167,7 +165,3 @@ def dipole_matrix(model: MaterialModel) -> np.ndarray:
     """
     return _engine(model).dipole
 
-
-def soc_matrix(model: MaterialModel) -> np.ndarray:
-    """The k-independent on-site spin-orbit term of H(k)."""
-    return _engine(model).soc.copy()

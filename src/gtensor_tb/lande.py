@@ -39,12 +39,11 @@ _SPECTATOR_SHIFT = 10.0  # Hartree
 
 
 def _single_species_model(model: MaterialModel, species: str,
-                          dipole: float | None) -> MaterialModel:
+                          dipole: float) -> MaterialModel:
     """Isolated-atom model: hopping off, sublattice A = ``species``,
     sublattice B pushed far away in energy."""
     other = species + "+shift"
     table = model.onsite[species]
-    d0 = model.dipole[species] if dipole is None else dipole
     sk_zero = {key: 0.0 for key in model.sk[
         (model.species[0], model.species[1])]}
     return dataclasses.replace(
@@ -53,13 +52,12 @@ def _single_species_model(model: MaterialModel, species: str,
         onsite={species: dict(table),
                 other: {sh: v + _SPECTATOR_SHIFT for sh, v in table.items()}},
         soc={species: model.soc[species], other: model.soc[species]},
-        dipole={species: d0, other: d0},
+        dipole={species: dipole, other: dipole},
         sk={(species, other): dict(sk_zero), (other, species): dict(sk_zero)},
     )
 
 
-def _atomic_pair(model: MaterialModel, species: str,
-                 dipole: float | None) -> tuple:
+def _atomic_pair(model: MaterialModel, species: str, dipole: float) -> tuple:
     """Solution and analytic j=1/2 reference pair of one isolated atom."""
     iso = _single_species_model(model, species, dipole)
     sol = solve(iso, np.zeros(3))
@@ -80,12 +78,10 @@ def _atomic_pair(model: MaterialModel, species: str,
     return iso, sol, select_pair(iso, sol, tuple(idx))
 
 
-def atomic_g(model: MaterialModel, species: str,
-             dipole: float | None = None):
+def atomic_g(model: MaterialModel, species: str, dipole: float):
     """g-tensor set of the isolated-atom j=1/2 doublet.
 
-    ``dipole`` overrides the material's <s|r|p> element (Bohr); None
-    uses the value shipped with the material.
+    ``dipole`` replaces the material's <s|r|p> element (Bohr).
     """
     iso, sol, pair = _atomic_pair(model, species, dipole)
     return g_tensor_set(iso, sol, pair)

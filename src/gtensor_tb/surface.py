@@ -73,7 +73,7 @@ class RayScan:
     direction: np.ndarray
     r_max: float
     which_det: str
-    crossings: list
+    crossings: list[Crossing]
     failures: list
     clipped: bool
 

@@ -31,6 +31,7 @@ from .entanglement import (_spin_flip_defect, direction_applicable, entropy,
 from .errors import PairUndefinedError
 from .gtensor import (PairMomenta, align_pair_to_spin_frame, g_tensor_set,
                       pair_momenta, spin_g)
+from .hamiltonian import nn_vectors
 from .materials import MaterialModel
 
 BANDS_FIXED_COLUMNS = ("path_s", "kx", "ky", "kz")
@@ -162,6 +163,24 @@ def sample_pairs(model: MaterialModel, band_id, ks,
     return reasons, cut[0], cut[1] if momenta else None
 
 
+def _ray_points(model: MaterialModel, direction, r_max: float,
+                samples: int) -> tuple:
+    """Radii and k-points of a sampled ray, checked once for the table.
+
+    Raises ``ValueError`` for a direction without a finite, non-zero
+    norm, an ``r_max`` that is not positive and finite, or one whose
+    bond phases k.d overflow: H(k) would be NaN there.
+    """
+    radii = np.linspace(0.0, positive_finite("r_max", r_max), samples)
+    ks = radii[:, None] * unit_direction(direction)
+    with np.errstate(over="ignore"):
+        phases = ks @ nn_vectors(model).T
+    if not np.isfinite(phases).all():
+        raise ValueError(f"r_max = {r_max} overflows the bond phases k.d "
+                         "along this direction")
+    return radii, ks
+
+
 def _ray_table(radii, ks, reasons, values) -> list:
     """Rows [r, kx, ky, kz, *values] of a sampled ray.
 
@@ -195,11 +214,10 @@ def gline_rows(model: MaterialModel, band_id, direction,
     Each row solves every band, selects the pair and keeps the pair's
     part of the momentum table; the g-tensor sets, spin-frame alignment
     and entropies then run once over the rows where the pair is defined.
-    Raises ``ValueError`` for a direction without a finite, non-zero
-    norm or an ``r_max`` that is not positive and finite.
+    Raises ``ValueError`` where :func:`_ray_points` does, before any
+    solve.
     """
-    radii = np.linspace(0.0, positive_finite("r_max", r_max), samples)
-    ks = radii[:, None] * unit_direction(direction)
+    radii, ks = _ray_points(model, direction, r_max, samples)
     reasons, pairs, momenta = sample_pairs(model, band_id, ks, momenta=True)
     gset = g_tensor_set(model, momenta, pairs)
     s_xi, s_xib, _ = _spin_frame_entropies(pairs, gset.svd_s)
@@ -221,8 +239,7 @@ def entropy_rows(model: MaterialModel, band_id, direction,
     is defined.  Raises ``ValueError`` as :func:`gline_rows` does.
     """
     flip_ok = direction_applicable(model, direction)
-    radii = np.linspace(0.0, positive_finite("r_max", r_max), samples)
-    ks = radii[:, None] * unit_direction(direction)
+    radii, ks = _ray_points(model, direction, r_max, samples)
     reasons, pairs, _ = sample_pairs(model, band_id, ks)
     s_xi, s_xib, dens = _spin_frame_entropies(
         pairs, np.linalg.svd(spin_g(pairs)))

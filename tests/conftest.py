@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from gtensor_tb import builtin_material_path, high_symmetry_point, load_material
+from gtensor_tb import builtin_material_path, load_material
+from gtensor_tb.brillouin import high_symmetry_point
 
 
 @pytest.fixture(scope="session")

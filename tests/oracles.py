@@ -4,6 +4,7 @@ Code here exists only to verify ``gtensor_tb``; the package itself
 does not need it.
 """
 import csv
+import dataclasses
 
 import numpy as np
 
@@ -11,10 +12,10 @@ from gtensor_tb.bands import pair_window, select_pair, solve
 from gtensor_tb.blas import one_blas_thread
 from gtensor_tb.brillouin import (NN_SIGNS, cubic_group, unit_direction,
                                   zone_faces)
-from gtensor_tb.errors import PairUndefinedError
-from gtensor_tb.gtensor import (det_sign, g_tensor_set, orbital_matrices,
-                                spin_g, spin_matrices)
-from gtensor_tb.hamiltonian import dipole_matrix, nn_vectors
+from gtensor_tb.errors import PairUndefinedError, PhysicsError
+from gtensor_tb.gtensor import (GTensorSet, det_sign, g_tensor_set,
+                                orbital_matrices, spin_g, spin_matrices)
+from gtensor_tb.hamiltonian import bloch_hamiltonian, dipole_matrix, nn_vectors
 from gtensor_tb.slater_koster import hop_block
 from gtensor_tb.su2 import PAULI, SIGMA_X, SIGMA_Y, SIGMA_Z
 from gtensor_tb.surface import CSV_COLUMNS, SurfaceCloud
@@ -60,8 +61,9 @@ def hop_blocks(model) -> np.ndarray:
 def gradient_per_direction(model, k) -> np.ndarray:
     """Loop-built dH/dk_j: per-direction tensordot into a zero block.
 
-    Oracle of ``gtensor_tb.hamiltonian_gradient``, which forms all three
-    directions in one product; both must agree bit for bit.
+    Oracle of ``gtensor_tb.hamiltonian.hamiltonian_gradient``, which
+    forms all three directions in one product; both must agree bit for
+    bit.
     """
     n, dim = model.n_orb, model.dim
     nn = nn_vectors(model)
@@ -82,8 +84,9 @@ def momentum_table_four_products(model, sol) -> np.ndarray:
     """Velocity matrix elements one direction at a time, four products each.
 
     pi_j = A^dag grad_j A + i (E_n - E_m) A^dag D_j A, with the
-    loop-built gradient.  Oracle of ``gtensor_tb.momentum_table``, which
-    runs one stacked chain A^dag [grad; D] A; both must agree bit for bit.
+    loop-built gradient.  Oracle of ``gtensor_tb.gtensor.momentum_table``,
+    which runs one stacked chain A^dag [grad; D] A; both must agree bit
+    for bit.
     """
     a = sol.states
     grad = gradient_per_direction(model, sol.k)
@@ -134,11 +137,59 @@ def proper_svd(g) -> tuple:
     return u, sigma, vh
 
 
+def soc_term(model, k) -> np.ndarray:
+    """The on-site spin-orbit term of H(k): H(k) minus H(k) without SOC.
+
+    Hopping and on-site energies cancel exactly, so this is bit for bit
+    the lambda_p L.S matrix that the Hamiltonian adds.
+    """
+    return (bloch_hamiltonian(model, k)
+            - bloch_hamiltonian(model.with_soc_scaled(0.0), k))
+
+
+class ZeroSplittingError(PhysicsError):
+    """Ground-state moment is undefined at zero Zeeman splitting."""
+
+
+@dataclasses.dataclass
+class FieldResponse:
+    """Zeeman response of one pair to a magnetic field B (atomic units)."""
+
+    field: np.ndarray
+    splitting: float                    # Hartree
+    moment: np.ndarray                  # lab frame, ground state
+    moment_principal: np.ndarray        # principal-axis frame of g_tot
+    principal_axes: np.ndarray          # columns: lab directions of axes
+
+
+def zeeman_response(gset: GTensorSet, field) -> FieldResponse:
+    """Splitting and ground-state moment for a field in atomic units.
+
+    Delta E = mu_B sqrt(B.G B); the ground-state magnetic moment in the
+    principal frame is M_i = mu_B^2 Sigma_ii^2 B_i / (2 Delta E).
+    """
+    b = np.asarray(field, dtype=float)
+    u, sigma, _ = gset.svd_tot
+    splitting = MU_B * float(np.sqrt(b @ gset.G @ b))
+    if splitting == 0.0:
+        raise ZeroSplittingError(
+            "Zeeman splitting vanishes; ground-state moment undefined")
+    b_pa = u.T @ b
+    m_pa = MU_B ** 2 * sigma ** 2 * b_pa / (2.0 * splitting)
+    return FieldResponse(
+        field=b,
+        splitting=splitting,
+        moment=u @ m_pa,
+        moment_principal=m_pa,
+        principal_axes=u,
+    )
+
+
 def pair_zeeman_hamiltonian(pair, momenta, field) -> np.ndarray:
     """Direct 2x2 pair Hamiltonian mu_B sum_i B_i (2S_i + L_i).
 
-    Oracle counterpart of ``gtensor_tb.gtensor.zeeman_response``: its
-    eigenvalue splitting must match mu_B sqrt(B.G B).  ``momenta`` is
+    Oracle counterpart of :func:`zeeman_response`: its eigenvalue
+    splitting must match mu_B sqrt(B.G B).  ``momenta`` is
     the pair's ``gtensor_tb.gtensor.PairMomenta``.
     """
     b = np.asarray(field, dtype=float)

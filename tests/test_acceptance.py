@@ -9,20 +9,22 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from gtensor_tb import (align_pair_to_spin_frame, atomic_g, boundary_radius,
-                        build_surface, cardinal_states, cubic_group,
-                        entropies_at_crossing, entropy, fit_dipole,
-                        g_tensor_set, momentum_table, reduce_spin,
-                        remix_pair, scan_ray, select_pair, solve,
-                        spin_flip_residual, spin_g, wedge_directions,
-                        zeeman_response)
-from gtensor_tb.gtensor import orbital_matrices, pair_momenta
+from gtensor_tb import (align_pair_to_spin_frame, boundary_radius,
+                        build_surface, cardinal_states,
+                        entropies_at_crossing, entropy, g_tensor_set,
+                        reduce_spin, scan_ray, select_pair, solve,
+                        spin_flip_residual, wedge_directions)
+from gtensor_tb.bands import remix_pair
+from gtensor_tb.brillouin import cubic_group
+from gtensor_tb.gtensor import (momentum_table, orbital_matrices,
+                                pair_momenta, spin_g)
 from gtensor_tb.hamiltonian import (bloch_hamiltonian, dipole_matrix,
                                     hamiltonian_gradient)
+from gtensor_tb.lande import atomic_g, fit_dipole
 
 from conftest import random_k_points, random_unit_vectors
 from oracles import (dense_det, orbital_matrices_commutator,
-                     pair_zeeman_hamiltonian, random_su2)
+                     pair_zeeman_hamiltonian, random_su2, zeeman_response)
 
 
 SCOREBOARD = []

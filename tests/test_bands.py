@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gtensor_tb import (PairingAmbiguityError, PairUndefinedError,
-                        UnknownBandLabelError, blas, bloch_hamiltonian,
-                        boundary_radius, det_sign, icosphere_directions,
-                        momentum_table, remix_pair, resolve_band_indices,
-                        select_pair, solve, spin_g, surface, wedge_directions)
-from gtensor_tb.bands import BlochSolution, pair_window
+                        UnknownBandLabelError, blas, boundary_radius,
+                        select_pair, solve, surface, wedge_directions)
+from gtensor_tb.bands import (BlochSolution, pair_window, remix_pair,
+                              resolve_band_indices)
+from gtensor_tb.brillouin import icosphere_directions
+from gtensor_tb.gtensor import det_sign, momentum_table, spin_g
+from gtensor_tb.hamiltonian import bloch_hamiltonian
 
 from conftest import random_k_points
 
@@ -20,7 +22,6 @@ def test_solve_reproduces_eigensystem(si):
     k = np.array([0.05, 0.02, -0.01])
     sol = solve(si, k)
     assert np.all(np.diff(sol.energies) >= 0)
-    from gtensor_tb import bloch_hamiltonian
     h = bloch_hamiltonian(si, k)
     resid = h @ sol.states - sol.states * sol.energies
     assert np.abs(resid).max() < 1e-12

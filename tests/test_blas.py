@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from conftest import random_k_points
-from gtensor_tb import bloch_hamiltonian, blas, surface, tables, wedge_directions
+from gtensor_tb import blas, surface, tables, wedge_directions
 from gtensor_tb.bands import pair_window
 from gtensor_tb.blas import one_blas_thread
+from gtensor_tb.hamiltonian import bloch_hamiltonian
 
 
 def blas_threads():

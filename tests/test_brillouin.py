@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gtensor_tb import (boundary_radius, cubic_group, high_symmetry_point,
-                        icosphere_directions, named_direction,
-                        wedge_directions)
-from gtensor_tb.brillouin import (replicate_points, unique_rows,
-                                  wedge_representative, zone_faces)
+from gtensor_tb import boundary_radius, named_direction, wedge_directions
+from gtensor_tb.brillouin import (cubic_group, high_symmetry_point,
+                                  icosphere_directions, replicate_points,
+                                  unique_rows, wedge_representative,
+                                  zone_faces)
 
 from conftest import random_unit_vectors
 from oracles import in_first_zone, tetrahedral_group

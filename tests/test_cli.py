@@ -120,6 +120,9 @@ _RMAX = "--rmax must be a positive finite number"
     # one sample per segment would drop the end point of the path
     (["bands", "--material", "si", "--samples", "1"],
      "--samples must be >= 2 on a band path, got 1"),
+    # finite, but the bond phases k.d overflow and H(k) would be NaN
+    (["gline"] + _RAY + ["--rmax", "1e308"], "--rmax too large"),
+    (["entropy"] + _RAY + ["--rmax", "1e308"], "--rmax too large"),
 ])
 def test_out_of_domain_number_is_usage_error(tmp_path, capsys, argv, message):
     out = tmp_path / "x.csv"
@@ -135,12 +138,28 @@ def test_unwritable_out_is_io_error(tmp_path):
     assert rc == 4
 
 
-def test_invalid_material_file_is_physics_error(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text('{"name": "Bad", "lattice_constant_angstrom": -1.0}')
-    rc = main(["bands", "--material", str(bad),
-               "--out", str(tmp_path / "x.csv")])
-    assert rc == 3
+def test_invalid_material_file_is_physics_error(tmp_path, capsys):
+    # a section or entry that is not a JSON object, a basis that is not a
+    # string, a lattice constant whose bonds overflow in Bohr, or a name
+    # that would break its comment line is a validation error naming its
+    # path (exit 3), not a TypeError or LinAlgError
+    doc = json.loads(builtin_material_path("si").read_text())
+    documents = {"bad": {"name": "Bad", "lattice_constant_angstrom": -1.0}}
+    for name, section, value in (
+            ("sk-number", "sk", 5),
+            ("onsite-list", "onsite", {"Si": [1, 2]}),
+            ("basis-list", "basis", ["sp3"]),
+            ("lattice-huge", "lattice_constant_angstrom", 1e308),
+            ("name-newline", "name", "Si\n1,2,3")):
+        documents[name] = {**doc, section: value}
+    for name, document in documents.items():
+        bad = tmp_path / f"{name}.json"
+        bad.write_text(json.dumps(document))
+        out = tmp_path / f"{name}.csv"
+        rc = main(["bands", "--material", str(bad), "--out", str(out)])
+        assert rc == 3, name
+        assert "Traceback" not in capsys.readouterr().err, name
+        assert not out.exists(), name
 
 
 # --- gline -------------------------------------------------------------------

@@ -6,10 +6,10 @@ import pytest
 
 from gtensor_tb import (DirectionNotApplicableError, PhysicsError,
                         align_pair_to_spin_frame, cardinal_states,
-                        direction_applicable, entropies_at_crossing, entropy,
-                        pair_spin_densities, reduce_spin, select_pair, solve,
-                        spin_flip_residual, spin_g)
-from gtensor_tb.entanglement import require_applicable
+                        entropies_at_crossing, entropy, pair_spin_densities,
+                        reduce_spin, select_pair, solve, spin_flip_residual)
+from gtensor_tb.entanglement import direction_applicable, require_applicable
+from gtensor_tb.gtensor import spin_g
 
 from conftest import random_unit_vectors
 

@@ -6,20 +6,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gtensor_tb import (NearDegenerateIntermediateError, PairUndefinedError,
-                        ZeroSplittingError, align_pair_to_spin_frame,
-                        boundary_radius, cubic_group, det_sign, g_tensor_set,
-                        gtensor, momentum_table, orbital_g, orbital_matrices,
-                        remix_pair, select_pair, solve, spin_g, spin_matrices,
-                        wedge_directions, zeeman_response)
-from gtensor_tb.gtensor import pair_momenta
+                        align_pair_to_spin_frame, boundary_radius,
+                        g_tensor_set, gtensor, select_pair, solve,
+                        wedge_directions)
+from gtensor_tb.bands import remix_pair
+from gtensor_tb.brillouin import cubic_group
+from gtensor_tb.gtensor import (det_sign, momentum_table, orbital_g,
+                                orbital_matrices, pair_momenta, spin_g,
+                                spin_matrices)
+from gtensor_tb.lande import atomic_g
 from gtensor_tb.surface import N_COARSE
 from gtensor_tb.su2 import su2_from_rotation
 from gtensor_tb.units import MU_B
 
 from conftest import bitwise_k_points, random_k_points, random_unit_vectors
-from oracles import (EPS_CYCLES, momentum_table_four_products,
+from oracles import (EPS_CYCLES, ZeroSplittingError,
+                     momentum_table_four_products,
                      orbital_matrices_commutator, pair_zeeman_hamiltonian,
-                     proper_svd, random_su2)
+                     proper_svd, random_su2, zeeman_response)
 
 
 def _pair_and_tensors(model, k, band_id="split-off"):
@@ -116,7 +120,6 @@ def test_near_degenerate_intermediate_guard(si, monkeypatch):
 def test_no_hopping_no_dipole_kills_orbital_moment(si):
     # hopping off and dipole zeroed: pi vanishes identically, so the
     # doublet keeps only its bare spin tensor
-    from gtensor_tb import atomic_g
     gset = atomic_g(si, "Si", dipole=0.0)
     assert np.abs(gset.g_l).max() < 1e-13
     assert np.abs(gset.g_tot - gset.g_s).max() < 1e-13

@@ -6,14 +6,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gtensor_tb import (bloch_hamiltonian, builtin_material_path, cubic_group,
-                        dipole_matrix, hamiltonian_gradient, load_material,
-                        soc_matrix)
-from gtensor_tb.hamiltonian import nn_vectors
+from gtensor_tb import builtin_material_path, load_material
+from gtensor_tb.brillouin import cubic_group
+from gtensor_tb.hamiltonian import (bloch_hamiltonian, dipole_matrix,
+                                    hamiltonian_gradient, nn_vectors)
 from gtensor_tb.slater_koster import SHELL, hop_block
 
 from conftest import bitwise_k_points, random_k_points
-from oracles import gradient_per_direction, hop_blocks, tetrahedral_group
+from oracles import (gradient_per_direction, hop_blocks, soc_term,
+                     tetrahedral_group)
 
 
 @pytest.mark.parametrize("material", ["si", "ge", "gaas"])
@@ -84,7 +85,7 @@ def test_zero_soc_exact_spin_pairs(si_nosoc):
 def test_soc_matrix_spectrum(si):
     # p-shell L.S: eigenvalues lambda/2 (j=3/2, x4) and -lambda (j=1/2, x2)
     lam = si.soc["Si"]
-    w = np.linalg.eigvalsh(soc_matrix(si))
+    w = np.linalg.eigvalsh(soc_term(si, np.zeros(3)))
     w = np.sort(w)
     nonzero = w[np.abs(w) > 1e-15]
     assert len(nonzero) == 12  # two atoms x six p states
@@ -104,19 +105,21 @@ CHADI_SOC = np.array([
 ])
 
 
+def _chadi_soc(model):
+    """lambda_p L.S from the Chadi table on each atom's p slots."""
+    n = len(model.orbitals)
+    soc = np.zeros((model.dim, model.dim), dtype=complex)
+    for atom, species in enumerate(model.species):
+        p = [s * 2 * n + atom * n + 1 + j for s in (0, 1) for j in range(3)]
+        soc[np.ix_(p, p)] = model.soc[species] / 2 * CHADI_SOC
+    return soc
+
+
 @pytest.mark.parametrize("material", ["si", "gaas"])
 def test_soc_matrix_matches_chadi_table(material, request):
     model = request.getfixturevalue(material)
-    soc = soc_matrix(model)
-    n = len(model.orbitals)
-    rest = np.ones(soc.shape, dtype=bool)
-    for atom, species in enumerate(model.species):
-        p = [s * 2 * n + atom * n + 1 + j for s in (0, 1) for j in range(3)]
-        block = np.ix_(p, p)
-        assert np.array_equal(soc[block],
-                              model.soc[species] / 2 * CHADI_SOC)
-        rest[block] = False
-    assert not soc[rest].any()
+    for k in (np.zeros(3), np.array([0.1, -0.2, 0.3])):
+        assert np.array_equal(soc_term(model, k), _chadi_soc(model)), k
 
 
 def test_dipole_matrix_is_hermitian_s_p_only(si):
@@ -176,7 +179,7 @@ def _reference_hamiltonian(model, k):
     h = np.zeros((dim, dim), dtype=complex)
     h[:2 * n, :2 * n] = horb
     h[2 * n:, 2 * n:] = horb
-    h += soc_matrix(model)
+    h += _chadi_soc(model)
     return h
 
 

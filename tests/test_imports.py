@@ -1,4 +1,10 @@
-"""Import-path guards: what the package and its CLI load.
+"""Import-path guards: what the package exports and what it and its CLI load.
+
+The package namespace follows one rule: an exported name has a caller
+in ``cli.py``, a demo, the README quick start or ``bench/``, or it is
+the type or exception of a value that such a caller receives.
+Everything else is imported from its submodule, and code that only
+tests use lives in ``tests/``.
 
 SciPy is not a run-time dependency: ``fit_dipole`` (the ``atomfit``
 command) is closed-form, and nothing else under the package imports it.
@@ -11,16 +17,23 @@ what the package adds to a bare ``import numpy``.  Each check runs in a
 fresh interpreter, because the test process itself has long since
 imported SciPy through other tests.
 """
+import ast
+import builtins
 import hashlib
+import importlib
+import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import gtensor_tb
-from gtensor_tb import builtin_material_path, fit_dipole, load_material
+from gtensor_tb import builtin_material_path, load_material
+from gtensor_tb.lande import fit_dipole
 
 _SRC = str(Path(gtensor_tb.__file__).resolve().parent.parent)
+_ROOT = Path(__file__).resolve().parents[1]
 
 
 def _fresh(code: str) -> str:
@@ -30,6 +43,121 @@ def _fresh(code: str) -> str:
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     return done.stdout
+
+
+def _quick_start() -> str:
+    """The ``python`` block of the README's library quick start."""
+    readme = (_ROOT / "README.md").read_text()
+    return re.search(r"## Library quick start\n\n```python\n(.*?)```",
+                     readme, re.S).group(1)
+
+
+def _callers() -> list:
+    """(module, source) of every caller that the public API serves."""
+    cli = importlib.import_module("gtensor_tb.cli")
+    sources = [(cli.__name__, Path(cli.__file__).read_text()),
+               ("README", _quick_start())]
+    for folder in ("demos", "bench"):
+        sources += [(path.name, path.read_text())
+                    for path in sorted((_ROOT / folder).glob("*.py"))]
+    return sources
+
+
+def _used_and_caught() -> tuple:
+    """Package names that callers import or look up, and what they catch.
+
+    A caller uses a name it imports from ``gtensor_tb`` or one of its
+    modules (relative imports in ``cli.py``), or one it looks up as
+    ``gtensor_tb.name``.  Returns ({name: object}, caught exception
+    classes).
+    """
+    used, caught = {}, set()
+    for module, source in _callers():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom):
+                if node.level:
+                    package = importlib.import_module(module).__package__
+                    origin = ".".join(filter(None, [package, node.module]))
+                elif (node.module or "").split(".")[0] == "gtensor_tb":
+                    origin = node.module
+                else:
+                    continue
+                for alias in node.names:
+                    used[alias.name] = getattr(
+                        importlib.import_module(origin), alias.name)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id == "gtensor_tb"):
+                used[node.attr] = getattr(gtensor_tb, node.attr)
+            elif isinstance(node, ast.ExceptHandler) and node.type:
+                types = (node.type.elts if isinstance(node.type, ast.Tuple)
+                         else [node.type])
+                caught.update(used.get(t.id, getattr(builtins, t.id, None))
+                              for t in types if isinstance(t, ast.Name))
+    # a catch-all handler is not about any one exception
+    return used, caught - {None, Exception, BaseException}
+
+
+def _received(used: dict) -> set:
+    """Exported classes that a used function returns, or that they hold.
+
+    Follows return annotations of used callables and field annotations
+    of the classes reached, by name.
+    """
+    exported = set(gtensor_tb.__all__)
+    todo, received = list(used.values()), set()
+    while todo:
+        obj = todo.pop()
+        if isinstance(obj, type):
+            notes = list(getattr(obj, "__annotations__", {}).values())
+        elif callable(obj):
+            notes = [inspect.signature(obj).return_annotation]
+        else:
+            continue
+        for name in re.findall(r"\w+", " ".join(map(str, notes))):
+            if name in exported and name not in received:
+                received.add(name)
+                todo.append(getattr(gtensor_tb, name))
+    return received
+
+
+def _raised() -> set:
+    """Names of the exception classes that ``raise`` statements in the
+    package construct."""
+    names = set()
+    for path in Path(gtensor_tb.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                    and isinstance(node.exc.func, ast.Name)):
+                names.add(node.exc.func.id)
+    return names
+
+
+def test_every_export_has_a_caller():
+    used, caught = _used_and_caught()
+    received = _received(used)
+    raised = [getattr(gtensor_tb, name, None) for name in _raised()]
+
+    def is_received_exception(obj):
+        # a caller catches it or a base of it, and the package raises it
+        # or one of its subclasses
+        return (isinstance(obj, type) and issubclass(obj, BaseException)
+                and issubclass(obj, tuple(caught))
+                and any(isinstance(r, type) and issubclass(r, obj)
+                        for r in raised))
+
+    orphans = [name for name in gtensor_tb.__all__
+               if name not in used and name not in received
+               and not is_received_exception(getattr(gtensor_tb, name))]
+    assert orphans == []
+
+
+def test_readme_quick_start_runs():
+    # det(g_S) and its singular values near Gamma, then the radii where
+    # det(g_S) = 0 along [100]
+    det_line, radii_line = _fresh(_quick_start()).splitlines()
+    assert float(det_line.split()[0]) < 0.0
+    assert re.search(r"0\.0\d+", radii_line)
 
 
 # a None entry in sys.modules blocks an import; it is not a loaded module
@@ -57,8 +185,8 @@ def test_fit_dipole_and_atomfit_run_without_scipy(si, tmp_path):
     out = _fresh(
         "import sys\n"
         "sys.modules['scipy'] = None\n"
-        "from gtensor_tb import (builtin_material_path, cli, fit_dipole,\n"
-        "                        load_material)\n"
+        "from gtensor_tb import builtin_material_path, cli, load_material\n"
+        "from gtensor_tb.lande import fit_dipole\n"
         "si = load_material(builtin_material_path('si'))\n"
         "d0 = fit_dipole(si, 'Si')\n"
         f"rcs = [cli.main(argv) for argv in {runs!r}]\n"

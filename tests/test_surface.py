@@ -11,11 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gtensor_tb import (MaterialValidationError, boundary_radius,
-                        build_surface, builtin_material_path, cubic_group,
-                        export_cloud, icosphere_directions, load_material,
-                        scan_ray, select_pair, solve, spin_g, surface,
+                        build_surface, builtin_material_path, export_cloud,
+                        load_material, scan_ray, select_pair, solve, surface,
                         tables, wedge_directions)
-from gtensor_tb.brillouin import wedge_representative
+from gtensor_tb.brillouin import (cubic_group, icosphere_directions,
+                                  wedge_representative)
+from gtensor_tb.gtensor import spin_g
 
 from conftest import random_unit_vectors
 from oracles import dense_det, in_first_zone, point_signs, read_cloud_csv
@@ -78,6 +79,14 @@ def test_surface_survives_weak_soc(si, band):
         g = spin_g(select_pair(model, solve(model, np.zeros(3)), band))
         assert np.linalg.det(g) == pytest.approx(-8.0 / 27.0, abs=1e-9)
     assert max(scaled) / min(scaled) < 1.02, scaled
+    # on seeded generic rays too, the surface is crossed an odd number
+    # of times, with no interval where the pair is undefined
+    for f in (1.0, 0.01, 0.003):
+        model = si.with_soc_scaled(f)
+        for d in random_unit_vectors(71, 6):
+            scan = scan_ray(model, band, d, r_max=0.05, n_coarse=400)
+            assert len(scan.crossings) % 2 == 1, (f, d, scan.crossings)
+            assert scan.failures == [], (f, d, scan.failures)
 
 
 def test_sign_parity_between_consecutive_crossings(si):

@@ -4,12 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gtensor_tb import (NearDegenerateIntermediateError, PairUndefinedError,
-                        align_pair_to_spin_frame, boundary_radius,
-                        direction_applicable, entropy, g_tensor_set,
-                        pair_spin_densities, select_pair, solve, spin_g,
-                        spin_flip_residual)
-from gtensor_tb import gtensor, scan_ray, tables
+                        align_pair_to_spin_frame, boundary_radius, entropy,
+                        g_tensor_set, gtensor, pair_spin_densities, scan_ray,
+                        select_pair, solve, spin_flip_residual, tables)
 from gtensor_tb.bands import pair_window
+from gtensor_tb.entanglement import direction_applicable
+from gtensor_tb.gtensor import spin_g
 from gtensor_tb.tables import (ENTROPY_COLUMNS, GLINE_COLUMNS, band_path_rows,
                                entropy_rows, gline_rows)
 
@@ -366,15 +366,17 @@ def test_bad_direction_rejected_before_any_solve(si, build, direction,
     assert not solved
 
 
-@pytest.mark.parametrize("r_max", [np.nan, np.inf, -0.02, 0.0])
+@pytest.mark.parametrize("r_max", [np.nan, np.inf, -0.02, 0.0, 1e308])
 @pytest.mark.parametrize("build", [gline_rows, entropy_rows])
 def test_bad_r_max_rejected_before_any_solve(si, build, r_max, monkeypatch):
     # as scan_ray does: no LinAlgError, no RuntimeWarning and no rows at
-    # negative radii
+    # negative radii; a finite r_max whose bond phases k.d overflow
+    # would make H(k) NaN
     solved = []
     monkeypatch.setattr(tables, "solve", lambda *args: solved.append(args))
     with pytest.raises(ValueError,
-                       match="r_max must be a positive finite number"):
+                       match=r"r_max (must be a positive finite number"
+                             r"|= 1e\+308 overflows the bond phases)"):
         build(si, "split-off", [1, 0, 0], r_max, samples=3)
     assert not solved
 

@@ -9,7 +9,7 @@ import numpy as np
 from .blas import eigh_window
 from .errors import PairingAmbiguityError
 from .hamiltonian import bloch_hamiltonian
-from .materials import MaterialModel
+from .materials import MaterialModel, is_band_pair
 
 
 class UnknownBandLabelError(KeyError):
@@ -66,8 +66,9 @@ def solve(model: MaterialModel, k, bands: tuple | None = None) -> BlochSolution:
 def resolve_band_indices(model: MaterialModel, band_id) -> tuple:
     """Map a configured label (or explicit index pair) to band indices.
 
-    An explicit pair, in either order, must name two different bands of
-    ``-dim..dim - 1``; ``ValueError`` is raised otherwise.
+    An explicit pair must be two adjacent bands ``(i, i + 1)`` of
+    ``0..dim - 1`` (:func:`~gtensor_tb.materials.is_band_pair`);
+    ``ValueError`` is raised otherwise.
     """
     if isinstance(band_id, str):
         try:
@@ -76,11 +77,10 @@ def resolve_band_indices(model: MaterialModel, band_id) -> tuple:
             raise UnknownBandLabelError(
                 f"material {model.name!r} configures pairs "
                 f"{sorted(model.band_pairs)}, not {band_id!r}") from None
-    i, j = band_id
-    i, j, dim = int(i), int(j), model.dim
-    if not (-dim <= i < dim and -dim <= j < dim) or i % dim == j % dim:
-        raise ValueError(f"band pair {(i, j)} does not name two different "
-                         f"bands of {-dim}..{dim - 1}")
+    i, j = map(int, band_id)
+    if not is_band_pair(i, j, model.dim):
+        raise ValueError(f"band pair {(i, j)} is not two adjacent bands "
+                         f"(i, i + 1) of 0..{model.dim - 1}")
     return i, j
 
 
@@ -93,26 +93,24 @@ def pair_window(model: MaterialModel, band_id) -> tuple:
     index range whose edge splits a degenerate cluster costs ZHEEVR
     more than one with two bands more.
     """
-    i, j = resolve_band_indices(model, band_id)
-    dim = model.dim
-    lo, hi = _neighbour_window(dim, i % dim, j % dim)
+    i, _ = resolve_band_indices(model, band_id)
+    lo, hi = _neighbour_window(model.dim, i)
     if model.pair_split_tol is None:
         return lo, hi
     return lo - lo % 2, hi | 1  # dim is even, so hi | 1 < dim
 
 
-def _neighbour_window(dim: int, a: int, b: int) -> tuple:
-    """Bands ``a`` and ``b`` of ``0..dim - 1`` and every neighbour of them."""
-    return max(min(a, b) - 1, 0), min(max(a, b) + 1, dim - 1)
+def _neighbour_window(dim: int, i: int) -> tuple:
+    """Bands ``i``, ``i + 1`` of ``0..dim - 1`` and every neighbour of them."""
+    return max(i - 1, 0), min(i + 2, dim - 1)
 
 
 def select_pair(model: MaterialModel, sol: BlochSolution, band_id) -> KramersPair:
     """Extract a Kramers pair from a solved k-point.
 
-    Band labels are full-spectrum indices (negative ones count from
-    ``model.dim``); ``sol`` may hold a window of the spectrum (see
-    :func:`solve`) as long as it contains the pair and every neighbour
-    of it that exists, and ``ValueError`` is raised otherwise.
+    ``sol`` may hold a window of the spectrum (see :func:`solve`) as
+    long as it contains the pair and every neighbour of it that exists,
+    and ``ValueError`` is raised otherwise.
 
     Raises :class:`PairingAmbiguityError` when the two bands are not
     isolated from the rest of the spectrum: for inversion-symmetric
@@ -121,38 +119,29 @@ def select_pair(model: MaterialModel, sol: BlochSolution, band_id) -> KramersPai
     (physical) intra-pair split itself sets the isolation scale.
     """
     i, j = resolve_band_indices(model, band_id)
-    dim = model.dim
-    lo, hi = _neighbour_window(dim, i % dim, j % dim)
+    lo, hi = _neighbour_window(model.dim, i)
     first = sol.first
-    # a and b are the pair's offsets from sol.first
-    a, b = i % dim - first, j % dim - first
     e = sol.energies.tolist()
     if not first <= lo <= hi < first + len(e):
         raise ValueError(
             f"solution holds bands {first}..{first + len(e) - 1}, "
             f"pair {(i, j)} needs bands {lo}..{hi}")
-    # energies ascend, so the band nearest to either pair member is one
-    # of their neighbours, all inside lo..hi; a pair has at least one,
-    # since dim >= 4
-    ea, eb = e[a], e[b]
+    # a is the pair's offset from sol.first; energies ascend, so the
+    # split is >= 0 and the band nearest to the pair is a neighbour,
+    # inside lo..hi; a pair has at least one, since dim >= 4
+    a = i - first
+    ea, eb = e[a], e[a + 1]
     split = eb - ea
     gap_to_rest = math.inf
-    for m in (a - 1, a + 1, b - 1, b + 1):
-        if m != a and m != b and lo <= m + first <= hi:
+    for m in (a - 1, a + 2):
+        if lo <= m + first <= hi:
             gap_to_rest = min(gap_to_rest, abs(e[m] - ea), abs(e[m] - eb))
-    # a reversed pair (j below i) has a negative split
-    floor = abs(split)
-    if model.pair_split_tol is not None:
-        floor = max(floor, model.pair_split_tol)
-        if abs(split) > model.pair_split_tol:
-            raise PairingAmbiguityError(sol.k, (i, j), split, gap_to_rest)
-    if gap_to_rest <= floor:
+    # the isolation scale: pair_split_tol, or a compound's own split
+    floor = split if model.pair_split_tol is None else model.pair_split_tol
+    if split > floor or gap_to_rest <= floor:
         raise PairingAmbiguityError(sol.k, (i, j), split, gap_to_rest)
-    # the copy of a slice holds the same arrays as the fancy index [a, b]
-    # (the states column-major), at a third of its cost
-    columns = slice(a, a + 2) if b == a + 1 else [a, b]
-    energies = sol.energies[columns].copy()
-    states = sol.states[:, columns].copy(order="F")
+    energies = sol.energies[a:a + 2].copy()
+    states = sol.states[:, a:a + 2].copy(order="F")
     pair_energy = 0.5 * (ea + eb)
     return KramersPair(sol.k, (i, j), energies, states, pair_energy, split,
                        gap_to_rest)

@@ -1,9 +1,9 @@
 """Command-line front end emitting plot-ready CSV/PLY data files.
 
 Every output file starts with a provenance comment block (artifact
-version, echo of the resolved configuration, its sha256, and the seed),
-and contains no timestamps, so identical configurations produce
-byte-identical files.
+version, echo of the resolved configuration and its sha256; the echo
+holds the ``--seed`` of ``gline`` and ``entropy``), and contains no
+timestamps, so identical configurations produce byte-identical files.
 
 Exit codes: 0 success; 2 usage error; 3 physics-contract violation
 (pairing ambiguity, invalid material data, inapplicable direction,
@@ -67,6 +67,10 @@ _INT_MINIMUM = {"samples": 1, "ncoarse": 2, "level": 0, "workers": 1,
 
 def _check_numbers(args: argparse.Namespace) -> None:
     """Reject numeric options outside their domain before any work."""
+    if args.command == "bands" and args.samples < 2:
+        # one sample per segment would drop the path's end point
+        raise UsageError("--samples must be >= 2 on a band path, "
+                         f"got {args.samples}")
     for option, minimum in _INT_MINIMUM.items():
         value = getattr(args, option, None)
         if value is not None and value < minimum:
@@ -80,7 +84,7 @@ def _check_numbers(args: argparse.Namespace) -> None:
 
 
 def _provenance(args: argparse.Namespace) -> list:
-    """Provenance lines: version, config echo, config hash, seed."""
+    """Provenance lines: version, config echo, config hash."""
     config = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
     blob = json.dumps(config, sort_keys=True, default=str)
     digest = sha256(blob.encode()).hexdigest()
@@ -88,7 +92,6 @@ def _provenance(args: argparse.Namespace) -> list:
         f"gtensor-tb {__version__}",
         f"config {blob}",
         f"config-hash {digest}",
-        f"seed {getattr(args, 'seed', None)}",
     ]
 
 
@@ -106,9 +109,6 @@ def cmd_bands(args, model) -> int:
     if len(names) < 2:
         raise UsageError("--path must name at least two comma-separated "
                          "high-symmetry points, e.g. 'L,G,X'")
-    if args.samples < 2:
-        raise UsageError("--samples must be >= 2 on a band path, "
-                         f"got {args.samples}")
     header, rows, ticks = band_path_rows(model, names, args.samples)
     ticking = ["path ticks: " + "  ".join(f"{name}@{s:.17g}" for s, name in ticks),
                "energies in Hartree"]
@@ -194,8 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--band", required=True,
                            help="configured pair label, e.g. split-off")
         p.add_argument("--out", required=True, help="output file path")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for --direction random")
 
     p = sub.add_parser("bands", help="energies along a high-symmetry path")
     common(p, band=False)
@@ -215,6 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rmax", type=float, default=None,
                        help="ray length in Bohr^-1 (default: zone boundary)")
         p.add_argument("--samples", type=int, default=200)
+        p.add_argument("--seed", type=int, default=0,
+                       help="seed for --direction random")
         p.set_defaults(func=cmd_ray)
 
     p = sub.add_parser("surface", help="det(g)=0 point cloud over the zone")
@@ -235,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="built-in name (si, ge, gaas) or parameter file path")
     p.add_argument("--out", default=None,
                    help="report file path (default: stdout)")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_atomfit)
 
     return parser

@@ -40,6 +40,12 @@ _GAMMA_DEGENERACY_TOL = 1e-8  # Hartree
 BUILTIN_MATERIALS = ("si", "ge", "gaas")
 
 
+def is_band_pair(i: int, j: int, dim: int) -> bool:
+    """Whether bands ``i`` and ``j`` form a (pseudo-)Kramers pair: two
+    adjacent bands ``(i, i + 1)`` of ``0..dim - 1``, energies ascending."""
+    return 0 <= i and j == i + 1 < dim
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class MaterialModel:
     """Immutable tight-binding parameter set in atomic units."""
@@ -219,14 +225,10 @@ def load_material(path) -> MaterialModel:
                            for i in idx)):
             raise MaterialValidationError(path_key,
                                           "must be a pair of band indices")
-        i, j = idx
-        if not (0 <= i < j < dim):
-            raise MaterialValidationError(path_key,
-                                          f"indices must satisfy 0 <= i < j < {dim}")
-        if j != i + 1:
-            raise MaterialValidationError(path_key,
-                                          "pair must be two adjacent bands")
-        band_pairs[label] = (i, j)
+        if not is_band_pair(*idx, dim):
+            raise MaterialValidationError(path_key, "must be two adjacent "
+                                          f"bands (i, i + 1) of 0..{dim - 1}")
+        band_pairs[label] = tuple(idx)
 
     inversion = species[0] == species[1]
     model = MaterialModel(

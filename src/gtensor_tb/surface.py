@@ -176,7 +176,7 @@ def scan_ray(model: MaterialModel, band_id, direction,
     failures = []
     prev = None     # (r, sign) of the last sample where the pair is defined
     gap = None      # (start, reason) of the excluded interval being passed
-    for r, sign in zip(radii, signs):
+    for r, sign in zip(radii.tolist(), signs):
         if isinstance(sign, str):   # the pair is undefined at r
             if gap is None:
                 gap = (r if prev is None else prev[0], sign)

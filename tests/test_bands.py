@@ -51,26 +51,26 @@ def test_resolve_band_labels(si):
 
 
 @pytest.mark.parametrize("pair", [(3, 3), (3, -13), (18, 19), (16, 17),
-                                  (0, -17)])
+                                  (0, -17), (3, 2), (-2, -1), (1, 4)])
 def test_explicit_pair_names_two_bands(gaas, pair):
-    # GaAs has 16 bands: an index outside -16..15 or a pair that names
-    # one band twice is refused, not wrapped into another pair
-    with pytest.raises(ValueError, match="two different bands"):
+    # GaAs has 16 bands: a pair is (i, i + 1) of 0..15, so an index
+    # outside that range, a negative one, a pair that names one band
+    # twice, a reversed pair or two bands apart is refused, not wrapped
+    # or reordered into another pair
+    message = r"not two adjacent bands \(i, i \+ 1\) of 0\.\.15"
+    with pytest.raises(ValueError, match=message):
         resolve_band_indices(gaas, pair)
-    with pytest.raises(ValueError, match="two different bands"):
+    with pytest.raises(ValueError, match=message):
         select_pair(gaas, solve(gaas, np.array([0.08, 0.05, 0.02])), pair)
 
 
-def test_reversed_pair_is_isolated_like_its_ascending_order(gaas):
-    # a T_d pair split by 5.7e-3 Ha with another band 3.7e-3 Ha away is
-    # ambiguous in either order: the reversed pair's split is negative,
-    # and isolation reads its size
+def test_split_pair_near_another_band_is_ambiguous(gaas):
+    # a T_d pair split by 5.7e-3 Ha with another band 3.7e-3 Ha away
     sol = solve(gaas, np.array([-0.4182, -0.0118, -0.5949]))
-    for pair in ((8, 9), (9, 8)):
-        with pytest.raises(PairingAmbiguityError) as info:
-            select_pair(gaas, sol, pair)
-        assert abs(info.value.split) == pytest.approx(5.7e-3, abs=1e-4)
-        assert info.value.gap_to_rest == pytest.approx(3.7e-3, abs=1e-4)
+    with pytest.raises(PairingAmbiguityError) as info:
+        select_pair(gaas, sol, (8, 9))
+    assert info.value.split == pytest.approx(5.7e-3, abs=1e-4)
+    assert info.value.gap_to_rest == pytest.approx(3.7e-3, abs=1e-4)
 
 
 def test_select_pair_reports_isolation(si):
@@ -137,9 +137,8 @@ def _reference_isolation(e, i, j, tol):
     others = np.delete(np.arange(e.size), [i, j])
     gap = float(np.minimum(np.abs(e[others] - e[i]),
                            np.abs(e[others] - e[j])).min())
-    # a reversed pair has a negative split; isolation reads its size
-    floor = abs(split) if tol is None else max(abs(split), tol)
-    raises = (tol is not None and abs(split) > tol) or gap <= floor
+    floor = split if tol is None else max(split, tol)
+    raises = (tol is not None and split > tol) or gap <= floor
     return split, gap, float(0.5 * (e[i] + e[j])), raises
 
 
@@ -158,24 +157,13 @@ _spectra = st.lists(
 def _spectrum_and_pair(draw):
     e = draw(_spectra)
     last = len(e) - 1
-    i = draw(st.integers(0, last - 1))
-    kind = draw(st.sampled_from(["adjacent", "any", "ends"]))
-    if kind == "adjacent":
-        pair = (i, i + 1)
-    elif kind == "ends":
-        pair = (0, last)
-    else:
-        pair = (i, draw(st.integers(0, last).filter(lambda j: j != i)))
-    if draw(st.booleans()):
-        pair = pair[::-1]
-    if draw(st.booleans()):                 # negative, numpy-style indices
-        pair = (pair[0] - len(e), pair[1])
+    # a pair is two adjacent bands; the edge pairs lack a neighbour
+    i = draw(st.sampled_from([0, last - 1]) | st.integers(0, last - 1))
     # solved bands: any window that holds the pair and its neighbours,
     # the full spectrum included
-    a, b = sorted(m % len(e) for m in pair)
-    lo = draw(st.integers(0, max(a - 1, 0)))
-    hi = draw(st.integers(min(b + 1, last), last))
-    return np.array(e), pair, (lo, hi)
+    lo = draw(st.integers(0, max(i - 1, 0)))
+    hi = draw(st.integers(min(i + 2, last), last))
+    return np.array(e), (i, i + 1), (lo, hi)
 
 
 @settings(max_examples=400, deadline=None)
@@ -310,13 +298,13 @@ def test_lapack_failure_raises_linalg_error(si, monkeypatch):
 
 
 @pytest.mark.parametrize("pair, bands", [
-    ((2, 3), None), ((2, 3), (1, 4)), ((3, 2), None), ((3, 2), (1, 4)),
-    ((-2, -1), None), ((0, 1), (0, 2))])
+    ((2, 3), None), ((2, 3), (1, 4)), ((8, 9), None), ((8, 9), (7, 10)),
+    ((38, 39), None), ((0, 1), (0, 2))])
 def test_select_pair_arrays_equal_fancy_index(si, pair, bands):
     # the pair's arrays are the fancy index of the solution's, with the
     # same bytes and the same (column-major) layout, and own their memory
     sol = solve(si, np.array([0.31, 0.17, 0.05]), bands=bands)
-    a, b = (i % si.dim - sol.first for i in pair)
+    a, b = (i - sol.first for i in pair)
     try:
         selected = select_pair(si, sol, pair)
     except PairingAmbiguityError:

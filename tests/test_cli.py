@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gtensor_tb
 from gtensor_tb import builtin_material_path
 from gtensor_tb.cli import main
 from gtensor_tb.units import HARTREE_EV
@@ -103,7 +108,8 @@ _RMAX = "--rmax must be a positive finite number"
     (["gline"] + _RAY + ["--samples", "0"], "--samples must be >= 1, got 0"),
     (["entropy"] + _RAY + ["--rmax", "inf"], _RMAX),
     (["entropy"] + _RAY + ["--samples", "-3"], "--samples must be >= 1, got -3"),
-    (["bands", "--material", "si", "--samples", "0"], "--samples must be >= 1, got 0"),
+    (["bands", "--material", "si", "--samples", "0"],
+     "--samples must be >= 2 on a band path, got 0"),
     (["gline", "--material", "si", "--band", "split-off", "--direction",
       "nan,0,0"], "non-finite direction component in 'nan,0,0'"),
     (["entropy", "--material", "si", "--band", "split-off", "--direction",
@@ -272,6 +278,18 @@ def test_surface_has_no_wedge_option(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["bands", "--material", "si"], _SURFACE + ["--level", "0"],
+    ["atomfit", "--material", "si"]])
+def test_seed_only_where_a_direction_is_drawn(tmp_path, argv):
+    # --seed draws a random --direction, which only gline and entropy take
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "1", "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("material, ops, wedge", [
     ("si", 48, "on"), ("gaas", 48, "on")])
 def test_surface_sampling_follows_point_group(tmp_path, material, ops, wedge):
@@ -313,15 +331,51 @@ def test_atomfit_to_file(tmp_path):
 # --- provenance --------------------------------------------------------------
 
 def test_provenance_block_present_and_seedful(tmp_path):
-    out = tmp_path / "bands.csv"
-    main(["bands", "--material", "si", "--samples", "4", "--out", str(out)])
+    out = tmp_path / "gline.csv"
+    main(["gline", "--material", "si", "--band", "split-off", "--direction",
+          "random", "--seed", "5", "--samples", "3", "--out", str(out)])
     comments, _, _ = _read_data(out)
-    text = "\n".join(comments)
-    assert "gtensor-tb " in text
-    assert "config {" in text
-    assert "config-hash " in text
-    assert "seed 0" in text
-    assert "time" not in text.lower()
+    assert comments[0].startswith("# gtensor-tb ")
+    assert comments[1].startswith("# config {")
+    assert comments[2].startswith("# config-hash ")
+    # the config echo records the seed that drew the direction
+    assert json.loads(comments[1][len("# config "):])["seed"] == 5
+    assert "time" not in "\n".join(comments).lower()
+
+
+# the GaAs surface scans the O_h wedge and replicates it like Si, and the
+# g-line, entropy and surface runs cover every caller of the one ray
+# sampler
+_GAAS_RUNS = """
+from gtensor_tb.cli import main
+ray = ["--material", "gaas", "--band", "split-off", "--direction",
+       "random", "--seed", "3"]
+for argv in (["gline", *ray, "--out", "gline.csv"],
+             ["surface", "--material", "gaas", "--band", "split-off",
+              "--level", "1", "--out", "surface.csv"],
+             ["entropy", *ray, "--out", "entropy.csv"]):
+    assert main(argv) == 0, argv
+"""
+
+
+def test_output_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    # dict and set order must never reach a data file: the same
+    # configurations, written by two interpreters with different
+    # PYTHONHASHSEED values to the same --out names, match byte for byte
+    src = str(Path(gtensor_tb.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    written = []
+    for seed in ("0", "1"):
+        where = tmp_path / f"hash{seed}"
+        where.mkdir()
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=src + (os.pathsep + path if path else ""))
+        subprocess.run([sys.executable, "-c", _GAAS_RUNS], cwd=where,
+                       env=env, check=True)
+        written.append({name: (where / name).read_bytes()
+                        for name in ("gline.csv", "surface.csv",
+                                     "entropy.csv")})
+    assert written[0] == written[1]
 
 
 @pytest.mark.parametrize("a_ang", [1e-153, 1e13])

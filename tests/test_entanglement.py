@@ -7,9 +7,10 @@ import pytest
 from gtensor_tb import (DirectionNotApplicableError, PhysicsError,
                         align_pair_to_spin_frame, cardinal_states,
                         entropies_at_crossing, entropy, pair_spin_densities,
-                        reduce_spin, select_pair, solve, spin_flip_residual)
+                        reduce_spin, scan_ray, select_pair, solve,
+                        spin_flip_residual, wedge_directions)
 from gtensor_tb.entanglement import direction_applicable, require_applicable
-from gtensor_tb.gtensor import spin_g
+from gtensor_tb.gtensor import spin_g, spin_matrices
 
 from conftest import random_unit_vectors
 
@@ -191,6 +192,50 @@ def test_cardinal_entropies_at_crossing_match_each_other(si):
     assert vals["+i"] == pytest.approx(vals["-i"], abs=1e-9)
     assert min(vals.values()) > 0.75
     assert max(vals.values()) < 0.90
+
+
+def _binary_entropy(p):
+    """h2(p) in bits, for 0 < p < 1."""
+    return -(p * np.log2(p) + (1.0 - p) * np.log2(1.0 - p))
+
+
+@pytest.mark.parametrize("material, band", [
+    ("si", "split-off"), ("si", "first-conduction"),
+    ("ge", "second-conduction"), ("gaas", "split-off")])
+def test_entanglement_at_every_wedge_crossing(request, material, band):
+    # the paper's theorem at every crossing of the default level-3 wedge
+    # scan, re-solved through the library chain.  In the spin frame
+    # (g_S = u diag(sigma)) the partners have spin Bloch vectors
+    # s0 +- (sigma_3 / 2) u_3 and entropies h2((1 + |b|) / 2).  O_h pairs
+    # have s0 = 0, so 1 - S is at most the deficit of the residual
+    # sigma_3 at the bisected crossing, plus 1e-12 bits of rounding; T_d
+    # pairs match the closed form to 1e-12 bits, and their s0 vanishes
+    # only on the <100> and <111> families.
+    model = request.getfixturevalue(material)
+    crossings = 0
+    for direction in wedge_directions(3):
+        scan = scan_ray(model, band, direction)
+        for crossing in scan.crossings:
+            k = crossing.radius * scan.direction
+            pair = select_pair(model, solve(model, k), band)
+            aligned, u, sigma = align_pair_to_spin_frame(pair)
+            dens = pair_spin_densities(aligned)
+            s = np.array([entropy(dens.rho_s), entropy(dens.rho_s_bar)])
+            s0 = 0.5 * np.trace(spin_matrices(pair), axis1=-2,
+                                axis2=-1).real
+            if model.point_group == "Oh":
+                bound = 1.0 - _binary_entropy((1.0 + sigma[2] / 2.0) / 2.0)
+                assert (1.0 - s).max() <= bound + 1e-12, k
+            else:
+                half = 0.5 * sigma[2] * u[:, 2]
+                closed = [_binary_entropy(
+                    (1.0 + np.linalg.norm(s0 + sign * half)) / 2.0)
+                    for sign in (1.0, -1.0)]
+                assert np.abs(s - closed).max() <= 1e-12, k
+            if direction_applicable(model, k):
+                assert np.abs(s0).max() <= 1e-9, k
+            crossings += 1
+    assert crossings >= 30
 
 
 # --- stacks of states and densities -----------------------------------------

@@ -154,10 +154,10 @@ def test_every_export_has_a_caller():
 
 def test_readme_quick_start_runs():
     # det(g_S) and its singular values near Gamma, then the radii where
-    # det(g_S) = 0 along [100]
+    # det(g_S) = 0 along [100], printed as a plain list of floats
     det_line, radii_line = _fresh(_quick_start()).splitlines()
     assert float(det_line.split()[0]) < 0.0
-    assert re.search(r"0\.0\d+", radii_line)
+    assert re.fullmatch(r"\[0\.0\d+(, \d\.\d+)*\]", radii_line)
 
 
 # a None entry in sys.modules blocks an import; it is not a loaded module

@@ -10,7 +10,10 @@ import pytest
 import gtensor_tb
 from gtensor_tb import (MaterialParseError, MaterialValidationError,
                         builtin_material_path, load_material,
-                        resolve_material_path)
+                        resolve_material_path, select_pair, solve, tables)
+from gtensor_tb.bands import resolve_band_indices
+from gtensor_tb.cli import main
+from gtensor_tb.materials import is_band_pair
 from gtensor_tb.units import angstrom_to_bohr, ev_to_hartree
 
 
@@ -186,6 +189,42 @@ def test_band_pair_booleans_rejected(tmp_path, pair):
     with pytest.raises(MaterialValidationError) as err:
         load_material(_dump(tmp_path, data))
     assert str(err.value) == "band_pairs.bogus: must be a pair of band indices"
+
+
+@pytest.mark.parametrize("pair", [(3, 2), (-2, -1), (1, 4), (3, 3),
+                                  (39, 40)])
+def test_one_rule_for_band_pairs(tmp_path, si, monkeypatch, pair):
+    # a band pair is two adjacent bands (i, i + 1) of 0..dim - 1, whether
+    # a material file configures it or a caller names it by its indices
+    data = _si_dict()
+    data["band_pairs"]["bogus"] = list(pair)
+    path = _dump(tmp_path, data)
+    with pytest.raises(MaterialValidationError) as err:
+        load_material(path)
+    assert str(err.value) == ("band_pairs.bogus: must be two adjacent "
+                              "bands (i, i + 1) of 0..39")
+    assert main(["bands", "--material", str(path), "--samples", "2",
+                 "--out", str(tmp_path / "bands.csv")]) == 3
+    sol = solve(si, np.zeros(3))
+    solved = []
+    monkeypatch.setattr(tables, "solve", lambda *args: solved.append(args))
+    message = (r"band pair .* is not two adjacent bands "
+               r"\(i, i \+ 1\) of 0\.\.39")
+    for call in (lambda: resolve_band_indices(si, pair),
+                 lambda: select_pair(si, sol, pair),
+                 lambda: tables.sample_pairs(si, pair, [np.zeros(3)])):
+        with pytest.raises(ValueError, match=message):
+            call()
+    assert not solved
+    assert not (tmp_path / "bands.csv").exists()
+
+
+def test_configured_labels_are_band_pairs(si, ge, gaas):
+    for model in (si, ge, gaas):
+        for label, pair in model.band_pairs.items():
+            assert is_band_pair(*pair, model.dim), (model.name, label)
+            assert resolve_band_indices(model, label) == pair
+            assert resolve_band_indices(model, pair) == pair
 
 
 def test_soc_scaling_helper(si):

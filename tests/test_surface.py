@@ -370,9 +370,9 @@ def test_coarse_pass_matches_per_point_scan(si, monkeypatch, band, level,
 
 @pytest.mark.parametrize("which_det", ["gs", "gtot"])
 def test_ray_without_a_defined_sample(si, which_det):
-    # bands 1 and 4 belong to two different Kramers doublets, so the pair
+    # bands 1 and 2 belong to two different Kramers doublets, so the pair
     # is ambiguous at every sample and the stacked pass has no row
-    scan = scan_ray(si, (1, 4), [1, 0, 0], n_coarse=20, which_det=which_det)
+    scan = scan_ray(si, (1, 2), [1, 0, 0], n_coarse=20, which_det=which_det)
     assert scan.crossings == []
     assert scan.failures == [(0.0, scan.r_max, "PairingAmbiguityError")]
 

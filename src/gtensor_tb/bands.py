@@ -7,9 +7,9 @@ import math
 import numpy as np
 
 from .blas import eigh_window
-from .errors import PairingAmbiguityError
+from .errors import InputError, PairingAmbiguityError
 from .hamiltonian import bloch_hamiltonian
-from .materials import MaterialModel, is_band_pair
+from .materials import MaterialModel, band_pair_problem
 
 
 class UnknownBandLabelError(KeyError):
@@ -66,9 +66,9 @@ def solve(model: MaterialModel, k, bands: tuple | None = None) -> BlochSolution:
 def resolve_band_indices(model: MaterialModel, band_id) -> tuple:
     """Map a configured label (or explicit index pair) to band indices.
 
-    An explicit pair must be two adjacent bands ``(i, i + 1)`` of
-    ``0..dim - 1`` (:func:`~gtensor_tb.materials.is_band_pair`);
-    ``ValueError`` is raised otherwise.
+    An explicit pair follows the rule of a material file
+    (:func:`~gtensor_tb.materials.band_pair_problem`); ``InputError`` is
+    raised otherwise.
     """
     if isinstance(band_id, str):
         try:
@@ -77,11 +77,10 @@ def resolve_band_indices(model: MaterialModel, band_id) -> tuple:
             raise UnknownBandLabelError(
                 f"material {model.name!r} configures pairs "
                 f"{sorted(model.band_pairs)}, not {band_id!r}") from None
-    i, j = map(int, band_id)
-    if not is_band_pair(i, j, model.dim):
-        raise ValueError(f"band pair {(i, j)} is not two adjacent bands "
-                         f"(i, i + 1) of 0..{model.dim - 1}")
-    return i, j
+    problem = band_pair_problem(band_id, model.dim)
+    if problem:
+        raise InputError(f"band pair {band_id!r} is not {problem}")
+    return tuple(map(int, band_id))
 
 
 def pair_window(model: MaterialModel, band_id) -> tuple:

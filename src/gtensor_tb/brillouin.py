@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InputError
+
 # high-symmetry points in units of 2pi/a (Cartesian)
 HIGH_SYMMETRY_POINTS = {
     "G": (0.0, 0.0, 0.0),
@@ -46,22 +48,22 @@ def zone_faces(a: float) -> np.ndarray:
 def unit_direction(direction) -> np.ndarray:
     """``direction`` scaled to unit length.
 
-    Raises ValueError unless it is three numbers with a finite, non-zero
+    Raises InputError unless it is three numbers with a finite, non-zero
     norm (an overflowing norm counts as not finite).
     """
     direction = np.asarray(direction, dtype=float)
     with np.errstate(over="ignore"):
         norm = np.linalg.norm(direction)
     if direction.shape != (3,) or not (norm > 0.0 and np.isfinite(norm)):
-        raise ValueError("direction must be three finite numbers with a "
+        raise InputError("direction must be three finite numbers with a "
                          f"finite, non-zero norm, got {direction.tolist()}")
     return direction / norm
 
 
 def positive_finite(name: str, value: float) -> float:
-    """``value`` unchanged; ValueError unless it is positive and finite."""
+    """``value`` unchanged; InputError unless it is positive and finite."""
     if not (value > 0.0 and np.isfinite(value)):
-        raise ValueError(f"{name} must be a positive finite number, "
+        raise InputError(f"{name} must be a positive finite number, "
                          f"got {value}")
     return value
 
@@ -69,7 +71,7 @@ def positive_finite(name: str, value: float) -> float:
 def boundary_radius(a: float, direction) -> float:
     """Distance from Gamma to the zone boundary along a direction.
 
-    Raises ValueError for a direction that :func:`unit_direction` rejects.
+    Raises InputError for a direction that :func:`unit_direction` rejects.
     """
     d = unit_direction(direction)
     faces = zone_faces(a)
@@ -108,7 +110,7 @@ def icosphere_directions(level: int) -> np.ndarray:
     is fully deterministic, so identical configs sample identical rays.
     """
     if level < 0:
-        raise ValueError("subdivision level must be >= 0")
+        raise InputError(f"level must be >= 0, got {level}")
     phi = (1.0 + np.sqrt(5.0)) / 2.0
     verts = [
         (-1, phi, 0), (1, phi, 0), (-1, -phi, 0), (1, -phi, 0),

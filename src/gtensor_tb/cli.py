@@ -5,22 +5,25 @@ version, echo of the resolved configuration and its sha256; the echo
 holds the ``--seed`` of ``gline`` and ``entropy``), and contains no
 timestamps, so identical configurations produce byte-identical files.
 
-Exit codes: 0 success; 2 usage error; 3 physics-contract violation
-(pairing ambiguity, invalid material data, inapplicable direction,
-fit bracket failure); 4 I/O failure.
+Exit codes: 0 success; 2 usage error (a bad flag, an unknown name, or
+an ``InputError`` from the library function that takes the value); 3
+physics-contract violation (pairing ambiguity, invalid material data,
+inapplicable direction, fit bracket failure); 4 I/O failure.  Any other
+exception is a fault: exit 1 with a traceback.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
 
 from . import __version__
-from .brillouin import (boundary_radius, named_direction, positive_finite,
-                        unit_direction, wedge_directions)
-from .errors import GTensorError
+from .brillouin import (boundary_radius, named_direction, unit_direction,
+                        wedge_directions)
+from .errors import GTensorError, InputError
 from .lande import fit_report
 from .materials import load_material, resolve_material_path, sha256
 from .surface import N_COARSE, build_surface, export_cloud
@@ -31,12 +34,15 @@ PHYSICS_EXIT = 3
 IO_EXIT = 4
 
 
-class UsageError(ValueError):
-    """Bad command-line input that argparse cannot catch itself."""
+# a number as float() reads it, digit underscores left out
+_NUMBER = re.compile(r"\s*[+-]?((\d+\.?\d*|\.\d+)(e[+-]?\d+)?"
+                     r"|inf(inity)?|nan)\s*", re.IGNORECASE)
 
 
 def _parse_direction(spec: str, seed: int) -> np.ndarray:
     """Resolve --direction: 'x,y,z', 'random', or a family name."""
+    if seed < 0:
+        raise InputError(f"--seed must be >= 0, got {seed}")
     if spec == "random":
         return unit_direction(np.random.default_rng(seed).normal(size=3))
     try:
@@ -44,43 +50,10 @@ def _parse_direction(spec: str, seed: int) -> np.ndarray:
     except KeyError:
         pass
     parts = spec.split(",")
-    if len(parts) != 3:
-        raise UsageError(
-            f"--direction wants 'x,y,z', 'random', or a family name, got {spec!r}")
-    try:
-        v = np.array([float(p) for p in parts])
-    except ValueError:
-        raise UsageError(f"non-numeric direction component in {spec!r}") from None
-    if not np.all(np.isfinite(v)):
-        raise UsageError(f"non-finite direction component in {spec!r}")
-    try:
-        return unit_direction(v)
-    except ValueError:
-        raise UsageError("--direction must have a finite, non-zero length, "
-                         f"got {spec!r}") from None
-
-
-# smallest accepted value of each integer option, where a subcommand has it
-_INT_MINIMUM = {"samples": 1, "ncoarse": 2, "level": 0, "workers": 1,
-                "seed": 0}
-
-
-def _check_numbers(args: argparse.Namespace) -> None:
-    """Reject numeric options outside their domain before any work."""
-    if args.command == "bands" and args.samples < 2:
-        # one sample per segment would drop the path's end point
-        raise UsageError("--samples must be >= 2 on a band path, "
-                         f"got {args.samples}")
-    for option, minimum in _INT_MINIMUM.items():
-        value = getattr(args, option, None)
-        if value is not None and value < minimum:
-            raise UsageError(f"--{option} must be >= {minimum}, got {value}")
-    r_max = getattr(args, "rmax", None)
-    if r_max is not None:
-        try:
-            positive_finite("--rmax", r_max)
-        except ValueError as err:
-            raise UsageError(*err.args) from None
+    if not all(map(_NUMBER.fullmatch, parts)):
+        raise InputError("--direction wants 'x,y,z', 'random' or a family "
+                         f"name, got {spec!r}")
+    return unit_direction([float(p) for p in parts])
 
 
 def _provenance(args: argparse.Namespace) -> list:
@@ -98,7 +71,7 @@ def _provenance(args: argparse.Namespace) -> list:
 def _load(args):
     path = resolve_material_path(args.material)
     if not path.exists():
-        raise UsageError(
+        raise InputError(
             f"unknown material {args.material!r}: not a built-in name "
             "and no such parameter file")
     return load_material(path)
@@ -106,9 +79,6 @@ def _load(args):
 
 def cmd_bands(args, model) -> int:
     names = [p.strip() for p in args.path.split(",") if p.strip()]
-    if len(names) < 2:
-        raise UsageError("--path must name at least two comma-separated "
-                         "high-symmetry points, e.g. 'L,G,X'")
     header, rows, ticks = band_path_rows(model, names, args.samples)
     ticking = ["path ticks: " + "  ".join(f"{name}@{s:.17g}" for s, name in ticks),
                "energies in Hartree"]
@@ -122,17 +92,12 @@ def cmd_ray(args, model) -> int:
     r_max = (boundary_radius(model.lattice_constant, direction)
              if args.rmax is None else args.rmax)
     notes = ["direction %s" % np.array2string(direction, precision=8)]
-    try:
-        if args.command == "gline":
-            header, rows = gline_rows(model, args.band, direction, r_max,
-                                      args.samples)
-        else:
-            header, rows, flip_ok = entropy_rows(model, args.band, direction,
-                                                 r_max, args.samples)
-    except ValueError as err:
-        # the direction and the domain of r_max are checked above; the
-        # one input check left is an r_max whose bond phases overflow
-        raise UsageError(f"--rmax too large: {err}") from None
+    if args.command == "gline":
+        header, rows = gline_rows(model, args.band, direction, r_max,
+                                  args.samples)
+    else:
+        header, rows, flip_ok = entropy_rows(model, args.band, direction,
+                                             r_max, args.samples)
     if args.command == "entropy" and not flip_ok:
         notes.append("spin-flip check refused: direction outside the "
                      f"valid families of point group {model.point_group}; "
@@ -244,9 +209,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_numbers(args)
         return args.func(args, _load(args))
-    except (UsageError, KeyError) as err:
+    except (InputError, KeyError) as err:
         # args, not str(): str() of a KeyError is the repr of its message
         print("usage error:", *err.args, file=sys.stderr)
         return USAGE_EXIT

@@ -86,7 +86,7 @@ def direction_applicable(model: MaterialModel, direction) -> bool:
 
     For the inversion-symmetric group O_h every direction qualifies;
     for T_d only the Delta <100> and Lambda <111> families do, to 1e-9
-    in each component of the unit vector.  Raises ValueError for a
+    in each component of the unit vector.  Raises InputError for a
     direction that :func:`unit_direction` rejects.
     """
     rep = wedge_representative(unit_direction(direction))

@@ -1,8 +1,12 @@
 """Exception types shared across the package.
 
-CLI maps these onto exit codes: file/format problems and physics
-preconditions are distinct failure classes, so they get distinct types.
+CLI maps these onto exit codes: bad arguments, file/format problems and
+physics preconditions are distinct failure classes with distinct types.
 """
+
+
+class InputError(ValueError):
+    """An argument outside its domain, raised before any solve."""
 
 
 class GTensorError(Exception):

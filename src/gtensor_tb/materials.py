@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 from pathlib import Path
 
 # hashlib loads OpenSSL's _hashlib (about 3.5 MB of RSS) for two small
@@ -40,10 +41,16 @@ _GAMMA_DEGENERACY_TOL = 1e-8  # Hartree
 BUILTIN_MATERIALS = ("si", "ge", "gaas")
 
 
-def is_band_pair(i: int, j: int, dim: int) -> bool:
-    """Whether bands ``i`` and ``j`` form a (pseudo-)Kramers pair: two
-    adjacent bands ``(i, i + 1)`` of ``0..dim - 1``, energies ascending."""
-    return 0 <= i and j == i + 1 < dim
+def band_pair_problem(pair, dim: int) -> str | None:
+    """What keeps ``pair`` from naming a (pseudo-)Kramers pair, or None:
+    a pair is two integers, not bools, naming adjacent bands
+    ``(i, i + 1)`` of ``0..dim - 1``, energies ascending."""
+    if len(pair) != 2 or not all(isinstance(b, numbers.Integral)
+                                 and not isinstance(b, bool) for b in pair):
+        return "a pair of band indices"
+    if 0 <= pair[0] and pair[1] == pair[0] + 1 < dim:
+        return None
+    return f"two adjacent bands (i, i + 1) of 0..{dim - 1}"
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -220,14 +227,9 @@ def load_material(path) -> MaterialModel:
         # the repr keeps a label's line break out of the error message
         _single_line(label, f"band_pairs.{label!r}")
         path_key = f"band_pairs.{label}"
-        if (not isinstance(idx, list) or len(idx) != 2
-                or not all(isinstance(i, int) and not isinstance(i, bool)
-                           for i in idx)):
-            raise MaterialValidationError(path_key,
-                                          "must be a pair of band indices")
-        if not is_band_pair(*idx, dim):
-            raise MaterialValidationError(path_key, "must be two adjacent "
-                                          f"bands (i, i + 1) of 0..{dim - 1}")
+        problem = band_pair_problem(idx if isinstance(idx, list) else [], dim)
+        if problem:
+            raise MaterialValidationError(path_key, f"must be {problem}")
         band_pairs[label] = tuple(idx)
 
     inversion = species[0] == species[1]

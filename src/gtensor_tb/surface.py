@@ -34,6 +34,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import os
 
 import numpy as np
 
@@ -44,6 +45,7 @@ from .bands import select_pair, solve
 from .blas import one_blas_thread
 from .brillouin import (boundary_radius, cubic_group, positive_finite,
                         replicate_points, unit_direction)
+from .errors import InputError
 from .gtensor import (det_sign, g_tensor_set, orbital_g, orbital_matrices,
                       spin_g)
 from .materials import MaterialModel
@@ -134,6 +136,17 @@ def _bisect(sign_at, lo, hi, sign_lo, tol):
     return 0.5 * (lo + hi), hi - lo
 
 
+def _check_settings(r_max, n_coarse, which_det, bisect_tol=BISECT_TOL):
+    """Raise ``InputError`` for a scan setting outside its domain."""
+    for name, value in (("r_max", r_max), ("bisect_tol", bisect_tol)):
+        if value is not None:
+            positive_finite(name, value)
+    if n_coarse < 2:
+        raise InputError(f"n_coarse must be >= 2, got {n_coarse}")
+    if which_det not in ("gs", "gtot"):
+        raise InputError(f"which_det must be 'gs' or 'gtot', not {which_det!r}")
+
+
 @one_blas_thread
 def scan_ray(model: MaterialModel, band_id, direction,
              r_max: float | None = None,
@@ -147,18 +160,12 @@ def scan_ray(model: MaterialModel, band_id, direction,
     are recorded as excluded radius intervals and the scan continues
     beyond them; an empty crossing list is a valid result.  Bisection
     stops at ``bisect_tol`` or ``TOL_PER_ZONE * 2 pi / a``, whichever is
-    smaller.  Raises ``ValueError`` for a zero or non-finite direction,
+    smaller.  Raises ``InputError`` for a zero or non-finite direction,
     an ``r_max`` or ``bisect_tol`` that is not positive and finite,
     ``n_coarse < 2`` or a ``which_det`` other than "gs" and "gtot".
     """
     direction = unit_direction(direction)
-    for name, value in (("r_max", r_max), ("bisect_tol", bisect_tol)):
-        if value is not None:
-            positive_finite(name, value)
-    if n_coarse < 2:
-        raise ValueError(f"n_coarse must be >= 2, got {n_coarse}")
-    if which_det not in ("gs", "gtot"):
-        raise ValueError(f"which_det must be 'gs' or 'gtot', not {which_det!r}")
+    _check_settings(r_max, n_coarse, which_det, bisect_tol)
     r_boundary = boundary_radius(model.lattice_constant, direction)
     clipped = r_max is not None and r_max > r_boundary
     if r_max is None or clipped:
@@ -210,12 +217,18 @@ def build_surface(model: MaterialModel, band_id, directions,
     The crossing set is closed under the 48 operations of O_h, for T_d
     models too (see the module docstring), so ``wedge_directions``
     cover the sphere at ~1/48 the ray count.  Results are merged by
-    direction index, so the cloud is independent of worker scheduling.
+    direction index, so the cloud is independent of worker scheduling;
+    at most ``os.cpu_count()`` processes run.  Settings that
+    :func:`scan_ray` rejects, and ``workers < 1``, raise ``InputError``
+    before any pool starts.
     """
+    if workers < 1:
+        raise InputError(f"workers must be >= 1, got {workers}")
+    _check_settings(r_max, n_coarse, which_det)
     directions = np.asarray(directions, dtype=float)
     scan = functools.partial(scan_ray, model, band_id, r_max=r_max,
                              n_coarse=n_coarse, which_det=which_det)
-    workers = min(workers, len(directions))  # no idle pool processes
+    workers = min(workers, len(directions), os.cpu_count() or 1)
     if workers > 1:
         import multiprocessing  # not loaded on the serial path
         with multiprocessing.Pool(processes=workers) as pool:
@@ -276,4 +289,4 @@ def export_cloud(cloud: SurfaceCloud, path, fmt: str = "csv",
             for x, y, z in cloud.points:
                 fh.write(f"{x:.17g} {y:.17g} {z:.17g}\n")
     else:
-        raise ValueError(f"format must be 'csv' or 'ply', not {fmt!r}")
+        raise InputError(f"format must be 'csv' or 'ply', not {fmt!r}")

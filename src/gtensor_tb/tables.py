@@ -28,7 +28,7 @@ from .blas import one_blas_thread
 from .brillouin import high_symmetry_point, positive_finite, unit_direction
 from .entanglement import (_spin_flip_defect, direction_applicable, entropy,
                            pair_spin_densities)
-from .errors import PairUndefinedError
+from .errors import InputError, PairUndefinedError
 from .gtensor import (PairMomenta, align_pair_to_spin_frame, g_tensor_set,
                       pair_momenta, spin_g)
 from .hamiltonian import nn_vectors
@@ -72,12 +72,14 @@ def band_path_rows(model: MaterialModel, path_names,
     """Energies along a polyline of named high-symmetry points.
 
     Returns (header, rows, ticks); ticks are (path_s, name) anchors of
-    the segment endpoints for axis labeling.
+    the segment endpoints for axis labeling.  Fewer than two points or
+    samples per segment raise ``InputError``.
     """
     if len(path_names) < 2:
-        raise ValueError("a band path needs at least two points")
+        raise InputError(f"a band path needs >= 2 points, got {path_names}")
     if samples_per_segment < 2:
-        raise ValueError("a band path needs at least two samples per segment")
+        raise InputError("a band path needs >= 2 samples per segment, got "
+                         f"{samples_per_segment}")
     a = model.lattice_constant
     anchors = [high_symmetry_point(name, a) for name in path_names]
     header = BANDS_FIXED_COLUMNS + tuple(f"e_{n}" for n in range(model.dim))
@@ -167,16 +169,18 @@ def _ray_points(model: MaterialModel, direction, r_max: float,
                 samples: int) -> tuple:
     """Radii and k-points of a sampled ray, checked once for the table.
 
-    Raises ``ValueError`` for a direction without a finite, non-zero
-    norm, an ``r_max`` that is not positive and finite, or one whose
-    bond phases k.d overflow: H(k) would be NaN there.
+    Raises ``InputError`` for a direction without a finite, non-zero
+    norm, ``samples < 1``, an ``r_max`` that is not positive and finite,
+    or one whose bond phases k.d overflow: H(k) would be NaN there.
     """
+    if samples < 1:
+        raise InputError(f"samples must be >= 1, got {samples}")
     radii = np.linspace(0.0, positive_finite("r_max", r_max), samples)
     ks = radii[:, None] * unit_direction(direction)
     with np.errstate(over="ignore"):
         phases = ks @ nn_vectors(model).T
     if not np.isfinite(phases).all():
-        raise ValueError(f"r_max = {r_max} overflows the bond phases k.d "
+        raise InputError(f"r_max = {r_max} overflows the bond phases k.d "
                          "along this direction")
     return radii, ks
 
@@ -214,7 +218,7 @@ def gline_rows(model: MaterialModel, band_id, direction,
     Each row solves every band, selects the pair and keeps the pair's
     part of the momentum table; the g-tensor sets, spin-frame alignment
     and entropies then run once over the rows where the pair is defined.
-    Raises ``ValueError`` where :func:`_ray_points` does, before any
+    Raises ``InputError`` where :func:`_ray_points` does, before any
     solve.
     """
     radii, ks = _ray_points(model, direction, r_max, samples)
@@ -236,7 +240,7 @@ def entropy_rows(model: MaterialModel, band_id, direction,
     a contract fact, not a numerical failure.  Each row solves the
     pair's window and selects the pair; g_S is formed, factored,
     aligned, scored and spin-flipped once over the rows where the pair
-    is defined.  Raises ``ValueError`` as :func:`gline_rows` does.
+    is defined.  Raises ``InputError`` as :func:`gline_rows` does.
     """
     flip_ok = direction_applicable(model, direction)
     radii, ks = _ray_points(model, direction, r_max, samples)

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -8,8 +9,12 @@ import numpy as np
 import pytest
 
 import gtensor_tb
-from gtensor_tb import builtin_material_path
+from gtensor_tb import (build_surface, builtin_material_path, tables,
+                        wedge_directions)
+from gtensor_tb.brillouin import unit_direction
 from gtensor_tb.cli import main
+from gtensor_tb.errors import InputError
+from gtensor_tb.tables import band_path_rows, entropy_rows, gline_rows
 from gtensor_tb.units import HARTREE_EV
 
 
@@ -83,58 +88,164 @@ def test_unknown_path_point_is_usage_error(tmp_path, capsys):
         "known: ['G', 'K', 'L', 'U', 'W', 'X']\n")
 
 
-def test_bad_direction_is_usage_error(tmp_path):
+def test_bad_direction_is_usage_error(tmp_path, capsys):
     rc = main(["gline", "--material", "si", "--band", "split-off",
                "--direction", "1,2", "--out", str(tmp_path / "x.csv")])
     assert rc == 2
     rc = main(["gline", "--material", "si", "--band", "split-off",
                "--direction", "0,0,0", "--out", str(tmp_path / "x.csv")])
     assert rc == 2
+    capsys.readouterr()
+    # no library function takes the text of --direction: the command
+    # line checks that its components are numbers
+    for spec in ("1,x,0", "Deltoid", "1_0,0,0", "0x1,0,0"):
+        rc = main(["gline", "--material", "si", "--band", "split-off",
+                   "--direction", spec, "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "usage error: --direction wants 'x,y,z', 'random' or a family "
+            f"name, got {spec!r}\n")
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_direction_components_as_float_reads_them(tmp_path):
+    rows = []
+    for spec in ("Sigma", "+1., 1E0 ,0", "2,2,0e5"):
+        out = tmp_path / "x.csv"
+        assert main(["gline", "--material", "si", "--band", "split-off",
+                     "--direction", spec, "--rmax", "0.03", "--samples", "3",
+                     "--out", str(out)]) == 0
+        rows.append(_read_data(out)[1:])
+    assert rows[0] == rows[1] == rows[2]
 
 
 _SURFACE = ["surface", "--material", "si", "--band", "split-off"]
 _RAY = ["--material", "si", "--band", "split-off", "--direction", "Delta"]
-_RMAX = "--rmax must be a positive finite number"
+_GLINE = ["gline", "--material", "si", "--band", "split-off", "--direction"]
+_ENTROPY = ["entropy", "--material", "si", "--band", "split-off",
+            "--direction"]
+_RMAX = "r_max must be a positive finite number, got "
+_FINITE = "direction must be three finite numbers with a finite, non-zero norm"
+_PHASES = "r_max = 1e+308 overflows the bond phases k.d"
 
-
-@pytest.mark.parametrize("argv, message", [
-    (_SURFACE + ["--ncoarse", "1"], "--ncoarse must be >= 2, got 1"),
-    (_SURFACE + ["--rmax", "-0.1"], _RMAX),
-    (_SURFACE + ["--rmax", "0"], _RMAX),
-    (_SURFACE + ["--rmax", "nan"], _RMAX),
-    (_SURFACE + ["--level", "-1"], "--level must be >= 0, got -1"),
-    (_SURFACE + ["--workers", "0"], "--workers must be >= 1, got 0"),
-    (["gline"] + _RAY + ["--rmax", "0"], _RMAX),
-    (["gline"] + _RAY + ["--samples", "0"], "--samples must be >= 1, got 0"),
-    (["entropy"] + _RAY + ["--rmax", "inf"], _RMAX),
-    (["entropy"] + _RAY + ["--samples", "-3"], "--samples must be >= 1, got -3"),
+# (argv, the rule in the option's words, the message of the library
+# function that takes the value); the rule names the case
+_DOMAIN_CASES = [
+    (_SURFACE + ["--ncoarse", "1"], "--ncoarse must be >= 2, got 1",
+     "n_coarse must be >= 2, got 1"),
+    (_SURFACE + ["--rmax", "-0.1"], "--rmax must be a positive finite number",
+     _RMAX + "-0.1"),
+    (_SURFACE + ["--rmax", "0"], "--rmax must be a positive finite number",
+     _RMAX + "0.0"),
+    (_SURFACE + ["--rmax", "nan"], "--rmax must be a positive finite number",
+     _RMAX + "nan"),
+    (_SURFACE + ["--level", "-1"], "--level must be >= 0, got -1",
+     "level must be >= 0, got -1"),
+    (_SURFACE + ["--workers", "0"], "--workers must be >= 1, got 0",
+     "workers must be >= 1, got 0"),
+    (["gline"] + _RAY + ["--rmax", "0"],
+     "--rmax must be a positive finite number", _RMAX + "0.0"),
+    (["gline"] + _RAY + ["--samples", "0"], "--samples must be >= 1, got 0",
+     "samples must be >= 1, got 0"),
+    (["entropy"] + _RAY + ["--rmax", "inf"],
+     "--rmax must be a positive finite number", _RMAX + "inf"),
+    (["entropy"] + _RAY + ["--samples", "-3"],
+     "--samples must be >= 1, got -3", "samples must be >= 1, got -3"),
     (["bands", "--material", "si", "--samples", "0"],
-     "--samples must be >= 2 on a band path, got 0"),
-    (["gline", "--material", "si", "--band", "split-off", "--direction",
-      "nan,0,0"], "non-finite direction component in 'nan,0,0'"),
-    (["entropy", "--material", "si", "--band", "split-off", "--direction",
-      "inf,1,0"], "non-finite direction component in 'inf,1,0'"),
-    (["gline", "--material", "si", "--band", "split-off", "--direction",
-      "random", "--seed", "-1"], "--seed must be >= 0, got -1"),
+     "--samples must be >= 2 on a band path, got 0",
+     "a band path needs >= 2 samples per segment, got 0"),
+    (_GLINE + ["nan,0,0"], "non-finite direction component in 'nan,0,0'",
+     _FINITE + ", got [nan, 0.0, 0.0]"),
+    (_ENTROPY + ["inf,1,0"], "non-finite direction component in 'inf,1,0'",
+     _FINITE + ", got [inf, 1.0, 0.0]"),
+    (_GLINE + ["random", "--seed", "-1"], "--seed must be >= 0, got -1",
+     "--seed must be >= 0, got -1"),
     (["bands", "--material", "si", "--path", "L"],
-     "--path must name at least two"),
-    (["gline", "--material", "si", "--band", "split-off", "--direction",
-      "1e300,1e300,0"], "--direction must have a finite, non-zero length, "
-                        "got '1e300,1e300,0'"),
-    (["entropy", "--material", "si", "--band", "split-off", "--direction",
-      "0,0,0"], "--direction must have a finite, non-zero length"),
+     "--path must name at least two",
+     "a band path needs >= 2 points, got ['L']"),
+    (_GLINE + ["1e300,1e300,0"], "--direction must have a finite, non-zero "
+     "length, got '1e300,1e300,0'", _FINITE + ", got [1e+300, 1e+300, 0.0]"),
+    (_ENTROPY + ["0,0,0"], "--direction must have a finite, non-zero length",
+     _FINITE + ", got [0.0, 0.0, 0.0]"),
     # one sample per segment would drop the end point of the path
     (["bands", "--material", "si", "--samples", "1"],
-     "--samples must be >= 2 on a band path, got 1"),
+     "--samples must be >= 2 on a band path, got 1",
+     "a band path needs >= 2 samples per segment, got 1"),
     # finite, but the bond phases k.d overflow and H(k) would be NaN
-    (["gline"] + _RAY + ["--rmax", "1e308"], "--rmax too large"),
-    (["entropy"] + _RAY + ["--rmax", "1e308"], "--rmax too large"),
-])
+    (["gline"] + _RAY + ["--rmax", "1e308"], "--rmax too large", _PHASES),
+    (["entropy"] + _RAY + ["--rmax", "1e308"], "--rmax too large", _PHASES),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", [(argv, message) for argv, _, message in _DOMAIN_CASES],
+    ids=[f"argv{i}-{rule}" for i, (_, rule, _) in enumerate(_DOMAIN_CASES)])
 def test_out_of_domain_number_is_usage_error(tmp_path, capsys, argv, message):
     out = tmp_path / "x.csv"
     rc = main(argv + ["--out", str(out)])
     assert rc == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("work started before the domain check")
+
+
+# each row of the domain table in docs/formats.md but --seed, as the
+# library function that takes the value checks it
+_DOMAIN_CALLS = {
+    "bands-samples": lambda m: band_path_rows(m, ["L", "G", "X"], 1),
+    "bands-path": lambda m: band_path_rows(m, ["L"]),
+    "gline-samples": lambda m: gline_rows(m, "split-off", [1, 0, 0], 0.05, 0),
+    "entropy-samples": lambda m: entropy_rows(m, "split-off", [1, 0, 0],
+                                              0.05, -3),
+    "gline-rmax": lambda m: gline_rows(m, "split-off", [1, 0, 0], np.nan),
+    "entropy-rmax": lambda m: entropy_rows(m, "split-off", [1, 0, 0], -0.1),
+    "gline-rmax-phases": lambda m: gline_rows(m, "split-off", [1, 0, 0],
+                                              1e308),
+    "entropy-rmax-phases": lambda m: entropy_rows(m, "split-off", [1, 0, 0],
+                                                  1e308),
+    "gline-direction": lambda m: gline_rows(m, "split-off", [0, 0, 0], 0.05),
+    "direction-length": lambda m: unit_direction([1.0, 2.0]),
+    "surface-level": lambda m: wedge_directions(-1),
+    "surface-rmax": lambda m: build_surface(m, "split-off",
+                                            wedge_directions(1), r_max=0.0,
+                                            workers=2),
+    "surface-ncoarse": lambda m: build_surface(m, "split-off",
+                                               wedge_directions(1),
+                                               n_coarse=1, workers=2),
+    "surface-det": lambda m: build_surface(m, "split-off",
+                                           wedge_directions(1),
+                                           which_det="g", workers=2),
+    "surface-workers": lambda m: build_surface(m, "split-off",
+                                               wedge_directions(1),
+                                               workers=0),
+}
+
+
+@pytest.mark.parametrize("call", _DOMAIN_CALLS.values(), ids=_DOMAIN_CALLS)
+def test_library_checks_each_domain_before_any_work(si, monkeypatch, call):
+    # no solve and no pool: the surface calls ask for two workers on
+    # three rays and may use four cores, so only their own check keeps
+    # them from a pool
+    monkeypatch.setattr(tables, "solve", _forbidden)
+    monkeypatch.setattr(multiprocessing, "Pool", _forbidden)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    with pytest.raises(InputError):
+        call(si)
+
+
+def test_lapack_fault_is_not_a_usage_error(tmp_path, monkeypatch):
+    # a LinAlgError is a ValueError, but no argument caused it: it is a
+    # fault (exit 1 with a traceback), not "--rmax too large"
+    def fail(*args):
+        raise np.linalg.LinAlgError("zheevr returned info 3")
+
+    monkeypatch.setattr(tables, "solve", fail)
+    out = tmp_path / "x.csv"
+    with pytest.raises(np.linalg.LinAlgError, match="info 3"):
+        main(["gline"] + _RAY + ["--out", str(out)])
     assert not out.exists()
 
 
@@ -239,17 +350,34 @@ def test_entropy_td_off_family_notes_and_nan(tmp_path, capsys):
 
 # --- surface -----------------------------------------------------------------
 
-def test_surface_csv_and_workers_agree(tmp_path):
+@pytest.mark.parametrize("case", [
+    # the g_S scans solve a band window of whole Kramers doublets: Si
+    # split-off (bands 0..5), Si first conduction (6..11), Ge second
+    # conduction (8..13); GaAs split-off is a T_d, non-degenerate pair
+    # (bands 1..4) scanned on the O_h wedge; g_tot solves every band
+    "si split-off", "si first-conduction", "ge second-conduction",
+    "gaas split-off", "si split-off --det gtot"])
+def test_surface_csv_and_workers_agree(tmp_path, monkeypatch, case):
+    # level 1 has three wedge rays, so two workers are two forked pool
+    # processes, whatever the core count of the machine
+    material, band, *det = case.split()
+    real_pool, sizes = multiprocessing.Pool, []
+
+    def pool(processes):
+        sizes.append(processes)
+        return real_pool(processes)
+
+    monkeypatch.setattr(multiprocessing, "Pool", pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     outs = []
     for workers in ("1", "2"):
         out = tmp_path / f"cloud{workers}.csv"
-        rc = main(["surface", "--material", "si", "--band", "split-off",
-                   "--det", "gs", "--level", "0", "--rmax", "0.05",
-                   "--ncoarse", "60", "--workers", workers,
-                   "--out", str(out)])
+        rc = main(["surface", "--material", material, "--band", band, *det,
+                   "--level", "1", "--workers", workers, "--out", str(out)])
         assert rc == 0
         outs.append([l for l in out.read_text().splitlines()
                      if not l.startswith("#")])
+    assert sizes == [2]
     assert outs[0] == outs[1]
     assert len(outs[0]) > 1
 

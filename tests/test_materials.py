@@ -13,7 +13,8 @@ from gtensor_tb import (MaterialParseError, MaterialValidationError,
                         resolve_material_path, select_pair, solve, tables)
 from gtensor_tb.bands import resolve_band_indices
 from gtensor_tb.cli import main
-from gtensor_tb.materials import is_band_pair
+from gtensor_tb.errors import InputError
+from gtensor_tb.materials import band_pair_problem
 from gtensor_tb.units import angstrom_to_bohr, ev_to_hartree
 
 
@@ -180,15 +181,30 @@ def test_band_pair_checked_against_gamma_pattern(tmp_path):
     assert "second-conduction" in str(err.value)
 
 
-@pytest.mark.parametrize("pair", [[False, True], [True, 2]],
-                         ids=["false-true", "true-2"])
-def test_band_pair_booleans_rejected(tmp_path, pair):
-    # JSON true/false are not band indices, although Python's bool is an int
+@pytest.mark.parametrize("pair", [[False, True], [True, 2], [2.9, 3.7]],
+                         ids=["false-true", "true-2", "float"])
+def test_band_pair_booleans_rejected(tmp_path, si, monkeypatch, pair):
+    # JSON true/false and non-integers are not band indices, although
+    # Python's bool is an int; a caller's explicit pair is refused as
+    # well, before any solve, not truncated to (1, 2) or (2, 3)
     data = _si_dict()
     data["band_pairs"]["bogus"] = pair
     with pytest.raises(MaterialValidationError) as err:
         load_material(_dump(tmp_path, data))
     assert str(err.value) == "band_pairs.bogus: must be a pair of band indices"
+    sol = solve(si, np.zeros(3))
+    solved = []
+    monkeypatch.setattr(tables, "solve", lambda *args: solved.append(args))
+    pair = tuple(pair)
+    for call in (lambda: resolve_band_indices(si, pair),
+                 lambda: select_pair(si, sol, pair),
+                 lambda: tables.sample_pairs(si, pair, [np.zeros(3)])):
+        with pytest.raises(InputError, match=r"is not a pair of band indices"):
+            call()
+    assert not solved
+    # numpy integers, as np.flatnonzero returns them, are band indices
+    indices = tuple(np.flatnonzero([0, 0, 1, 1]))
+    assert resolve_band_indices(si, indices) == (2, 3)
 
 
 @pytest.mark.parametrize("pair", [(3, 2), (-2, -1), (1, 4), (3, 3),
@@ -213,7 +229,7 @@ def test_one_rule_for_band_pairs(tmp_path, si, monkeypatch, pair):
     for call in (lambda: resolve_band_indices(si, pair),
                  lambda: select_pair(si, sol, pair),
                  lambda: tables.sample_pairs(si, pair, [np.zeros(3)])):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(InputError, match=message):
             call()
     assert not solved
     assert not (tmp_path / "bands.csv").exists()
@@ -222,7 +238,7 @@ def test_one_rule_for_band_pairs(tmp_path, si, monkeypatch, pair):
 def test_configured_labels_are_band_pairs(si, ge, gaas):
     for model in (si, ge, gaas):
         for label, pair in model.band_pairs.items():
-            assert is_band_pair(*pair, model.dim), (model.name, label)
+            assert not band_pair_problem(pair, model.dim), (model.name, label)
             assert resolve_band_indices(model, label) == pair
             assert resolve_band_indices(model, pair) == pair
 

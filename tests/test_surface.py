@@ -3,6 +3,7 @@ import contextlib
 import json
 import math
 import multiprocessing
+import os
 import warnings
 
 import numpy as np
@@ -447,19 +448,35 @@ class _InProcessPool:
         return list(map(func, items))
 
 
+def _pool_sizes(model, monkeypatch, level: int, cpus) -> list:
+    """The pool sizes 64 workers ask for on the wedge rays of ``level``
+    when ``os.cpu_count()`` returns ``cpus``; the pool is in-process and
+    the cloud must be the serial one."""
+    monkeypatch.setattr(multiprocessing, "Pool", _InProcessPool)
+    monkeypatch.setattr(_InProcessPool, "sizes", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    dirs = wedge_directions(level)
+    kw = dict(r_max=0.05, n_coarse=60)
+    many = build_surface(model, "split-off", dirs, workers=64, **kw)
+    one = build_surface(model, "split-off", dirs, workers=1, **kw)
+    assert np.array_equal(many.points, one.points)
+    assert np.array_equal(many.labels, one.labels)
+    return _InProcessPool.sizes
+
+
 @pytest.mark.parametrize("level, pool_sizes", [(0, []), (1, [3])])
 def test_pool_is_no_larger_than_the_ray_count(si, monkeypatch, level,
                                               pool_sizes):
     # one ray starts no pool and three rays start three processes, not 64
-    monkeypatch.setattr(multiprocessing, "Pool", _InProcessPool)
-    monkeypatch.setattr(_InProcessPool, "sizes", [])
-    dirs = wedge_directions(level)
-    kw = dict(r_max=0.05, n_coarse=60)
-    many = build_surface(si, "split-off", dirs, workers=64, **kw)
-    assert _InProcessPool.sizes == pool_sizes
-    one = build_surface(si, "split-off", dirs, workers=1, **kw)
-    assert np.array_equal(many.points, one.points)
-    assert np.array_equal(many.labels, one.labels)
+    assert _pool_sizes(si, monkeypatch, level, cpus=64) == pool_sizes
+
+
+@pytest.mark.parametrize("cpus, pool_sizes", [(2, [2]), (1, []), (None, [])])
+def test_pool_is_no_larger_than_the_cpu_count(si, monkeypatch, cpus,
+                                              pool_sizes):
+    # three rays start no more processes than there are cores, and none
+    # where os.cpu_count() cannot tell
+    assert _pool_sizes(si, monkeypatch, 1, cpus) == pool_sizes
 
 
 def _stabiliser_order(direction) -> int:

@@ -44,8 +44,6 @@ class KramersPair:
     energies: np.ndarray
     states: np.ndarray
     pair_energy: float
-    split: float
-    gap_to_rest: float
 
 
 def solve(model: MaterialModel, k, bands: tuple | None = None) -> BlochSolution:
@@ -141,9 +139,7 @@ def select_pair(model: MaterialModel, sol: BlochSolution, band_id) -> KramersPai
         raise PairingAmbiguityError(sol.k, (i, j), split, gap_to_rest)
     energies = sol.energies[a:a + 2].copy()
     states = sol.states[:, a:a + 2].copy(order="F")
-    pair_energy = 0.5 * (ea + eb)
-    return KramersPair(sol.k, (i, j), energies, states, pair_energy, split,
-                       gap_to_rest)
+    return KramersPair(sol.k, (i, j), energies, states, 0.5 * (ea + eb))
 
 
 def remix_pair(pair: KramersPair, w: np.ndarray) -> KramersPair:

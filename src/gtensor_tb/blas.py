@@ -1,9 +1,12 @@
 """numpy's OpenBLAS, reached through ctypes: thread pinning and a subset solve.
 
-Each k-point costs one small (at most 40x40) ``eigh``.  OpenBLAS runs
-it on all cores, and on two cores its second thread spins through
-every solve without speeding any of them up: a serial surface burns
-twice the CPU time for the same wall time.  :func:`one_blas_thread`
+Each k-point costs one small (at most 40x40) ``eigh``.  A full
+``np.linalg.eigh`` of a 40x40 H(k) (Si and Ge band tables, g-lines and
+g_tot scans) runs on all cores, and on two cores its second thread
+spins through every solve without speeding any of them up: such a job
+burns twice the CPU time for the same wall time (README "Threads" has
+the numbers).  ZHEEVR window solves and 16x16 full solves start no
+second thread.  :func:`one_blas_thread`
 sets every loaded OpenBLAS to one thread while the wrapped call runs
 and then puts back the count it found; ``--workers N`` processes are
 the way to use N cores.

@@ -20,12 +20,23 @@ import sys
 
 import numpy as np
 
+# hashlib loads OpenSSL's _hashlib (about 3.5 MB of RSS) for one small
+# digest; CPython's own random module takes its hash from the builtin
+# module first in the same way
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
+
 from . import __version__
 from .brillouin import (boundary_radius, named_direction, unit_direction,
                         wedge_directions)
 from .errors import GTensorError, InputError
 from .lande import fit_report
-from .materials import load_material, resolve_material_path, sha256
+from .materials import load_material, resolve_material_path
 from .surface import N_COARSE, build_surface, export_cloud
 from .tables import band_path_rows, entropy_rows, gline_rows, write_csv
 

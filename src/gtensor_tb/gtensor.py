@@ -10,8 +10,8 @@ two-dimensional pair space.
                     pi_j[a,l] pi_k[l,b] / (E_pair - E_l)
     g_S[i,j]      = Re Tr(2S_i sigma~_j)
     g_L[i,j]      = Re Tr(L_i  sigma~_j)
-    g_tot         = g_S + g_L,  G = g_tot g_tot^T
-    Delta E       = mu_B sqrt(B.G B)
+    g_tot         = g_S + g_L
+    Delta E       = mu_B |g_tot^T B|
 
 L_i is assembled in the ``mean-energy`` form above: a single energy
 denominator at the pair mean, valid for split pairs too.  At an exactly
@@ -171,7 +171,6 @@ class GTensorSet:
     g_s: np.ndarray
     g_l: np.ndarray
     g_tot: np.ndarray
-    G: np.ndarray                       # g_tot g_tot^T
     svd_s: tuple                        # (u, sigma, vh) of g_s
     svd_tot: tuple
     det_g_s: float | np.ndarray
@@ -210,7 +209,7 @@ def det_sign(g: np.ndarray) -> int | np.ndarray:
 
 def g_tensor_set(model: MaterialModel, sol: BlochSolution | PairMomenta,
                  pair: KramersPair) -> GTensorSet:
-    """Evaluate g_S, g_L, g_tot, G and their SVDs at one k-point.
+    """Evaluate g_S, g_L, g_tot and their SVDs at one k-point.
 
     ``sol`` is the pair's solved k-point, or the :class:`PairMomenta`
     already taken from it.  A stack of pairs (``states`` (..., dim, 2))
@@ -232,7 +231,6 @@ def g_tensor_set(model: MaterialModel, sol: BlochSolution | PairMomenta,
         g_s=g_s,
         g_l=g_l,
         g_tot=g_tot,
-        G=g_tot @ g_tot.swapaxes(-1, -2),
         svd_s=(u[0], sigma[0], vh[0]),
         svd_tot=(u[1], sigma[1], vh[1]),
         det_g_s=det_s,

@@ -15,17 +15,6 @@ import math
 import numbers
 from pathlib import Path
 
-# hashlib loads OpenSSL's _hashlib (about 3.5 MB of RSS) for two small
-# digests; CPython's own random module takes its hash from the builtin
-# module first in the same way
-try:
-    from _sha2 import sha256  # CPython 3.12+
-except ImportError:
-    try:
-        from _sha256 import sha256  # CPython 3.10 and 3.11
-    except ImportError:
-        from hashlib import sha256
-
 from .errors import MaterialParseError, MaterialValidationError
 from .slater_koster import BASES, SHELL
 from .units import angstrom_to_bohr, ev_to_hartree
@@ -59,7 +48,6 @@ class MaterialModel:
 
     name: str
     lattice_constant: float          # Bohr
-    basis: str
     species: tuple
     orbitals: tuple
     onsite: dict                     # species -> shell -> Hartree
@@ -69,7 +57,6 @@ class MaterialModel:
     band_pairs: dict                 # label -> (i, i+1), 0-based
     point_group: str                 # "Oh" or "Td"
     pair_split_tol: float | None
-    meta: dict
 
     @property
     def n_orb(self) -> int:
@@ -78,11 +65,6 @@ class MaterialModel:
     @property
     def dim(self) -> int:
         return 4 * self.n_orb
-
-    def with_soc_scaled(self, factor: float) -> "MaterialModel":
-        """Copy with every lambda_p multiplied by ``factor``."""
-        soc = {sp: lam * factor for sp, lam in self.soc.items()}
-        return dataclasses.replace(self, soc=soc)
 
 
 def _object(value, path):
@@ -150,8 +132,7 @@ def load_material(path) -> MaterialModel:
     """
     path = Path(path)
     try:
-        raw_bytes = path.read_bytes()
-        doc = json.loads(raw_bytes)
+        doc = json.loads(path.read_bytes())
     except OSError as exc:
         raise MaterialParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -236,7 +217,6 @@ def load_material(path) -> MaterialModel:
     model = MaterialModel(
         name=name,
         lattice_constant=angstrom_to_bohr(a_ang),
-        basis=basis,
         species=species,
         orbitals=orbitals,
         onsite=onsite,
@@ -246,9 +226,6 @@ def load_material(path) -> MaterialModel:
         band_pairs=band_pairs,
         point_group="Oh" if inversion else "Td",
         pair_split_tol=PAIR_SPLIT_TOL if inversion else None,
-        meta={"path": str(path),
-              "file_sha256": sha256(raw_bytes).hexdigest(),
-              "description": doc.get("description", "")},
     )
     _verify_band_pairs_at_gamma(model)
     return model

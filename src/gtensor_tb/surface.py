@@ -1,7 +1,7 @@
 """Radial scanning for det(g)=0 surfaces: bracketing, bisection, export.
 
 A ray from Gamma is sampled at ``n_coarse`` radii, and every sign change
-is refined by bisection on the sign down to ``bisect_tol`` in radius,
+is refined by bisection on the sign down to ``BISECT_TOL`` in radius,
 capped at ``TOL_PER_ZONE`` of 2 pi / a so that the tolerance shrinks
 with the zone, or to four float spacings where those are wider, in at
 most about 52 halvings.  Every sign, coarse or bisection, comes from one
@@ -73,11 +73,8 @@ class RayScan:
     """Scan result of a single ray from Gamma."""
 
     direction: np.ndarray
-    r_max: float
-    which_det: str
     crossings: list[Crossing]
     failures: list
-    clipped: bool
 
 
 @dataclasses.dataclass
@@ -136,11 +133,10 @@ def _bisect(sign_at, lo, hi, sign_lo, tol):
     return 0.5 * (lo + hi), hi - lo
 
 
-def _check_settings(r_max, n_coarse, which_det, bisect_tol=BISECT_TOL):
+def _check_settings(r_max, n_coarse, which_det):
     """Raise ``InputError`` for a scan setting outside its domain."""
-    for name, value in (("r_max", r_max), ("bisect_tol", bisect_tol)):
-        if value is not None:
-            positive_finite(name, value)
+    if r_max is not None:
+        positive_finite("r_max", r_max)
     if n_coarse < 2:
         raise InputError(f"n_coarse must be >= 2, got {n_coarse}")
     if which_det not in ("gs", "gtot"):
@@ -151,30 +147,27 @@ def _check_settings(r_max, n_coarse, which_det, bisect_tol=BISECT_TOL):
 def scan_ray(model: MaterialModel, band_id, direction,
              r_max: float | None = None,
              n_coarse: int = N_COARSE,
-             bisect_tol: float = BISECT_TOL,
              which_det: str = "gs") -> RayScan:
     """Locate all determinant sign changes along k = r * direction.
 
     ``r_max`` defaults to the Brillouin-zone boundary; larger requests
-    are clipped to it (and flagged in ``clipped``).  Pairing failures
-    are recorded as excluded radius intervals and the scan continues
-    beyond them; an empty crossing list is a valid result.  Bisection
-    stops at ``bisect_tol`` or ``TOL_PER_ZONE * 2 pi / a``, whichever is
-    smaller.  Raises ``InputError`` for a zero or non-finite direction,
-    an ``r_max`` or ``bisect_tol`` that is not positive and finite,
-    ``n_coarse < 2`` or a ``which_det`` other than "gs" and "gtot".
+    are clipped to it.  Pairing failures are recorded as excluded radius
+    intervals and the scan continues beyond them; an empty crossing list
+    is a valid result.  Bisection stops at ``BISECT_TOL`` or
+    ``TOL_PER_ZONE * 2 pi / a``, whichever is smaller.  Raises
+    ``InputError`` for a zero or non-finite direction, an ``r_max`` that
+    is not positive and finite, ``n_coarse < 2`` or a ``which_det``
+    other than "gs" and "gtot".
     """
     direction = unit_direction(direction)
-    _check_settings(r_max, n_coarse, which_det, bisect_tol)
+    _check_settings(r_max, n_coarse, which_det)
     r_boundary = boundary_radius(model.lattice_constant, direction)
-    clipped = r_max is not None and r_max > r_boundary
-    if r_max is None or clipped:
-        r_max = r_boundary
+    r_max = r_boundary if r_max is None else min(r_max, r_boundary)
 
     def sign_at(r):
         return _coarse_signs(model, band_id, which_det, [r * direction])[0]
 
-    tol = min(bisect_tol,
+    tol = min(BISECT_TOL,
               TOL_PER_ZONE * 2.0 * math.pi / model.lattice_constant)
     radii = np.linspace(0.0, r_max, n_coarse)
     signs = _coarse_signs(model, band_id, which_det,
@@ -203,8 +196,8 @@ def scan_ray(model: MaterialModel, band_id, direction,
         prev = (r, sign)
     if gap is not None:
         failures.append((gap[0], r_max, gap[1]))
-    return RayScan(direction=direction, r_max=r_max, which_det=which_det,
-                   crossings=crossings, failures=failures, clipped=clipped)
+    return RayScan(direction=direction, crossings=crossings,
+                   failures=failures)
 
 
 def build_surface(model: MaterialModel, band_id, directions,

@@ -30,7 +30,7 @@ from .entanglement import (_spin_flip_defect, direction_applicable, entropy,
                            pair_spin_densities)
 from .errors import InputError, PairUndefinedError
 from .gtensor import (PairMomenta, align_pair_to_spin_frame, g_tensor_set,
-                      pair_momenta, spin_g)
+                      pair_momenta)
 from .hamiltonian import nn_vectors
 from .materials import MaterialModel
 
@@ -108,8 +108,6 @@ def _pair_stack(model: MaterialModel, indices, rows: int) -> KramersPair:
         energies=np.empty((rows, 2)),
         states=np.empty((rows, model.dim, 2), complex),
         pair_energy=np.empty(rows),
-        split=np.empty(rows),
-        gap_to_rest=np.empty(rows),
     )
 
 
@@ -198,11 +196,12 @@ def _ray_table(radii, ks, reasons, values) -> list:
     return table.tolist()
 
 
-def _spin_frame_entropies(pairs: KramersPair, svd) -> tuple:
+def _spin_frame_entropies(pairs: KramersPair, svd=None) -> tuple:
     """S(xi) and S(xi_bar) of the stacked pairs of a ray, in one pass.
 
-    ``svd`` stacks the SVD factors of the pairs' g_S.  The pairs are
-    aligned to their spin frames, reduced and scored at once.  Returns
+    ``svd`` stacks the SVD factors of the pairs' g_S, or is None to form
+    them here.  The pairs are aligned to their spin frames, reduced and
+    scored at once.  Returns
     the two entropy arrays and the stacked ``SpinDensity``.
     """
     aligned, _, _ = align_pair_to_spin_frame(pairs, svd)
@@ -245,8 +244,7 @@ def entropy_rows(model: MaterialModel, band_id, direction,
     flip_ok = direction_applicable(model, direction)
     radii, ks = _ray_points(model, direction, r_max, samples)
     reasons, pairs, _ = sample_pairs(model, band_id, ks)
-    s_xi, s_xib, dens = _spin_frame_entropies(
-        pairs, np.linalg.svd(spin_g(pairs)))
+    s_xi, s_xib, dens = _spin_frame_entropies(pairs)
     residuals = ([np.linalg.norm(defect, "fro")
                   for defect in _spin_flip_defect(dens)]
                  if flip_ok else np.full_like(s_xi, np.nan))

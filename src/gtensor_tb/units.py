@@ -8,9 +8,6 @@ files carry eV and Angstrom and are converted once at load time.
 HARTREE_EV = 27.211386245988   # 1 Hartree in eV (CODATA 2018)
 BOHR_ANGSTROM = 0.529177210903  # 1 Bohr in Angstrom (CODATA 2018)
 
-# Bohr magneton in atomic units: mu_B = e*hbar/(2 m_e) = 1/2.
-MU_B = 0.5
-
 
 def ev_to_hartree(e_ev: float) -> float:
     return e_ev / HARTREE_EV

@@ -4,6 +4,8 @@ import pytest
 from gtensor_tb import builtin_material_path, load_material
 from gtensor_tb.brillouin import high_symmetry_point
 
+from oracles import with_soc_scaled
+
 
 @pytest.fixture(scope="session")
 def si():
@@ -22,7 +24,7 @@ def gaas():
 
 @pytest.fixture(scope="session")
 def si_nosoc(si):
-    return si.with_soc_scaled(0.0)
+    return with_soc_scaled(si, 0.0)
 
 
 def random_unit_vectors(seed, count):

@@ -19,9 +19,18 @@ from gtensor_tb.hamiltonian import bloch_hamiltonian, dipole_matrix, nn_vectors
 from gtensor_tb.slater_koster import hop_block
 from gtensor_tb.su2 import PAULI, SIGMA_X, SIGMA_Y, SIGMA_Z
 from gtensor_tb.surface import CSV_COLUMNS, SurfaceCloud
-from gtensor_tb.units import MU_B
 
 EPS_CYCLES = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+
+# Bohr magneton in atomic units: mu_B = e*hbar/(2 m_e) = 1/2.
+MU_B = 0.5
+
+
+def with_soc_scaled(model, factor: float):
+    """Copy of a ``MaterialModel`` with every lambda_p multiplied by
+    ``factor``."""
+    soc = {sp: lam * factor for sp, lam in model.soc.items()}
+    return dataclasses.replace(model, soc=soc)
 
 
 @one_blas_thread
@@ -144,7 +153,7 @@ def soc_term(model, k) -> np.ndarray:
     the lambda_p L.S matrix that the Hamiltonian adds.
     """
     return (bloch_hamiltonian(model, k)
-            - bloch_hamiltonian(model.with_soc_scaled(0.0), k))
+            - bloch_hamiltonian(with_soc_scaled(model, 0.0), k))
 
 
 class ZeroSplittingError(PhysicsError):
@@ -165,12 +174,14 @@ class FieldResponse:
 def zeeman_response(gset: GTensorSet, field) -> FieldResponse:
     """Splitting and ground-state moment for a field in atomic units.
 
-    Delta E = mu_B sqrt(B.G B); the ground-state magnetic moment in the
-    principal frame is M_i = mu_B^2 Sigma_ii^2 B_i / (2 Delta E).
+    Delta E = mu_B sqrt(B.G B) with G = g_tot g_tot^T; the ground-state
+    magnetic moment in the principal frame is
+    M_i = mu_B^2 Sigma_ii^2 B_i / (2 Delta E).
     """
     b = np.asarray(field, dtype=float)
     u, sigma, _ = gset.svd_tot
-    splitting = MU_B * float(np.sqrt(b @ gset.G @ b))
+    big_g = gset.g_tot @ gset.g_tot.T
+    splitting = MU_B * float(np.sqrt(b @ big_g @ b))
     if splitting == 0.0:
         raise ZeroSplittingError(
             "Zeeman splitting vanishes; ground-state moment undefined")

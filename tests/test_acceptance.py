@@ -5,6 +5,7 @@ conftest prints as a scoreboard after the run.  Tolerances are part of
 the claims and are not widened to make tests pass.
 """
 from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from gtensor_tb import (align_pair_to_spin_frame, boundary_radius,
                         build_surface, cardinal_states,
                         entropies_at_crossing, entropy, g_tensor_set,
                         reduce_spin, scan_ray, select_pair, solve,
-                        spin_flip_residual, wedge_directions)
+                        spin_flip_residual, surface, wedge_directions)
 from gtensor_tb.bands import remix_pair
 from gtensor_tb.brillouin import cubic_group
 from gtensor_tb.gtensor import (momentum_table, orbital_matrices,
@@ -42,8 +43,8 @@ def criterion(num, name):
 
 def _crossings_of(model, band_id, direction, r_frac=0.25, **kw):
     r_max = r_frac * boundary_radius(model.lattice_constant, direction)
-    return scan_ray(model, band_id, direction, r_max=r_max,
-                    bisect_tol=1e-9, **kw)
+    with mock.patch.object(surface, "BISECT_TOL", 1e-9):
+        return scan_ray(model, band_id, direction, r_max=r_max, **kw)
 
 
 def _pair_at(model, k, band_id):
@@ -290,11 +291,13 @@ def test_criterion_7_invariances(si, si_nosoc):
         for k in random_k_points(617, 5, scale=0.08):
             sol = solve(si, k)
             pair = select_pair(si, sol, "split-off")
-            ref = np.linalg.eigvalsh(g_tensor_set(si, sol, pair).G)
+            g = g_tensor_set(si, sol, pair).g_tot
+            ref = np.linalg.eigvalsh(g @ g.T)
             for op in ops:
                 sol2 = solve(si, op @ k)
                 pair2 = select_pair(si, sol2, "split-off")
-                ev = np.linalg.eigvalsh(g_tensor_set(si, sol2, pair2).G)
+                g = g_tensor_set(si, sol2, pair2).g_tot
+                ev = np.linalg.eigvalsh(g @ g.T)
                 assert np.abs(ev - ref).max() < 1e-8
 
         for k in random_k_points(619, 30, scale=0.08):

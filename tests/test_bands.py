@@ -73,12 +73,22 @@ def test_split_pair_near_another_band_is_ambiguous(gaas):
     assert info.value.gap_to_rest == pytest.approx(3.7e-3, abs=1e-4)
 
 
+def _split_and_gap(sol, pair):
+    """The pair's split and its gap to the neighbouring bands of ``sol``."""
+    e = sol.energies
+    i, j = (b - sol.first for b in pair.band_indices)
+    split = pair.energies[1] - pair.energies[0]
+    gap = min(e[j + 1] - e[j], e[i] - e[i - 1] if i > 0 else np.inf)
+    return split, gap
+
+
 def test_select_pair_reports_isolation(si):
     sol = solve(si, np.array([0.03, 0.01, 0.0]))
     pair = select_pair(si, sol, "split-off")
     assert pair.band_indices == (2, 3)
-    assert pair.split < si.pair_split_tol
-    assert pair.gap_to_rest > pair.split
+    split, gap = _split_and_gap(sol, pair)
+    assert split < si.pair_split_tol
+    assert gap > split
     assert pair.pair_energy == pytest.approx(pair.energies.mean())
     # columns orthonormal
     g = pair.states.conj().T @ pair.states
@@ -94,8 +104,9 @@ def test_select_pair_rejects_fourfold_at_gamma(si):
 def test_select_pair_gaas_physical_split(gaas):
     sol = solve(gaas, np.array([0.08, 0.05, 0.02]))
     pair = select_pair(gaas, sol, "split-off")
-    assert pair.split > 0
-    assert pair.gap_to_rest > pair.split
+    split, gap = _split_and_gap(sol, pair)
+    assert split > 0
+    assert gap > split
 
 
 def test_remix_is_unitary_change_of_basis(si):
@@ -128,7 +139,7 @@ def test_pairing_error_carries_context(ge):
 def test_random_points_pair_cleanly(si):
     for k in random_k_points(19, 6, scale=0.05):
         pair = select_pair(si, solve(si, k), "split-off")
-        assert pair.split < 1e-8
+        assert pair.energies[1] - pair.energies[0] < 1e-8
 
 
 def _reference_isolation(e, i, j, tol):
@@ -183,8 +194,7 @@ def test_select_pair_isolation_matches_all_bands_formula(case, tol):
         assert _bits(info.value.gap_to_rest) == _bits(gap)
         return
     pair = select_pair(model, sol, (i, j))
-    assert _bits(pair.split) == _bits(split)
-    assert _bits(pair.gap_to_rest) == _bits(gap)
+    assert _bits(pair.energies[1] - pair.energies[0]) == _bits(split)
     assert _bits(pair.pair_energy) == _bits(pair_energy)
     assert np.array_equal(pair.energies, e[[i, j]])
     assert np.array_equal(pair.states, np.eye(e.size)[:, [i, j]])
@@ -322,12 +332,16 @@ def test_select_pair_needs_pair_and_neighbours(si):
     for bands in ((2, 3), (1, 3), (2, 4), (0, 1)):
         with pytest.raises(ValueError, match="needs bands"):
             select_pair(si, solve(si, k, bands=bands), "split-off")
-    pair = select_pair(si, solve(si, k, bands=(1, 4)), "split-off")
-    full = select_pair(si, solve(si, k), "split-off")
+    window = solve(si, k, bands=(1, 4))
+    pair = select_pair(si, window, "split-off")
+    full_sol = solve(si, k)
+    full = select_pair(si, full_sol, "split-off")
     assert pair.band_indices == full.band_indices == (2, 3)
-    assert pair.gap_to_rest == pytest.approx(full.gap_to_rest, abs=1e-12)
+    assert _split_and_gap(window, pair)[1] == pytest.approx(
+        _split_and_gap(full_sol, full)[1], abs=1e-12)
     # the bottom pair has no lower neighbour to ask for
-    assert select_pair(si, solve(si, k, bands=(0, 2)), (0, 1)).split < 1e-8
+    bottom = select_pair(si, solve(si, k, bands=(0, 2)), (0, 1))
+    assert bottom.energies[1] - bottom.energies[0] < 1e-8
 
 
 def test_momentum_table_rejects_window(si):

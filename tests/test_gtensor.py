@@ -17,10 +17,9 @@ from gtensor_tb.gtensor import (det_sign, momentum_table, orbital_g,
 from gtensor_tb.lande import atomic_g
 from gtensor_tb.surface import N_COARSE
 from gtensor_tb.su2 import su2_from_rotation
-from gtensor_tb.units import MU_B
 
 from conftest import bitwise_k_points, random_k_points, random_unit_vectors
-from oracles import (EPS_CYCLES, ZeroSplittingError,
+from oracles import (EPS_CYCLES, MU_B, ZeroSplittingError,
                      momentum_table_four_products,
                      orbital_matrices_commutator, pair_zeeman_hamiltonian,
                      proper_svd, random_su2, zeeman_response)
@@ -129,6 +128,11 @@ def test_no_hopping_no_dipole_kills_orbital_moment(si):
 
 # --- invariances -----------------------------------------------------------
 
+def _big_g(gset):
+    """G = g_tot g_tot^T, whose quadratic form gives the Zeeman splitting."""
+    return gset.g_tot @ gset.g_tot.T
+
+
 def test_su2_gauge_invariance_of_G_and_det(si):
     rng = np.random.default_rng(5)
     sol = solve(si, np.array([0.06, 0.03, 0.02]))
@@ -138,7 +142,7 @@ def test_su2_gauge_invariance_of_G_and_det(si):
         mixed = remix_pair(pair, random_su2(rng))
         alt = g_tensor_set(si, sol, mixed)
         # g transforms as g -> g R^T: G, dets, singular values invariant
-        assert np.abs(alt.G - ref.G).max() < 1e-10
+        assert np.abs(_big_g(alt) - _big_g(ref)).max() < 1e-10
         assert alt.det_g_s == pytest.approx(ref.det_g_s, abs=1e-12)
         assert alt.det_g_tot == pytest.approx(ref.det_g_tot, abs=1e-10)
         assert np.abs(alt.sigma_tot - ref.sigma_tot).max() < 1e-10
@@ -149,7 +153,7 @@ def test_point_group_covariance_of_G(si):
     _, _, _, ref = _pair_and_tensors(si, k)
     for op in cubic_group()[::5]:
         _, _, _, rot = _pair_and_tensors(si, op @ k)
-        assert np.abs(rot.G - op @ ref.G @ op.T).max() < 1e-8
+        assert np.abs(_big_g(rot) - op @ _big_g(ref) @ op.T).max() < 1e-8
         assert rot.det_g_tot == pytest.approx(ref.det_g_tot, abs=1e-9)
 
 
@@ -193,7 +197,7 @@ def test_zeeman_response_moment_geometry(si):
     assert np.abs(resp.moment - u @ resp.moment_principal).max() < 1e-18
     # moment along B recovers d(DeltaE)/dB / 2 = mu_B^2 B.G B / (2 DeltaE B)
     proj = float(resp.moment @ b) / np.linalg.norm(b)
-    expected = MU_B ** 2 * float(b @ gset.G @ b) / (
+    expected = MU_B ** 2 * float(b @ _big_g(gset) @ b) / (
         2.0 * resp.splitting * np.linalg.norm(b))
     assert proj == pytest.approx(expected, rel=1e-12)
 
@@ -383,8 +387,7 @@ def test_g_tensor_set_bitwise_equals_separate_factorisations(material,
         gset = g_tensor_set(model, sol, pair)
         g_s = spin_g(pair)
         g_tot = g_s + orbital_g(_reference_orbital_matrices(pair, sol, pi))
-        assert _bytes(gset.g_s, gset.g_tot, gset.G) == _bytes(
-            g_s, g_tot, g_tot @ g_tot.T), k
+        assert _bytes(gset.g_s, gset.g_tot) == _bytes(g_s, g_tot), k
         assert _bytes(*gset.svd_s) == _bytes(*np.linalg.svd(g_s)), k
         assert _bytes(*gset.svd_tot) == _bytes(*np.linalg.svd(g_tot)), k
         assert _bytes(gset.det_g_s, gset.det_g_tot) == _bytes(
@@ -464,7 +467,7 @@ def _stack_like(template, records):
 
 
 def _gset_fields(gset):
-    return [gset.g_s, gset.g_l, gset.g_tot, gset.G, *gset.svd_s,
+    return [gset.g_s, gset.g_l, gset.g_tot, *gset.svd_s,
             *gset.svd_tot, gset.det_g_s, gset.det_g_tot]
 
 

@@ -9,7 +9,7 @@ tests use lives in ``tests/``.
 SciPy is not a run-time dependency: ``fit_dipole`` (the ``atomfit``
 command) is closed-form, and nothing else under the package imports it.
 A serial surface run loads neither OpenSSL's ``_hashlib`` (the sha256
-digests come from CPython's builtin module), nor ``numpy.ma`` (rows are
+digest comes from CPython's builtin module), nor ``numpy.ma`` (rows are
 deduplicated with a lexsort), nor ``multiprocessing`` (only a pool of
 two or more workers imports it).  numpy 1.x imports ``numpy.ma`` and,
 through ``numpy.random``, ``_hashlib`` itself, so the guards count only
@@ -29,7 +29,6 @@ import sys
 from pathlib import Path
 
 import gtensor_tb
-from gtensor_tb import builtin_material_path, load_material
 from gtensor_tb.lande import fit_dipole
 
 _SRC = str(Path(gtensor_tb.__file__).resolve().parent.parent)
@@ -219,21 +218,15 @@ def test_serial_surface_leaves_heavy_modules_unloaded(tmp_path):
     assert digest == hashlib.sha256(config.encode()).hexdigest()
 
 
-def test_file_sha256_is_the_sha256_of_the_file_bytes():
-    path = builtin_material_path("gaas")
-    assert (load_material(path).meta["file_sha256"]
-            == hashlib.sha256(path.read_bytes()).hexdigest())
-
-
 def test_sha256_falls_back_to_hashlib():
     # with the builtin modules blocked the import chain ends at hashlib,
     # and the digest is the same
     out = _fresh(
         "import sys\n"
         "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
-        "from gtensor_tb import materials\n"
-        "print(materials.sha256.__module__, '_hashlib' in sys.modules,\n"
-        "      materials.sha256(b'gtensor-tb').hexdigest())\n")
+        "from gtensor_tb import cli\n"
+        "print(cli.sha256.__module__, '_hashlib' in sys.modules,\n"
+        "      cli.sha256(b'gtensor-tb').hexdigest())\n")
     module, openssl, digest = out.split()
     assert (module, openssl) == ("_hashlib", "True")
     assert digest == hashlib.sha256(b"gtensor-tb").hexdigest()

@@ -15,12 +15,17 @@ from gtensor_tb.bands import resolve_band_indices
 from gtensor_tb.cli import main
 from gtensor_tb.errors import InputError
 from gtensor_tb.materials import band_pair_problem
+from gtensor_tb.slater_koster import BASES
 from gtensor_tb.units import angstrom_to_bohr, ev_to_hartree
+
+from oracles import with_soc_scaled
 
 
 def test_builtin_materials_load(si, ge, gaas):
     assert si.name == "Si" and ge.name == "Ge" and gaas.name == "GaAs"
-    assert si.basis == "sp3d5s*" and gaas.basis == "sp3"
+    # the orbitals carry the basis
+    assert si.orbitals == BASES["sp3d5s*"][0]
+    assert gaas.orbitals == BASES["sp3"][0]
     assert len(si.orbitals) == 10 and len(gaas.orbitals) == 4
 
 
@@ -35,11 +40,6 @@ def test_units_converted(si):
         angstrom_to_bohr(raw["lattice_constant_angstrom"]))
     assert si.onsite["Si"]["s"] == pytest.approx(
         ev_to_hartree(raw["onsite"]["Si"]["s"]))
-
-
-def test_meta_records_source_hash(si):
-    assert len(si.meta["file_sha256"]) == 64
-    assert si.meta["path"].endswith("si.json")
 
 
 def test_resolve_material_path(tmp_path):
@@ -244,7 +244,7 @@ def test_configured_labels_are_band_pairs(si, ge, gaas):
 
 
 def test_soc_scaling_helper(si):
-    scaled = si.with_soc_scaled(0.5)
+    scaled = with_soc_scaled(si, 0.5)
     for sp in si.soc:
         assert scaled.soc[sp] == pytest.approx(0.5 * si.soc[sp])
 

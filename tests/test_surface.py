@@ -20,7 +20,8 @@ from gtensor_tb.brillouin import (cubic_group, icosphere_directions,
 from gtensor_tb.gtensor import spin_g
 
 from conftest import random_unit_vectors
-from oracles import dense_det, in_first_zone, point_signs, read_cloud_csv
+from oracles import (dense_det, in_first_zone, point_signs, read_cloud_csv,
+                     with_soc_scaled)
 
 
 def _dense_roots(model, band_id, direction, r_max, which_det, samples=2000):
@@ -73,7 +74,7 @@ def test_surface_survives_weak_soc(si, band):
     # coupling; on [100] the crossing moves in as k_c ~ f^(1/2)
     scaled = []
     for f in (1.0, 0.1, 0.01, 0.003):
-        model = si.with_soc_scaled(f)
+        model = with_soc_scaled(si, f)
         scan = scan_ray(model, band, [1, 0, 0], r_max=0.05, n_coarse=400)
         assert len(scan.crossings) == 1, (f, scan.crossings)
         scaled.append(scan.crossings[0].radius / math.sqrt(f))
@@ -83,7 +84,7 @@ def test_surface_survives_weak_soc(si, band):
     # on seeded generic rays too, the surface is crossed an odd number
     # of times, with no interval where the pair is undefined
     for f in (1.0, 0.01, 0.003):
-        model = si.with_soc_scaled(f)
+        model = with_soc_scaled(si, f)
         for d in random_unit_vectors(71, 6):
             scan = scan_ray(model, band, d, r_max=0.05, n_coarse=400)
             assert len(scan.crossings) % 2 == 1, (f, d, scan.crossings)
@@ -112,10 +113,14 @@ def test_doubling_ncoarse_never_loses_crossings(si):
 
 
 def test_rmax_clipping_flagged(si):
+    # a request past the zone boundary is clipped to it: the scan finds,
+    # bit for bit, what a scan to the boundary finds
     r_zone = boundary_radius(si.lattice_constant, [1, 0, 0])
-    scan = scan_ray(si, "split-off", [1, 0, 0], r_max=2.0 * r_zone)
-    assert scan.clipped
-    assert scan.r_max == pytest.approx(r_zone)
+    beyond, zone = (scan_ray(si, "first-conduction", [1, 0, 0], r_max=r)
+                    for r in (2.0 * r_zone, r_zone))
+    assert zone.crossings and zone.failures
+    assert repr(beyond.crossings) == repr(zone.crossings)
+    assert repr(beyond.failures) == repr(zone.failures)
 
 
 def test_failure_intervals_recorded_not_fatal(si, ge):
@@ -133,7 +138,7 @@ def test_failure_intervals_recorded_not_fatal(si, ge):
     # the NaN pattern of the full-spectrum oracle on the same grid
     d = np.array([1.0, 0.0, 0.0])
     scan = scan_ray(si, "first-conduction", d, n_coarse=120)
-    radii = np.linspace(0.0, scan.r_max, 120)
+    radii = np.linspace(0.0, boundary_radius(si.lattice_constant, d), 120)
     det = dense_det(si, "first-conduction", d, radii)
     assert np.flatnonzero(np.isnan(det)).tolist() == [119]
     assert scan.failures == [(radii[118], radii[119], "PairingAmbiguityError")]
@@ -253,7 +258,8 @@ def test_bisection_next_to_gamma_is_bounded(si, monkeypatch):
         return 1 if k[0] < 1e-250 * r_max else -1
 
     _scan_with(monkeypatch, sign_at)
-    scan = scan_ray(si, "split-off", [1, 0, 0], n_coarse=4, bisect_tol=1e-300)
+    monkeypatch.setattr(surface, "BISECT_TOL", 1e-300)
+    scan = scan_ray(si, "split-off", [1, 0, 0], n_coarse=4)
     assert len(scan.crossings) == 1
     assert len(calls) <= 4 + 53
     width = scan.crossings[0].bracket_width
@@ -279,7 +285,8 @@ def test_any_lattice_constant_scans_in_bounded_work(tmp_path_factory, log_a,
                                                     ray):
     # log-uniform lattice constants from 1e-150 to 1e150 Angstrom: the
     # file is rejected, or the zone radius is positive and finite and a
-    # ray is scanned within n_coarse + 64 x (sign changes) evaluations
+    # ray is scanned up to it within n_coarse + 64 x (sign changes)
+    # evaluations
     try:
         model = _si_with_lattice_constant(tmp_path_factory.mktemp("a"),
                                           10.0 ** log_a)
@@ -290,7 +297,8 @@ def test_any_lattice_constant_scans_in_bounded_work(tmp_path_factory, log_a,
     assert 0.0 < radius < math.inf
     with _counted_solves(4) as calls:
         scan = scan_ray(model, "split-off", direction, n_coarse=4)
-    assert scan.r_max == radius
+    assert all(0.0 < c.radius < radius for c in scan.crossings)
+    assert all(0.0 <= lo < hi <= radius for lo, hi, _ in scan.failures)
     assert len(calls) <= 4 + 64 * (len(scan.crossings) + len(scan.failures))
 
 
@@ -310,14 +318,15 @@ def test_evaluation_counts_are_exact(si, monkeypatch):
     with _counted_solves(40) as calls:
         scan = scan_ray(si, "split-off", direction, n_coarse=40)
     assert scan.crossings and not scan.failures
-    spacing = scan.r_max / 39
+    r_max = boundary_radius(si.lattice_constant, scan.direction)
+    spacing = r_max / 39
     halvings = [round(math.log2(spacing / crossing.bracket_width))
                 for crossing in scan.crossings]
     assert passes == [40] + [1] * sum(halvings)
     assert len(calls) == 40 + sum(halvings)
     for build in (tables.gline_rows, tables.entropy_rows):
         with _counted_solves(40) as calls:
-            build(si, "split-off", direction, scan.r_max, samples=40)
+            build(si, "split-off", direction, r_max, samples=40)
         assert len(calls) == 40
 
 
@@ -366,7 +375,8 @@ def test_coarse_pass_matches_per_point_scan(si, monkeypatch, band, level,
     assert list(failed) == [last]
     [(_, hi, reason)] = failed[last]
     assert reason == "PairingAmbiguityError"
-    assert hi == stacked_scans[last].r_max
+    assert hi == boundary_radius(si.lattice_constant,
+                                 stacked_scans[last].direction)
 
 
 @pytest.mark.parametrize("which_det", ["gs", "gtot"])
@@ -375,14 +385,14 @@ def test_ray_without_a_defined_sample(si, which_det):
     # is ambiguous at every sample and the stacked pass has no row
     scan = scan_ray(si, (1, 2), [1, 0, 0], n_coarse=20, which_det=which_det)
     assert scan.crossings == []
-    assert scan.failures == [(0.0, scan.r_max, "PairingAmbiguityError")]
+    r_max = boundary_radius(si.lattice_constant, scan.direction)
+    assert scan.failures == [(0.0, r_max, "PairingAmbiguityError")]
 
 
 def test_gtot_dets_also_scanned(si):
     r_max = 0.2 * boundary_radius(si.lattice_constant, [1, 0, 0])
     scan = scan_ray(si, "split-off", [1, 0, 0], r_max=r_max, which_det="gtot")
     oracle = _dense_roots(si, "split-off", [1, 0, 0], r_max, "gtot")
-    assert scan.which_det == "gtot"
     assert len(scan.crossings) == len(oracle)
     for c, r in zip(scan.crossings, oracle):
         assert c.radius == pytest.approx(r, abs=1e-5)
@@ -400,12 +410,9 @@ def test_unknown_which_det_is_rejected(si):
     ({"r_max": float("inf")}, "r_max"),
     ({"n_coarse": 1}, "n_coarse"),
     ({"n_coarse": 0}, "n_coarse"),
-    ({"bisect_tol": 0.0}, "bisect_tol"),
-    ({"bisect_tol": float("nan")}, "bisect_tol"),
 ])
 def test_scan_ray_rejects_out_of_domain_numbers(si, kwargs, match):
-    # the domains of the CLI's own checks (and a positive bisect_tol,
-    # without which the bisection never ends)
+    # the domains of the CLI's own checks
     with pytest.raises(ValueError, match=match):
         scan_ray(si, "split-off", [1, 0, 0], **kwargs)
 

@@ -89,12 +89,13 @@ def test_gline_nan_rows_on_pairing_failure(si):
 
 
 @pytest.mark.parametrize("build, stacked", [
-    (gline_rows, "g_tensor_set"), (entropy_rows, "spin_g")],
+    (gline_rows, ["g_tensor_set", "spin_g"]), (entropy_rows, ["spin_g"])],
     ids=["gline_rows", "entropy_rows"])
 def test_ray_tables_align_and_score_once(si, build, stacked, monkeypatch):
     # the per-row work stops at the pair (and, for g-lines, the momentum
     # table); the g-tensors, alignment, densities and entropies run once
-    # over the stacked rows
+    # over the stacked rows, and g_S is formed once: inside the g-tensor
+    # set of a g-line, by the alignment of an entropy table
     calls = []
 
     def counted(name, layer):
@@ -104,15 +105,15 @@ def test_ray_tables_align_and_score_once(si, build, stacked, monkeypatch):
         return wrapper
 
     for name in ("align_pair_to_spin_frame", "pair_spin_densities",
-                 "entropy", "g_tensor_set", "spin_g"):
+                 "entropy", "g_tensor_set"):
         monkeypatch.setattr(tables, name, counted(name, getattr(tables, name)))
-    monkeypatch.setattr(gtensor, "momentum_table",
-                        counted("momentum_table", gtensor.momentum_table))
+    for name in ("momentum_table", "spin_g"):
+        monkeypatch.setattr(gtensor, name, counted(name, getattr(gtensor, name)))
     build(si, "split-off", [1, 2, 0], r_max=0.04, samples=7)
     per_row = ["momentum_table"] * 7 if build is gline_rows else []
     assert sorted(calls) == sorted(["align_pair_to_spin_frame", "entropy",
                                     "entropy", "pair_spin_densities",
-                                    stacked, *per_row])
+                                    *stacked, *per_row])
 
 
 def test_entropy_rows_residual_column_oh(si):

@@ -195,8 +195,8 @@ def wedge_directions(level: int) -> np.ndarray:
     return reps[order]
 
 
-def replicate_points(points: np.ndarray, ops: np.ndarray) -> tuple:
-    """Closure of a point set under point-group operations.
+def replicate_points(points: np.ndarray) -> tuple:
+    """Closure of a point set under the 48 operations of O_h.
 
     Returns (images, source): the distinct images, sorted
     lexicographically, and for each the index of the point it came
@@ -205,6 +205,6 @@ def replicate_points(points: np.ndarray, ops: np.ndarray) -> tuple:
     an image names its source.
     """
     points = np.asarray(points, dtype=float)
-    images = np.concatenate([points @ op.T for op in ops])
+    images = np.concatenate([points @ op.T for op in cubic_group()])
     images, first = unique_rows(images)
     return images, first % len(points)  # images are stacked op by op

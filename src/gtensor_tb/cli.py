@@ -1,9 +1,10 @@
 """Command-line front end emitting plot-ready CSV/PLY data files.
 
 Every output file starts with a provenance comment block (artifact
-version, echo of the resolved configuration and its sha256; the echo
-holds the ``--seed`` of ``gline`` and ``entropy``), and contains no
-timestamps, so identical configurations produce byte-identical files.
+version, echo of the resolved configuration and its sha256, and the
+sha256 of the material file; the echo holds the ``--seed`` of ``gline``
+and ``entropy``), and contains no timestamps, so identical
+configurations produce byte-identical files.
 
 Exit codes: 0 success; 2 usage error (a bad flag, an unknown name, or
 an ``InputError`` from the library function that takes the value); 3
@@ -20,23 +21,12 @@ import sys
 
 import numpy as np
 
-# hashlib loads OpenSSL's _hashlib (about 3.5 MB of RSS) for one small
-# digest; CPython's own random module takes its hash from the builtin
-# module first in the same way
-try:
-    from _sha2 import sha256  # CPython 3.12+
-except ImportError:
-    try:
-        from _sha256 import sha256  # CPython 3.10 and 3.11
-    except ImportError:
-        from hashlib import sha256
-
 from . import __version__
 from .brillouin import (boundary_radius, named_direction, unit_direction,
                         wedge_directions)
 from .errors import GTensorError, InputError
 from .lande import fit_report
-from .materials import load_material, resolve_material_path
+from .materials import load_material, resolve_material_path, sha256
 from .surface import N_COARSE, build_surface, export_cloud
 from .tables import band_path_rows, entropy_rows, gline_rows, write_csv
 
@@ -67,8 +57,8 @@ def _parse_direction(spec: str, seed: int) -> np.ndarray:
     return unit_direction([float(p) for p in parts])
 
 
-def _provenance(args: argparse.Namespace) -> list:
-    """Provenance lines: version, config echo, config hash."""
+def _provenance(args: argparse.Namespace, model) -> list:
+    """Provenance lines: version, config echo and hash, material digest."""
     config = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
     blob = json.dumps(config, sort_keys=True, default=str)
     digest = sha256(blob.encode()).hexdigest()
@@ -76,6 +66,7 @@ def _provenance(args: argparse.Namespace) -> list:
         f"gtensor-tb {__version__}",
         f"config {blob}",
         f"config-hash {digest}",
+        f"material-sha256 {model.file_sha256}",
     ]
 
 
@@ -93,7 +84,7 @@ def cmd_bands(args, model) -> int:
     header, rows, ticks = band_path_rows(model, names, args.samples)
     ticking = ["path ticks: " + "  ".join(f"{name}@{s:.17g}" for s, name in ticks),
                "energies in Hartree"]
-    write_csv(args.out, _provenance(args) + ticking, header, rows)
+    write_csv(args.out, _provenance(args, model) + ticking, header, rows)
     return 0
 
 
@@ -115,7 +106,7 @@ def cmd_ray(args, model) -> int:
                      "residual column is NaN")
         print("note: spin-flip relation not applicable on this "
               "direction; emitting entropies only", file=sys.stderr)
-    write_csv(args.out, _provenance(args) + notes, header, rows)
+    write_csv(args.out, _provenance(args, model) + notes, header, rows)
     return 0
 
 
@@ -128,7 +119,7 @@ def cmd_surface(args, model) -> int:
         n_coarse=args.ncoarse,
         workers=args.workers,
     )
-    notes = _provenance(args) + [
+    notes = _provenance(args, model) + [
         f"rays {len(directions)} wedge on",
         f"crossings {len(cloud.points)} failures {len(cloud.failures)}",
     ]
@@ -138,7 +129,7 @@ def cmd_surface(args, model) -> int:
 
 def cmd_atomfit(args, model) -> int:
     report = fit_report(model)
-    lines = _provenance(args)
+    lines = _provenance(args, model)
     body = []
     for species, result in report.items():
         body.append(f"{species}: <s|d|p> = {result['dipole_bohr']:.6f} Bohr, "

@@ -185,26 +185,22 @@ class GTensorSet:
         return self.svd_tot[1]
 
 
-def det_sign(g: np.ndarray) -> int | np.ndarray:
-    """Sign of det(g) from its cofactor expansion along the first row.
+def det_sign(g: np.ndarray) -> list:
+    """Signs of det(g) over a stack (n, 3, 3), from cofactor expansions.
 
-    Returns +1 or -1, never 0: an exact 0.0 counts as +1.  The rounding
-    error is of order 1e-16 |g|^3, so the sign is exact unless the
-    smallest singular value is below about 1e-15 |g| (an SVD cannot
-    resolve the sign there either).
-
-    A single g gives an int, a stack (..., 3, 3) an int array (...).
-    Each g is expanded in Python floats from its nine entries, so a row
-    of a stack is the sign of that g alone.  A scan takes far more
-    one-row stacks (bisection) than long ones, and on one row this is a
-    small fraction of the cost of numpy element-wise arrays.
+    Returns a list with one +1 or -1 per matrix of the stack, never 0:
+    an exact 0.0 counts as +1.  The rounding error is of order
+    1e-16 |g|^3, so the sign is exact unless the smallest singular value
+    is below about 1e-15 |g| (an SVD cannot resolve the sign there
+    either).  Each g is expanded along its first row in Python floats
+    from its nine entries, so an entry is the sign of that g alone.  A
+    scan takes far more one-row stacks (bisection) than long ones, and
+    on one row this is a small fraction of the cost of numpy
+    element-wise arrays.
     """
-    signs = [1 if a * (e * r - f * q) - b * (d * r - f * p)
-             + c * (d * q - e * p) >= 0.0 else -1
-             for a, b, c, d, e, f, p, q, r in g.reshape(-1, 9).tolist()]
-    if g.ndim == 2:
-        return signs[0]
-    return np.array(signs, dtype=int).reshape(g.shape[:-2])
+    return [1 if a * (e * r - f * q) - b * (d * r - f * p)
+            + c * (d * q - e * p) >= 0.0 else -1
+            for a, b, c, d, e, f, p, q, r in g.reshape(-1, 9).tolist()]
 
 
 def g_tensor_set(model: MaterialModel, sol: BlochSolution | PairMomenta,

@@ -19,6 +19,16 @@ from .errors import MaterialParseError, MaterialValidationError
 from .slater_koster import BASES, SHELL
 from .units import angstrom_to_bohr, ev_to_hartree
 
+# hashlib loads OpenSSL's _hashlib (about 3.5 MB of RSS) for one small
+# digest, so the builtin module comes first, as in CPython's random
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
+
 # Kramers pairs must be isolated by more than this for inversion-symmetric
 # crystals; for compound (Td) materials the intra-pair split is physical
 # and the tolerance is lifted (None).
@@ -57,6 +67,7 @@ class MaterialModel:
     band_pairs: dict                 # label -> (i, i+1), 0-based
     point_group: str                 # "Oh" or "Td"
     pair_split_tol: float | None
+    file_sha256: str                 # of the bytes the model was parsed from
 
     @property
     def n_orb(self) -> int:
@@ -132,7 +143,8 @@ def load_material(path) -> MaterialModel:
     """
     path = Path(path)
     try:
-        doc = json.loads(path.read_bytes())
+        raw = path.read_bytes()
+        doc = json.loads(raw)
     except OSError as exc:
         raise MaterialParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -226,6 +238,7 @@ def load_material(path) -> MaterialModel:
         band_pairs=band_pairs,
         point_group="Oh" if inversion else "Td",
         pair_split_tol=PAIR_SPLIT_TOL if inversion else None,
+        file_sha256=sha256(raw).hexdigest(),
     )
     _verify_band_pairs_at_gamma(model)
     return model

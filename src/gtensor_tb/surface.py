@@ -94,9 +94,9 @@ def _coarse_signs(model: MaterialModel, band_id, which_det: str, ks) -> list:
 
     :func:`~gtensor_tb.tables.sample_pairs` solves and selects the pair
     (and, for g_tot, reduces the momentum table) at each k-point; g_S,
-    plus g_L for g_tot, and the signs are then formed once over the
-    stacked rows where the pair is defined.  An entry is +1 or -1, or
-    the class name of the :class:`~gtensor_tb.errors.PairUndefinedError`
+    plus g_L for g_tot, and the list of signs are then formed once over
+    the stacked rows where the pair is defined.  An entry is +1 or -1,
+    or the class name of the :class:`~gtensor_tb.errors.PairUndefinedError`
     that k-point raised.
     """
     reasons, pairs, momenta = sample_pairs(model, band_id, ks,
@@ -104,7 +104,7 @@ def _coarse_signs(model: MaterialModel, band_id, which_det: str, ks) -> list:
     g = spin_g(pairs)
     if momenta is not None:
         g = g + orbital_g(orbital_matrices(pairs, momenta))
-    signs = iter(det_sign(g).tolist())
+    signs = iter(det_sign(g))
     return [next(signs) if reason is None else reason for reason in reasons]
 
 
@@ -237,7 +237,7 @@ def build_surface(model: MaterialModel, band_id, directions,
         for (lo, hi, reason) in ray.failures:
             failures.append((index, lo, hi, reason))
     points = np.array(points).reshape(-1, 3)
-    points, source = replicate_points(points, cubic_group())
+    points, source = replicate_points(points)
 
     return SurfaceCloud(
         material=model.name,

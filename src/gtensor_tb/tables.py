@@ -9,16 +9,14 @@ which g_S has identity right factor).
 
 :func:`sample_pairs` is the one ray sampler: it picks the bands each
 k-point solves, solves and selects the pair (and, on request, reduces
-the momentum table) one k-point at a time, stacks the rows where the
-pair is defined and records why the others are not.  The g-line and
-entropy tables here and every sign pass of ``surface.scan_ray`` run on
-it; the g-tensors, alignment and entropies then run once over the
-stacked rows.  Rows where pair selection fails carry NaNs instead of
-aborting the table.
+the momentum table) one k-point at a time, writes the rows where the
+pair is defined into named arrays and records why the others are not.
+The g-line and entropy tables here and every sign pass of
+``surface.scan_ray`` run on it; the g-tensors, alignment and entropies
+then run once over the stacked rows.  Rows where pair selection fails
+carry NaNs instead of aborting the table.
 """
 from __future__ import annotations
-
-import dataclasses
 
 import numpy as np
 
@@ -100,27 +98,6 @@ def band_path_rows(model: MaterialModel, path_names,
     return header, rows, ticks
 
 
-def _pair_stack(model: MaterialModel, indices, rows: int) -> KramersPair:
-    """Room for ``rows`` pairs: one ``KramersPair`` with a leading row axis."""
-    return KramersPair(
-        k=np.empty((rows, 3)),
-        band_indices=indices,
-        energies=np.empty((rows, 2)),
-        states=np.empty((rows, model.dim, 2), complex),
-        pair_energy=np.empty(rows),
-    )
-
-
-def _momenta_stack(model: MaterialModel, rows: int) -> PairMomenta:
-    """Room for the ``PairMomenta`` of ``rows`` k-points."""
-    rest = model.dim - 2
-    return PairMomenta(
-        pair_rest=np.empty((rows, 3, 2, rest), complex),
-        rest_pair=np.empty((rows, 3, rest, 2), complex),
-        rest_energies=np.empty((rows, rest)),
-    )
-
-
 def sample_pairs(model: MaterialModel, band_id, ks,
                  momenta: bool = False) -> tuple:
     """Solve and select the pair at each k-point of ``ks``.
@@ -132,35 +109,42 @@ def sample_pairs(model: MaterialModel, band_id, ks,
     ``reasons`` has one entry per k-point, None where the pair is
     defined, else the class name of the :class:`PairUndefinedError`
     raised there; ``pairs`` and ``momenta`` (None unless asked for)
-    stack the defined rows along a leading axis.  Rows are copied into
-    stacks with room for every k-point, so no solution outlives its row.
+    stack the defined rows, zero or more, along a leading axis.  Each
+    row is written into named arrays, so no solution outlives its row.
     """
     indices = resolve_band_indices(model, band_id)
     bands = None if momenta else pair_window(model, indices)
-    stacks = [_pair_stack(model, indices, len(ks))]
+    n, rest = len(ks), model.dim - 2
+    k, energies = np.empty((n, 3)), np.empty((n, 2))
+    states, pair_energy = np.empty((n, model.dim, 2), complex), np.empty(n)
     if momenta:
-        stacks.append(_momenta_stack(model, len(ks)))
-    fields = [[(name, value) for name, value in vars(stack).items()
-               if isinstance(value, np.ndarray)] for stack in stacks]
+        pair_rest = np.empty((n, 3, 2, rest), complex)
+        rest_pair = np.empty((n, 3, rest, 2), complex)
+        rest_energies = np.empty((n, rest))
     reasons, defined = [], 0
-    for k in ks:
+    for point in ks:
         try:
-            sol = solve(model, k, bands)
+            sol = solve(model, point, bands)
             pair = select_pair(model, sol, band_id)
-            records = ((pair, pair_momenta(model, sol, pair)) if momenta
-                       else (pair,))
+            if momenta:
+                row = pair_momenta(model, sol, pair)
         except PairUndefinedError as err:
             reasons.append(type(err).__name__)
             continue
-        for record, arrays in zip(records, fields):
-            for name, rows in arrays:
-                rows[defined] = getattr(record, name)
+        k[defined], energies[defined] = pair.k, pair.energies
+        states[defined], pair_energy[defined] = pair.states, pair.pair_energy
+        if momenta:
+            pair_rest[defined] = row.pair_rest
+            rest_pair[defined] = row.rest_pair
+            rest_energies[defined] = row.rest_energies
         reasons.append(None)
         defined += 1
-    cut = [dataclasses.replace(
-        stack, **{name: rows[:defined] for name, rows in arrays})
-        for stack, arrays in zip(stacks, fields)]
-    return reasons, cut[0], cut[1] if momenta else None
+    pairs = KramersPair(k[:defined], indices, energies[:defined],
+                        states[:defined], pair_energy[:defined])
+    return reasons, pairs, (PairMomenta(pair_rest[:defined],
+                                        rest_pair[:defined],
+                                        rest_energies[:defined])
+                            if momenta else None)
 
 
 def _ray_points(model: MaterialModel, direction, r_max: float,

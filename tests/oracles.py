@@ -113,8 +113,9 @@ def point_signs(model, band_id, which_det, ks) -> list:
 
     At each k-point the scalar chain: ``solve`` of the pair's window
     (g_S) or of every band (g_tot), ``select_pair``, g_S or g_tot of
-    that one pair, and ``det_sign`` of one 3x3 tensor.  An entry is +1
-    or -1, or the class name of the ``PairUndefinedError`` raised there.
+    that one pair, and ``det_sign`` of a stack of that one 3x3 tensor.
+    An entry is +1 or -1, or the class name of the
+    ``PairUndefinedError`` raised there.
     """
     bands = pair_window(model, band_id) if which_det == "gs" else None
     entries = []
@@ -127,7 +128,7 @@ def point_signs(model, band_id, which_det, ks) -> list:
         except PairUndefinedError as err:
             entries.append(type(err).__name__)
         else:
-            entries.append(det_sign(g))
+            entries += det_sign(g[None])
     return entries
 
 

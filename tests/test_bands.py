@@ -208,7 +208,7 @@ def _full_chain_sign(model, band, k):
         pair = select_pair(model, solve(model, k), band)
     except PairUndefinedError as err:
         return type(err).__name__
-    return det_sign(spin_g(pair))
+    return det_sign(spin_g(pair)[None])[0]
 
 
 def _window_chain_sign(model, band, k):

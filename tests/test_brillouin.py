@@ -138,7 +138,7 @@ def test_wedge_directions_cover_sphere_after_replication():
     level = 1
     wedge = wedge_directions(level)
     full = icosphere_directions(level)
-    rebuilt, _ = replicate_points(wedge, cubic_group())
+    rebuilt, _ = replicate_points(wedge)
     reps_full = np.unique(
         np.round([wedge_representative(d) for d in full], 9), axis=0)
     assert len(wedge) == len(reps_full)
@@ -150,21 +150,21 @@ def test_wedge_directions_cover_sphere_after_replication():
 def test_replicate_points_dedupes_and_sorts():
     ops = cubic_group()
     pts = np.array([[0.3, 0.2, 0.1]])
-    cloud, source = replicate_points(pts, ops)
+    cloud, source = replicate_points(pts)
     assert cloud.shape == (48, 3)
     assert np.array_equal(cloud, np.unique(cloud, axis=0))
     # every image is an exact group image of the point it names
     for image, s in zip(cloud, source):
         assert any(np.array_equal(image, op @ pts[s]) for op in ops)
     # on-axis point has a small orbit
-    axis, _ = replicate_points(np.array([[0.25, 0.0, 0.0]]), ops)
+    axis, _ = replicate_points(np.array([[0.25, 0.0, 0.0]]))
     assert axis.shape == (6, 3)
     # distinct points stay distinct, however close
     near = np.array([[0.3, 0.2, 0.1], [0.3 + 1e-7, 0.2, 0.1]])
-    both, source = replicate_points(near, ops)
+    both, source = replicate_points(near)
     assert both.shape == (96, 3)
     assert np.array_equal(np.bincount(source), [48, 48])
-    empty, source = replicate_points(np.zeros((0, 3)), ops)
+    empty, source = replicate_points(np.zeros((0, 3)))
     assert empty.shape == (0, 3) and source.shape == (0,)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import multiprocessing
 import os
@@ -469,6 +470,36 @@ def test_provenance_block_present_and_seedful(tmp_path):
     # the config echo records the seed that drew the direction
     assert json.loads(comments[1][len("# config "):])["seed"] == 5
     assert "time" not in "\n".join(comments).lower()
+
+
+def _material_digest(material, out):
+    """The ``material-sha256`` provenance line of a short g-line run."""
+    assert main(["gline", "--material", str(material), "--band", "split-off",
+                 "--direction", "1,0,0", "--samples", "3",
+                 "--out", str(out)]) == 0
+    comments, _, _ = _read_data(out)
+    assert comments[3].startswith("# material-sha256 ")
+    return comments[3]
+
+
+def test_provenance_names_the_material_file_contents(tmp_path):
+    # the config echo holds the --material path only; a file changed in
+    # place must still change the header
+    doc = json.loads(builtin_material_path("gaas").read_text())
+    material = tmp_path / "mat.json"
+    lines = []
+    for scale in (1.0, 1.01):
+        doc["sk"]["Ga-As"]["pp_pi"] *= scale
+        material.write_text(json.dumps(doc))
+        lines.append(_material_digest(material, tmp_path / "gline.csv"))
+    assert lines[0] != lines[1]
+
+
+@pytest.mark.parametrize("name", ["si", "ge", "gaas"])
+def test_builtin_material_digest_is_the_file_sha256(name, tmp_path):
+    data = builtin_material_path(name).read_bytes()
+    assert _material_digest(name, tmp_path / "gline.csv") == (
+        "# material-sha256 " + hashlib.sha256(data).hexdigest())
 
 
 # the GaAs surface scans the O_h wedge and replicates it like Si, and the

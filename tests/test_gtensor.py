@@ -214,7 +214,7 @@ def test_det_sign_matches_determinant(si):
     rng = np.random.default_rng(17)
     for _ in range(20):
         g = rng.normal(size=(3, 3))
-        assert det_sign(g) == int(np.sign(np.linalg.det(g)))
+        assert det_sign(g[None]) == [int(np.sign(np.linalg.det(g)))]
 
 
 def _svd_sign(g):
@@ -237,7 +237,7 @@ def test_det_sign_matches_svd_sign_on_wedge_surface_samples(material, band,
             except PairUndefinedError:
                 continue
             g = spin_g(pair)
-            assert det_sign(g) == _svd_sign(g), r * d
+            assert det_sign(g[None]) == [_svd_sign(g)], r * d
             compared += 1
     assert compared > N_COARSE
 
@@ -249,7 +249,7 @@ def test_det_sign_matches_svd_sign_near_singular():
         v, _ = np.linalg.qr(rng.normal(size=(3, 3)))
         g = u @ np.diag([2.0, 1.0 + rng.random(), smallest]) @ v.T
         expected = int(np.sign(np.linalg.det(u) * np.linalg.det(v)))
-        assert det_sign(g) == _svd_sign(g) == expected, smallest
+        assert det_sign(g[None]) == [_svd_sign(g)] == [expected], smallest
 
 
 def test_det_sign_of_zero_row_is_plus_one():
@@ -258,7 +258,7 @@ def test_det_sign_of_zero_row_is_plus_one():
         for _ in range(5):
             g = rng.normal(size=(3, 3))
             g[row] = 0.0
-            assert det_sign(g) == 1
+            assert det_sign(g[None]) == [1]
 
 
 @st.composite
@@ -287,13 +287,11 @@ def _g_stacks(draw):
 @settings(max_examples=200, deadline=None)
 @given(_g_stacks())
 def test_stacked_det_sign_equals_single_calls(g):
-    single = [det_sign(row) for row in g]
+    single = [det_sign(row[None])[0] for row in g]
     assert {type(sign) for sign in single} <= {int}
     stacked = det_sign(g)
-    assert stacked.shape == (len(g),)
-    assert np.issubdtype(stacked.dtype, np.integer)
-    assert stacked.tolist() == single
-    assert det_sign(g[None]).tolist() == [single]
+    assert isinstance(stacked, list)
+    assert stacked == single
     dets = [a * (e * r - f * q) - b * (d * r - f * p) + c * (d * q - e * p)
             for (a, b, c), (d, e, f), (p, q, r) in g.tolist()]
     assert all(sign == 1 for sign, det in zip(single, dets) if det == 0.0)

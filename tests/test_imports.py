@@ -21,6 +21,7 @@ import ast
 import builtins
 import hashlib
 import importlib
+import importlib.util
 import inspect
 import os
 import re
@@ -230,3 +231,19 @@ def test_sha256_falls_back_to_hashlib():
     module, openssl, digest = out.split()
     assert (module, openssl) == ("_hashlib", "True")
     assert digest == hashlib.sha256(b"gtensor-tb").hexdigest()
+
+
+def test_bench_trace_targets_resolve():
+    # the benchmark's tracer wraps these module attributes by name: each
+    # must exist, be defined in the module its span names, and every
+    # target of one span must be the same function
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracing", _ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    spans = {}
+    for module, attr, span in tracing.TARGETS:
+        target = getattr(importlib.import_module(module), attr)
+        assert target.__module__ == "gtensor_tb." + span.split(".")[0], (
+            module, attr, span)
+        assert spans.setdefault(span, target) is target, (module, attr, span)

@@ -88,6 +88,27 @@ def test_gline_nan_rows_on_pairing_failure(si):
         assert np.isnan(np.array(rows)[:, 4:]).all()
 
 
+@pytest.mark.parametrize("material", ["si", "gaas"])
+@pytest.mark.parametrize("build", [gline_rows, entropy_rows])
+def test_ray_tables_without_a_defined_sample(material, build, request):
+    # bands 1 and 2 belong to two different Kramers doublets, so the pair
+    # is ambiguous at every sample: the sampler's stacks have zero rows,
+    # and the table still has one row per sample, all values NaN
+    model = request.getfixturevalue(material)
+    header, rows = build(model, (1, 2), [1, 0, 0], 0.3, 5)[:2]
+    table = np.array(rows)
+    assert table.shape == (5, len(header))
+    assert np.array_equal(table[:, 0], np.linspace(0.0, 0.3, 5))
+    assert np.array_equal(table[:, 1], table[:, 0])
+    assert not table[:, 2:4].any()
+    assert np.isnan(table[:, 4:]).all()
+    reasons, pairs, momenta = tables.sample_pairs(model, (1, 2),
+                                                  table[:, 1:4], momenta=True)
+    assert reasons == ["PairingAmbiguityError"] * 5
+    assert pairs.states.shape == (0, model.dim, 2)
+    assert momenta.rest_pair.shape == (0, 3, model.dim - 2, 2)
+
+
 @pytest.mark.parametrize("build, stacked", [
     (gline_rows, ["g_tensor_set", "spin_g"]), (entropy_rows, ["spin_g"])],
     ids=["gline_rows", "entropy_rows"])

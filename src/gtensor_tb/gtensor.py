@@ -18,6 +18,8 @@ denominator at the pair mean, valid for split pairs too.  At an exactly
 degenerate pair it equals the ``commutator`` form built from
 d_k-derivative overlaps, sum_l pi_j[a,l] pi_k[l,b] (E_l - E_pair) /
 ((E_l - E_a)(E_l - E_b)); the test suite keeps that form as an oracle.
+pi is Hermitian, so only the pair's rows pi_j[a, l] are formed: the
+columns pi_k[l, b] of the sum are their adjoint.
 """
 from __future__ import annotations
 
@@ -41,26 +43,28 @@ _CYCLE_J = [1, 2, 0]
 _CYCLE_K = [2, 0, 1]
 
 
-def momentum_table(model: MaterialModel, sol: BlochSolution) -> np.ndarray:
-    """Velocity-operator matrix elements in the band basis, (3, dim, dim).
+def momentum_table(model: MaterialModel, sol: BlochSolution,
+                   bands) -> np.ndarray:
+    """Rows ``bands`` of the velocity matrix in the band basis, (3, n, dim).
 
     The intra-atomic dipole corrects grad_k H for the position offsets
     the orbital basis cannot represent, entering as the Heisenberg
     velocity i[H, D] of the intra-cell position; it only moves
     off-diagonal elements (E_n - E_m weight), so band velocities are
-    untouched.  It sums over every band, so ``sol`` must hold the full
-    spectrum, not a window of it (``ValueError``).
+    untouched.  Its columns run over every band, so ``sol`` must hold
+    the full spectrum, not a window of it (``ValueError``).
 
-    Gradient and dipole blocks go through one chain, A^dag [grad; D] A.
+    Gradient and dipole blocks go through one chain, A[:, bands]^dag
+    [grad; D] A, O(dim^2) work per direction; ``range(dim)`` gives all.
     """
     if sol.first != 0 or sol.energies.size != model.dim:
         raise ValueError("momentum_table needs the full spectrum, got bands "
                          f"{sol.first}..{sol.first + sol.energies.size - 1} "
                          f"of {model.dim}")
     a = sol.states
-    t = a.conj().T @ np.concatenate(
+    t = a[:, bands].conj().T @ np.concatenate(
         (hamiltonian_gradient(model, sol.k), dipole_matrix(model))) @ a
-    ediff = sol.energies[:, None] - sol.energies[None, :]
+    ediff = sol.energies[bands][:, None] - sol.energies[None, :]
     return t[:3] + 1j * ediff * t[3:]
 
 
@@ -91,14 +95,13 @@ class PairMomenta:
     """The part of one k-point's momentum table the orbital sum reads.
 
     With M = dim - 2 other bands: the pair's rows ``pair_rest`` =
-    pi[:, pair, others] (3, 2, M) and columns ``rest_pair`` =
-    pi[:, others, pair] (3, M, 2), in the pair's own (possibly remixed)
-    basis, and the other bands' energies ``rest_energies`` (M,).  A
-    stack of k-points carries the same leading axes on every field.
+    pi[:, pair, others] (3, 2, M) in the pair's own (possibly remixed)
+    basis, whose adjoint is the columns pi[:, others, pair], and the
+    other bands' energies ``rest_energies`` (M,).  A stack of k-points
+    carries the same leading axes on every field.
     """
 
     pair_rest: np.ndarray
-    rest_pair: np.ndarray
     rest_energies: np.ndarray
 
 
@@ -111,27 +114,24 @@ def _pair_and_rest(dim: int, ia: int, ib: int) -> tuple:
 
 def pair_momenta(model: MaterialModel, sol: BlochSolution,
                  pair: KramersPair) -> PairMomenta:
-    """Form the momentum table at one k-point and keep the pair's part.
+    """Form the pair's two rows of the momentum table at one k-point.
 
     Intermediate bands within ``ENERGY_FLOOR`` of the pair energy raise
     :class:`NearDegenerateIntermediateError`.
     """
-    pi = momentum_table(model, sol)
     ab, others = _pair_and_rest(sol.energies.size, *pair.band_indices)
+    pi = momentum_table(model, sol, ab)
     e_rest = sol.energies[others]
     sep = np.abs(e_rest - pair.pair_energy)
     worst = int(np.argmin(sep))
     if sep[worst] <= ENERGY_FLOOR:
         raise NearDegenerateIntermediateError(
             sol.k, int(others[worst]), float(sep[worst]), ENERGY_FLOOR)
-    # the pi table lives in the eigh gauge; re-express the pair rows and
-    # columns in the pair's own basis so spin and orbital blocks always
-    # share one gauge
+    # the pi rows live in the eigh gauge; re-express them in the pair's
+    # own basis so spin and orbital blocks always share one gauge
     w2 = sol.states.take(ab, axis=1).conj().T @ pair.states
     return PairMomenta(
-        pair_rest=np.matmul(w2.conj().T,
-                            pi.take(ab, axis=1).take(others, axis=2)),
-        rest_pair=np.matmul(pi.take(others, axis=1).take(ab, axis=2), w2),
+        pair_rest=np.matmul(w2.conj().T, pi.take(others, axis=2)),
         rest_energies=e_rest,
     )
 
@@ -140,16 +140,17 @@ def orbital_matrices(pair: KramersPair, momenta: PairMomenta) -> np.ndarray:
     """Pair-space orbital-moment blocks L_i, shape (3, 2, 2).
 
     The mean-energy assembly of the module docstring: every
-    pi_j pi_k / (E_pair - E_l) sum is formed, and the three eps_{ijk}
-    cycles are read off them.  A stack of pairs with the stacked
-    :class:`PairMomenta` of their k-points gives (..., 3, 2, 2), each
-    row bit for bit the blocks of that pair alone.
+    pi_j pi_k / (E_pair - E_l) sum is formed, pi_k[l, :] the adjoint of
+    the pair's row, and the three eps_{ijk} cycles are read off them.  A
+    stack of pairs with the stacked :class:`PairMomenta` of their
+    k-points gives (..., 3, 2, 2), each row bit for bit the blocks of
+    that pair alone.
     """
     denom = np.asarray(pair.pair_energy)[..., None] - momenta.rest_energies
     w = (1.0 / denom)[..., None, None, :]
     # mass[..., j, k, :, :] = sum_l pi_j[:, l] pi_k[l, :] / (E_pair - E_l)
     mass = ((momenta.pair_rest * w)[..., :, None, :, :]
-            @ momenta.rest_pair[..., None, :, :, :])
+            @ momenta.pair_rest.conj().swapaxes(-1, -2)[..., None, :, :, :])
     return -0.5j * (mass[..., _CYCLE_J, _CYCLE_K, :, :]
                     - mass[..., _CYCLE_K, _CYCLE_J, :, :])
 

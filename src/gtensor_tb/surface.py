@@ -93,9 +93,9 @@ def _coarse_signs(model: MaterialModel, band_id, which_det: str, ks) -> list:
     """The determinant sign at each k-point of ``ks``, in one stacked pass.
 
     :func:`~gtensor_tb.tables.sample_pairs` solves and selects the pair
-    (and, for g_tot, reduces the momentum table) at each k-point; g_S,
-    plus g_L for g_tot, and the list of signs are then formed once over
-    the stacked rows where the pair is defined.  An entry is +1 or -1,
+    (and, for g_tot, forms the pair's momentum rows) at each k-point;
+    g_S, plus g_L for g_tot, and the list of signs are then formed once
+    over the stacked rows where the pair is defined.  An entry is +1 or -1,
     or the class name of the :class:`~gtensor_tb.errors.PairUndefinedError`
     that k-point raised.
     """

@@ -8,9 +8,9 @@ the pairs of a ray are aligned to their spin frames first (the frame in
 which g_S has identity right factor).
 
 :func:`sample_pairs` is the one ray sampler: it picks the bands each
-k-point solves, solves and selects the pair (and, on request, reduces
-the momentum table) one k-point at a time, writes the rows where the
-pair is defined into named arrays and records why the others are not.
+k-point solves, solves and selects the pair (and, on request, forms its
+momentum rows) one k-point at a time, writes the rows where the pair is
+defined into named arrays and records why the others are not.
 The g-line and entropy tables here and every sign pass of
 ``surface.scan_ray`` run on it; the g-tensors, alignment and entropies
 then run once over the stacked rows.  Rows where pair selection fails
@@ -102,8 +102,8 @@ def sample_pairs(model: MaterialModel, band_id, ks,
                  momenta: bool = False) -> tuple:
     """Solve and select the pair at each k-point of ``ks``.
 
-    With ``momenta`` each k-point solves every band and keeps the pair's
-    part of its momentum table, whose orbital sum runs over all bands;
+    With ``momenta`` each k-point solves every band and forms the pair's
+    rows of its momentum table, whose orbital sum runs over all bands;
     otherwise it solves only :func:`pair_window`, the bands
     :func:`select_pair` reads.  Returns (reasons, pairs, momenta):
     ``reasons`` has one entry per k-point, None where the pair is
@@ -119,7 +119,6 @@ def sample_pairs(model: MaterialModel, band_id, ks,
     states, pair_energy = np.empty((n, model.dim, 2), complex), np.empty(n)
     if momenta:
         pair_rest = np.empty((n, 3, 2, rest), complex)
-        rest_pair = np.empty((n, 3, rest, 2), complex)
         rest_energies = np.empty((n, rest))
     reasons, defined = [], 0
     for point in ks:
@@ -135,14 +134,12 @@ def sample_pairs(model: MaterialModel, band_id, ks,
         states[defined], pair_energy[defined] = pair.states, pair.pair_energy
         if momenta:
             pair_rest[defined] = row.pair_rest
-            rest_pair[defined] = row.rest_pair
             rest_energies[defined] = row.rest_energies
         reasons.append(None)
         defined += 1
     pairs = KramersPair(k[:defined], indices, energies[:defined],
                         states[:defined], pair_energy[:defined])
     return reasons, pairs, (PairMomenta(pair_rest[:defined],
-                                        rest_pair[:defined],
                                         rest_energies[:defined])
                             if momenta else None)
 
@@ -198,8 +195,8 @@ def gline_rows(model: MaterialModel, band_id, direction,
                r_max: float, samples: int = 200) -> tuple:
     """Singular values, determinants, and entropies along a ray.
 
-    Each row solves every band, selects the pair and keeps the pair's
-    part of the momentum table; the g-tensor sets, spin-frame alignment
+    Each row solves every band, selects the pair and forms the pair's
+    rows of the momentum table; the g-tensor sets, spin-frame alignment
     and entropies then run once over the rows where the pair is defined.
     Raises ``InputError`` where :func:`_ray_points` does, before any
     solve.

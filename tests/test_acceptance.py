@@ -201,7 +201,7 @@ def test_criterion_5c_orbital_moment_assemblies_agree(si):
 
             sol = solve(si, k)
             pair = select_pair(si, sol, "split-off")
-            table = momentum_table(si, sol)
+            table = momentum_table(si, sol, range(si.dim))
             for route, blocks in (
                     ("mean-energy", orbital_matrices(
                         pair, pair_momenta(si, sol, pair))),

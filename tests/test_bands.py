@@ -347,4 +347,4 @@ def test_select_pair_needs_pair_and_neighbours(si):
 def test_momentum_table_rejects_window(si):
     sol = solve(si, np.array([0.03, 0.01, 0.0]), bands=(1, 4))
     with pytest.raises(ValueError, match="full spectrum"):
-        momentum_table(si, sol)
+        momentum_table(si, sol, range(si.dim))

@@ -28,7 +28,7 @@ from oracles import (EPS_CYCLES, MU_B, ZeroSplittingError,
 def _pair_and_tensors(model, k, band_id="split-off"):
     sol = solve(model, np.asarray(k, dtype=float))
     pair = select_pair(model, sol, band_id)
-    pi = momentum_table(model, sol)
+    pi = momentum_table(model, sol, range(model.dim))
     return sol, pair, pi, g_tensor_set(model, sol, pair)
 
 
@@ -37,7 +37,7 @@ def _pair_and_tensors(model, k, band_id="split-off"):
 def test_momentum_table_is_hermitian(si, gaas):
     for model in (si, gaas):
         sol = solve(model, np.array([0.06, 0.03, -0.02]))
-        pi = momentum_table(model, sol)
+        pi = momentum_table(model, sol, range(model.dim))
         for j in range(3):
             assert np.linalg.norm(pi[j] - pi[j].conj().T, np.inf) < 1e-12
 
@@ -48,7 +48,7 @@ def test_momentum_diagonal_is_band_velocity(si):
     direction = np.array([1.0, 0.0, 0.0])
     k0, step = 0.08, 1e-5
     sol = solve(si, k0 * direction)
-    pi = momentum_table(si, sol)
+    pi = momentum_table(si, sol, range(si.dim))
     e_plus = solve(si, (k0 + step) * direction).energies
     e_minus = solve(si, (k0 - step) * direction).energies
     fd = (e_plus - e_minus) / (2 * step)
@@ -93,7 +93,7 @@ def test_orbital_routes_agree_for_degenerate_pair(si, ge):
         for k in random_k_points(23, 3, scale=0.08):
             sol = solve(model, k)
             pair = select_pair(model, sol, "split-off")
-            pi = momentum_table(model, sol)
+            pi = momentum_table(model, sol, range(model.dim))
             la = orbital_matrices(pair, pair_momenta(model, sol, pair))
             lb = orbital_matrices_commutator(pair, sol, pi)
             assert np.abs(la - lb).max() < 1e-10
@@ -133,19 +133,25 @@ def _big_g(gset):
     return gset.g_tot @ gset.g_tot.T
 
 
-def test_su2_gauge_invariance_of_G_and_det(si):
+def test_su2_gauge_invariance_of_G_and_det(si, ge, gaas):
+    # GaAs split-off is split by 1.0e-3 Ha at this k, so its momentum rows
+    # go through a remixing w2 that is not the identity; the other pairs
+    # are degenerate
     rng = np.random.default_rng(5)
-    sol = solve(si, np.array([0.06, 0.03, 0.02]))
-    pair = select_pair(si, sol, "split-off")
-    ref = g_tensor_set(si, sol, pair)
-    for _ in range(4):
-        mixed = remix_pair(pair, random_su2(rng))
-        alt = g_tensor_set(si, sol, mixed)
-        # g transforms as g -> g R^T: G, dets, singular values invariant
-        assert np.abs(_big_g(alt) - _big_g(ref)).max() < 1e-10
-        assert alt.det_g_s == pytest.approx(ref.det_g_s, abs=1e-12)
-        assert alt.det_g_tot == pytest.approx(ref.det_g_tot, abs=1e-10)
-        assert np.abs(alt.sigma_tot - ref.sigma_tot).max() < 1e-10
+    k = np.array([0.06, 0.03, 0.02])
+    for model, band in ((si, "split-off"), (gaas, "split-off"),
+                        (ge, "second-conduction"), (si, "first-conduction")):
+        sol = solve(model, k)
+        pair = select_pair(model, sol, band)
+        ref = g_tensor_set(model, sol, pair)
+        for _ in range(4):
+            mixed = remix_pair(pair, random_su2(rng))
+            alt = g_tensor_set(model, sol, mixed)
+            # g transforms as g -> g R^T: G, dets, singular values invariant
+            assert np.abs(_big_g(alt) - _big_g(ref)).max() < 1e-10, band
+            assert alt.det_g_s == pytest.approx(ref.det_g_s, abs=1e-12)
+            assert alt.det_g_tot == pytest.approx(ref.det_g_tot, abs=1e-10)
+            assert np.abs(alt.sigma_tot - ref.sigma_tot).max() < 1e-10
 
 
 def test_point_group_covariance_of_G(si):
@@ -339,13 +345,19 @@ def _pair_points(model, seed):
     return out
 
 
-def _reference_orbital_matrices(pair, sol, pi):
+def _reference_orbital_matrices(pair, sol, pi, columns=False):
+    """Mean-energy L_i one eps cycle at a time, from a full table ``pi``.
+
+    The columns pi[:, others, pair] are the adjoint of the pair's rows,
+    as in the library, or with ``columns`` read from the table itself.
+    """
     ia, ib = pair.band_indices
     others = np.delete(np.arange(sol.energies.size), [ia, ib])
     e_rest = sol.energies[others]
     w2 = sol.states[:, [ia, ib]].conj().T @ pair.states
     p = np.matmul(w2.conj().T, pi[:, [ia, ib], :][:, :, others])
-    q = np.matmul(pi[:, others, :][:, :, [ia, ib]], w2)
+    q = (np.matmul(pi[:, others, :][:, :, [ia, ib]], w2) if columns
+         else p.conj().swapaxes(-1, -2))
     w = 1.0 / (pair.pair_energy - e_rest)
     out = np.zeros((3, 2, 2), dtype=complex)
     for i, j, k in EPS_CYCLES:
@@ -359,18 +371,24 @@ def _bytes(*arrays):
 
 @pytest.mark.parametrize("material", ["si", "ge", "gaas"])
 def test_momentum_table_bitwise_equals_reference_loop(material, request):
+    # the whole table, and each configured pair's two rows, are bit for
+    # bit those rows of the four-product oracle
     model = request.getfixturevalue(material)
+    row_sets = [range(model.dim),
+                *(np.array(ab) for ab in model.band_pairs.values())]
     for k in bitwise_k_points(model, 97):
         sol = solve(model, k)
-        assert (momentum_table(model, sol).tobytes()
-                == momentum_table_four_products(model, sol).tobytes()), k
+        full = momentum_table_four_products(model, sol)
+        for rows in row_sets:
+            assert (momentum_table(model, sol, rows).tobytes()
+                    == full[:, rows].tobytes()), (k, rows)
 
 
 @pytest.mark.parametrize("material", ["si", "ge", "gaas"])
 def test_orbital_matrices_bitwise_equal_cycle_loop(material, request):
     model = request.getfixturevalue(material)
     for k, sol, pair in _pair_points(model, 101):
-        pi = momentum_table(model, sol)
+        pi = momentum_table(model, sol, range(model.dim))
         blocks = orbital_matrices(pair, pair_momenta(model, sol, pair))
         assert (blocks.tobytes()
                 == _reference_orbital_matrices(pair, sol, pi).tobytes()), k
@@ -381,7 +399,7 @@ def test_g_tensor_set_bitwise_equals_separate_factorisations(material,
                                                              request):
     model = request.getfixturevalue(material)
     for k, sol, pair in _pair_points(model, 103):
-        pi = momentum_table(model, sol)
+        pi = momentum_table(model, sol, range(model.dim))
         gset = g_tensor_set(model, sol, pair)
         g_s = spin_g(pair)
         g_tot = g_s + orbital_g(_reference_orbital_matrices(pair, sol, pi))
@@ -390,6 +408,38 @@ def test_g_tensor_set_bitwise_equals_separate_factorisations(material,
         assert _bytes(*gset.svd_tot) == _bytes(*np.linalg.svd(g_tot)), k
         assert _bytes(gset.det_g_s, gset.det_g_tot) == _bytes(
             float(np.linalg.det(g_s)), float(np.linalg.det(g_tot))), k
+
+
+@pytest.mark.parametrize("material", ["si", "ge", "gaas"])
+def test_pair_rows_route_matches_full_table_columns(material, request):
+    # g_tensor_set takes the columns of the orbital sum as the adjoint of
+    # the pair's rows; the oracle chain reads them from the four-product
+    # table.  The premise, a Hermitian table, is checked at the same k to
+    # 1e-14 of its largest element (measured <= 1.1e-15).  The two routes
+    # then differ by rounding only: bound 1e-13 max(1, |g|), measured
+    # <= 1.4e-15
+    model = request.getfixturevalue(material)
+    checked = 0
+    for band in model.band_pairs:
+        for k in random_k_points(109, 12, scale=0.3):
+            sol = solve(model, k)
+            try:
+                pair = select_pair(model, sol, band)
+                gset = g_tensor_set(model, sol, pair)
+            except PairUndefinedError:
+                continue
+            pi = momentum_table_four_products(model, sol)
+            assert (np.abs(pi - pi.conj().swapaxes(1, 2)).max()
+                    <= 1e-14 * np.abs(pi).max()), (band, k)
+            g_l = orbital_g(_reference_orbital_matrices(pair, sol, pi,
+                                                        columns=True))
+            det_tot = float(np.linalg.det(spin_g(pair) + g_l))
+            assert (np.abs(gset.g_l - g_l).max()
+                    <= 1e-13 * max(1.0, np.abs(g_l).max())), (band, k)
+            assert (abs(gset.det_g_tot - det_tot)
+                    <= 1e-13 * max(1.0, abs(det_tot))), (band, k)
+            checked += 1
+    assert checked >= 8 * len(model.band_pairs)
 
 
 @pytest.mark.parametrize("material", ["si", "ge", "gaas"])

@@ -106,7 +106,7 @@ def test_ray_tables_without_a_defined_sample(material, build, request):
                                                   table[:, 1:4], momenta=True)
     assert reasons == ["PairingAmbiguityError"] * 5
     assert pairs.states.shape == (0, model.dim, 2)
-    assert momenta.rest_pair.shape == (0, 3, model.dim - 2, 2)
+    assert momenta.pair_rest.shape == (0, 3, 2, model.dim - 2)
 
 
 @pytest.mark.parametrize("build, stacked", [

@@ -35,13 +35,12 @@ class KramersPair:
     """Two adjacent bands treated as a (pseudo-)Kramers doublet.
 
     ``states`` holds the two eigenvectors as columns (xi, xi_bar);
-    ``pair_energy`` is their mean, the reference energy for the
-    orbital-moment sum.
+    ``pair_energy`` is the mean of their energies, the reference energy
+    for the orbital-moment sum and its energy floor.
     """
 
     k: np.ndarray
     band_indices: tuple
-    energies: np.ndarray
     states: np.ndarray
     pair_energy: float
 
@@ -137,9 +136,8 @@ def select_pair(model: MaterialModel, sol: BlochSolution, band_id) -> KramersPai
     floor = split if model.pair_split_tol is None else model.pair_split_tol
     if split > floor or gap_to_rest <= floor:
         raise PairingAmbiguityError(sol.k, (i, j), split, gap_to_rest)
-    energies = sol.energies[a:a + 2].copy()
     states = sol.states[:, a:a + 2].copy(order="F")
-    return KramersPair(sol.k, (i, j), energies, states, 0.5 * (ea + eb))
+    return KramersPair(sol.k, (i, j), states, 0.5 * (ea + eb))
 
 
 def remix_pair(pair: KramersPair, w: np.ndarray) -> KramersPair:

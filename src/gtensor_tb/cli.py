@@ -70,15 +70,6 @@ def _provenance(args: argparse.Namespace, model) -> list:
     ]
 
 
-def _load(args):
-    path = resolve_material_path(args.material)
-    if not path.exists():
-        raise InputError(
-            f"unknown material {args.material!r}: not a built-in name "
-            "and no such parameter file")
-    return load_material(path)
-
-
 def cmd_bands(args, model) -> int:
     names = [p.strip() for p in args.path.split(",") if p.strip()]
     header, rows, ticks = band_path_rows(model, names, args.samples)
@@ -211,7 +202,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, _load(args))
+        model = load_material(resolve_material_path(args.material))
+        return args.func(args, model)
     except (InputError, KeyError) as err:
         # args, not str(): str() of a KeyError is the repr of its message
         print("usage error:", *err.args, file=sys.stderr)

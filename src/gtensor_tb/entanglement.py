@@ -6,10 +6,10 @@ the orbital slots.  Entropies use log base 2: a maximally entangled
 pair state has S = 1 exactly.
 
 The time-reversal relation rho_bar_S = sigma_y rho_S^T sigma_y between
-the two pair partners holds on every direction for the
-inversion-symmetric groups, but only on the <100> and <111> direction
-families for T_d; asking for it elsewhere is a contract error, not a
-numerical failure.
+the pair partners holds on every direction for O_h, but only on the
+<100> and <111> direction families for T_d; asking for it elsewhere is a
+contract error, not a numerical failure.  That a pair lies on a
+det(g_S)=0 surface is the caller's to check.
 """
 from __future__ import annotations
 
@@ -22,9 +22,6 @@ from .brillouin import named_direction, unit_direction, wedge_representative
 from .errors import DirectionNotApplicableError, PhysicsError
 from .materials import MaterialModel
 from .su2 import PAULI
-
-# |det(g_S)| below this counts as "on the surface" after bisection
-DET_TOL = 1e-6
 
 
 @dataclasses.dataclass
@@ -124,18 +121,13 @@ def spin_flip_residual(model: MaterialModel, pair: KramersPair) -> float:
     return float(np.linalg.norm(defect, "fro"))
 
 
-def entropies_at_crossing(model: MaterialModel, pair: KramersPair,
-                          det_g_s: float | None = None) -> tuple:
+def entropies_at_crossing(model: MaterialModel, pair: KramersPair) -> tuple:
     """Entropies (S_xi, S_xi_bar) of a pair sitting on the MES.
 
-    When ``det_g_s`` is supplied the on-surface precondition
-    |det| < DET_TOL is enforced; direction applicability is always
-    enforced (the unit-entropy statement holds only on the directions
-    where the spin-flip relation does).
+    Direction applicability is enforced: the unit-entropy statement
+    holds only where the spin-flip relation does.  That the pair lies
+    on the det(g_S) = 0 surface is the caller's precondition.
     """
-    if det_g_s is not None and abs(det_g_s) >= DET_TOL:
-        raise PhysicsError(
-            f"pair is not on the det(g_S)=0 surface: |det| = {abs(det_g_s):.3e}")
     require_applicable(model, pair.k)
     dens = pair_spin_densities(pair)
     return entropy(dens.rho_s), entropy(dens.rho_s_bar)

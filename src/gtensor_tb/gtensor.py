@@ -167,23 +167,19 @@ def orbital_g(blocks: np.ndarray) -> np.ndarray:
 
 @dataclasses.dataclass
 class GTensorSet:
-    """All g-tensor data of one pair at one k-point, or of a stack."""
+    """The g-tensors of one pair at one k-point, or of a stack."""
 
     g_s: np.ndarray
     g_l: np.ndarray
     g_tot: np.ndarray
     svd_s: tuple                        # (u, sigma, vh) of g_s
-    svd_tot: tuple
+    sigma_tot: np.ndarray               # singular values of g_tot
     det_g_s: float | np.ndarray
     det_g_tot: float | np.ndarray
 
     @property
     def sigma_s(self) -> np.ndarray:
         return self.svd_s[1]
-
-    @property
-    def sigma_tot(self) -> np.ndarray:
-        return self.svd_tot[1]
 
 
 def det_sign(g: np.ndarray) -> list:
@@ -193,11 +189,12 @@ def det_sign(g: np.ndarray) -> list:
     an exact 0.0 counts as +1.  The rounding error is of order
     1e-16 |g|^3, so the sign is exact unless the smallest singular value
     is below about 1e-15 |g| (an SVD cannot resolve the sign there
-    either).  Each g is expanded along its first row in Python floats
-    from its nine entries, so an entry is the sign of that g alone.  A
-    scan takes far more one-row stacks (bisection) than long ones, and
-    on one row this is a small fraction of the cost of numpy
-    element-wise arrays.
+    either).  On the X-W lines of Si and Ge det g is zero, and the sign
+    returned there is rounding (ROADMAP item 20).  Each g is expanded
+    along its first row in Python floats from its nine entries, so an
+    entry is the sign of that g alone.  A scan takes far more one-row
+    stacks (bisection) than long ones, and on one row this is a small
+    fraction of the cost of numpy element-wise arrays.
     """
     return [1 if a * (e * r - f * q) - b * (d * r - f * p)
             + c * (d * q - e * p) >= 0.0 else -1
@@ -206,7 +203,7 @@ def det_sign(g: np.ndarray) -> list:
 
 def g_tensor_set(model: MaterialModel, sol: BlochSolution | PairMomenta,
                  pair: KramersPair) -> GTensorSet:
-    """Evaluate g_S, g_L, g_tot and their SVDs at one k-point.
+    """Evaluate g_S, g_L, g_tot and their singular values at one k-point.
 
     ``sol`` is the pair's solved k-point, or the :class:`PairMomenta`
     already taken from it.  A stack of pairs (``states`` (..., dim, 2))
@@ -229,7 +226,7 @@ def g_tensor_set(model: MaterialModel, sol: BlochSolution | PairMomenta,
         g_l=g_l,
         g_tot=g_tot,
         svd_s=(u[0], sigma[0], vh[0]),
-        svd_tot=(u[1], sigma[1], vh[1]),
+        sigma_tot=sigma[1],
         det_g_s=det_s,
         det_g_tot=det_tot,
     )

@@ -15,7 +15,7 @@ import math
 import numbers
 from pathlib import Path
 
-from .errors import MaterialParseError, MaterialValidationError
+from .errors import InputError, MaterialParseError, MaterialValidationError
 from .slater_koster import BASES, SHELL
 from .units import angstrom_to_bohr, ev_to_hartree
 
@@ -124,9 +124,12 @@ def builtin_material_path(name: str) -> Path:
 
 
 def resolve_material_path(spec: str) -> Path:
-    """Interpret a CLI --material value: built-in name or file path."""
+    """The file a --material value names; InputError if it names none."""
     if spec.lower() in BUILTIN_MATERIALS:
         return builtin_material_path(spec.lower())
+    if not Path(spec).exists():
+        raise InputError(f"unknown material {spec!r}: not a built-in name "
+                         "and no such parameter file")
     return Path(spec)
 
 

@@ -11,8 +11,10 @@ k-point and selects the pair, and g and the determinant signs of the
 k-points where the pair is defined are then formed in one stacked pass
 (a bisection midpoint is a one-row pass).  The sign is that of the 3x3
 cofactor determinant, with an exact 0.0 counted as +1, so it is always
-+-1.  Rays are independent work items, so surface assembly parallelizes
-over a worker pool with a deterministic merge by direction index.
++-1; on the X-W lines of Si and Ge det is zero and the sign there is
+rounding (ROADMAP item 20).  Rays are independent work items, so surface
+assembly parallelizes over a worker pool with a deterministic merge by
+direction index.
 
 Every cubic model scans the wedge x >= y >= z >= 0 and closes the
 crossings under the 48 operations of O_h.  For O_h models that is the

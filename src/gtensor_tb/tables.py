@@ -115,8 +115,8 @@ def sample_pairs(model: MaterialModel, band_id, ks,
     indices = resolve_band_indices(model, band_id)
     bands = None if momenta else pair_window(model, indices)
     n, rest = len(ks), model.dim - 2
-    k, energies = np.empty((n, 3)), np.empty((n, 2))
-    states, pair_energy = np.empty((n, model.dim, 2), complex), np.empty(n)
+    k, pair_energy = np.empty((n, 3)), np.empty(n)
+    states = np.empty((n, model.dim, 2), complex)
     if momenta:
         pair_rest = np.empty((n, 3, 2, rest), complex)
         rest_energies = np.empty((n, rest))
@@ -130,15 +130,15 @@ def sample_pairs(model: MaterialModel, band_id, ks,
         except PairUndefinedError as err:
             reasons.append(type(err).__name__)
             continue
-        k[defined], energies[defined] = pair.k, pair.energies
-        states[defined], pair_energy[defined] = pair.states, pair.pair_energy
+        k[defined], pair_energy[defined] = pair.k, pair.pair_energy
+        states[defined] = pair.states
         if momenta:
             pair_rest[defined] = row.pair_rest
             rest_energies[defined] = row.rest_energies
         reasons.append(None)
         defined += 1
-    pairs = KramersPair(k[:defined], indices, energies[:defined],
-                        states[:defined], pair_energy[:defined])
+    pairs = KramersPair(k[:defined], indices, states[:defined],
+                        pair_energy[:defined])
     return reasons, pairs, (PairMomenta(pair_rest[:defined],
                                         rest_energies[:defined])
                             if momenta else None)

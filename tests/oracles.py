@@ -180,7 +180,7 @@ def zeeman_response(gset: GTensorSet, field) -> FieldResponse:
     M_i = mu_B^2 Sigma_ii^2 B_i / (2 Delta E).
     """
     b = np.asarray(field, dtype=float)
-    u, sigma, _ = gset.svd_tot
+    u, sigma, _ = np.linalg.svd(gset.g_tot)
     big_g = gset.g_tot @ gset.g_tot.T
     splitting = MU_B * float(np.sqrt(b @ big_g @ b))
     if splitting == 0.0:
@@ -291,7 +291,7 @@ def orbital_matrices_commutator(pair, sol, pi) -> np.ndarray:
     w2 = sol.states[:, [ia, ib]].conj().T @ pair.states
     p = np.matmul(w2.conj().T, pi[:, [ia, ib], :][:, :, others])
     q = np.matmul(pi[:, others, :][:, :, [ia, ib]], w2)
-    e_ab = pair.energies
+    e_ab = sol.energies[[ia, ib]]
     out = np.zeros((3, 2, 2), dtype=complex)
     for a in range(2):
         for b in range(2):

@@ -123,9 +123,9 @@ def test_criterion_4_maximal_entanglement_at_crossings(si, ge, gaas):
             assert scan.crossings, (model.name, d)
             for c in scan.crossings:
                 pair = _pair_at(model, c.radius * np.asarray(d), "split-off")
-                det = float(np.linalg.det(spin_g(pair)))
+                assert abs(np.linalg.det(spin_g(pair))) < 1e-6
                 aligned, _, _ = align_pair_to_spin_frame(pair)
-                s_xi, s_xib = entropies_at_crossing(model, aligned, det_g_s=det)
+                s_xi, s_xib = entropies_at_crossing(model, aligned)
                 assert s_xi >= 1.0 - 1e-3 and s_xib >= 1.0 - 1e-3
                 assert spin_flip_residual(model, aligned) < 1e-8
                 n_checked += 1

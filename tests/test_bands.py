@@ -77,7 +77,7 @@ def _split_and_gap(sol, pair):
     """The pair's split and its gap to the neighbouring bands of ``sol``."""
     e = sol.energies
     i, j = (b - sol.first for b in pair.band_indices)
-    split = pair.energies[1] - pair.energies[0]
+    split = e[j] - e[i]
     gap = min(e[j + 1] - e[j], e[i] - e[i - 1] if i > 0 else np.inf)
     return split, gap
 
@@ -89,7 +89,7 @@ def test_select_pair_reports_isolation(si):
     split, gap = _split_and_gap(sol, pair)
     assert split < si.pair_split_tol
     assert gap > split
-    assert pair.pair_energy == pytest.approx(pair.energies.mean())
+    assert pair.pair_energy == pytest.approx(sol.energies[[2, 3]].mean())
     # columns orthonormal
     g = pair.states.conj().T @ pair.states
     assert np.abs(g - np.eye(2)).max() < 1e-12
@@ -138,8 +138,9 @@ def test_pairing_error_carries_context(ge):
 
 def test_random_points_pair_cleanly(si):
     for k in random_k_points(19, 6, scale=0.05):
-        pair = select_pair(si, solve(si, k), "split-off")
-        assert pair.energies[1] - pair.energies[0] < 1e-8
+        sol = solve(si, k)
+        pair = select_pair(si, sol, "split-off")
+        assert _split_and_gap(sol, pair)[0] < 1e-8
 
 
 def _reference_isolation(e, i, j, tol):
@@ -194,9 +195,9 @@ def test_select_pair_isolation_matches_all_bands_formula(case, tol):
         assert _bits(info.value.gap_to_rest) == _bits(gap)
         return
     pair = select_pair(model, sol, (i, j))
-    assert _bits(pair.energies[1] - pair.energies[0]) == _bits(split)
+    assert _bits(sol.energies[j - lo] - sol.energies[i - lo]) == _bits(split)
     assert _bits(pair.pair_energy) == _bits(pair_energy)
-    assert np.array_equal(pair.energies, e[[i, j]])
+    assert np.array_equal(sol.energies[[i - lo, j - lo]], e[[i, j]])
     assert np.array_equal(pair.states, np.eye(e.size)[:, [i, j]])
 
 
@@ -311,20 +312,22 @@ def test_lapack_failure_raises_linalg_error(si, monkeypatch):
     ((2, 3), None), ((2, 3), (1, 4)), ((8, 9), None), ((8, 9), (7, 10)),
     ((38, 39), None), ((0, 1), (0, 2))])
 def test_select_pair_arrays_equal_fancy_index(si, pair, bands):
-    # the pair's arrays are the fancy index of the solution's, with the
-    # same bytes and the same (column-major) layout, and own their memory
+    # the pair's states are the fancy index of the solution's, with the
+    # same bytes and the same (column-major) layout, and own their
+    # memory; its energy is the mean of the solution's two
     sol = solve(si, np.array([0.31, 0.17, 0.05]), bands=bands)
     a, b = (i - sol.first for i in pair)
     try:
         selected = select_pair(si, sol, pair)
     except PairingAmbiguityError:
         pytest.fail(f"pair {pair} is isolated at this k")
-    for got, want in ((selected.energies, sol.energies[[a, b]]),
-                      (selected.states, sol.states[:, [a, b]])):
-        assert got.tobytes() == want.tobytes()
-        assert got.strides == want.strides
-        assert not np.shares_memory(got, sol.states)
-        assert not np.shares_memory(got, sol.energies)
+    got, want = selected.states, sol.states[:, [a, b]]
+    assert got.tobytes() == want.tobytes()
+    assert got.strides == want.strides
+    assert not np.shares_memory(got, sol.states)
+    assert not np.shares_memory(got, sol.energies)
+    assert _bits(selected.pair_energy) == _bits(
+        0.5 * (sol.energies[a] + sol.energies[b]))
 
 
 def test_select_pair_needs_pair_and_neighbours(si):
@@ -340,8 +343,9 @@ def test_select_pair_needs_pair_and_neighbours(si):
     assert _split_and_gap(window, pair)[1] == pytest.approx(
         _split_and_gap(full_sol, full)[1], abs=1e-12)
     # the bottom pair has no lower neighbour to ask for
-    bottom = select_pair(si, solve(si, k, bands=(0, 2)), (0, 1))
-    assert bottom.energies[1] - bottom.energies[0] < 1e-8
+    bottom_sol = solve(si, k, bands=(0, 2))
+    bottom = select_pair(si, bottom_sol, (0, 1))
+    assert _split_and_gap(bottom_sol, bottom)[0] < 1e-8
 
 
 def test_momentum_table_rejects_window(si):

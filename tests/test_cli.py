@@ -68,6 +68,10 @@ def test_unknown_material_is_usage_error(tmp_path, capsys):
     rc = main(["bands", "--material", "unobtainium",
                "--out", str(tmp_path / "x.csv")])
     assert rc == 2
+    assert capsys.readouterr().err == (
+        "usage error: unknown material 'unobtainium': not a built-in name "
+        "and no such parameter file\n")
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_unknown_band_label_is_usage_error(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -45,7 +46,13 @@ def test_units_converted(si):
 def test_resolve_material_path(tmp_path):
     assert resolve_material_path("si") == builtin_material_path("si")
     custom = tmp_path / "custom.json"
+    custom.write_text("{}")
     assert resolve_material_path(str(custom)) == custom
+    missing = str(tmp_path / "missing.json")
+    with pytest.raises(InputError, match=re.escape(
+            f"unknown material {missing!r}: not a built-in name and no "
+            "such parameter file")):
+        resolve_material_path(missing)
     with pytest.raises(MaterialValidationError):
         builtin_material_path("diamond")
 

@@ -11,8 +11,7 @@ the README quick start and the benchmark harness use, and the types
 and exceptions of what those calls return or raise; everything else is
 imported from its submodule.
 """
-from .bands import (BlochSolution, KramersPair, UnknownBandLabelError,
-                    select_pair, solve)
+from .bands import BlochSolution, KramersPair, select_pair, solve
 from .brillouin import boundary_radius, named_direction, wedge_directions
 from .entanglement import (SpinDensity, cardinal_states, entropies_at_crossing,
                            entropy, pair_spin_densities, reduce_spin,
@@ -37,7 +36,7 @@ __all__ = [
     "HARTREE_EV", "KramersPair", "MaterialModel", "MaterialParseError",
     "MaterialValidationError", "NearDegenerateIntermediateError",
     "PairUndefinedError", "PairingAmbiguityError", "PhysicsError",
-    "RayScan", "SpinDensity", "SurfaceCloud", "UnknownBandLabelError",
+    "RayScan", "SpinDensity", "SurfaceCloud",
     "align_pair_to_spin_frame", "boundary_radius", "build_surface",
     "builtin_material_path", "cardinal_states", "entropies_at_crossing",
     "entropy", "export_cloud", "fit_report", "g_tensor_set",

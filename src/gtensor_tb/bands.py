@@ -9,11 +9,7 @@ import numpy as np
 from .blas import eigh_window
 from .errors import InputError, PairingAmbiguityError
 from .hamiltonian import bloch_hamiltonian
-from .materials import MaterialModel, band_pair_problem
-
-
-class UnknownBandLabelError(KeyError):
-    """Requested band label is not configured for the material."""
+from .materials import PAIR_SPLIT_TOL, MaterialModel, band_pair_problem
 
 
 @dataclasses.dataclass
@@ -34,15 +30,12 @@ class BlochSolution:
 class KramersPair:
     """Two adjacent bands treated as a (pseudo-)Kramers doublet.
 
-    ``states`` holds the two eigenvectors as columns (xi, xi_bar);
-    ``pair_energy`` is the mean of their energies, the reference energy
-    for the orbital-moment sum and its energy floor.
+    ``states`` holds the two eigenvectors as columns (xi, xi_bar).
     """
 
     k: np.ndarray
     band_indices: tuple
     states: np.ndarray
-    pair_energy: float
 
 
 def solve(model: MaterialModel, k, bands: tuple | None = None) -> BlochSolution:
@@ -63,17 +56,15 @@ def solve(model: MaterialModel, k, bands: tuple | None = None) -> BlochSolution:
 def resolve_band_indices(model: MaterialModel, band_id) -> tuple:
     """Map a configured label (or explicit index pair) to band indices.
 
-    An explicit pair follows the rule of a material file
-    (:func:`~gtensor_tb.materials.band_pair_problem`); ``InputError`` is
-    raised otherwise.
+    An unknown label, or an explicit pair that breaks the rule of a
+    material file (:func:`~gtensor_tb.materials.band_pair_problem`),
+    raises ``InputError``.
     """
     if isinstance(band_id, str):
-        try:
-            return model.band_pairs[band_id]
-        except KeyError:
-            raise UnknownBandLabelError(
-                f"material {model.name!r} configures pairs "
-                f"{sorted(model.band_pairs)}, not {band_id!r}") from None
+        if band_id not in model.band_pairs:
+            raise InputError(f"material {model.name!r} configures pairs "
+                             f"{sorted(model.band_pairs)}, not {band_id!r}")
+        return model.band_pairs[band_id]
     problem = band_pair_problem(band_id, model.dim)
     if problem:
         raise InputError(f"band pair {band_id!r} is not {problem}")
@@ -84,14 +75,14 @@ def pair_window(model: MaterialModel, band_id) -> tuple:
     """The bands :func:`select_pair` reads: the pair and its neighbours.
 
     Returns the inclusive ``(lo, hi)`` range for ``solve(..., bands=)``.
-    In a Kramers-degenerate model (``pair_split_tol`` set) bands 2m and
-    2m + 1 are one doublet, and the window takes whole doublets: an
-    index range whose edge splits a degenerate cluster costs ZHEEVR
-    more than one with two bands more.
+    With inversion (every point group but T_d) bands 2m and 2m + 1 are
+    one Kramers doublet, and the window takes whole doublets: an index
+    range whose edge splits a degenerate cluster costs ZHEEVR more than
+    one with two bands more.
     """
     i, _ = resolve_band_indices(model, band_id)
     lo, hi = _neighbour_window(model.dim, i)
-    if model.pair_split_tol is None:
+    if model.point_group == "Td":
         return lo, hi
     return lo - lo % 2, hi | 1  # dim is even, so hi | 1 < dim
 
@@ -110,9 +101,10 @@ def select_pair(model: MaterialModel, sol: BlochSolution, band_id) -> KramersPai
 
     Raises :class:`PairingAmbiguityError` when the two bands are not
     isolated from the rest of the spectrum: for inversion-symmetric
-    materials the intra-pair split must stay below ``pair_split_tol``
-    and the gap to any other band above it; for compound materials the
-    (physical) intra-pair split itself sets the isolation scale.
+    materials the intra-pair split must stay below
+    :data:`~gtensor_tb.materials.PAIR_SPLIT_TOL` and the gap to any other
+    band above it; for T_d compounds the (physical) intra-pair split
+    itself sets the isolation scale.
     """
     i, j = resolve_band_indices(model, band_id)
     lo, hi = _neighbour_window(model.dim, i)
@@ -132,12 +124,12 @@ def select_pair(model: MaterialModel, sol: BlochSolution, band_id) -> KramersPai
     for m in (a - 1, a + 2):
         if lo <= m + first <= hi:
             gap_to_rest = min(gap_to_rest, abs(e[m] - ea), abs(e[m] - eb))
-    # the isolation scale: pair_split_tol, or a compound's own split
-    floor = split if model.pair_split_tol is None else model.pair_split_tol
+    # the isolation scale: PAIR_SPLIT_TOL, or a T_d compound's own split
+    floor = split if model.point_group == "Td" else PAIR_SPLIT_TOL
     if split > floor or gap_to_rest <= floor:
         raise PairingAmbiguityError(sol.k, (i, j), split, gap_to_rest)
     states = sol.states[:, a:a + 2].copy(order="F")
-    return KramersPair(sol.k, (i, j), states, 0.5 * (ea + eb))
+    return KramersPair(sol.k, (i, j), states)
 
 
 def remix_pair(pair: KramersPair, w: np.ndarray) -> KramersPair:

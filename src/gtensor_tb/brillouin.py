@@ -83,24 +83,21 @@ def boundary_radius(a: float, direction) -> float:
 
 
 def high_symmetry_point(name: str, a: float) -> np.ndarray:
-    """Cartesian coordinates of a named point, in Bohr^-1."""
+    """Cartesian coordinates of a named point in Bohr^-1; else InputError."""
     key = _POINT_ALIASES.get(name.upper(), name.upper())
-    try:
-        frac = HIGH_SYMMETRY_POINTS[key]
-    except KeyError:
-        raise KeyError(
-            f"unknown symmetry point {name!r}; known: "
-            f"{sorted(HIGH_SYMMETRY_POINTS)}") from None
-    return (2.0 * np.pi / a) * np.asarray(frac)
+    if key not in HIGH_SYMMETRY_POINTS:
+        raise InputError(f"unknown symmetry point {name!r}; known: "
+                         f"{sorted(HIGH_SYMMETRY_POINTS)}")
+    return (2.0 * np.pi / a) * np.asarray(HIGH_SYMMETRY_POINTS[key])
 
 
 def named_direction(name: str) -> np.ndarray:
-    """Unit vector of a direction family (Delta, Sigma, Lambda)."""
+    """Unit vector of the family Delta, Sigma or Lambda; else InputError."""
     for key, vec in DIRECTION_FAMILIES.items():
         if key.lower() == name.lower():
             return unit_direction(vec)
-    raise KeyError(f"unknown direction family {name!r}; "
-                   f"known: {sorted(DIRECTION_FAMILIES)}")
+    raise InputError(f"unknown direction family {name!r}; "
+                     f"known: {sorted(DIRECTION_FAMILIES)}")
 
 
 def icosphere_directions(level: int) -> np.ndarray:

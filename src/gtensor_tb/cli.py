@@ -6,8 +6,9 @@ sha256 of the material file; the echo holds the ``--seed`` of ``gline``
 and ``entropy``), and contains no timestamps, so identical
 configurations produce byte-identical files.
 
-Exit codes: 0 success; 2 usage error (a bad flag, an unknown name, or
-an ``InputError`` from the library function that takes the value); 3
+Exit codes: 0 success; 2 usage error (a bad flag, or an ``InputError``
+from the library function that takes the value, an unknown material,
+band, point or direction name among them); 3
 physics-contract violation (pairing ambiguity, invalid material data,
 inapplicable direction, fit bracket failure); 4 I/O failure.  Any other
 exception is a fault: exit 1 with a traceback.
@@ -22,8 +23,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .brillouin import (boundary_radius, named_direction, unit_direction,
-                        wedge_directions)
+from .brillouin import (DIRECTION_FAMILIES, boundary_radius, named_direction,
+                        unit_direction, wedge_directions)
 from .errors import GTensorError, InputError
 from .lande import fit_report
 from .materials import load_material, resolve_material_path, sha256
@@ -46,10 +47,8 @@ def _parse_direction(spec: str, seed: int) -> np.ndarray:
         raise InputError(f"--seed must be >= 0, got {seed}")
     if spec == "random":
         return unit_direction(np.random.default_rng(seed).normal(size=3))
-    try:
+    if spec.lower() in map(str.lower, DIRECTION_FAMILIES):
         return named_direction(spec)
-    except KeyError:
-        pass
     parts = spec.split(",")
     if not all(map(_NUMBER.fullmatch, parts)):
         raise InputError("--direction wants 'x,y,z', 'random' or a family "
@@ -204,9 +203,8 @@ def main(argv=None) -> int:
     try:
         model = load_material(resolve_material_path(args.material))
         return args.func(args, model)
-    except (InputError, KeyError) as err:
-        # args, not str(): str() of a KeyError is the repr of its message
-        print("usage error:", *err.args, file=sys.stderr)
+    except InputError as err:
+        print(f"usage error: {err}", file=sys.stderr)
         return USAGE_EXIT
     except GTensorError as err:
         print(f"physics-contract error: {err}", file=sys.stderr)

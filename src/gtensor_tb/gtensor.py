@@ -97,12 +97,13 @@ class PairMomenta:
     With M = dim - 2 other bands: the pair's rows ``pair_rest`` =
     pi[:, pair, others] (3, 2, M) in the pair's own (possibly remixed)
     basis, whose adjoint is the columns pi[:, others, pair], and the
-    other bands' energies ``rest_energies`` (M,).  A stack of k-points
-    carries the same leading axes on every field.
+    energy denominators ``gaps`` = E_pair - E_l (M,), E_pair the mean of
+    the pair's two energies.  A stack of k-points carries the same
+    leading axes on every field.
     """
 
     pair_rest: np.ndarray
-    rest_energies: np.ndarray
+    gaps: np.ndarray
 
 
 @functools.lru_cache(maxsize=None)
@@ -114,15 +115,18 @@ def _pair_and_rest(dim: int, ia: int, ib: int) -> tuple:
 
 def pair_momenta(model: MaterialModel, sol: BlochSolution,
                  pair: KramersPair) -> PairMomenta:
-    """Form the pair's two rows of the momentum table at one k-point.
+    """Form the pair's two rows of the momentum table at one k-point,
+    and the energy denominators of its orbital sum.
 
     Intermediate bands within ``ENERGY_FLOOR`` of the pair energy raise
     :class:`NearDegenerateIntermediateError`.
     """
-    ab, others = _pair_and_rest(sol.energies.size, *pair.band_indices)
+    ia, ib = pair.band_indices
+    ab, others = _pair_and_rest(sol.energies.size, ia, ib)
     pi = momentum_table(model, sol, ab)
-    e_rest = sol.energies[others]
-    sep = np.abs(e_rest - pair.pair_energy)
+    e = sol.energies
+    gaps = 0.5 * (e[ia] + e[ib]) - e[others]
+    sep = np.abs(gaps)
     worst = int(np.argmin(sep))
     if sep[worst] <= ENERGY_FLOOR:
         raise NearDegenerateIntermediateError(
@@ -132,22 +136,20 @@ def pair_momenta(model: MaterialModel, sol: BlochSolution,
     w2 = sol.states.take(ab, axis=1).conj().T @ pair.states
     return PairMomenta(
         pair_rest=np.matmul(w2.conj().T, pi.take(others, axis=2)),
-        rest_energies=e_rest,
+        gaps=gaps,
     )
 
 
-def orbital_matrices(pair: KramersPair, momenta: PairMomenta) -> np.ndarray:
+def orbital_matrices(momenta: PairMomenta) -> np.ndarray:
     """Pair-space orbital-moment blocks L_i, shape (3, 2, 2).
 
     The mean-energy assembly of the module docstring: every
     pi_j pi_k / (E_pair - E_l) sum is formed, pi_k[l, :] the adjoint of
-    the pair's row, and the three eps_{ijk} cycles are read off them.  A
-    stack of pairs with the stacked :class:`PairMomenta` of their
-    k-points gives (..., 3, 2, 2), each row bit for bit the blocks of
-    that pair alone.
+    the pair's row, and the three eps_{ijk} cycles are read off them.
+    The stacked :class:`PairMomenta` of a stack of pairs gives
+    (..., 3, 2, 2), each row bit for bit the blocks of that pair alone.
     """
-    denom = np.asarray(pair.pair_energy)[..., None] - momenta.rest_energies
-    w = (1.0 / denom)[..., None, None, :]
+    w = (1.0 / momenta.gaps)[..., None, None, :]
     # mass[..., j, k, :, :] = sum_l pi_j[:, l] pi_k[l, :] / (E_pair - E_l)
     mass = ((momenta.pair_rest * w)[..., :, None, :, :]
             @ momenta.pair_rest.conj().swapaxes(-1, -2)[..., None, :, :, :])
@@ -215,7 +217,7 @@ def g_tensor_set(model: MaterialModel, sol: BlochSolution | PairMomenta,
     momenta = (sol if isinstance(sol, PairMomenta)
                else pair_momenta(model, sol, pair))
     g_s = spin_g(pair)
-    g_l = orbital_g(orbital_matrices(pair, momenta))
+    g_l = orbital_g(orbital_matrices(momenta))
     g_tot = g_s + g_l
     both = np.stack([g_s, g_tot])
     u, sigma, vh = np.linalg.svd(both)

@@ -30,8 +30,8 @@ except ImportError:
         from hashlib import sha256
 
 # Kramers pairs must be isolated by more than this for inversion-symmetric
-# crystals; for compound (Td) materials the intra-pair split is physical
-# and the tolerance is lifted (None).
+# crystals; for compound (Td) materials the intra-pair split is physical,
+# and bands.select_pair takes that split as the isolation scale instead.
 PAIR_SPLIT_TOL = 1e-6  # Hartree
 
 # zone-center degeneracy detection threshold used by the load-time check
@@ -66,7 +66,6 @@ class MaterialModel:
     dipole: dict                     # species -> <s|r|p> element, Bohr
     band_pairs: dict                 # label -> (i, i+1), 0-based
     point_group: str                 # "Oh" or "Td"
-    pair_split_tol: float | None
     file_sha256: str                 # of the bytes the model was parsed from
 
     @property
@@ -115,11 +114,10 @@ def _numbers(doc, section, entry, keys) -> dict:
 
 
 def builtin_material_path(name: str) -> Path:
-    """Path of a packaged material file ('si', 'ge', 'gaas')."""
+    """Path of the packaged file 'si', 'ge' or 'gaas'; else InputError."""
     if name not in BUILTIN_MATERIALS:
-        raise MaterialValidationError(
-            "material", f"unknown built-in material {name!r}; "
-            f"choose from {BUILTIN_MATERIALS} or pass a file path")
+        raise InputError(f"unknown built-in material {name!r}; choose from "
+                         f"{BUILTIN_MATERIALS} or pass a file path")
     return Path(__file__).with_name("data") / f"{name}.json"
 
 
@@ -228,7 +226,6 @@ def load_material(path) -> MaterialModel:
             raise MaterialValidationError(path_key, f"must be {problem}")
         band_pairs[label] = tuple(idx)
 
-    inversion = species[0] == species[1]
     model = MaterialModel(
         name=name,
         lattice_constant=angstrom_to_bohr(a_ang),
@@ -239,8 +236,7 @@ def load_material(path) -> MaterialModel:
         soc=soc,
         dipole=dipole,
         band_pairs=band_pairs,
-        point_group="Oh" if inversion else "Td",
-        pair_split_tol=PAIR_SPLIT_TOL if inversion else None,
+        point_group="Oh" if species[0] == species[1] else "Td",
         file_sha256=sha256(raw).hexdigest(),
     )
     _verify_band_pairs_at_gamma(model)

@@ -105,7 +105,7 @@ def _coarse_signs(model: MaterialModel, band_id, which_det: str, ks) -> list:
                                            momenta=which_det == "gtot")
     g = spin_g(pairs)
     if momenta is not None:
-        g = g + orbital_g(orbital_matrices(pairs, momenta))
+        g = g + orbital_g(orbital_matrices(momenta))
     signs = iter(det_sign(g))
     return [next(signs) if reason is None else reason for reason in reasons]
 

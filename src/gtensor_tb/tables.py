@@ -103,23 +103,23 @@ def sample_pairs(model: MaterialModel, band_id, ks,
     """Solve and select the pair at each k-point of ``ks``.
 
     With ``momenta`` each k-point solves every band and forms the pair's
-    rows of its momentum table, whose orbital sum runs over all bands;
-    otherwise it solves only :func:`pair_window`, the bands
-    :func:`select_pair` reads.  Returns (reasons, pairs, momenta):
-    ``reasons`` has one entry per k-point, None where the pair is
-    defined, else the class name of the :class:`PairUndefinedError`
-    raised there; ``pairs`` and ``momenta`` (None unless asked for)
-    stack the defined rows, zero or more, along a leading axis.  Each
-    row is written into named arrays, so no solution outlives its row.
+    momentum rows and energy denominators (:func:`pair_momenta`), whose
+    orbital sum runs over all bands; otherwise it solves only
+    :func:`pair_window`, the bands :func:`select_pair` reads.  Returns
+    (reasons, pairs, momenta): ``reasons`` has one entry per k-point,
+    None where the pair is defined, else the class name of the
+    :class:`PairUndefinedError` raised there; ``pairs`` and ``momenta``
+    (None unless asked for) stack the defined rows, zero or more, along
+    a leading axis.  Each row is written into named arrays, so no
+    solution outlives its row.
     """
     indices = resolve_band_indices(model, band_id)
     bands = None if momenta else pair_window(model, indices)
     n, rest = len(ks), model.dim - 2
-    k, pair_energy = np.empty((n, 3)), np.empty(n)
-    states = np.empty((n, model.dim, 2), complex)
+    k, states = np.empty((n, 3)), np.empty((n, model.dim, 2), complex)
     if momenta:
         pair_rest = np.empty((n, 3, 2, rest), complex)
-        rest_energies = np.empty((n, rest))
+        gaps = np.empty((n, rest))
     reasons, defined = [], 0
     for point in ks:
         try:
@@ -130,17 +130,13 @@ def sample_pairs(model: MaterialModel, band_id, ks,
         except PairUndefinedError as err:
             reasons.append(type(err).__name__)
             continue
-        k[defined], pair_energy[defined] = pair.k, pair.pair_energy
-        states[defined] = pair.states
+        k[defined], states[defined] = pair.k, pair.states
         if momenta:
-            pair_rest[defined] = row.pair_rest
-            rest_energies[defined] = row.rest_energies
+            pair_rest[defined], gaps[defined] = row.pair_rest, row.gaps
         reasons.append(None)
         defined += 1
-    pairs = KramersPair(k[:defined], indices, states[:defined],
-                        pair_energy[:defined])
-    return reasons, pairs, (PairMomenta(pair_rest[:defined],
-                                        rest_energies[:defined])
+    pairs = KramersPair(k[:defined], indices, states[:defined])
+    return reasons, pairs, (PairMomenta(pair_rest[:defined], gaps[:defined])
                             if momenta else None)
 
 

@@ -205,7 +205,7 @@ def pair_zeeman_hamiltonian(pair, momenta, field) -> np.ndarray:
     the pair's ``gtensor_tb.gtensor.PairMomenta``.
     """
     b = np.asarray(field, dtype=float)
-    blocks = spin_matrices(pair) + orbital_matrices(pair, momenta)
+    blocks = spin_matrices(pair) + orbital_matrices(momenta)
     return MU_B * np.einsum('i,iab->ab', b, blocks)
 
 
@@ -292,10 +292,11 @@ def orbital_matrices_commutator(pair, sol, pi) -> np.ndarray:
     p = np.matmul(w2.conj().T, pi[:, [ia, ib], :][:, :, others])
     q = np.matmul(pi[:, others, :][:, :, [ia, ib]], w2)
     e_ab = sol.energies[[ia, ib]]
+    e_pair = 0.5 * (e_ab[0] + e_ab[1])
     out = np.zeros((3, 2, 2), dtype=complex)
     for a in range(2):
         for b in range(2):
-            w = (e_rest - pair.pair_energy) / (
+            w = (e_rest - e_pair) / (
                 (e_rest - e_ab[a]) * (e_rest - e_ab[b]))
             for i, j, k in EPS_CYCLES:
                 out[i, a, b] += 0.5j * (

@@ -204,7 +204,7 @@ def test_criterion_5c_orbital_moment_assemblies_agree(si):
             table = momentum_table(si, sol, range(si.dim))
             for route, blocks in (
                     ("mean-energy", orbital_matrices(
-                        pair, pair_momenta(si, sol, pair))),
+                        pair_momenta(si, sol, pair))),
                     ("commutator",
                      orbital_matrices_commutator(pair, sol, table))):
                 assert np.abs(blocks - local).max() < 1e-10, route

@@ -1,19 +1,23 @@
 import struct
 import types
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gtensor_tb import (PairingAmbiguityError, PairUndefinedError,
-                        UnknownBandLabelError, blas, boundary_radius,
-                        select_pair, solve, surface, wedge_directions)
+from gtensor_tb import (PairingAmbiguityError, PairUndefinedError, blas,
+                        boundary_radius, select_pair, solve, surface,
+                        wedge_directions)
+from gtensor_tb import bands as band_module
 from gtensor_tb.bands import (BlochSolution, pair_window, remix_pair,
                               resolve_band_indices)
 from gtensor_tb.brillouin import icosphere_directions
-from gtensor_tb.gtensor import det_sign, momentum_table, spin_g
+from gtensor_tb.errors import InputError
+from gtensor_tb.gtensor import det_sign, momentum_table, pair_momenta, spin_g
 from gtensor_tb.hamiltonian import bloch_hamiltonian
+from gtensor_tb.materials import PAIR_SPLIT_TOL
 
 from conftest import random_k_points
 
@@ -46,7 +50,7 @@ def test_resolve_band_labels(si):
     assert resolve_band_indices(si, "split-off") == (2, 3)
     assert resolve_band_indices(si, "first-conduction") == (8, 9)
     assert resolve_band_indices(si, (4, 5)) == (4, 5)
-    with pytest.raises(UnknownBandLabelError):
+    with pytest.raises(InputError, match="not 'no-such-band'"):
         resolve_band_indices(si, "no-such-band")
 
 
@@ -87,9 +91,8 @@ def test_select_pair_reports_isolation(si):
     pair = select_pair(si, sol, "split-off")
     assert pair.band_indices == (2, 3)
     split, gap = _split_and_gap(sol, pair)
-    assert split < si.pair_split_tol
+    assert split < PAIR_SPLIT_TOL
     assert gap > split
-    assert pair.pair_energy == pytest.approx(sol.energies[[2, 3]].mean())
     # columns orthonormal
     g = pair.states.conj().T @ pair.states
     assert np.abs(g - np.eye(2)).max() < 1e-12
@@ -144,14 +147,14 @@ def test_random_points_pair_cleanly(si):
 
 
 def _reference_isolation(e, i, j, tol):
-    """(split, gap_to_rest, pair_energy, raises) from all other bands."""
+    """(split, gap_to_rest, raises) from all other bands."""
     split = float(e[j] - e[i])
     others = np.delete(np.arange(e.size), [i, j])
     gap = float(np.minimum(np.abs(e[others] - e[i]),
                            np.abs(e[others] - e[j])).min())
     floor = split if tol is None else max(split, tol)
     raises = (tol is not None and split > tol) or gap <= floor
-    return split, gap, float(0.5 * (e[i] + e[j])), raises
+    return split, gap, raises
 
 
 def _bits(x):
@@ -183,20 +186,23 @@ def _spectrum_and_pair(draw):
        st.one_of(st.none(), st.sampled_from([1e-8, 1e-3, 0.1])))
 def test_select_pair_isolation_matches_all_bands_formula(case, tol):
     e, (i, j), (lo, hi) = case
-    # select_pair reads the spectrum size from the model
-    model = types.SimpleNamespace(pair_split_tol=tol, dim=e.size)
+    # select_pair reads the spectrum size and point group from the
+    # model; a T_d model (tol None) takes the pair's own split as its
+    # isolation scale, any other PAIR_SPLIT_TOL
+    model = types.SimpleNamespace(point_group="Td" if tol is None else "Oh",
+                                  dim=e.size)
     sol = BlochSolution(k=np.zeros(3), energies=e[lo:hi + 1],
                         states=np.eye(e.size)[:, lo:hi + 1], first=lo)
-    split, gap, pair_energy, raises = _reference_isolation(e, i, j, tol)
-    if raises:
-        with pytest.raises(PairingAmbiguityError) as info:
-            select_pair(model, sol, (i, j))
-        assert _bits(info.value.split) == _bits(split)
-        assert _bits(info.value.gap_to_rest) == _bits(gap)
-        return
-    pair = select_pair(model, sol, (i, j))
+    split, gap, raises = _reference_isolation(e, i, j, tol)
+    with mock.patch.object(band_module, "PAIR_SPLIT_TOL", tol):
+        if raises:
+            with pytest.raises(PairingAmbiguityError) as info:
+                select_pair(model, sol, (i, j))
+            assert _bits(info.value.split) == _bits(split)
+            assert _bits(info.value.gap_to_rest) == _bits(gap)
+            return
+        pair = select_pair(model, sol, (i, j))
     assert _bits(sol.energies[j - lo] - sol.energies[i - lo]) == _bits(split)
-    assert _bits(pair.pair_energy) == _bits(pair_energy)
     assert np.array_equal(sol.energies[[i - lo, j - lo]], e[[i, j]])
     assert np.array_equal(pair.states, np.eye(e.size)[:, [i, j]])
 
@@ -314,7 +320,7 @@ def test_lapack_failure_raises_linalg_error(si, monkeypatch):
 def test_select_pair_arrays_equal_fancy_index(si, pair, bands):
     # the pair's states are the fancy index of the solution's, with the
     # same bytes and the same (column-major) layout, and own their
-    # memory; its energy is the mean of the solution's two
+    # memory
     sol = solve(si, np.array([0.31, 0.17, 0.05]), bands=bands)
     a, b = (i - sol.first for i in pair)
     try:
@@ -326,8 +332,29 @@ def test_select_pair_arrays_equal_fancy_index(si, pair, bands):
     assert got.strides == want.strides
     assert not np.shares_memory(got, sol.states)
     assert not np.shares_memory(got, sol.energies)
-    assert _bits(selected.pair_energy) == _bits(
-        0.5 * (sol.energies[a] + sol.energies[b]))
+
+
+@pytest.mark.parametrize("material", ["si", "ge", "gaas"])
+def test_pair_momenta_gaps_are_mean_energy_denominators(material, request):
+    # the orbital sum's denominators E_pair - E_l, with E_pair the mean of
+    # the pair's two energies, bit for bit, for every configured pair
+    model = request.getfixturevalue(material)
+    checked = 0
+    for band, (i, j) in model.band_pairs.items():
+        for k in random_k_points(61, 8, scale=0.4):
+            sol = solve(model, k)
+            try:
+                gaps = pair_momenta(model, sol, select_pair(model, sol,
+                                                            band)).gaps
+            except PairUndefinedError:
+                continue
+            e = sol.energies.tolist()
+            rest = [x for n, x in enumerate(e) if n not in (i, j)]
+            assert gaps.shape == (model.dim - 2,)
+            assert [_bits(g) for g in gaps.tolist()] == [
+                _bits(0.5 * (e[i] + e[j]) - x) for x in rest], (band, k)
+            checked += 1
+    assert checked >= 4 * len(model.band_pairs)
 
 
 def test_select_pair_needs_pair_and_neighbours(si):

@@ -10,6 +10,7 @@ from gtensor_tb.brillouin import (cubic_group, high_symmetry_point,
                                   icosphere_directions, replicate_points,
                                   unique_rows, wedge_representative,
                                   zone_faces)
+from gtensor_tb.errors import InputError
 
 from conftest import random_unit_vectors
 from oracles import in_first_zone, tetrahedral_group
@@ -62,7 +63,7 @@ def test_high_symmetry_points():
     assert np.allclose(high_symmetry_point("X", a), [g, 0, 0])
     assert np.allclose(high_symmetry_point("L", a), [g / 2] * 3)
     assert np.allclose(high_symmetry_point("GAMMA", a), 0.0)
-    with pytest.raises(KeyError):
+    with pytest.raises(InputError, match="unknown symmetry point 'Q'"):
         high_symmetry_point("Q", a)
     # X and L sit exactly on the boundary
     assert boundary_radius(a, [1, 0, 0]) == pytest.approx(
@@ -76,7 +77,7 @@ def test_named_directions():
     assert np.allclose(named_direction("Sigma"),
                        [1 / np.sqrt(2), 1 / np.sqrt(2), 0])
     assert np.allclose(named_direction("Lambda"), [1 / np.sqrt(3)] * 3)
-    with pytest.raises(KeyError):
+    with pytest.raises(InputError, match="unknown direction family 'Theta'"):
         named_direction("Theta")
 
 

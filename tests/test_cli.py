@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import gtensor_tb
-from gtensor_tb import (build_surface, builtin_material_path, tables,
+from gtensor_tb import (build_surface, builtin_material_path, cli, tables,
                         wedge_directions)
 from gtensor_tb.brillouin import unit_direction
 from gtensor_tb.cli import main
@@ -250,6 +250,19 @@ def test_lapack_fault_is_not_a_usage_error(tmp_path, monkeypatch):
     monkeypatch.setattr(tables, "solve", fail)
     out = tmp_path / "x.csv"
     with pytest.raises(np.linalg.LinAlgError, match="info 3"):
+        main(["gline"] + _RAY + ["--out", str(out)])
+    assert not out.exists()
+
+
+def test_key_error_is_a_fault_not_a_usage_error(tmp_path, monkeypatch):
+    # unknown names raise InputError; a KeyError from inside a command
+    # is a bug, so it propagates (exit 1 with a traceback)
+    def fail(*args):
+        raise KeyError("lookup inside the library")
+
+    monkeypatch.setattr(cli, "gline_rows", fail)
+    out = tmp_path / "x.csv"
+    with pytest.raises(KeyError, match="lookup inside the library"):
         main(["gline"] + _RAY + ["--out", str(out)])
     assert not out.exists()
 

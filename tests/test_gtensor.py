@@ -10,7 +10,7 @@ from gtensor_tb import (NearDegenerateIntermediateError, PairUndefinedError,
                         g_tensor_set, gtensor, select_pair, solve,
                         wedge_directions)
 from gtensor_tb.bands import remix_pair
-from gtensor_tb.brillouin import cubic_group
+from gtensor_tb.brillouin import cubic_group, replicate_points
 from gtensor_tb.gtensor import (det_sign, momentum_table, orbital_g,
                                 orbital_matrices, pair_momenta, spin_g,
                                 spin_matrices)
@@ -94,7 +94,7 @@ def test_orbital_routes_agree_for_degenerate_pair(si, ge):
             sol = solve(model, k)
             pair = select_pair(model, sol, "split-off")
             pi = momentum_table(model, sol, range(model.dim))
-            la = orbital_matrices(pair, pair_momenta(model, sol, pair))
+            la = orbital_matrices(pair_momenta(model, sol, pair))
             lb = orbital_matrices_commutator(pair, sol, pi)
             assert np.abs(la - lb).max() < 1e-10
 
@@ -102,7 +102,7 @@ def test_orbital_routes_agree_for_degenerate_pair(si, ge):
 def test_orbital_matrices_hermitian_blocks(si):
     sol = solve(si, np.array([0.05, 0.02, 0.01]))
     pair = select_pair(si, sol, "split-off")
-    blocks = orbital_matrices(pair, pair_momenta(si, sol, pair))
+    blocks = orbital_matrices(pair_momenta(si, sol, pair))
     for i in range(3):
         assert np.abs(blocks[i] - blocks[i].conj().T).max() < 1e-12
 
@@ -259,33 +259,36 @@ def test_det_sign_matches_svd_sign_near_singular():
 
 
 def _x_w_ratios(model, band_id):
-    """|det g| / (eps |g|_F^3) for g_S and g_tot on the X-W line.
+    """|det g| / (eps |g|_F^3) for g_S and g_tot on the X-W lines.
 
-    k = (1, t, 0) 2 pi / a at 25 values of t in [0.01, 0.49], and its
-    O_h image (-t, 0, 1) 2 pi / a; the pair is defined at every point.
+    k = (1, t, 0) 2 pi / a at 5 values of t in [0.01, 0.49], and every
+    O_h image of it: 24 per t, 120 distinct points in all.  The pair is
+    defined at every point.
     """
     eps = np.finfo(float).eps
+    images, _ = replicate_points([[1.0, t, 0.0]
+                                  for t in np.linspace(0.01, 0.49, 5)])
+    assert len(images) == 120
     ratios = []
-    for t in np.linspace(0.01, 0.49, 25):
-        for unit_k in ([1.0, t, 0.0], [-t, 0.0, 1.0]):
-            k = 2.0 * np.pi / model.lattice_constant * np.array(unit_k)
-            sol = solve(model, k)
-            gset = g_tensor_set(model, sol, select_pair(model, sol, band_id))
-            ratios += [abs(det) / (eps * np.linalg.norm(g) ** 3)
-                       for g, det in ((gset.g_s, gset.det_g_s),
-                                      (gset.g_tot, gset.det_g_tot))]
+    for unit_k in images:
+        sol = solve(model, 2.0 * np.pi / model.lattice_constant * unit_k)
+        gset = g_tensor_set(model, sol, select_pair(model, sol, band_id))
+        ratios += [abs(det) / (eps * np.linalg.norm(g) ** 3)
+                   for g, det in ((gset.g_s, gset.det_g_s),
+                                  (gset.g_tot, gset.det_g_tot))]
     return np.array(ratios)
 
 
 @pytest.mark.parametrize("material", ["si", "ge"])
 def test_det_g_vanishes_on_x_w_line(material, request):
-    # on the X-W zone-face line of the diamond structure det g_S and
-    # det g_tot are zero to rounding for every configured pair (ROADMAP
-    # item 20), so det_sign's sign there is rounding
+    # on the X-W zone-face lines of the diamond structure, all 24 O_h
+    # images of one segment, det g_S and det g_tot are zero to rounding
+    # for every configured pair (ROADMAP item 20), so det_sign's sign
+    # there is rounding
     model = request.getfixturevalue(material)
     for band_id in model.band_pairs:
         ratios = _x_w_ratios(model, band_id)
-        assert ratios.size == 100
+        assert ratios.size == 240
         assert ratios.max() < 1.0, band_id
 
 
@@ -394,7 +397,7 @@ def _reference_orbital_matrices(pair, sol, pi, columns=False):
     p = np.matmul(w2.conj().T, pi[:, [ia, ib], :][:, :, others])
     q = (np.matmul(pi[:, others, :][:, :, [ia, ib]], w2) if columns
          else p.conj().swapaxes(-1, -2))
-    w = 1.0 / (pair.pair_energy - e_rest)
+    w = 1.0 / (0.5 * (sol.energies[ia] + sol.energies[ib]) - e_rest)
     out = np.zeros((3, 2, 2), dtype=complex)
     for i, j, k in EPS_CYCLES:
         out[i] = -0.5j * ((p[j] * w) @ q[k] - (p[k] * w) @ q[j])
@@ -425,7 +428,7 @@ def test_orbital_matrices_bitwise_equal_cycle_loop(material, request):
     model = request.getfixturevalue(material)
     for k, sol, pair in _pair_points(model, 101):
         pi = momentum_table(model, sol, range(model.dim))
-        blocks = orbital_matrices(pair, pair_momenta(model, sol, pair))
+        blocks = orbital_matrices(pair_momenta(model, sol, pair))
         assert (blocks.tobytes()
                 == _reference_orbital_matrices(pair, sol, pi).tobytes()), k
 
@@ -583,8 +586,8 @@ def test_g_tensors_of_a_stack_bitwise_equal_single_calls(material, rows,
             dtype=field.dtype).tobytes(), n
     assert spin_g(pair_stack).tobytes() == np.array(
         [spin_g(p) for p in pairs]).reshape(-1, 3, 3).tobytes()
-    assert orbital_matrices(pair_stack, momenta_stack).tobytes() == np.array(
-        [orbital_matrices(p, m) for p, m in zip(pairs, momenta)],
+    assert orbital_matrices(momenta_stack).tobytes() == np.array(
+        [orbital_matrices(m) for m in momenta],
         dtype=complex).reshape(-1, 3, 2, 2).tobytes()
 
 

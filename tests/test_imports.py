@@ -4,7 +4,9 @@ The package namespace follows one rule: an exported name has a caller
 in ``cli.py``, a demo, the README quick start or ``bench/``, or it is
 the type or exception of a value that such a caller receives.
 Everything else is imported from its submodule, and code that only
-tests use lives in ``tests/``.
+tests use lives in ``tests/``.  Records follow the same rule: every
+field of a package dataclass is read by the package, a demo, the README
+quick start or ``bench/``.
 
 SciPy is not a run-time dependency: ``fit_dipole`` (the ``atomfit``
 command) is closed-form, and nothing else under the package imports it.
@@ -19,6 +21,7 @@ imported SciPy through other tests.
 """
 import ast
 import builtins
+import dataclasses
 import hashlib
 import importlib
 import importlib.util
@@ -150,6 +153,29 @@ def test_every_export_has_a_caller():
                if name not in used and name not in received
                and not is_received_exception(getattr(gtensor_tb, name))]
     assert orphans == []
+
+
+def test_every_record_field_is_read():
+    # a field is read where some source loads it as an attribute,
+    # ``record.field``; one that only tests read belongs in tests/
+    package = Path(gtensor_tb.__file__).parent
+    sources = [path.read_text() for folder in (package, _ROOT / "demos",
+                                               _ROOT / "bench")
+               for path in sorted(folder.glob("*.py"))]
+    read = {node.attr for source in sources + [_quick_start()]
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for path in sorted(package.glob("*.py")):
+        module = importlib.import_module(f"gtensor_tb.{path.stem}")
+        for name, obj in sorted(vars(module).items()):
+            if (dataclasses.is_dataclass(obj) and isinstance(obj, type)
+                    and obj.__module__ == module.__name__):
+                unread += [f"{name}.{field.name}"
+                           for field in dataclasses.fields(obj)
+                           if field.name not in read]
+    assert unread == []
 
 
 def test_readme_quick_start_runs():

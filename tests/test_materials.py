@@ -31,8 +31,8 @@ def test_builtin_materials_load(si, ge, gaas):
 
 
 def test_point_group_and_split_tol(si, gaas):
-    assert si.point_group == "Oh" and si.pair_split_tol is not None
-    assert gaas.point_group == "Td" and gaas.pair_split_tol is None
+    assert si.point_group == "Oh"
+    assert gaas.point_group == "Td"
 
 
 def test_units_converted(si):
@@ -53,7 +53,7 @@ def test_resolve_material_path(tmp_path):
             f"unknown material {missing!r}: not a built-in name and no "
             "such parameter file")):
         resolve_material_path(missing)
-    with pytest.raises(MaterialValidationError):
+    with pytest.raises(InputError, match="unknown built-in material"):
         builtin_material_path("diamond")
 
 

@@ -218,7 +218,8 @@ def test_gline_rows_nan_exactly_where_intermediates_are_near(gaas,
         sol = solve(gaas, r * direction)
         pair = select_pair(gaas, sol, "split-off")
         rest = np.delete(sol.energies, pair.band_indices)
-        gaps.append(np.abs(rest - pair.pair_energy).min())
+        ea, eb = sol.energies[list(pair.band_indices)]
+        gaps.append(np.abs(rest - 0.5 * (ea + eb)).min())
     floor = float(np.median(gaps))
     near = np.array(gaps) <= floor
     assert 0 < near.sum() < len(radii)

@@ -16,14 +16,17 @@ from .materials import PAIR_SPLIT_TOL, MaterialModel, band_pair_problem
 class BlochSolution:
     """Eigensystem of H(k): ascending energies, eigenvectors as columns.
 
-    A solution of a band window holds bands ``first`` to ``first +
-    len(energies) - 1`` of the full spectrum only.
+    ``energies`` holds bands ``first`` to ``first + len(energies) - 1``
+    of the full spectrum, and the columns of ``states`` hold bands
+    ``first_state`` onwards: every band of a full solution, the window's
+    energies and the pair's two vectors of a pair solution.
     """
 
     k: np.ndarray
     energies: np.ndarray
     states: np.ndarray
     first: int = 0
+    first_state: int = 0
 
 
 @dataclasses.dataclass
@@ -38,19 +41,25 @@ class KramersPair:
     states: np.ndarray
 
 
-def solve(model: MaterialModel, k, bands: tuple | None = None) -> BlochSolution:
+def solve(model: MaterialModel, k, pair=None) -> BlochSolution:
     """Diagonalize the Bloch Hamiltonian at one k-point.
 
-    ``bands=(lo, hi)`` computes bands ``lo..hi`` (inclusive, 0-based in
-    the full ascending spectrum) and nothing else; the solution records
-    ``lo`` as ``first``.  A window outside ``0..model.dim - 1`` raises
-    ``ValueError``.  By default the full spectrum is solved.
-    :func:`~gtensor_tb.blas.eigh_window` picks the eigensolver.
+    By default every band is solved, by ``np.linalg.eigh``.  Given a
+    ``pair`` (a configured label or an index pair), only what
+    :func:`select_pair` reads is computed: the energies of
+    :func:`pair_window` and the pair's two eigenvectors, by
+    :func:`~gtensor_tb.blas.eigh_window`.  The solution records the
+    window's first band as ``first`` and the pair's as ``first_state``.
     """
     k = np.asarray(k, dtype=float)
-    lo, hi = (0, model.dim - 1) if bands is None else bands
-    energies, states = eigh_window(bloch_hamiltonian(model, k), lo, hi)
-    return BlochSolution(k, energies, states, lo)
+    h = bloch_hamiltonian(model, k)
+    if pair is None:
+        energies, states = np.linalg.eigh(h)
+        return BlochSolution(k, energies, states)
+    i, _ = resolve_band_indices(model, pair)
+    lo, hi = _doublet_window(model, i)
+    energies, states = eigh_window(h, lo, hi, i)
+    return BlochSolution(k, energies, states, lo, i)
 
 
 def resolve_band_indices(model: MaterialModel, band_id) -> tuple:
@@ -72,15 +81,22 @@ def resolve_band_indices(model: MaterialModel, band_id) -> tuple:
 
 
 def pair_window(model: MaterialModel, band_id) -> tuple:
-    """The bands :func:`select_pair` reads: the pair and its neighbours.
+    """The bands whose energies :func:`select_pair` reads: the pair and
+    its neighbours.
 
-    Returns the inclusive ``(lo, hi)`` range for ``solve(..., bands=)``.
-    With inversion (every point group but T_d) bands 2m and 2m + 1 are
-    one Kramers doublet, and the window takes whole doublets: an index
-    range whose edge splits a degenerate cluster costs ZHEEVR more than
-    one with two bands more.
+    Returns the inclusive ``(lo, hi)`` range that ``solve(model, k,
+    band_id)`` solves.  With inversion (every point group but T_d) bands
+    2m and 2m + 1 are one Kramers doublet, and the window takes whole
+    doublets: DSTEBZ finds the ends of an index range by bisection on
+    eigenvalue counts, and an end that splits a degenerate doublet has
+    no gap to stop at, so it costs more than a window with two bands
+    more.
     """
-    i, _ = resolve_band_indices(model, band_id)
+    return _doublet_window(model, resolve_band_indices(model, band_id)[0])
+
+
+def _doublet_window(model: MaterialModel, i: int) -> tuple:
+    """:func:`pair_window` of the pair ``(i, i + 1)``."""
     lo, hi = _neighbour_window(model.dim, i)
     if model.point_group == "Td":
         return lo, hi
@@ -96,8 +112,9 @@ def select_pair(model: MaterialModel, sol: BlochSolution, band_id) -> KramersPai
     """Extract a Kramers pair from a solved k-point.
 
     ``sol`` may hold a window of the spectrum (see :func:`solve`) as
-    long as it contains the pair and every neighbour of it that exists,
-    and ``ValueError`` is raised otherwise.
+    long as it holds the energies of the pair and of every neighbour of
+    it that exists, and the pair's two vectors; ``ValueError`` is raised
+    otherwise.
 
     Raises :class:`PairingAmbiguityError` when the two bands are not
     isolated from the rest of the spectrum: for inversion-symmetric
@@ -108,12 +125,15 @@ def select_pair(model: MaterialModel, sol: BlochSolution, band_id) -> KramersPai
     """
     i, j = resolve_band_indices(model, band_id)
     lo, hi = _neighbour_window(model.dim, i)
-    first = sol.first
+    first, col = sol.first, i - sol.first_state
     e = sol.energies.tolist()
-    if not first <= lo <= hi < first + len(e):
+    if not (first <= lo <= hi < first + len(e)
+            and 0 <= col < sol.states.shape[1] - 1):
         raise ValueError(
-            f"solution holds bands {first}..{first + len(e) - 1}, "
-            f"pair {(i, j)} needs bands {lo}..{hi}")
+            f"solution holds the energies of bands {first}.."
+            f"{first + len(e) - 1} and the vectors of bands "
+            f"{sol.first_state}..{sol.first_state + sol.states.shape[1] - 1}"
+            f", pair {(i, j)} needs energies {lo}..{hi} and vectors {i}, {j}")
     # a is the pair's offset from sol.first; energies ascend, so the
     # split is >= 0 and the band nearest to the pair is a neighbour,
     # inside lo..hi; a pair has at least one, since dim >= 4
@@ -128,7 +148,7 @@ def select_pair(model: MaterialModel, sol: BlochSolution, band_id) -> KramersPai
     floor = split if model.point_group == "Td" else PAIR_SPLIT_TOL
     if split > floor or gap_to_rest <= floor:
         raise PairingAmbiguityError(sol.k, (i, j), split, gap_to_rest)
-    states = sol.states[:, a:a + 2].copy(order="F")
+    states = sol.states[:, col:col + 2].copy(order="F")
     return KramersPair(sol.k, (i, j), states)
 
 

@@ -5,7 +5,7 @@ Each k-point costs one small (at most 40x40) ``eigh``.  A full
 g_tot scans) runs on all cores, and on two cores its second thread
 spins through every solve without speeding any of them up: such a job
 burns twice the CPU time for the same wall time (README "Threads" has
-the numbers).  ZHEEVR window solves and 16x16 full solves start no
+the numbers).  Window solves and 16x16 full solves start no
 second thread.  :func:`one_blas_thread`
 sets every loaded OpenBLAS to one thread while the wrapped call runs
 and then puts back the count it found; ``--workers N`` processes are
@@ -18,33 +18,42 @@ leave the process at one thread.  Where there is no ``/proc`` (macOS),
 no OpenBLAS (MKL, Accelerate) or no ``openblas_set_num_threads_local``
 symbol, the decorator does nothing.
 
-g_S scans and entropy tables read only a pair and its neighbours in the
-spectrum (whole Kramers doublets where every band is degenerate, see
-:func:`~gtensor_tb.bands.pair_window`).
-:func:`eigh_window` computes just those eigenpairs with LAPACK's ZHEEVR
-(bisection and inverse iteration for an index range), called from the
-OpenBLAS numpy itself is linked against, so no SciPy is loaded.  The
-whole spectrum, or a window where that build is absent, is sliced from
-a full ``np.linalg.eigh``.
+g_S scans and entropy tables read the energies of a pair and its
+neighbours in the spectrum (whole Kramers doublets where every band is
+degenerate, see :func:`~gtensor_tb.bands.pair_window`) and the pair's
+two eigenvectors.  :func:`eigh_window` computes just those with the
+four LAPACK routines ZHEEVR runs for an index range: ZHETRD reduces H
+to a real tridiagonal T, DSTEBZ finds the window's eigenvalues of T by
+bisection, ZSTEIN forms the pair's two eigenvectors of T by inverse
+iteration and ZUNMTR turns them into eigenvectors of H.  ZHEEVR would
+form a vector for every band of the window, four of six of them unread.
+The routines come from the OpenBLAS numpy itself is linked against, so no
+SciPy is loaded; where that build is absent the window is sliced from a
+full ``np.linalg.eigh``.
 
-A surface makes thousands of these window solves, each about 110-125
-us of LAPACK for six of the 40 bands (a window that ends inside a
-degenerate doublet costs about 10 us more).  Reading an array's address
-through ``ndarray.ctypes.data`` costs about 2 us and a call passes seven
-addresses, so each thread keeps one ZHEEVR workspace per ``(n, count)``:
-the six output and scratch arrays, their addresses and the argument tail
-built from them (:func:`_workspace`).  Those arguments, and the ones no
-call changes, are converted to ctypes once, which saves about 1.5 us of
-argument conversion per call.  The matrix's own address comes from a
-ctypes view of its buffer.  An entry holds the arrays themselves,
+A surface makes thousands of these window solves, each about 110 us at
+n = 40 where ZHEEVR took about 130 us (Si split-off; README "Band
+windows" has the time of each step).  ZHETRD and ZUNMTR get the
+workspace ZHEEVR hands them, ``lwork = n``: that selects their
+unblocked code, which at n = 40 is faster than the blocked code a
+larger workspace selects (ZHETRD 57 against 70 us, ZUNMTR on two
+columns 13 against 47 us).
+
+Reading an array's address through ``ndarray.ctypes.data`` costs about
+2 us and the four calls pass 27 addresses, so each thread keeps
+one :class:`_Workspace` per matrix order: the output and scratch arrays
+and the arguments built from them, converted to ctypes once, as are the
+arguments no call changes.  The matrix's own address comes from a
+ctypes view of its buffer.  A workspace holds the arrays themselves,
 not only their addresses: the address of a freed array points into
 memory the allocator hands out again, and LAPACK would then write over
-the heap.  The workspace is per thread because ZHEEVR writes into it,
+the heap.  The workspace is per thread because LAPACK writes into it,
 and the energies and vectors returned are fresh copies, so no result
 aliases it.
 """
 from __future__ import annotations
 
+import collections
 import ctypes
 import functools
 import os
@@ -56,14 +65,34 @@ _lock = threading.Lock()
 _depth = 0
 _saved: tuple = ()
 
-_COL_MAJOR = 102            # LAPACK_COL_MAJOR in lapacke.h
 _INT = ctypes.c_int64       # numpy's OpenBLAS is an ILP64 build
 _PTR = ctypes.c_void_p
-# ZHEEVR arguments that no call changes, converted to ctypes once:
-# layout, jobz (vectors), range (index range), uplo; vl, vu and abstol
-_MODE = (ctypes.c_int(_COL_MAJOR), ctypes.c_char(b"V"), ctypes.c_char(b"I"),
-         ctypes.c_char(b"L"))
-_ZERO = ctypes.c_double(0.0)
+_CHAR = ctypes.c_char
+_REAL = ctypes.c_double
+_INT_OUT = ctypes.POINTER(_INT)
+# arguments that no call changes, converted to ctypes once
+_COL_MAJOR = ctypes.c_int(102)    # LAPACK_COL_MAJOR in lapacke.h
+_LOWER, _LEFT, _NO_TRANS = _CHAR(b"L"), _CHAR(b"L"), _CHAR(b"N")
+_BY_INDEX, _BY_BLOCK = _CHAR(b"I"), _CHAR(b"B")
+_ZERO = _REAL(0.0)                # vl, vu (unused) and abstol (default)
+_TWO = _INT(2)                    # the pair's two vectors
+
+_Lapack = collections.namedtuple("_Lapack", "zhetrd dstebz zstein zunmtr")
+# the argument types of each LAPACKE_*_work entry point, as in lapacke.h
+_ARGTYPES = _Lapack(
+    # layout, uplo, n, a, lda, d, e, tau, work, lwork
+    zhetrd=[ctypes.c_int, _CHAR, _INT, _PTR, _INT, _PTR, _PTR, _PTR, _PTR,
+            _INT],
+    # range, order, n, vl, vu, il, iu, abstol, d, e, m, nsplit, w, iblock,
+    # isplit, work, iwork
+    dstebz=[_CHAR, _CHAR, _INT, _REAL, _REAL, _INT, _INT, _REAL, _PTR, _PTR,
+            _INT_OUT, _INT_OUT, _PTR, _PTR, _PTR, _PTR, _PTR],
+    # layout, n, d, e, m, w, iblock, isplit, z, ldz, work, iwork, ifail
+    zstein=[ctypes.c_int, _INT, _PTR, _PTR, _INT, _PTR, _PTR, _PTR, _PTR,
+            _INT, _PTR, _PTR, _PTR],
+    # layout, side, uplo, trans, m, n, a, lda, tau, c, ldc, work, lwork
+    zunmtr=[ctypes.c_int, _CHAR, _CHAR, _CHAR, _INT, _INT, _PTR, _INT, _PTR,
+            _PTR, _INT, _PTR, _INT])
 
 
 @functools.cache
@@ -111,88 +140,98 @@ def _openblas_setters() -> tuple:
 
 
 @functools.cache
-def _lapacke_zheevr():
-    """``LAPACKE_zheevr_work`` with 64-bit integers, or None if not loaded.
+def _lapack():
+    """The four ``LAPACKE_*_work`` routines with 64-bit integers, or None.
 
-    Only numpy's own OpenBLAS wheel exports it, under the symbol
-    ``scipy_LAPACKE_zheevr_work64_``; SciPy's OpenBLAS uses 32-bit
-    integers and another name, so it is never picked by mistake.  The
-    ``_work`` entry point takes the caller's workspace, see
-    :func:`eigh_window`.
+    Only numpy's own OpenBLAS wheel exports them, under symbols such as
+    ``scipy_LAPACKE_zhetrd_work64_``; SciPy's OpenBLAS uses 32-bit
+    integers and other names, so it is never picked by mistake.  The
+    ``_work`` entry points take the caller's workspace and, for a
+    column-major call, neither allocate nor transpose.
     """
     for library in _openblas_libraries():
         try:
-            zheevr = library.scipy_LAPACKE_zheevr_work64_
+            routines = _Lapack._make(
+                getattr(library, f"scipy_LAPACKE_{name}_work64_")
+                for name in _Lapack._fields)
         except AttributeError:
             continue
-        zheevr.argtypes = [
-            ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_char,
-            _INT, _PTR, _INT,                       # n, a, lda
-            ctypes.c_double, ctypes.c_double,       # vl, vu
-            _INT, _INT, ctypes.c_double,            # il, iu, abstol
-            ctypes.POINTER(_INT), _PTR,             # m, w
-            _PTR, _INT, _PTR,                       # z, ldz, isuppz
-            _PTR, _INT, _PTR, _INT, _PTR, _INT]     # work, rwork, iwork
-        zheevr.restype = _INT
-        return zheevr
+        for routine, argtypes in zip(routines, _ARGTYPES):
+            routine.argtypes = argtypes
+            routine.restype = _INT
+        return routines
     return None
 
 
+class _Workspace:
+    """One thread's arrays and ctypes arguments for n x n window solves.
+
+    ``trd``, ``bz`` and ``mtr`` hold the ZHETRD, DSTEBZ and ZUNMTR
+    arguments before and after the ones a call supplies (the matrix, or
+    the index range), and ``stein`` every ZSTEIN argument; ZSTEIN reads
+    the pair's eigenvalues and block numbers from ``pair_w`` and
+    ``pair_block``.  ZHETRD and ZUNMTR get ``lwork = n``, the size
+    ZHEEVR passes them.
+    """
+
+    def __init__(self, n: int):
+        self.d, self.e, self.w = np.empty(n), np.empty(n), np.empty(n)
+        self.tau = np.empty(n, dtype=complex)
+        self.work = np.empty(n, dtype=complex)
+        self.iblock = np.empty(n, dtype=np.int64)
+        self.isplit = np.empty(n, dtype=np.int64)
+        self.rwork = np.empty(5 * n)                  # DSTEBZ 4n, ZSTEIN 5n
+        self.iwork = np.empty(3 * n, dtype=np.int64)  # DSTEBZ 3n, ZSTEIN n
+        self.pair_w = np.empty(2)
+        self.pair_block = np.empty(2, dtype=np.int64)
+        self.z = np.empty((2, n), dtype=complex)      # column-major (n, 2)
+        self.ifail = np.empty(2, dtype=np.int64)
+        self.found, self.nsplit = _INT(), _INT()
+        order = _INT(n)
+        d, e, tau, work, isplit, z, rwork, iwork = (
+            _PTR(a.ctypes.data) for a in (self.d, self.e, self.tau, self.work,
+                                          self.isplit, self.z, self.rwork,
+                                          self.iwork))
+        self.trd = ((_COL_MAJOR, _LOWER, order),
+                    (order, d, e, tau, work, order))
+        self.bz = ((_BY_INDEX, _BY_BLOCK, order, _ZERO, _ZERO),
+                   (_ZERO, d, e, ctypes.byref(self.found),
+                    ctypes.byref(self.nsplit), _PTR(self.w.ctypes.data),
+                    _PTR(self.iblock.ctypes.data), isplit, rwork, iwork))
+        self.stein = (_COL_MAJOR, order, d, e, _TWO,
+                      _PTR(self.pair_w.ctypes.data),
+                      _PTR(self.pair_block.ctypes.data), isplit, z, order,
+                      rwork, iwork, _PTR(self.ifail.ctypes.data))
+        self.mtr = ((_COL_MAJOR, _LEFT, _LOWER, _NO_TRANS, order, _TWO),
+                    (order, tau, z, order, work, order))
+
+
 class _Workspaces(threading.local):
-    """One thread's ZHEEVR workspaces, keyed by ``(n, count)``."""
+    """One thread's :class:`_Workspace` per matrix order."""
 
     def __init__(self):
-        self.by_shape = {}
+        self.by_order = {}
 
 
 _workspaces = _Workspaces()
 
 
-def _workspace(n: int, count: int) -> tuple:
-    """This thread's ZHEEVR arrays for ``count`` eigenpairs of an n x n matrix.
+def eigh_window(h: np.ndarray, lo: int, hi: int, i: int) -> tuple:
+    """Energies ``lo..hi`` (inclusive) of the Hermitian matrix ``h`` and
+    the eigenvectors of bands ``i`` and ``i + 1``.
 
-    Returns ``(energies, z, found, order, tail, arrays)``: ``order`` is
-    ``n`` as a ctypes integer, ``tail`` every argument after ``abstol``,
-    with ``found`` by reference and the addresses of the six arrays, all
-    converted to ctypes once, and ``arrays`` keeps those arrays alive for
-    as long as the addresses are in use.
-    """
-    ws = _workspaces.by_shape.get((n, count))
-    if ws is None:
-        energies = np.empty(n)
-        z = np.empty((count, n), dtype=complex)  # column-major (n, count)
-        isuppz = np.empty(2 * count, dtype=np.int64)
-        # the smallest workspace ZHEEVR accepts: it selects the unblocked
-        # tridiagonal reduction, about 10% faster at n = 40 than the
-        # blocked one an optimal-size workspace selects
-        work = np.empty(2 * n, dtype=complex)
-        rwork = np.empty(24 * n)
-        iwork = np.empty(10 * n, dtype=np.int64)
-        found = _INT()
-        order = _INT(n)
-        tail = (ctypes.byref(found), _PTR(energies.ctypes.data),
-                _PTR(z.ctypes.data), order, _PTR(isuppz.ctypes.data),
-                _PTR(work.ctypes.data), _INT(work.size),
-                _PTR(rwork.ctypes.data), _INT(rwork.size),
-                _PTR(iwork.ctypes.data), _INT(iwork.size))
-        ws = (energies, z, found, order, tail, (isuppz, work, rwork, iwork))
-        _workspaces.by_shape[(n, count)] = ws
-    return ws
-
-
-def eigh_window(h: np.ndarray, lo: int, hi: int) -> tuple:
-    """Eigenpairs ``lo..hi`` (inclusive) of the Hermitian matrix ``h``.
-
-    Returns ``(energies, states)`` like ``np.linalg.eigh(h)`` sliced to
-    ``[lo:hi + 1]``: ascending energies and the eigenvectors as the
-    columns of an ``(n, hi - lo + 1)`` array.  ``h`` must be a C-ordered
-    complex128 square matrix with both triangles filled, and it is
-    overwritten.  LAPACK reads the C-ordered array as its transpose,
-    conj(h), which has the same eigenvalues and conjugate eigenvectors,
-    so the vectors are conjugated on return; ``np.linalg.eigh`` solves
-    the whole spectrum, and any window where ZHEEVR is absent.  Raises
-    ``ValueError`` for a bad window or array before any foreign call,
-    and ``np.linalg.LinAlgError`` if LAPACK fails or finds fewer eigenvalues.
+    Returns ``(energies, states)`` like ``np.linalg.eigh(h)`` with the
+    energies sliced to ``[lo:hi + 1]`` and the vectors to ``[:, i:i +
+    2]``: ascending energies and an ``(n, 2)`` array of columns.  ``h``
+    must be a C-ordered complex128 square matrix with both triangles
+    filled, and it is overwritten.  LAPACK reads the C-ordered array as
+    its transpose, conj(h), which has the same eigenvalues and conjugate
+    eigenvectors, so the vectors are conjugated on return.  Where the
+    tridiagonal splits into blocks, DSTEBZ lists the energies block by
+    block: they are sorted, and ZSTEIN is handed the pair in block
+    order.  Raises ``ValueError`` for a bad window or array before any
+    foreign call, and ``np.linalg.LinAlgError`` naming the routine if
+    LAPACK fails or finds fewer eigenvalues.
     """
     if not (isinstance(h, np.ndarray) and h.dtype == np.complex128
             and h.ndim == 2 and h.shape[0] == h.shape[1]
@@ -201,24 +240,50 @@ def eigh_window(h: np.ndarray, lo: int, hi: int) -> tuple:
                          "complex128 square matrix")
     n = h.shape[0]
     integer = (int, np.integer)
-    if not (isinstance(lo, integer) and isinstance(hi, integer)
-            and 0 <= lo <= hi < n):
-        raise ValueError(f"band window ({lo}, {hi}) is not within 0..{n - 1}")
-    count = hi - lo + 1
-    zheevr = None if count == n else _lapacke_zheevr()
-    if zheevr is None:
+    if not (all(isinstance(b, integer) for b in (lo, hi, i))
+            and 0 <= lo <= i < hi < n):
+        raise ValueError(f"band window ({lo}, {hi}) does not hold bands "
+                         f"{i}, {i + 1} of 0..{n - 1}")
+    lapack = _lapack()
+    if lapack is None:
         energies, states = np.linalg.eigh(h)
-        return energies[lo:hi + 1], states[:, lo:hi + 1]
-    energies, z, found, order, tail, _ = _workspace(n, count)
+        return energies[lo:hi + 1], states[:, i:i + 2]
+    ws = _workspaces.by_order.get(n)
+    if ws is None:
+        ws = _workspaces.by_order[n] = _Workspace(n)
     # a ctypes view of h's buffer passes its address for a quarter of
-    # the cost of h.ctypes.data, and keeps h alive through the call
-    info = zheevr(*_MODE, order, ctypes.byref(ctypes.c_char.from_buffer(h)),
-                  order, _ZERO, _ZERO, lo + 1, hi + 1, _ZERO, *tail)
-    if info != 0 or found.value != count:
-        raise np.linalg.LinAlgError(
-            f"zheevr returned info {info} and {found.value} of {count} "
-            f"eigenvalues for the window ({lo}, {hi})")
-    return energies[:count].copy(), z.T.conj()
+    # the cost of h.ctypes.data, and keeps h alive through the calls
+    a = ctypes.byref(ctypes.c_char.from_buffer(h))
+    if info := lapack.zhetrd(*ws.trd[0], a, *ws.trd[1]):
+        raise _failure("zhetrd", info, lo, hi)
+    count = hi - lo + 1
+    info = lapack.dstebz(*ws.bz[0], lo + 1, hi + 1, *ws.bz[1])
+    if info or ws.found.value != count:
+        raise _failure("dstebz", info, lo, hi,
+                       f" and {ws.found.value} of {count} eigenvalues")
+    w = ws.w[:count]
+    lower = i - lo
+    if ws.nsplit.value == 1:      # one block: DSTEBZ lists w ascending
+        energies, upper = w.copy(), lower + 1
+    else:
+        order = np.argsort(w, kind="stable")
+        energies = w[order]
+        lower, upper = order[lower:lower + 2].tolist()
+    first, second = (lower, upper) if lower < upper else (upper, lower)
+    ws.pair_w[0], ws.pair_w[1] = w[first], w[second]
+    ws.pair_block[0], ws.pair_block[1] = ws.iblock[first], ws.iblock[second]
+    if info := lapack.zstein(*ws.stein):
+        raise _failure("zstein", info, lo, hi)
+    if info := lapack.zunmtr(*ws.mtr[0], a, *ws.mtr[1]):
+        raise _failure("zunmtr", info, lo, hi)
+    states = ws.z.T.conj()
+    return energies, states if lower < upper else states[:, ::-1]
+
+
+def _failure(routine: str, info: int, lo: int, hi: int,
+             detail: str = "") -> np.linalg.LinAlgError:
+    return np.linalg.LinAlgError(f"{routine} returned info {info}{detail} "
+                                 f"for the window ({lo}, {hi})")
 
 
 def one_blas_thread(func):

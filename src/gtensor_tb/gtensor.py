@@ -57,7 +57,7 @@ def momentum_table(model: MaterialModel, sol: BlochSolution,
     Gradient and dipole blocks go through one chain, A[:, bands]^dag
     [grad; D] A, O(dim^2) work per direction; ``range(dim)`` gives all.
     """
-    if sol.first != 0 or sol.energies.size != model.dim:
+    if sol.energies.size != model.dim or sol.states.shape[1] != model.dim:
         raise ValueError("momentum_table needs the full spectrum, got bands "
                          f"{sol.first}..{sol.first + sol.energies.size - 1} "
                          f"of {model.dim}")

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bands import (KramersPair, pair_window, resolve_band_indices,
-                    select_pair, solve)
+from .bands import KramersPair, resolve_band_indices, select_pair, solve
 from .blas import one_blas_thread
 from .brillouin import high_symmetry_point, positive_finite, unit_direction
 from .entanglement import (_spin_flip_defect, direction_applicable, entropy,
@@ -104,9 +103,10 @@ def sample_pairs(model: MaterialModel, band_id, ks,
 
     With ``momenta`` each k-point solves every band and forms the pair's
     momentum rows and energy denominators (:func:`pair_momenta`), whose
-    orbital sum runs over all bands; otherwise it solves only
-    :func:`pair_window`, the bands :func:`select_pair` reads.  Returns
-    (reasons, pairs, momenta): ``reasons`` has one entry per k-point,
+    orbital sum runs over all bands; otherwise it solves only what
+    :func:`select_pair` reads, the energies of
+    :func:`~gtensor_tb.bands.pair_window` and the pair's two vectors.
+    Returns (reasons, pairs, momenta): ``reasons`` has one entry per k-point,
     None where the pair is defined, else the class name of the
     :class:`PairUndefinedError` raised there; ``pairs`` and ``momenta``
     (None unless asked for) stack the defined rows, zero or more, along
@@ -114,7 +114,6 @@ def sample_pairs(model: MaterialModel, band_id, ks,
     solution outlives its row.
     """
     indices = resolve_band_indices(model, band_id)
-    bands = None if momenta else pair_window(model, indices)
     n, rest = len(ks), model.dim - 2
     k, states = np.empty((n, 3)), np.empty((n, model.dim, 2), complex)
     if momenta:
@@ -123,7 +122,7 @@ def sample_pairs(model: MaterialModel, band_id, ks,
     reasons, defined = [], 0
     for point in ks:
         try:
-            sol = solve(model, point, bands)
+            sol = solve(model, point, None if momenta else band_id)
             pair = select_pair(model, sol, band_id)
             if momenta:
                 row = pair_momenta(model, sol, pair)

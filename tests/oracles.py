@@ -8,7 +8,7 @@ import dataclasses
 
 import numpy as np
 
-from gtensor_tb.bands import pair_window, select_pair, solve
+from gtensor_tb.bands import select_pair, solve
 from gtensor_tb.blas import one_blas_thread
 from gtensor_tb.brillouin import (NN_SIGNS, cubic_group, unit_direction,
                                   zone_faces)
@@ -117,11 +117,11 @@ def point_signs(model, band_id, which_det, ks) -> list:
     An entry is +1 or -1, or the class name of the
     ``PairUndefinedError`` raised there.
     """
-    bands = pair_window(model, band_id) if which_det == "gs" else None
+    pair = band_id if which_det == "gs" else None
     entries = []
     for k in ks:
         try:
-            sol = solve(model, k, bands)
+            sol = solve(model, k, pair)
             selected = select_pair(model, sol, band_id)
             g = (spin_g(selected) if which_det == "gs"
                  else g_tensor_set(model, sol, selected).g_tot)

@@ -33,16 +33,17 @@ def test_solve_reproduces_eigensystem(si):
 
 @pytest.mark.parametrize("material", ["si", "gaas"])
 def test_full_solve_is_plain_eigh(request, material, monkeypatch):
-    # the whole spectrum never asks for ZHEEVR and gives eigh's bytes
+    # the whole spectrum never asks for the window route and gives
+    # eigh's bytes
     model = request.getfixturevalue(material)
     calls = []
-    monkeypatch.setattr(blas, "_lapacke_zheevr", lambda: calls.append(1))
+    monkeypatch.setattr(blas, "_lapack", lambda: calls.append(1))
     for k in random_k_points(17, 5, scale=0.6):
         energies, states = np.linalg.eigh(bloch_hamiltonian(model, k))
-        for sol in (solve(model, k), solve(model, k, (0, model.dim - 1))):
-            assert sol.first == 0
-            assert sol.energies.tobytes() == energies.tobytes()
-            assert sol.states.tobytes() == states.tobytes()
+        sol = solve(model, k)
+        assert sol.first == sol.first_state == 0
+        assert sol.energies.tobytes() == energies.tobytes()
+        assert sol.states.tobytes() == states.tobytes()
     assert calls == []
 
 
@@ -192,7 +193,8 @@ def test_select_pair_isolation_matches_all_bands_formula(case, tol):
     model = types.SimpleNamespace(point_group="Td" if tol is None else "Oh",
                                   dim=e.size)
     sol = BlochSolution(k=np.zeros(3), energies=e[lo:hi + 1],
-                        states=np.eye(e.size)[:, lo:hi + 1], first=lo)
+                        states=np.eye(e.size)[:, lo:hi + 1], first=lo,
+                        first_state=lo)
     split, gap, raises = _reference_isolation(e, i, j, tol)
     with mock.patch.object(band_module, "PAIR_SPLIT_TOL", tol):
         if raises:
@@ -262,24 +264,25 @@ def test_window_matches_full_spectrum_slice(si, gaas, case):
     for pair in ((0, 1), (last - 1, last), (2 * p % last, 2 * p % last + 1)):
         lo, hi = pair_window(model, pair)
         full = solve(model, k)
-        win = solve(model, k, bands=(lo, hi))
-        assert win.first == lo
+        win = solve(model, k, pair)
+        i, j = pair
+        assert (win.first, win.first_state) == (lo, i)
+        assert win.states.shape == (model.dim, 2)
         assert np.abs(win.energies - full.energies[lo:hi + 1]).max() < 1e-12
         gram = win.states.conj().T @ win.states
-        assert np.abs(gram - np.eye(hi - lo + 1)).max() < 1e-12
-        i, j = pair
+        assert np.abs(gram - np.eye(2)).max() < 1e-12
         e = full.energies
         gap = min(abs(e[m] - e[n]) for n in (i, j)
                   for m in (i - 1, j + 1) if 0 <= m <= last)
         if gap > 1e-4:       # pair isolated: its projector is well defined
-            v, w = full.states[:, [i, j]], win.states[:, [i - lo, j - lo]]
+            v, w = full.states[:, [i, j]], win.states
             assert np.abs(v @ v.conj().T - w @ w.conj().T).max() < 1e-10
 
 
 def test_window_crossings_equal_eigh_fallback(si, monkeypatch):
     d = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
     native = surface.scan_ray(si, "split-off", d, r_max=0.1)
-    monkeypatch.setattr(blas, "_lapacke_zheevr", lambda: None)
+    monkeypatch.setattr(blas, "_lapack", lambda: None)
     sliced = surface.scan_ray(si, "split-off", d, r_max=0.1)
     assert native.crossings
     assert native.crossings == sliced.crossings
@@ -287,42 +290,59 @@ def test_window_crossings_equal_eigh_fallback(si, monkeypatch):
 
 def test_bad_window_raises_before_lapack(si, monkeypatch):
     calls = []
-    monkeypatch.setattr(blas, "_lapacke_zheevr", lambda: calls.append(1))
+    monkeypatch.setattr(blas, "_lapack", lambda: calls.append(1))
     h = bloch_hamiltonian(si, np.array([0.02, 0.01, 0.0]))
-    for lo, hi in ((-1, 2), (3, 2), (0, 40), (39, 40), (1.0, 2)):
+    # the window must hold bands i and i + 1 of 0..39
+    for lo, hi, i in ((-1, 2, 0), (3, 2, 2), (0, 40, 2), (39, 40, 39),
+                      (1.0, 4, 2), (1, 4, 2.0), (2, 5, 1), (1, 4, 4),
+                      (2, 2, 2)):
         with pytest.raises(ValueError, match="window"):
-            blas.eigh_window(h.copy(), lo, hi)
+            blas.eigh_window(h.copy(), lo, hi, i)
     for bad in (h.real.copy(), h.T, h[:, :39].copy(), h.astype(np.complex64)):
         with pytest.raises(ValueError, match="C-ordered"):
-            blas.eigh_window(bad, 0, 1)
-    with pytest.raises(ValueError, match="window"):
-        solve(si, np.zeros(3), bands=(38, 40))
+            blas.eigh_window(bad, 0, 5, 2)
+    with pytest.raises(ValueError, match="adjacent bands"):
+        solve(si, np.zeros(3), (39, 40))
     assert calls == []
 
 
 def test_lapack_failure_raises_linalg_error(si, monkeypatch):
-    def fake(info, found):
-        def zheevr(*args):
-            args[12]._obj.value = found
-            return info
-        return zheevr
+    # info != 0 from any of the four routines, or fewer eigenvalues than
+    # the window from DSTEBZ, raises LinAlgError naming the routine
+    real = blas._lapack()
+    if real is None:
+        pytest.skip("numpy's OpenBLAS does not export the window route")
+
+    def fake(routine, info, found):
+        def failing(*args):
+            result = getattr(real, routine)(*args)
+            if routine == "dstebz":
+                args[10]._obj.value = found
+            return info or result
+        return real._replace(**{routine: failing})
 
     h = bloch_hamiltonian(si, np.array([0.02, 0.01, 0.0]))
-    for info, found in ((1, 4), (0, 3)):
-        monkeypatch.setattr(blas, "_lapacke_zheevr", lambda: fake(info, found))
-        with pytest.raises(np.linalg.LinAlgError, match="zheevr"):
-            blas.eigh_window(h.copy(), 1, 4)
+    for routine, info, found in (("zhetrd", 1, 6), ("dstebz", 1, 6),
+                                 ("dstebz", 0, 5), ("zstein", 1, 6),
+                                 ("zunmtr", -13, 6)):
+        lapack = fake(routine, info, found)
+        monkeypatch.setattr(blas, "_lapack", lambda: lapack)
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=f"{routine} returned info {info}"):
+            blas.eigh_window(h.copy(), 0, 5, 2)
 
 
 @pytest.mark.parametrize("pair, bands", [
-    ((2, 3), None), ((2, 3), (1, 4)), ((8, 9), None), ((8, 9), (7, 10)),
-    ((38, 39), None), ((0, 1), (0, 2))])
+    ((2, 3), None), ((2, 3), (0, 5)), ((8, 9), None), ((8, 9), (6, 11)),
+    ((38, 39), None), ((0, 1), (0, 3)), ((38, 39), (36, 39))])
 def test_select_pair_arrays_equal_fancy_index(si, pair, bands):
     # the pair's states are the fancy index of the solution's, with the
     # same bytes and the same (column-major) layout, and own their
-    # memory
-    sol = solve(si, np.array([0.31, 0.17, 0.05]), bands=bands)
-    a, b = (i - sol.first for i in pair)
+    # memory; a pair solution holds the energies of bands lo..hi
+    sol = solve(si, np.array([0.31, 0.17, 0.05]), bands and pair)
+    if bands:
+        assert (sol.first, sol.first + sol.energies.size - 1) == bands
+    a, b = (i - sol.first_state for i in pair)
     try:
         selected = select_pair(si, sol, pair)
     except PairingAmbiguityError:
@@ -357,25 +377,42 @@ def test_pair_momenta_gaps_are_mean_energy_denominators(material, request):
     assert checked >= 4 * len(model.band_pairs)
 
 
+def _part(sol, lo, hi, first_state, count):
+    """``sol`` cut to the energies of bands lo..hi and ``count`` vectors
+    from band ``first_state`` on."""
+    return BlochSolution(sol.k, sol.energies[lo:hi + 1],
+                         sol.states[:, first_state:first_state + count],
+                         lo, first_state)
+
+
 def test_select_pair_needs_pair_and_neighbours(si):
     k = np.array([0.03, 0.01, 0.0])
-    for bands in ((2, 3), (1, 3), (2, 4), (0, 1)):
-        with pytest.raises(ValueError, match="needs bands"):
-            select_pair(si, solve(si, k, bands=bands), "split-off")
-    window = solve(si, k, bands=(1, 4))
-    pair = select_pair(si, window, "split-off")
     full_sol = solve(si, k)
+    # split-off is (2, 3): it needs the energies of 1..4 and vectors 2, 3
+    for lo, hi, first_state, count in ((2, 3, 2, 2), (1, 3, 0, 40),
+                                       (2, 4, 0, 40), (0, 1, 0, 40),
+                                       (0, 5, 3, 2), (0, 5, 1, 2),
+                                       (0, 5, 2, 1), (0, 39, 0, 3)):
+        part = _part(full_sol, lo, hi, first_state, count)
+        with pytest.raises(ValueError, match="needs energies 1..4 and "
+                                             "vectors 2, 3"):
+            select_pair(si, part, "split-off")
     full = select_pair(si, full_sol, "split-off")
-    assert pair.band_indices == full.band_indices == (2, 3)
-    assert _split_and_gap(window, pair)[1] == pytest.approx(
-        _split_and_gap(full_sol, full)[1], abs=1e-12)
+    for part in (_part(full_sol, 1, 4, 2, 2), _part(full_sol, 1, 4, 1, 3),
+                 solve(si, k, "split-off")):
+        pair = select_pair(si, part, "split-off")
+        assert pair.band_indices == full.band_indices == (2, 3)
+        assert _split_and_gap(part, pair)[1] == pytest.approx(
+            _split_and_gap(full_sol, full)[1], abs=1e-12)
     # the bottom pair has no lower neighbour to ask for
-    bottom_sol = solve(si, k, bands=(0, 2))
+    bottom_sol = _part(full_sol, 0, 2, 0, 2)
     bottom = select_pair(si, bottom_sol, (0, 1))
     assert _split_and_gap(bottom_sol, bottom)[0] < 1e-8
 
 
 def test_momentum_table_rejects_window(si):
-    sol = solve(si, np.array([0.03, 0.01, 0.0]), bands=(1, 4))
-    with pytest.raises(ValueError, match="full spectrum"):
-        momentum_table(si, sol, range(si.dim))
+    k = np.array([0.03, 0.01, 0.0])
+    # a window, and every energy with the pair's two vectors only
+    for sol in (solve(si, k, "split-off"), _part(solve(si, k), 0, 39, 2, 2)):
+        with pytest.raises(ValueError, match="full spectrum"):
+            momentum_table(si, sol, range(si.dim))

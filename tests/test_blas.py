@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from conftest import random_k_points
-from gtensor_tb import blas, surface, tables, wedge_directions
-from gtensor_tb.bands import pair_window
+from gtensor_tb import (blas, boundary_radius, surface, tables,
+                        wedge_directions)
+from gtensor_tb.bands import pair_window, resolve_band_indices
 from gtensor_tb.blas import one_blas_thread
 from gtensor_tb.hamiltonian import bloch_hamiltonian
 
@@ -127,56 +128,61 @@ def test_without_openblas_same_crossings(si, monkeypatch):
     assert pinned.crossings == unpinned.crossings
 
 
-# --- the per-thread ZHEEVR workspace of eigh_window
+# --- the per-thread workspaces of eigh_window
 
 @pytest.fixture
-def zheevr():
-    if blas._lapacke_zheevr() is None:
-        pytest.skip("numpy's OpenBLAS does not export LAPACKE_zheevr_work")
+def lapack():
+    if blas._lapack() is None:
+        pytest.skip("numpy's OpenBLAS does not export the LAPACKE_*_work "
+                    "routines of the window route")
 
 
 def _bytes(energies, states):
     return energies.tobytes(), states.tobytes()
 
 
-def test_window_result_survives_later_solves(si, zheevr):
+def _window(model, band):
+    """``(lo, hi, i)``: the window of ``band`` and its lower band."""
+    return (*pair_window(model, band), resolve_band_indices(model, band)[0])
+
+
+def test_window_result_survives_later_solves(si, lapack):
     # a result must own its arrays: 100 later solves reuse the workspace
     # and must not reach an earlier result
     h = bloch_hamiltonian(si, np.array([0.02, 0.01, 0.0]))
-    energies, states = blas.eigh_window(h, 1, 4)
+    energies, states = blas.eigh_window(h, 0, 5, 2)
     saved = _bytes(energies, states)
     for k in random_k_points(5, 100, scale=0.5):
-        blas.eigh_window(bloch_hamiltonian(si, k), 1, 4)
+        blas.eigh_window(bloch_hamiltonian(si, k), 0, 5, 2)
     assert _bytes(energies, states) == saved
 
 
-def test_alternating_windows_match_fresh_workspaces(si, gaas, zheevr):
+def test_alternating_windows_match_fresh_workspaces(si, gaas, lapack):
     # Si (n = 40) windows of whole Kramers pairs (four or six bands) and
     # GaAs (n = 16) windows of four bands, in turn, each bitwise equal to
     # a solve on a workspace of its own
     cases = []
     for k in random_k_points(7, 20, scale=0.5):
         for model, band in ((si, "split-off"), (gaas, "split-off"),
-                            (si, (0, 1))):
-            lo, hi = pair_window(model, band)
-            cases.append((bloch_hamiltonian(model, k), lo, hi))
-    assert {(h.shape[0], hi - lo + 1) for h, lo, hi in cases} == {
+                            (si, (0, 1)), (si, (38, 39))):
+            cases.append((bloch_hamiltonian(model, k), *_window(model, band)))
+    assert {(h.shape[0], hi - lo + 1) for h, lo, hi, _ in cases} == {
         (40, 6), (16, 4), (40, 4)}
-    alternating = [_bytes(*blas.eigh_window(h.copy(), lo, hi))
-                   for h, lo, hi in cases]
-    for (h, lo, hi), result in zip(cases, alternating):
-        blas._workspaces.by_shape.clear()
-        assert _bytes(*blas.eigh_window(h.copy(), lo, hi)) == result
+    alternating = [_bytes(*blas.eigh_window(h.copy(), lo, hi, i))
+                   for h, lo, hi, i in cases]
+    for (h, lo, hi, i), result in zip(cases, alternating):
+        blas._workspaces.by_order.clear()
+        assert _bytes(*blas.eigh_window(h.copy(), lo, hi, i)) == result
 
 
-def test_threads_solve_like_serial(si, zheevr):
+def test_threads_solve_like_serial(si, lapack):
     # two threads solve 200 different Si windows each at the same time;
-    # ctypes releases the GIL around ZHEEVR, so a workspace or H buffer
-    # shared between threads would mix their results
+    # ctypes releases the GIL around each LAPACK call, so a workspace or
+    # H buffer shared between threads would mix their results
     ks = random_k_points(11, 400, scale=0.5)
 
     def solved(k):
-        return _bytes(*blas.eigh_window(bloch_hamiltonian(si, k), 1, 4))
+        return _bytes(*blas.eigh_window(bloch_hamiltonian(si, k), 0, 5, 2))
 
     serial = [solved(k) for k in ks]
     start = threading.Barrier(2, timeout=30)
@@ -199,3 +205,117 @@ def test_threads_solve_like_serial(si, zheevr):
         sys.setswitchinterval(interval)
     assert results[0] == serial[0::2]
     assert results[1] == serial[1::2]
+
+
+def _recording_lapack(monkeypatch, record):
+    """Route eigh_window through wrappers of the four LAPACK bindings;
+    each call appends ``record[name](args)`` to ``calls[name]`` after
+    the routine returns, so outputs passed by reference are readable."""
+    real = blas._lapack()
+    calls = {name: [] for name in real._fields}
+
+    def wrap(name, routine):
+        def recorded(*args):
+            info = routine(*args)
+            calls[name].append(record[name](args))
+            return info
+        return recorded
+
+    wrapped = real._make(wrap(name, routine)
+                         for name, routine in zip(real._fields, real))
+    monkeypatch.setattr(blas, "_lapack", lambda: wrapped)
+    return calls
+
+
+_AXES = ([1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [1.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("material", ["si", "ge", "gaas"])
+def test_window_route_matches_eigh(request, material, lapack, monkeypatch):
+    # every configured pair at Gamma, at five points on each of the
+    # [100], [110] and [111] axes out to the zone boundary and at 20
+    # seeded k: the window's energies within 1e-12 Ha of eigh's, each
+    # of the pair's vectors an eigenvector of its own energy to 1e-12 Ha,
+    # and the pair's projector UU^dag within 1e-12 of eigh's where a gap of
+    # more than 1e-3 Ha isolates the pair (eigh's own projector is then
+    # fixed to about eps/gap); at Gamma the GaAs tridiagonal splits into
+    # blocks, so the block-ordered branch runs there
+    model = request.getfixturevalue(material)
+    calls = _recording_lapack(monkeypatch, {
+        "zhetrd": len, "dstebz": lambda args: args[11]._obj.value,
+        "zstein": len, "zunmtr": len})
+    ks = [np.zeros(3), *random_k_points(31, 20, scale=0.6)]
+    for axis in _AXES:
+        d = np.array(axis) / np.linalg.norm(axis)
+        r_max = boundary_radius(model.lattice_constant, d)
+        ks += [t * r_max * d for t in (0.2, 0.4, 0.6, 0.8, 1.0)]
+    isolated = 0
+    for band in model.band_pairs:
+        lo, hi, i = _window(model, band)
+        for k in ks:
+            h = bloch_hamiltonian(model, k)
+            e, v = np.linalg.eigh(h)
+            energies, states = blas.eigh_window(h.copy(), lo, hi, i)
+            assert np.abs(energies - e[lo:hi + 1]).max() < 1e-12, (band, k)
+            pair_energies = energies[i - lo:i - lo + 2]
+            assert np.abs(h @ states - states * pair_energies).max() < 1e-12
+            gap = min(abs(e[m] - e[n]) for n in (i, i + 1)
+                      for m in (i - 1, i + 2) if 0 <= m < model.dim)
+            if gap > 1e-3:
+                u = v[:, i:i + 2]
+                assert np.abs(states @ states.conj().T
+                              - u @ u.conj().T).max() < 1e-12, (band, k)
+                isolated += 1
+    assert isolated >= 30 * len(model.band_pairs)
+    assert len(calls["dstebz"]) == len(ks) * len(model.band_pairs)
+    if material == "gaas":
+        assert max(calls["dstebz"]) > 1
+
+
+def test_window_solves_form_the_pairs_two_vectors(si, lapack, monkeypatch):
+    # work counts that do not depend on the machine, on a Si split-off
+    # level-0 surface: one ZHETRD per bands.solve, DSTEBZ asked for the
+    # six eigenvalues of the window 0..5, ZSTEIN for two vectors and
+    # ZUNMTR for two columns of H's order, on every solve
+    calls = _recording_lapack(monkeypatch, {
+        "zhetrd": lambda args: args[2].value,
+        "dstebz": lambda args: (args[5], args[6]),
+        "zstein": lambda args: args[4].value,
+        "zunmtr": lambda args: (args[4].value, args[5].value)})
+    solves = []
+
+    def counted(*args):
+        solves.append(args[2:])
+        return solve(*args)
+
+    solve = tables.solve
+    monkeypatch.setattr(tables, "solve", counted)
+    surface.build_surface(si, "split-off", wedge_directions(0))
+    assert len(solves) > 100 and set(solves) == {("split-off",)}
+    assert calls["zhetrd"] == [40] * len(solves)
+    assert calls["dstebz"] == [(1, 6)] * len(solves)
+    assert calls["zstein"] == [2] * len(solves)
+    assert calls["zunmtr"] == [(40, 2)] * len(solves)
+
+
+def test_split_tridiagonal_pairs_vectors_with_energies(lapack, monkeypatch):
+    # H = diag(A, B) reduces to a tridiagonal that splits into the two
+    # blocks, and DSTEBZ lists A's energies (3, 4) before B's (1, 2):
+    # the pair (1, 2) is B's upper and A's lower band, so ZSTEIN gets it
+    # in block order, 3 before 2, and the columns come back swapped
+    calls = _recording_lapack(monkeypatch, {
+        "zhetrd": len, "dstebz": lambda args: args[11]._obj.value,
+        "zstein": len, "zunmtr": len})
+    rng = np.random.default_rng(3)
+    u, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    a = u @ np.diag([3.0, 4.0]) @ u.conj().T
+    b = u.conj().T @ np.diag([1.0, 2.0]) @ u
+    h = np.zeros((4, 4), dtype=complex)
+    h[:2, :2], h[2:, 2:] = a, b
+    energies, states = blas.eigh_window(h.copy(), 0, 3, 1)
+    assert calls["dstebz"] == [2]
+    assert blas._workspaces.by_order[4].pair_w.tolist() == pytest.approx(
+        [3.0, 2.0], abs=1e-12)
+    assert energies == pytest.approx([1.0, 2.0, 3.0, 4.0], abs=1e-12)
+    assert np.abs(h @ states - states * [2.0, 3.0]).max() < 1e-12
+    assert np.abs(states.conj().T @ states - np.eye(2)).max() < 1e-12

@@ -78,7 +78,7 @@ def test_unknown_band_label_is_usage_error(tmp_path, capsys):
     rc = main(["gline", "--material", "si", "--band", "nope",
                "--direction", "Delta", "--out", str(tmp_path / "x.csv")])
     assert rc == 2
-    # the message itself, not the quoted repr that str() of a KeyError gives
+    # the InputError message itself, after the usage-error prefix
     assert capsys.readouterr().err == (
         "usage error: material 'Si' configures pairs "
         "['first-conduction', 'split-off'], not 'nope'\n")

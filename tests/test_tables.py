@@ -7,7 +7,6 @@ from gtensor_tb import (NearDegenerateIntermediateError, PairUndefinedError,
                         align_pair_to_spin_frame, boundary_radius, entropy,
                         g_tensor_set, gtensor, pair_spin_densities, scan_ray,
                         select_pair, solve, spin_flip_residual, tables)
-from gtensor_tb.bands import pair_window
 from gtensor_tb.entanglement import direction_applicable
 from gtensor_tb.gtensor import spin_g
 from gtensor_tb.tables import (ENTROPY_COLUMNS, GLINE_COLUMNS, band_path_rows,
@@ -245,7 +244,6 @@ def test_entropy_rows_bitwise_equal_public_chain(material, band, request):
     # solving the pair's window as the sampler does; the T_d ray is off
     # <100> and <111>, so its residual column is NaN
     model = request.getfixturevalue(material)
-    window = pair_window(model, band)
     raw = np.random.default_rng(43).normal(size=3)
     direction = raw / np.linalg.norm(raw)
     r_max = boundary_radius(model.lattice_constant, direction)
@@ -255,7 +253,7 @@ def test_entropy_rows_bitwise_equal_public_chain(material, band, request):
     for r in np.linspace(0.0, r_max, 40):
         k = r * direction
         try:
-            pair = select_pair(model, solve(model, k, window), band)
+            pair = select_pair(model, solve(model, k, band), band)
         except PairUndefinedError:
             expected.append([r, *k, np.nan, np.nan, np.nan])
             continue
@@ -309,17 +307,16 @@ def test_entropy_rows_match_full_spectrum_chain(material, band, seed,
     ("si", "split-off"), ("si", (4, 5)), ("gaas", "split-off")],
     ids=["si-split-off", "si-4-5", "gaas-split-off"])
 def test_each_caller_solves_its_window(material, band, request, monkeypatch):
-    # a pass that reduces the momentum table solves every band (bands
+    # a pass that reduces the momentum table solves every band (pair
     # None); a g_S sign pass or an entropy table solves the pair's window
     model = request.getfixturevalue(material)
     direction = random_unit_vectors(71, 1)[0]
     r_max = boundary_radius(model.lattice_constant, direction)
-    window = pair_window(model, band)
     seen = []
 
-    def recorded(model, k, bands=None):
-        seen.append(bands)
-        return solve(model, k, bands)
+    def recorded(model, k, pair=None):
+        seen.append(pair)
+        return solve(model, k, pair)
 
     monkeypatch.setattr(tables, "solve", recorded)
     for run, expected in [
@@ -328,8 +325,8 @@ def test_each_caller_solves_its_window(material, band, request, monkeypatch):
             (lambda: scan_ray(model, band, direction, n_coarse=8,
                               which_det="gtot"), None),
             (lambda: entropy_rows(model, band, direction, r_max, samples=8),
-             window),
-            (lambda: scan_ray(model, band, direction, n_coarse=8), window)]:
+             band),
+            (lambda: scan_ray(model, band, direction, n_coarse=8), band)]:
         seen.clear()
         run()
         assert len(seen) >= 8 and set(seen) == {expected}

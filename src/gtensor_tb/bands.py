@@ -46,10 +46,15 @@ def solve(model: MaterialModel, k, pair=None) -> BlochSolution:
 
     By default every band is solved, by ``np.linalg.eigh``.  Given a
     ``pair`` (a configured label or an index pair), only what
-    :func:`select_pair` reads is computed: the energies of
-    :func:`pair_window` and the pair's two eigenvectors, by
-    :func:`~gtensor_tb.blas.eigh_window`.  The solution records the
-    window's first band as ``first`` and the pair's as ``first_state``.
+    :func:`select_pair` reads is computed, by
+    :func:`~gtensor_tb.blas.eigh_window`: the pair's two eigenvectors
+    and the energies of the pair and its neighbours.  With inversion
+    (every point group but T_d) bands 2m and 2m + 1 are one Kramers
+    doublet, and the window takes whole doublets: DSTEBZ finds the ends
+    of an index range by bisection on eigenvalue counts, and an end
+    inside a degenerate doublet has no gap to stop at.  The solution
+    records the window's first band as ``first`` and the pair's as
+    ``first_state``.
     """
     k = np.asarray(k, dtype=float)
     h = bloch_hamiltonian(model, k)
@@ -57,7 +62,9 @@ def solve(model: MaterialModel, k, pair=None) -> BlochSolution:
         energies, states = np.linalg.eigh(h)
         return BlochSolution(k, energies, states)
     i, _ = resolve_band_indices(model, pair)
-    lo, hi = _doublet_window(model, i)
+    lo, hi = _neighbour_window(model.dim, i)
+    if model.point_group != "Td":
+        lo, hi = lo - lo % 2, hi | 1  # dim is even, so hi | 1 < dim
     energies, states = eigh_window(h, lo, hi, i)
     return BlochSolution(k, energies, states, lo, i)
 
@@ -78,29 +85,6 @@ def resolve_band_indices(model: MaterialModel, band_id) -> tuple:
     if problem:
         raise InputError(f"band pair {band_id!r} is not {problem}")
     return tuple(map(int, band_id))
-
-
-def pair_window(model: MaterialModel, band_id) -> tuple:
-    """The bands whose energies :func:`select_pair` reads: the pair and
-    its neighbours.
-
-    Returns the inclusive ``(lo, hi)`` range that ``solve(model, k,
-    band_id)`` solves.  With inversion (every point group but T_d) bands
-    2m and 2m + 1 are one Kramers doublet, and the window takes whole
-    doublets: DSTEBZ finds the ends of an index range by bisection on
-    eigenvalue counts, and an end that splits a degenerate doublet has
-    no gap to stop at, so it costs more than a window with two bands
-    more.
-    """
-    return _doublet_window(model, resolve_band_indices(model, band_id)[0])
-
-
-def _doublet_window(model: MaterialModel, i: int) -> tuple:
-    """:func:`pair_window` of the pair ``(i, i + 1)``."""
-    lo, hi = _neighbour_window(model.dim, i)
-    if model.point_group == "Td":
-        return lo, hi
-    return lo - lo % 2, hi | 1  # dim is even, so hi | 1 < dim
 
 
 def _neighbour_window(dim: int, i: int) -> tuple:

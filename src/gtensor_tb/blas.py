@@ -20,16 +20,17 @@ symbol, the decorator does nothing.
 
 g_S scans and entropy tables read the energies of a pair and its
 neighbours in the spectrum (whole Kramers doublets where every band is
-degenerate, see :func:`~gtensor_tb.bands.pair_window`) and the pair's
-two eigenvectors.  :func:`eigh_window` computes just those with the
-four LAPACK routines ZHEEVR runs for an index range: ZHETRD reduces H
-to a real tridiagonal T, DSTEBZ finds the window's eigenvalues of T by
-bisection, ZSTEIN forms the pair's two eigenvectors of T by inverse
-iteration and ZUNMTR turns them into eigenvectors of H.  ZHEEVR would
-form a vector for every band of the window, four of six of them unread.
-The routines come from the OpenBLAS numpy itself is linked against, so no
-SciPy is loaded; where that build is absent the window is sliced from a
-full ``np.linalg.eigh``.
+degenerate, see :func:`~gtensor_tb.bands.solve`) and the pair's two
+eigenvectors.  :func:`eigh_window` computes just those with the four
+LAPACK routines ZHEEVR runs for an index range: ZHETRD reduces H to a
+real tridiagonal T, DSTEBZ finds the window's eigenvalues of T by
+bisection and lists them ascending, ZSTEIN forms the pair's two
+eigenvectors of T by inverse iteration and ZUNMTR turns them into
+eigenvectors of H.  ZHEEVR would form a vector for every band of the
+window, four of six of them unread.  The routines come from the
+OpenBLAS numpy itself is linked against, so no SciPy is loaded; where
+that build is absent the window is sliced from a full
+``np.linalg.eigh``.
 
 A surface makes thousands of these window solves, each about 110 us at
 n = 40 where ZHEEVR took about 130 us (Si split-off; README "Band
@@ -73,7 +74,7 @@ _INT_OUT = ctypes.POINTER(_INT)
 # arguments that no call changes, converted to ctypes once
 _COL_MAJOR = ctypes.c_int(102)    # LAPACK_COL_MAJOR in lapacke.h
 _LOWER, _LEFT, _NO_TRANS = _CHAR(b"L"), _CHAR(b"L"), _CHAR(b"N")
-_BY_INDEX, _BY_BLOCK = _CHAR(b"I"), _CHAR(b"B")
+_BY_INDEX, _BY_ENERGY = _CHAR(b"I"), _CHAR(b"E")
 _ZERO = _REAL(0.0)                # vl, vu (unused) and abstol (default)
 _TWO = _INT(2)                    # the pair's two vectors
 
@@ -194,7 +195,7 @@ class _Workspace:
                                           self.iwork))
         self.trd = ((_COL_MAJOR, _LOWER, order),
                     (order, d, e, tau, work, order))
-        self.bz = ((_BY_INDEX, _BY_BLOCK, order, _ZERO, _ZERO),
+        self.bz = ((_BY_INDEX, _BY_ENERGY, order, _ZERO, _ZERO),
                    (_ZERO, d, e, ctypes.byref(self.found),
                     ctypes.byref(self.nsplit), _PTR(self.w.ctypes.data),
                     _PTR(self.iblock.ctypes.data), isplit, rwork, iwork))
@@ -226,12 +227,13 @@ def eigh_window(h: np.ndarray, lo: int, hi: int, i: int) -> tuple:
     must be a C-ordered complex128 square matrix with both triangles
     filled, and it is overwritten.  LAPACK reads the C-ordered array as
     its transpose, conj(h), which has the same eigenvalues and conjugate
-    eigenvectors, so the vectors are conjugated on return.  Where the
-    tridiagonal splits into blocks, DSTEBZ lists the energies block by
-    block: they are sorted, and ZSTEIN is handed the pair in block
-    order.  Raises ``ValueError`` for a bad window or array before any
-    foreign call, and ``np.linalg.LinAlgError`` naming the routine if
-    LAPACK fails or finds fewer eigenvalues.
+    eigenvectors, so the vectors are conjugated on return.  DSTEBZ lists
+    the energies ascending, but ZSTEIN takes them grouped by block where
+    the tridiagonal splits: a pair whose upper band is in an earlier
+    block is handed over swapped, and its columns swapped back.  Raises
+    ``ValueError`` for a bad window or array before any foreign call,
+    and ``np.linalg.LinAlgError`` naming the routine if LAPACK fails or
+    finds fewer eigenvalues.
     """
     if not (isinstance(h, np.ndarray) and h.dtype == np.complex128
             and h.ndim == 2 and h.shape[0] == h.shape[1]
@@ -261,23 +263,19 @@ def eigh_window(h: np.ndarray, lo: int, hi: int, i: int) -> tuple:
     if info or ws.found.value != count:
         raise _failure("dstebz", info, lo, hi,
                        f" and {ws.found.value} of {count} eigenvalues")
-    w = ws.w[:count]
-    lower = i - lo
-    if ws.nsplit.value == 1:      # one block: DSTEBZ lists w ascending
-        energies, upper = w.copy(), lower + 1
-    else:
-        order = np.argsort(w, kind="stable")
-        energies = w[order]
-        lower, upper = order[lower:lower + 2].tolist()
-    first, second = (lower, upper) if lower < upper else (upper, lower)
-    ws.pair_w[0], ws.pair_w[1] = w[first], w[second]
+    energies = ws.w[:count].copy()
+    first, second = i - lo, i - lo + 1
+    swapped = ws.iblock[first] > ws.iblock[second]
+    if swapped:
+        first, second = second, first
+    ws.pair_w[0], ws.pair_w[1] = energies[first], energies[second]
     ws.pair_block[0], ws.pair_block[1] = ws.iblock[first], ws.iblock[second]
     if info := lapack.zstein(*ws.stein):
         raise _failure("zstein", info, lo, hi)
     if info := lapack.zunmtr(*ws.mtr[0], a, *ws.mtr[1]):
         raise _failure("zunmtr", info, lo, hi)
     states = ws.z.T.conj()
-    return energies, states if lower < upper else states[:, ::-1]
+    return energies, states[:, ::-1] if swapped else states
 
 
 def _failure(routine: str, info: int, lo: int, hi: int,

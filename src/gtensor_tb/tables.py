@@ -104,8 +104,8 @@ def sample_pairs(model: MaterialModel, band_id, ks,
     With ``momenta`` each k-point solves every band and forms the pair's
     momentum rows and energy denominators (:func:`pair_momenta`), whose
     orbital sum runs over all bands; otherwise it solves only what
-    :func:`select_pair` reads, the energies of
-    :func:`~gtensor_tb.bands.pair_window` and the pair's two vectors.
+    :func:`select_pair` reads, the energies of the pair and its
+    neighbours and the pair's two vectors (:func:`solve`).
     Returns (reasons, pairs, momenta): ``reasons`` has one entry per k-point,
     None where the pair is defined, else the class name of the
     :class:`PairUndefinedError` raised there; ``pairs`` and ``momenta``

@@ -11,8 +11,7 @@ from gtensor_tb import (PairingAmbiguityError, PairUndefinedError, blas,
                         boundary_radius, select_pair, solve, surface,
                         wedge_directions)
 from gtensor_tb import bands as band_module
-from gtensor_tb.bands import (BlochSolution, pair_window, remix_pair,
-                              resolve_band_indices)
+from gtensor_tb.bands import BlochSolution, remix_pair, resolve_band_indices
 from gtensor_tb.brillouin import icosphere_directions
 from gtensor_tb.errors import InputError
 from gtensor_tb.gtensor import det_sign, momentum_table, pair_momenta, spin_g
@@ -262,10 +261,14 @@ def test_window_matches_full_spectrum_slice(si, gaas, case):
     last = model.dim - 1
     # both edge windows, (0, 1) and (dim - 2, dim - 1), come first
     for pair in ((0, 1), (last - 1, last), (2 * p % last, 2 * p % last + 1)):
-        lo, hi = pair_window(model, pair)
+        # the pair and its neighbours, widened to whole Kramers
+        # doublets (bands 2m, 2m + 1) for O_h
+        i, j = pair
+        lo, hi = max(i - 1, 0), min(i + 2, last)
+        if model.point_group == "Oh":
+            lo, hi = lo - lo % 2, hi | 1
         full = solve(model, k)
         win = solve(model, k, pair)
-        i, j = pair
         assert (win.first, win.first_state) == (lo, i)
         assert win.states.shape == (model.dim, 2)
         assert np.abs(win.energies - full.energies[lo:hi + 1]).max() < 1e-12

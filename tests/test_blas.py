@@ -7,7 +7,7 @@ import pytest
 from conftest import random_k_points
 from gtensor_tb import (blas, boundary_radius, surface, tables,
                         wedge_directions)
-from gtensor_tb.bands import pair_window, resolve_band_indices
+from gtensor_tb.bands import resolve_band_indices
 from gtensor_tb.blas import one_blas_thread
 from gtensor_tb.hamiltonian import bloch_hamiltonian
 
@@ -142,8 +142,16 @@ def _bytes(energies, states):
 
 
 def _window(model, band):
-    """``(lo, hi, i)``: the window of ``band`` and its lower band."""
-    return (*pair_window(model, band), resolve_band_indices(model, band)[0])
+    """``(lo, hi, i)``: the window of ``band`` and its lower band.
+
+    The window is the pair and its neighbours, widened to whole Kramers
+    doublets (bands 2m, 2m + 1) for O_h.
+    """
+    i = resolve_band_indices(model, band)[0]
+    lo, hi = max(i - 1, 0), min(i + 2, model.dim - 1)
+    if model.point_group == "Oh":
+        lo, hi = lo - lo % 2, hi | 1
+    return lo, hi, i
 
 
 def test_window_result_survives_later_solves(si, lapack):
@@ -239,7 +247,7 @@ def test_window_route_matches_eigh(request, material, lapack, monkeypatch):
     # and the pair's projector UU^dag within 1e-12 of eigh's where a gap of
     # more than 1e-3 Ha isolates the pair (eigh's own projector is then
     # fixed to about eps/gap); at Gamma the GaAs tridiagonal splits into
-    # blocks, so the block-ordered branch runs there
+    # blocks, so the window's energies are sorted across blocks there
     model = request.getfixturevalue(material)
     calls = _recording_lapack(monkeypatch, {
         "zhetrd": len, "dstebz": lambda args: args[11]._obj.value,
@@ -275,11 +283,11 @@ def test_window_route_matches_eigh(request, material, lapack, monkeypatch):
 def test_window_solves_form_the_pairs_two_vectors(si, lapack, monkeypatch):
     # work counts that do not depend on the machine, on a Si split-off
     # level-0 surface: one ZHETRD per bands.solve, DSTEBZ asked for the
-    # six eigenvalues of the window 0..5, ZSTEIN for two vectors and
-    # ZUNMTR for two columns of H's order, on every solve
+    # six eigenvalues of the window 0..5 in ascending order, ZSTEIN for
+    # two vectors and ZUNMTR for two columns of H's order, on every solve
     calls = _recording_lapack(monkeypatch, {
         "zhetrd": lambda args: args[2].value,
-        "dstebz": lambda args: (args[5], args[6]),
+        "dstebz": lambda args: (args[1].value, args[5], args[6]),
         "zstein": lambda args: args[4].value,
         "zunmtr": lambda args: (args[4].value, args[5].value)})
     solves = []
@@ -293,16 +301,17 @@ def test_window_solves_form_the_pairs_two_vectors(si, lapack, monkeypatch):
     surface.build_surface(si, "split-off", wedge_directions(0))
     assert len(solves) > 100 and set(solves) == {("split-off",)}
     assert calls["zhetrd"] == [40] * len(solves)
-    assert calls["dstebz"] == [(1, 6)] * len(solves)
+    assert calls["dstebz"] == [(b"E", 1, 6)] * len(solves)
     assert calls["zstein"] == [2] * len(solves)
     assert calls["zunmtr"] == [(40, 2)] * len(solves)
 
 
 def test_split_tridiagonal_pairs_vectors_with_energies(lapack, monkeypatch):
     # H = diag(A, B) reduces to a tridiagonal that splits into the two
-    # blocks, and DSTEBZ lists A's energies (3, 4) before B's (1, 2):
-    # the pair (1, 2) is B's upper and A's lower band, so ZSTEIN gets it
-    # in block order, 3 before 2, and the columns come back swapped
+    # blocks, A's energies (3, 4) in the first and B's (1, 2) in the
+    # second: the pair (1, 2) is B's upper and A's lower band, so ZSTEIN
+    # gets it in block order, 3 before 2, and the columns come back
+    # swapped
     calls = _recording_lapack(monkeypatch, {
         "zhetrd": len, "dstebz": lambda args: args[11]._obj.value,
         "zstein": len, "zunmtr": len})

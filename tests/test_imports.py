@@ -155,17 +155,24 @@ def test_every_export_has_a_caller():
     assert orphans == []
 
 
-def test_every_record_field_is_read():
-    # a field is read where some source loads it as an attribute,
-    # ``record.field``; one that only tests read belongs in tests/
+def _loads() -> list:
+    """The ``ast.Name`` and ``ast.Attribute`` loads of the package, the
+    demos, ``bench/`` and the README quick start."""
     package = Path(gtensor_tb.__file__).parent
     sources = [path.read_text() for folder in (package, _ROOT / "demos",
                                                _ROOT / "bench")
                for path in sorted(folder.glob("*.py"))]
-    read = {node.attr for source in sources + [_quick_start()]
+    return [node for source in sources + [_quick_start()]
             for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.Attribute)
-            and isinstance(node.ctx, ast.Load)}
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load)]
+
+
+def test_every_record_field_is_read():
+    # a field is read where some source loads it as an attribute,
+    # ``record.field``; one that only tests read belongs in tests/
+    package = Path(gtensor_tb.__file__).parent
+    read = {node.attr for node in _loads() if isinstance(node, ast.Attribute)}
     unread = []
     for path in sorted(package.glob("*.py")):
         module = importlib.import_module(f"gtensor_tb.{path.stem}")
@@ -176,6 +183,22 @@ def test_every_record_field_is_read():
                            for field in dataclasses.fields(obj)
                            if field.name not in read]
     assert unread == []
+
+
+def test_every_definition_has_a_package_caller():
+    # a top-level function or class of the package is called where some
+    # source loads it by name, ``name`` or ``module.name``; one that only
+    # tests call belongs in tests/
+    loaded = {node.id if isinstance(node, ast.Name) else node.attr
+              for node in _loads()}
+    package = Path(gtensor_tb.__file__).parent
+    uncalled = [f"{path.stem}.{node.name}"
+                for path in sorted(package.glob("*.py"))
+                for node in ast.parse(path.read_text()).body
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef))
+                and node.name not in loaded]
+    assert uncalled == []
 
 
 def test_readme_quick_start_runs():

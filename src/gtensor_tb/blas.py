@@ -24,17 +24,20 @@ degenerate, see :func:`~gtensor_tb.bands.solve`) and the pair's two
 eigenvectors.  :func:`eigh_window` computes just those with the four
 LAPACK routines ZHEEVR runs for an index range: ZHETRD reduces H to a
 real tridiagonal T, DSTEBZ finds the window's eigenvalues of T by
-bisection and lists them ascending, ZSTEIN forms the pair's two
-eigenvectors of T by inverse iteration and ZUNMTR turns them into
-eigenvectors of H.  ZHEEVR would form a vector for every band of the
-window, four of six of them unread.  The routines come from the
-OpenBLAS numpy itself is linked against, so no SciPy is loaded; where
-that build is absent the window is sliced from a full
-``np.linalg.eigh``.
+bisection and lists them ascending, ZSTEIN forms the eigenvectors asked
+for, the pair's two or band i's alone, of T by inverse iteration and
+ZUNMTR turns them into eigenvectors of H.  ZHEEVR would form a vector
+for every band of the window, six where this route forms one or two.  For
+Si and Ge, ``solve`` asks for band i's vector alone and takes its
+Kramers partner from PT, and on k_z = 0 it solves the order-20 block of
+the diamond glide in place of H.  The routines come from the OpenBLAS
+numpy itself is linked against, so no SciPy is loaded; where that build
+is absent the window is sliced from a full ``np.linalg.eigh``.
 
-A surface makes thousands of these window solves, each about 110 us at
-n = 40 where ZHEEVR took about 130 us (Si split-off; README "Band
-windows" has the time of each step).  ZHETRD and ZUNMTR get the
+A surface makes thousands of these window solves.  A Si split-off solve
+of H (n = 40) takes about 110 us, where ZHEEVR took about 130 us, and
+one of the glide block (n = 20) about 65 us (README "Band windows" has
+the time of each step).  ZHETRD and ZUNMTR get the
 workspace ZHEEVR hands them, ``lwork = n``: that selects their
 unblocked code, which at n = 40 is faster than the blocked code a
 larger workspace selects (ZHETRD 57 against 70 us, ZUNMTR on two
@@ -76,7 +79,7 @@ _COL_MAJOR = ctypes.c_int(102)    # LAPACK_COL_MAJOR in lapacke.h
 _LOWER, _LEFT, _NO_TRANS = _CHAR(b"L"), _CHAR(b"L"), _CHAR(b"N")
 _BY_INDEX, _BY_ENERGY = _CHAR(b"I"), _CHAR(b"E")
 _ZERO = _REAL(0.0)                # vl, vu (unused) and abstol (default)
-_TWO = _INT(2)                    # the pair's two vectors
+_VECTORS = {1: _INT(1), 2: _INT(2)}   # band i's vector, or the pair's two
 
 _Lapack = collections.namedtuple("_Lapack", "zhetrd dstebz zstein zunmtr")
 # the argument types of each LAPACKE_*_work entry point, as in lapacke.h
@@ -167,11 +170,11 @@ def _lapack():
 class _Workspace:
     """One thread's arrays and ctypes arguments for n x n window solves.
 
-    ``trd``, ``bz`` and ``mtr`` hold the ZHETRD, DSTEBZ and ZUNMTR
-    arguments before and after the ones a call supplies (the matrix, or
-    the index range), and ``stein`` every ZSTEIN argument; ZSTEIN reads
-    the pair's eigenvalues and block numbers from ``pair_w`` and
-    ``pair_block``.  ZHETRD and ZUNMTR get ``lwork = n``, the size
+    ``trd``, ``bz``, ``stein`` and ``mtr`` hold the ZHETRD, DSTEBZ,
+    ZSTEIN and ZUNMTR arguments before and after the ones a call
+    supplies (the matrix, the index range, the number of vectors);
+    ZSTEIN reads the eigenvalues and block numbers of the vectors from
+    ``pair_w`` and ``pair_block``.  ZHETRD and ZUNMTR get ``lwork = n``, the size
     ZHEEVR passes them.
     """
 
@@ -199,11 +202,11 @@ class _Workspace:
                    (_ZERO, d, e, ctypes.byref(self.found),
                     ctypes.byref(self.nsplit), _PTR(self.w.ctypes.data),
                     _PTR(self.iblock.ctypes.data), isplit, rwork, iwork))
-        self.stein = (_COL_MAJOR, order, d, e, _TWO,
-                      _PTR(self.pair_w.ctypes.data),
-                      _PTR(self.pair_block.ctypes.data), isplit, z, order,
-                      rwork, iwork, _PTR(self.ifail.ctypes.data))
-        self.mtr = ((_COL_MAJOR, _LEFT, _LOWER, _NO_TRANS, order, _TWO),
+        self.stein = ((_COL_MAJOR, order, d, e),
+                      (_PTR(self.pair_w.ctypes.data),
+                       _PTR(self.pair_block.ctypes.data), isplit, z, order,
+                       rwork, iwork, _PTR(self.ifail.ctypes.data)))
+        self.mtr = ((_COL_MAJOR, _LEFT, _LOWER, _NO_TRANS, order),
                     (order, tau, z, order, work, order))
 
 
@@ -217,22 +220,25 @@ class _Workspaces(threading.local):
 _workspaces = _Workspaces()
 
 
-def eigh_window(h: np.ndarray, lo: int, hi: int, i: int) -> tuple:
+def eigh_window(h: np.ndarray, lo: int, hi: int, i: int,
+                vectors: int = 2) -> tuple:
     """Energies ``lo..hi`` (inclusive) of the Hermitian matrix ``h`` and
-    the eigenvectors of bands ``i`` and ``i + 1``.
+    the eigenvectors of bands ``i`` to ``i + vectors - 1``.
 
+    ``vectors`` is 2, the pair's two bands, or 1, band ``i`` alone.
     Returns ``(energies, states)`` like ``np.linalg.eigh(h)`` with the
     energies sliced to ``[lo:hi + 1]`` and the vectors to ``[:, i:i +
-    2]``: ascending energies and an ``(n, 2)`` array of columns.  ``h``
-    must be a C-ordered complex128 square matrix with both triangles
-    filled, and it is overwritten.  LAPACK reads the C-ordered array as
-    its transpose, conj(h), which has the same eigenvalues and conjugate
-    eigenvectors, so the vectors are conjugated on return.  DSTEBZ lists
-    the energies ascending, but ZSTEIN takes them grouped by block where
-    the tridiagonal splits: a pair whose upper band is in an earlier
-    block is handed over swapped, and its columns swapped back.  Raises
-    ``ValueError`` for a bad window or array before any foreign call,
-    and ``np.linalg.LinAlgError`` naming the routine if LAPACK fails or
+    vectors]``: ascending energies and an ``(n, vectors)`` array of
+    columns.  ``h`` must be a C-ordered complex128 square matrix with
+    both triangles filled, and it is overwritten.  LAPACK reads the
+    C-ordered array as its transpose, conj(h), which has the same
+    eigenvalues and conjugate eigenvectors, so the vectors are
+    conjugated on return.  DSTEBZ lists the energies ascending, but
+    ZSTEIN takes them grouped by block where the tridiagonal splits: a
+    pair whose upper band is in an earlier block is handed over
+    swapped, and its columns swapped back.  Raises ``ValueError`` for a
+    bad window or array before any foreign call, and
+    ``np.linalg.LinAlgError`` naming the routine if LAPACK fails or
     finds fewer eigenvalues.
     """
     if not (isinstance(h, np.ndarray) and h.dtype == np.complex128
@@ -242,14 +248,16 @@ def eigh_window(h: np.ndarray, lo: int, hi: int, i: int) -> tuple:
                          "complex128 square matrix")
     n = h.shape[0]
     integer = (int, np.integer)
-    if not (all(isinstance(b, integer) for b in (lo, hi, i))
-            and 0 <= lo <= i < hi < n):
-        raise ValueError(f"band window ({lo}, {hi}) does not hold bands "
-                         f"{i}, {i + 1} of 0..{n - 1}")
+    if not (isinstance(lo, integer) and isinstance(hi, integer)
+            and isinstance(i, integer) and isinstance(vectors, integer)
+            and vectors in _VECTORS
+            and 0 <= lo <= i <= i + vectors - 1 <= hi < n):
+        raise ValueError(f"band window ({lo}, {hi}) does not hold "
+                         f"{vectors} bands from {i} of 0..{n - 1}")
     lapack = _lapack()
     if lapack is None:
         energies, states = np.linalg.eigh(h)
-        return energies[lo:hi + 1], states[:, i:i + 2]
+        return energies[lo:hi + 1], states[:, i:i + vectors]
     ws = _workspaces.by_order.get(n)
     if ws is None:
         ws = _workspaces.by_order[n] = _Workspace(n)
@@ -264,17 +272,18 @@ def eigh_window(h: np.ndarray, lo: int, hi: int, i: int) -> tuple:
         raise _failure("dstebz", info, lo, hi,
                        f" and {ws.found.value} of {count} eigenvalues")
     energies = ws.w[:count].copy()
-    first, second = i - lo, i - lo + 1
+    first, second = i - lo, i - lo + vectors - 1
     swapped = ws.iblock[first] > ws.iblock[second]
     if swapped:
         first, second = second, first
     ws.pair_w[0], ws.pair_w[1] = energies[first], energies[second]
     ws.pair_block[0], ws.pair_block[1] = ws.iblock[first], ws.iblock[second]
-    if info := lapack.zstein(*ws.stein):
+    m = _VECTORS[vectors]
+    if info := lapack.zstein(*ws.stein[0], m, *ws.stein[1]):
         raise _failure("zstein", info, lo, hi)
-    if info := lapack.zunmtr(*ws.mtr[0], a, *ws.mtr[1]):
+    if info := lapack.zunmtr(*ws.mtr[0], m, a, *ws.mtr[1]):
         raise _failure("zunmtr", info, lo, hi)
-    states = ws.z.T.conj()
+    states = ws.z[:vectors].T.conj()
     return energies, states[:, ::-1] if swapped else states
 
 

@@ -26,13 +26,16 @@ import numpy as np
 
 from .brillouin import NN_SIGNS
 from .materials import MaterialModel
-from .slater_koster import SHELL, hop_block
+from .slater_koster import PARITY, SHELL, hop_block
 from .su2 import PAULI
 
 _LEVI_CIVITA = np.zeros((3, 3, 3))
 for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
     _LEVI_CIVITA[_i, _j, _k] = 1.0
     _LEVI_CIVITA[_i, _k, _j] = -1.0
+
+# the orbitals that z -> -z maps to minus themselves
+_Z_ODD = ("pz", "dyz", "dzx")
 
 
 def nn_vectors(model: MaterialModel) -> np.ndarray:
@@ -87,6 +90,40 @@ class _Engine:
         self.base[np.arange(self.dim), np.arange(self.dim)] += onsite * 2
         self.dipole = self._dipole_matrix(model)
         self._scratch = _Scratch(self.base, n)
+        if model.point_group == "Oh":
+            self._diamond_symmetries(model)
+
+    def _diamond_symmetries(self, model):
+        """PT and the k_z = 0 glide of the diamond structure.
+
+        Bloch phases on absolute positions make both k-independent.  PT
+        = U K with U = i sigma_y (x) A<->B swap (x) (-1)^l, the signed
+        permutation ``pt``: it sends basis state (spin, atom, orbital)
+        to (1 - spin, 1 - atom, orbital) times (+1, -1)[spin] (-1)^l,
+        and U H(k)* U^dag = H(k) exactly.  The glide {z -> -z | (a/4)(1,
+        1, 1)} is i sigma_z (x) swap (x) R_z, with R_z = -1 on pz, dyz
+        and dzx; on k_z = 0 it commutes with H(k), and it squares to -1.
+        The columns of ``glide_w`` span its +i eigenspace: (|s, A, o> +
+        (+1, -1)[s] R_z(o) |s, B, o>) / sqrt 2 for each spin s and
+        orbital o, in the order of the basis.  PT commutes with the
+        glide, so it maps the +i eigenspace onto the -i one.
+        """
+        n, dim = self.n, self.dim
+        state = np.arange(dim).reshape(2, 2, n)      # spin, atom, orbital
+        spin_sign = np.array([[1.0], [-1.0]])
+        parity = [PARITY[SHELL[o]] for o in model.orbitals]
+        self.pt = np.zeros((dim, dim), dtype=complex)
+        self.pt[state.ravel(), state[::-1, ::-1].ravel()] = np.repeat(
+            spin_sign * parity, 2, axis=0).ravel()
+        mirror = np.array([-1.0 if o in _Z_ODD else 1.0
+                           for o in model.orbitals])
+        self.glide_half_mirror = 0.5 * mirror
+        cols = np.arange(dim // 2).reshape(2, n)
+        w = np.zeros((dim, dim // 2), dtype=complex)
+        w[state[:, 0], cols] = np.sqrt(0.5)
+        w[state[:, 1], cols] = np.sqrt(0.5) * spin_sign * mirror
+        self.glide_w = w
+        self.glide_base = w.T @ self.base @ w
 
     def _soc_matrix(self, model):
         # lambda_p L.S = sum_a sigma_a (x) (lambda_p/2) L_a, with
@@ -155,6 +192,35 @@ def bloch_hamiltonian(model: MaterialModel, k) -> np.ndarray:
 def hamiltonian_gradient(model: MaterialModel, k) -> np.ndarray:
     """dH/dk_j, shape (3, dim, dim), Hartree*Bohr."""
     return _engine(model).grad(np.asarray(k, dtype=float))
+
+
+def glide_block(model: MaterialModel, h: np.ndarray) -> tuple:
+    """``(W^T H W, W)``: H(k) on the +i eigenspace of the k_z = 0 glide.
+
+    O_h only, and only on k_z = 0, where the glide commutes with H(k):
+    there each Kramers doublet of H(k) is one band of the order dim/2
+    block, and a block eigenvector y is the eigenvector W y of H(k).
+    The block is a fresh C-ordered array.  Only the A->B block hab of
+    H (and its adjoint) depends on k, and W^T . W takes it to +X in
+    spin up and -X in spin down, X being the Hermitian part of hab R_z.
+    """
+    eng = _engine(model)
+    n = eng.n
+    x = h[:n, n:2 * n] * eng.glide_half_mirror
+    x += x.conj().T
+    block = eng.glide_base.copy()
+    block[:n, :n] += x
+    block[n:, n:] -= x
+    return block, eng.glide_w
+
+
+def kramers_doublet(model: MaterialModel, xi: np.ndarray) -> np.ndarray:
+    """Columns (xi, PT xi) of an O_h band vector xi, shape (dim, 1).
+
+    PT is antiunitary and squares to -1, so PT xi is orthogonal to xi and
+    has its energy: the other state of xi's Kramers doublet.
+    """
+    return np.concatenate((xi, _engine(model).pt @ xi.conj()), axis=1)
 
 
 def dipole_matrix(model: MaterialModel) -> np.ndarray:

@@ -40,12 +40,17 @@ _GAMMA_DEGENERACY_TOL = 1e-8  # Hartree
 BUILTIN_MATERIALS = ("si", "ge", "gaas")
 
 
+def _is_index(value) -> bool:
+    """An integer, not a bool; a plain ``int`` skips the slow ABC check."""
+    return type(value) is int or (isinstance(value, numbers.Integral)
+                                  and not isinstance(value, bool))
+
+
 def band_pair_problem(pair, dim: int) -> str | None:
     """What keeps ``pair`` from naming a (pseudo-)Kramers pair, or None:
     a pair is two integers, not bools, naming adjacent bands
     ``(i, i + 1)`` of ``0..dim - 1``, energies ascending."""
-    if len(pair) != 2 or not all(isinstance(b, numbers.Integral)
-                                 and not isinstance(b, bool) for b in pair):
+    if not (len(pair) == 2 and _is_index(pair[0]) and _is_index(pair[1])):
         return "a pair of band indices"
     if 0 <= pair[0] and pair[1] == pair[0] + 1 < dim:
         return None

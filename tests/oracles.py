@@ -16,7 +16,7 @@ from gtensor_tb.errors import PairUndefinedError, PhysicsError
 from gtensor_tb.gtensor import (GTensorSet, det_sign, g_tensor_set,
                                 orbital_matrices, spin_g, spin_matrices)
 from gtensor_tb.hamiltonian import bloch_hamiltonian, dipole_matrix, nn_vectors
-from gtensor_tb.slater_koster import hop_block
+from gtensor_tb.slater_koster import PARITY, SHELL, hop_block
 from gtensor_tb.su2 import PAULI, SIGMA_X, SIGMA_Y, SIGMA_Z
 from gtensor_tb.surface import CSV_COLUMNS, SurfaceCloud
 
@@ -155,6 +155,30 @@ def soc_term(model, k) -> np.ndarray:
     """
     return (bloch_hamiltonian(model, k)
             - bloch_hamiltonian(with_soc_scaled(model, 0.0), k))
+
+
+def _spin_atom_orbital(spin, atom, orbital) -> np.ndarray:
+    """spin (x) atom (x) diag(orbital) in H(k)'s basis, whose index runs
+    spin slowest, then atom, then orbital."""
+    return np.kron(spin, np.kron(atom, np.diag(orbital)))
+
+
+def pt_unitary(model) -> np.ndarray:
+    """U of the diamond structure's PT = U K: PT psi = U psi*.
+
+    U = i sigma_y (x) (A <-> B) (x) (-1)^l, from Kronecker products,
+    apart from the library's index maps; sigma_x swaps the two atoms.
+    """
+    parity = [PARITY[SHELL[o]] for o in model.orbitals]
+    return _spin_atom_orbital(1j * SIGMA_Y, SIGMA_X, parity)
+
+
+def glide_unitary(model) -> np.ndarray:
+    """M of the diamond glide {z -> -z | (a/4)(1, 1, 1)}: i sigma_z (x)
+    (A <-> B) (x) R_z, with R_z = -1 on the orbitals odd in z."""
+    mirror = [-1.0 if o in ("pz", "dyz", "dzx") else 1.0
+              for o in model.orbitals]
+    return _spin_atom_orbital(1j * SIGMA_Z, SIGMA_X, mirror)
 
 
 class ZeroSplittingError(PhysicsError):

@@ -12,13 +12,14 @@ from gtensor_tb import (PairingAmbiguityError, PairUndefinedError, blas,
                         wedge_directions)
 from gtensor_tb import bands as band_module
 from gtensor_tb.bands import BlochSolution, remix_pair, resolve_band_indices
-from gtensor_tb.brillouin import icosphere_directions
+from gtensor_tb.brillouin import high_symmetry_point, icosphere_directions
 from gtensor_tb.errors import InputError
 from gtensor_tb.gtensor import det_sign, momentum_table, pair_momenta, spin_g
 from gtensor_tb.hamiltonian import bloch_hamiltonian
 from gtensor_tb.materials import PAIR_SPLIT_TOL
 
-from conftest import random_k_points
+from conftest import bitwise_k_points, random_k_points
+from oracles import glide_unitary, pt_unitary
 
 
 def test_solve_reproduces_eigensystem(si):
@@ -259,8 +260,12 @@ def test_window_matches_full_spectrum_slice(si, gaas, case):
     k, material, p = case
     model = {"si": si, "gaas": gaas}[material]
     last = model.dim - 1
-    # both edge windows, (0, 1) and (dim - 2, dim - 1), come first
-    for pair in ((0, 1), (last - 1, last), (2 * p % last, 2 * p % last + 1)):
+    # both edge windows, (0, 1) and (dim - 2, dim - 1), come first; the
+    # last pair starts at an odd band, which for O_h straddles two
+    # doublets and is solved for both of its vectors
+    odd = (2 * p + 1) % (last - 1)
+    for pair in ((0, 1), (last - 1, last), (2 * p % last, 2 * p % last + 1),
+                 (odd, odd + 1)):
         # the pair and its neighbours, widened to whole Kramers
         # doublets (bands 2m, 2m + 1) for O_h
         i, j = pair
@@ -274,7 +279,10 @@ def test_window_matches_full_spectrum_slice(si, gaas, case):
         assert np.abs(win.energies - full.energies[lo:hi + 1]).max() < 1e-12
         gram = win.states.conj().T @ win.states
         assert np.abs(gram - np.eye(2)).max() < 1e-12
+        # each vector belongs to its own band's energy
+        h = bloch_hamiltonian(model, k)
         e = full.energies
+        assert np.abs(h @ win.states - win.states * e[[i, j]]).max() < 1e-10
         gap = min(abs(e[m] - e[n]) for n in (i, j)
                   for m in (i - 1, j + 1) if 0 <= m <= last)
         if gap > 1e-4:       # pair isolated: its projector is well defined
@@ -301,6 +309,11 @@ def test_bad_window_raises_before_lapack(si, monkeypatch):
                       (2, 2, 2)):
         with pytest.raises(ValueError, match="window"):
             blas.eigh_window(h.copy(), lo, hi, i)
+    # one vector needs band i in the window; no other count is formed
+    for lo, hi, i, vectors in ((0, 2, 3, 1), (3, 5, 2, 1), (0, 5, 2, 0),
+                               (0, 5, 2, 3), (0, 5, 2, 2.0)):
+        with pytest.raises(ValueError, match="window"):
+            blas.eigh_window(h.copy(), lo, hi, i, vectors)
     for bad in (h.real.copy(), h.T, h[:, :39].copy(), h.astype(np.complex64)):
         with pytest.raises(ValueError, match="C-ordered"):
             blas.eigh_window(bad, 0, 5, 2)
@@ -419,3 +432,81 @@ def test_momentum_table_rejects_window(si):
     for sol in (solve(si, k, "split-off"), _part(solve(si, k), 0, 39, 2, 2)):
         with pytest.raises(ValueError, match="full spectrum"):
             momentum_table(si, sol, range(si.dim))
+
+
+# --- O_h pairs: the partner from PT, and the glide's +i block on k_z = 0
+
+# ray 20 of wedge_directions(3), in the k_z = 0 plane; it ends on the
+# X-W line, where det g_S is zero to rounding (ROADMAP item 20)
+X_W_RAY = np.array([0.91504342, 0.40335535, 0.0])
+
+
+def _plane_points(model):
+    """Gamma, X, the zone-boundary end of ``X_W_RAY`` and 50 seeded
+    k-points on k_z = 0."""
+    a = model.lattice_constant
+    ks = random_k_points(37, 50, scale=0.6)
+    ks[:, 2] = 0.0
+    ray = X_W_RAY / np.linalg.norm(X_W_RAY)
+    return [np.zeros(3), high_symmetry_point("X", a),
+            boundary_radius(a, ray) * ray, *ks]
+
+
+def test_pt_and_glide_are_symmetries(si, ge, gaas):
+    # PT = U K is a symmetry of H(k) at every k (0 measured: the Bloch
+    # phases sit on absolute positions, so U does not depend on k), the
+    # glide M one on k_z = 0 (at most 8e-17 measured), M^2 = -1 and PT
+    # commutes with M, so it maps M's +i eigenspace onto the -i one;
+    # T_d has no PT
+    for model in (si, ge):
+        u, m = pt_unitary(model), glide_unitary(model)
+        for k in bitwise_k_points(model, 41):
+            h = bloch_hamiltonian(model, k)
+            assert np.abs(u @ h.conj() @ u.conj().T - h).max() <= 1e-15
+        for k in _plane_points(model):
+            h = bloch_hamiltonian(model, k)
+            assert np.abs(m @ h @ m.conj().T - h).max() <= 1e-15
+        assert np.array_equal(m @ m, -np.eye(model.dim))
+        assert np.array_equal(u @ m.conj(), m @ u)
+    h = bloch_hamiltonian(gaas, np.array([0.1, 0.2, 0.3]))
+    u = pt_unitary(gaas)
+    assert np.abs(u @ h.conj() @ u.conj().T - h).max() > 0.1
+
+
+@pytest.mark.parametrize("material", ["si", "ge"])
+def test_oh_window_pair_is_xi_and_its_pt_partner(request, material):
+    # every configured pair at 53 points on k_z = 0 (Gamma, X, an X-W
+    # ray end and 50 seeded k), solved in the glide's +i block, and at
+    # 20 seeded k off it, solved in H: the energies within 1e-12 Ha of
+    # the two-vector window of H, xi an eigenvector of its energy to
+    # 1e-12 Ha, the second column exactly PT xi and orthogonal to xi,
+    # xi in the glide's +i eigenspace on the plane, and the pair's
+    # projector within 1e-12 of the two-vector window's where a gap of
+    # more than 1e-3 Ha isolates the pair
+    model = request.getfixturevalue(material)
+    u, m = pt_unitary(model), glide_unitary(model)
+    plane = _plane_points(model)
+    ks = [*plane, *random_k_points(43, 20, scale=0.6)]
+    for band, (i, _) in model.band_pairs.items():
+        isolated = 0
+        for k in ks:
+            sol = solve(model, k, band)
+            lo, hi = sol.first, sol.first + sol.energies.size - 1
+            h = bloch_hamiltonian(model, k)
+            energies, states = blas.eigh_window(h.copy(), lo, hi, i)
+            assert np.abs(sol.energies - energies).max() <= 1e-12, (band, k)
+            xi, xi_bar = sol.states.T
+            assert np.abs(h @ xi - sol.energies[i - lo] * xi).max() <= 1e-12
+            assert np.array_equal(xi_bar, u @ xi.conj())
+            assert abs(np.vdot(xi, xi_bar)) <= 1e-13
+            if k[2] == 0.0:
+                assert np.linalg.norm(m @ xi - 1j * xi) <= 1e-12
+            gap = min(abs(energies[n] - energies[i - lo])
+                      for n in (i - lo - 1, i - lo + 2)
+                      if 0 <= n < energies.size)
+            if gap > 1e-3:
+                assert np.abs(sol.states @ sol.states.conj().T
+                              - states @ states.conj().T).max() <= 1e-12
+                isolated += 1
+        assert isolated >= 60, band
+    assert len(plane) == 53

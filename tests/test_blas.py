@@ -280,30 +280,84 @@ def test_window_route_matches_eigh(request, material, lapack, monkeypatch):
         assert max(calls["dstebz"]) > 1
 
 
-def test_window_solves_form_the_pairs_two_vectors(si, lapack, monkeypatch):
-    # work counts that do not depend on the machine, on a Si split-off
-    # level-0 surface: one ZHETRD per bands.solve, DSTEBZ asked for the
-    # six eigenvalues of the window 0..5 in ascending order, ZSTEIN for
-    # two vectors and ZUNMTR for two columns of H's order, on every solve
+@pytest.mark.parametrize("material", ["si", "gaas"])
+def test_one_vector_window_is_band_i(request, material, lapack):
+    # vectors=1 runs ZHETRD and DSTEBZ as the two-vector call does, so
+    # the energies are bit for bit the same, and forms band i's vector
+    # alone: an eigenvector of its energy to 1e-12 Ha, and for GaAs,
+    # whose bands are not degenerate, the two-vector call's first
+    # column up to a phase; a window may then hold band i alone
+    model = request.getfixturevalue(material)
+    i = 2
+    for k in random_k_points(47, 20, scale=0.6):
+        h = bloch_hamiltonian(model, k)
+        energies, states = blas.eigh_window(h.copy(), 0, 5, i)
+        one_energies, xi = blas.eigh_window(h.copy(), 0, 5, i, 1)
+        assert one_energies.tobytes() == energies.tobytes()
+        assert xi.shape == (model.dim, 1)
+        assert np.abs(h @ xi - energies[i] * xi).max() < 1e-12
+        if model.point_group == "Td":
+            assert abs(abs(np.vdot(states[:, 0], xi[:, 0])) - 1) < 1e-12
+        alone, vector = blas.eigh_window(h.copy(), i, i, i, 1)
+        assert alone.tolist() == pytest.approx([energies[i]], abs=1e-12)
+        assert np.abs(h @ vector - alone[0] * vector).max() < 1e-12
+
+
+def _surface_lapack_calls(model, band, directions, monkeypatch):
+    """The k-points a surface solves and the arguments of its LAPACK
+    calls: ZHETRD's order, DSTEBZ's ORDER and index range, ZSTEIN's
+    vector count and ZUNMTR's (rows, columns); every solve is of the
+    surface's band window."""
     calls = _recording_lapack(monkeypatch, {
         "zhetrd": lambda args: args[2].value,
         "dstebz": lambda args: (args[1].value, args[5], args[6]),
         "zstein": lambda args: args[4].value,
         "zunmtr": lambda args: (args[4].value, args[5].value)})
-    solves = []
+    ks, bands = [], set()
 
-    def counted(*args):
-        solves.append(args[2:])
-        return solve(*args)
+    def counted(model, k, *args):
+        ks.append(k)
+        bands.add(args)
+        return solve(model, k, *args)
 
     solve = tables.solve
     monkeypatch.setattr(tables, "solve", counted)
-    surface.build_surface(si, "split-off", wedge_directions(0))
-    assert len(solves) > 100 and set(solves) == {("split-off",)}
-    assert calls["zhetrd"] == [40] * len(solves)
-    assert calls["dstebz"] == [(b"E", 1, 6)] * len(solves)
-    assert calls["zstein"] == [2] * len(solves)
-    assert calls["zunmtr"] == [(40, 2)] * len(solves)
+    surface.build_surface(model, band, directions)
+    assert bands == {(band,)}
+    return ks, calls
+
+
+def test_window_solves_form_the_pairs_two_vectors(si, lapack, monkeypatch):
+    # work counts that do not depend on the machine, on a Si split-off
+    # level-1 surface, whose three rays are (0.81, 0.5, 0.31) and two on
+    # k_z = 0 (the level-0 surface's one ray lies on k_z = 0): each
+    # bands.solve forms band 2's vector alone, ZSTEIN one vector and
+    # ZUNMTR one column, and takes band 3's from PT; on k_z = 0 it
+    # solves the glide's +i block, of order 20, for the energies of its
+    # bands 0..2 (the doublets of H's bands 0..5), elsewhere H, of order
+    # 40, for the energies of bands 0..5
+    ks, calls = _surface_lapack_calls(si, "split-off", wedge_directions(1),
+                                      monkeypatch)
+    on_plane = [k[2] == 0.0 for k in ks]
+    assert len(ks) > 300 and 100 < on_plane.count(False) < on_plane.count(
+        True)
+    assert calls["zhetrd"] == [20 if p else 40 for p in on_plane]
+    assert calls["dstebz"] == [(b"E", 1, 3) if p else (b"E", 1, 6)
+                               for p in on_plane]
+    assert calls["zstein"] == [1] * len(ks)
+    assert calls["zunmtr"] == [(20, 1) if p else (40, 1) for p in on_plane]
+
+
+def test_td_window_solves_form_both_vectors(gaas, lapack, monkeypatch):
+    # GaAs (T_d) has no PT and no glide: every solve is of H, of order
+    # 16, for the energies of the pair's window 1..4 and both vectors
+    ks, calls = _surface_lapack_calls(gaas, "split-off", wedge_directions(1),
+                                      monkeypatch)
+    assert len(ks) > 300 and any(k[2] == 0.0 for k in ks)
+    assert calls["zhetrd"] == [16] * len(ks)
+    assert calls["dstebz"] == [(b"E", 2, 5)] * len(ks)
+    assert calls["zstein"] == [2] * len(ks)
+    assert calls["zunmtr"] == [(16, 2)] * len(ks)
 
 
 def test_split_tridiagonal_pairs_vectors_with_energies(lapack, monkeypatch):

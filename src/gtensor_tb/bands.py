@@ -52,15 +52,16 @@ def solve(model: MaterialModel, k, pair=None) -> BlochSolution:
     (every point group but T_d) bands 2m and 2m + 1 are one Kramers
     doublet, and the window takes whole doublets: DSTEBZ finds the ends
     of an index range by bisection on eigenvalue counts, and an end
-    inside a degenerate doublet has no gap to stop at.  For a doublet
-    the window forms band 2m's vector xi alone, and xi_bar = PT xi
-    (:func:`~gtensor_tb.hamiltonian.kramers_doublet`).  On k_z = 0 the
-    solve is of the diamond glide's +i block of H(k)
-    (:func:`~gtensor_tb.hamiltonian.glide_block`), of order dim/2 and
-    about 40% cheaper: its band m is doublet m of H(k), so each of its
-    energies counts twice, and xi lies in the glide's +i eigenspace,
-    xi_bar in the -i one.  The solution records the window's first band
-    as ``first`` and the pair's as ``first_state``.
+    inside a degenerate doublet has no gap to stop at.  On k_z = 0 the
+    solve of a doublet (i even) is of the diamond glide's +i block of
+    H(k) (:func:`~gtensor_tb.hamiltonian.glide_block`), of order dim/2
+    and about 40% cheaper: its band m is doublet m of H(k), so each of
+    its energies counts twice, and it forms band i's vector xi alone,
+    in the glide's +i eigenspace; xi_bar = PT xi, in the -i one
+    (:func:`~gtensor_tb.hamiltonian.kramers_doublet`).  Off the plane,
+    and for GaAs, the window forms the pair's two vectors.  The
+    solution records the window's first band as ``first`` and the
+    pair's as ``first_state``.
     """
     k = np.asarray(k, dtype=float)
     h = bloch_hamiltonian(model, k)
@@ -69,19 +70,14 @@ def solve(model: MaterialModel, k, pair=None) -> BlochSolution:
         return BlochSolution(k, energies, states)
     i, _ = resolve_band_indices(model, pair)
     lo, hi = _neighbour_window(model.dim, i)
-    if model.point_group == "Td":
-        energies, states = eigh_window(h, lo, hi, i)
-        return BlochSolution(k, energies, states, lo, i)
-    lo, hi = lo - lo % 2, hi | 1  # dim is even, so hi | 1 < dim
-    if i % 2:                     # the pair straddles two doublets
-        energies, states = eigh_window(h, lo, hi, i)
-    elif k[2] == 0.0:
-        block, w = glide_block(model, h)
-        energies, y = eigh_window(block, lo // 2, hi // 2, i // 2, 1)
-        energies, states = energies.repeat(2), kramers_doublet(model, w @ y)
-    else:
-        energies, xi = eigh_window(h, lo, hi, i, 1)
-        states = kramers_doublet(model, xi)
+    if model.point_group != "Td":
+        lo, hi = lo - lo % 2, hi | 1  # dim is even, so hi | 1 < dim
+        if i % 2 == 0 and k[2] == 0.0:
+            block, w = glide_block(model, h)
+            energies, y = eigh_window(block, lo // 2, hi // 2, i // 2, 1)
+            return BlochSolution(k, energies.repeat(2),
+                                 kramers_doublet(model, w @ y), lo, i)
+    energies, states = eigh_window(h, lo, hi, i)
     return BlochSolution(k, energies, states, lo, i)
 
 

@@ -27,18 +27,18 @@ real tridiagonal T, DSTEBZ finds the window's eigenvalues of T by
 bisection and lists them ascending, ZSTEIN forms the eigenvectors asked
 for, the pair's two or band i's alone, of T by inverse iteration and
 ZUNMTR turns them into eigenvectors of H.  ZHEEVR would form a vector
-for every band of the window, six where this route forms one or two.  For
-Si and Ge, ``solve`` asks for band i's vector alone and takes its
-Kramers partner from PT, and on k_z = 0 it solves the order-20 block of
-the diamond glide in place of H.  The routines come from the OpenBLAS
-numpy itself is linked against, so no SciPy is loaded; where that build
-is absent the window is sliced from a full ``np.linalg.eigh``.
+for every band of the window, six where this route forms one or two.
+On k_z = 0, for Si and Ge, ``solve`` solves the order-20 block of the
+diamond glide in place of H, asks for band i's vector alone and takes
+its Kramers partner from PT.  The routines come from the OpenBLAS numpy
+itself is linked against, so no SciPy is loaded; where that build is
+absent the window is sliced from a full ``np.linalg.eigh``.
 
 A surface makes thousands of these window solves.  A Si split-off solve
 of H (n = 40) takes about 110 us, where ZHEEVR took about 130 us, and
 one of the glide block (n = 20) about 65 us (README "Band windows" has
-the time of each step).  ZHETRD and ZUNMTR get the
-workspace ZHEEVR hands them, ``lwork = n``: that selects their
+the time of each step).  ZHETRD and ZUNMTR get the workspace ZHEEVR
+hands them, ``lwork = n``: that selects their
 unblocked code, which at n = 40 is faster than the blocked code a
 larger workspace selects (ZHETRD 57 against 70 us, ZUNMTR on two
 columns 13 against 47 us).
@@ -174,8 +174,8 @@ class _Workspace:
     ZSTEIN and ZUNMTR arguments before and after the ones a call
     supplies (the matrix, the index range, the number of vectors);
     ZSTEIN reads the eigenvalues and block numbers of the vectors from
-    ``pair_w`` and ``pair_block``.  ZHETRD and ZUNMTR get ``lwork = n``, the size
-    ZHEEVR passes them.
+    ``pair_w`` and ``pair_block``.  ZHETRD and ZUNMTR get ``lwork =
+    n``, the size ZHEEVR passes them.
     """
 
     def __init__(self, n: int):

@@ -328,14 +328,16 @@ def _surface_lapack_calls(model, band, directions, monkeypatch):
 
 
 def test_window_solves_form_the_pairs_two_vectors(si, lapack, monkeypatch):
-    # work counts that do not depend on the machine, on a Si split-off
-    # level-1 surface, whose three rays are (0.81, 0.5, 0.31) and two on
-    # k_z = 0 (the level-0 surface's one ray lies on k_z = 0): each
-    # bands.solve forms band 2's vector alone, ZSTEIN one vector and
-    # ZUNMTR one column, and takes band 3's from PT; on k_z = 0 it
-    # solves the glide's +i block, of order 20, for the energies of its
-    # bands 0..2 (the doublets of H's bands 0..5), elsewhere H, of order
-    # 40, for the energies of bands 0..5
+    # off k_z = 0 each Si window solve forms the pair's two vectors; on
+    # k_z = 0 it forms band 2's vector alone, in the glide block, and
+    # takes band 3's from PT.  Work counts that do not depend on the
+    # machine, on a Si split-off level-1 surface, whose three rays are
+    # (0.81, 0.5, 0.31) and two on k_z = 0 (the level-0 surface's one
+    # ray lies on k_z = 0): on k_z = 0 bands.solve solves the glide's
+    # +i block, of order 20, for the energies of its bands 0..2 (the
+    # doublets of H's bands 0..5), ZSTEIN one vector and ZUNMTR one
+    # column; elsewhere H, of order 40, for the energies of bands 0..5,
+    # ZSTEIN two vectors and ZUNMTR two columns
     ks, calls = _surface_lapack_calls(si, "split-off", wedge_directions(1),
                                       monkeypatch)
     on_plane = [k[2] == 0.0 for k in ks]
@@ -344,8 +346,8 @@ def test_window_solves_form_the_pairs_two_vectors(si, lapack, monkeypatch):
     assert calls["zhetrd"] == [20 if p else 40 for p in on_plane]
     assert calls["dstebz"] == [(b"E", 1, 3) if p else (b"E", 1, 6)
                                for p in on_plane]
-    assert calls["zstein"] == [1] * len(ks)
-    assert calls["zunmtr"] == [(20, 1) if p else (40, 1) for p in on_plane]
+    assert calls["zstein"] == [1 if p else 2 for p in on_plane]
+    assert calls["zunmtr"] == [(20, 1) if p else (40, 2) for p in on_plane]
 
 
 def test_td_window_solves_form_both_vectors(gaas, lapack, monkeypatch):

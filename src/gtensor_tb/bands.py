@@ -8,7 +8,7 @@ import numpy as np
 
 from .blas import eigh_window
 from .errors import InputError, PairingAmbiguityError
-from .hamiltonian import bloch_hamiltonian, glide_block, kramers_doublet
+from .hamiltonian import bloch_hamiltonian, glide_block
 from .materials import PAIR_SPLIT_TOL, MaterialModel, band_pair_problem
 
 
@@ -56,12 +56,11 @@ def solve(model: MaterialModel, k, pair=None) -> BlochSolution:
     solve of a doublet (i even) is of the diamond glide's +i block of
     H(k) (:func:`~gtensor_tb.hamiltonian.glide_block`), of order dim/2
     and about 40% cheaper: its band m is doublet m of H(k), so each of
-    its energies counts twice, and it forms band i's vector xi alone,
-    in the glide's +i eigenspace; xi_bar = PT xi, in the -i one
-    (:func:`~gtensor_tb.hamiltonian.kramers_doublet`).  Off the plane,
-    and for GaAs, the window forms the pair's two vectors.  The
-    solution records the window's first band as ``first`` and the
-    pair's as ``first_state``.
+    its energies counts twice, and its band i // 2 vector y gives the
+    pair [W y, (PT W) y*], W and PT W being the isometries onto the
+    glide's +i and -i eigenspaces.  Off the plane, and for GaAs, the
+    window forms the pair's two vectors.  The solution records the
+    window's first band as ``first`` and the pair's as ``first_state``.
     """
     k = np.asarray(k, dtype=float)
     h = bloch_hamiltonian(model, k)
@@ -73,10 +72,10 @@ def solve(model: MaterialModel, k, pair=None) -> BlochSolution:
     if model.point_group != "Td":
         lo, hi = lo - lo % 2, hi | 1  # dim is even, so hi | 1 < dim
         if i % 2 == 0 and k[2] == 0.0:
-            block, w = glide_block(model, h)
+            block, w, pt_w = glide_block(model, h)
             energies, y = eigh_window(block, lo // 2, hi // 2, i // 2, 1)
-            return BlochSolution(k, energies.repeat(2),
-                                 kramers_doublet(model, w @ y), lo, i)
+            states = np.concatenate((w.dot(y), pt_w.dot(y.conj())), axis=1)
+            return BlochSolution(k, energies.repeat(2), states, lo, i)
     energies, states = eigh_window(h, lo, hi, i)
     return BlochSolution(k, energies, states, lo, i)
 

@@ -128,7 +128,7 @@ def cmd_atomfit(args, model) -> int:
                     f"g_tot = {result['g_tot_zz']:+.9f}")
     text = "".join(f"# {line}\n" for line in lines) + "\n".join(body) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
+        with open(args.out, "w", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

@@ -94,33 +94,24 @@ class _Engine:
             self._diamond_symmetries(model)
 
     def _diamond_symmetries(self, model):
-        """PT and the k_z = 0 glide of the diamond structure.
+        """The k_z = 0 glide of the diamond structure and PT.
 
-        Bloch phases on absolute positions make both k-independent.  PT
-        = U K with U = i sigma_y (x) A<->B swap (x) (-1)^l, the signed
-        permutation: (U psi)[r] = s_r psi[p_r], with p_r the state (1 -
-        spin, 1 - atom, orbital) of r = (spin, atom, orbital) and s_r =
-        (+1, -1)[spin] (-1)^l, and U H(k)* U^dag = H(k) exactly.  Row r
-        of (xi, U xi*), read as four reals, is (re, im, s_r re, -s_r im)
-        of xi[r], xi[r], xi[p_r] and xi[p_r]: the reals ``pt_take``
-        picks from xi's, times ``pt_sign``.  The glide {z -> -z | (a/4)(1,
-        1, 1)} is i sigma_z (x) swap (x) R_z, with R_z = -1 on pz, dyz
-        and dzx; on k_z = 0 it commutes with H(k), and it squares to -1.
-        The columns of ``glide_w`` span its +i eigenspace: (|s, A, o> +
-        (+1, -1)[s] R_z(o) |s, B, o>) / sqrt 2 for each spin s and
-        orbital o, in the order of the basis.  PT commutes with the
-        glide, so it maps the +i eigenspace onto the -i one.
+        Bloch phases on absolute positions make both k-independent.  The
+        glide {z -> -z | (a/4)(1, 1, 1)} is i sigma_z (x) swap (x) R_z,
+        with R_z = -1 on pz, dyz and dzx; on k_z = 0 it commutes with
+        H(k), and it squares to -1.  The columns of the real isometry W
+        (``glide_w``) span its +i eigenspace: (|s, A, o> + (+1, -1)[s]
+        R_z(o) |s, B, o>) / sqrt 2 for each spin s and orbital o, in the
+        order of the basis.  PT = U K, with U = i sigma_y (x) swap (x)
+        (-1)^l, satisfies U H(k)* U^dag = H(k) exactly; it commutes with
+        the glide, so ``glide_pt_w`` = PT W = U W, row r of which is
+        (+1, -1)[s] (-1)^l row (1 - s, 1 - atom, o) of W, spans the -i
+        eigenspace.
         """
         n, dim = self.n, self.dim
         state = np.arange(dim).reshape(2, 2, n)      # spin, atom, orbital
         spin_sign = np.array([[1.0], [-1.0]])
         parity = [PARITY[SHELL[o]] for o in model.orbitals]
-        row, perm = np.arange(dim), state[::-1, ::-1].ravel()
-        sign = np.repeat(spin_sign * parity, 2, axis=0).ravel()
-        self.pt_take = np.stack((2 * row, 2 * row + 1, 2 * perm, 2 * perm + 1),
-                                axis=1)
-        self.pt_sign = np.stack((np.ones(dim), np.ones(dim), sign, -sign),
-                                axis=1)
         mirror = np.array([-1.0 if o in _Z_ODD else 1.0
                            for o in model.orbitals])
         self.glide_half_mirror = 0.5 * mirror
@@ -129,6 +120,8 @@ class _Engine:
         w[state[:, 0], cols] = np.sqrt(0.5)
         w[state[:, 1], cols] = np.sqrt(0.5) * spin_sign * mirror
         self.glide_w = w
+        sign = np.repeat(spin_sign * parity, 2, axis=0).ravel()
+        self.glide_pt_w = sign[:, None] * w[state[::-1, ::-1].ravel()]
         self.glide_base = w.T @ self.base @ w
 
     def _soc_matrix(self, model):
@@ -201,14 +194,18 @@ def hamiltonian_gradient(model: MaterialModel, k) -> np.ndarray:
 
 
 def glide_block(model: MaterialModel, h: np.ndarray) -> tuple:
-    """``(W^T H W, W)``: H(k) on the +i eigenspace of the k_z = 0 glide.
+    """``(W^T H W, W, PT W)``: H(k) on the +i eigenspace of the k_z = 0
+    glide, and the isometries onto the glide's +i and -i eigenspaces.
 
     O_h only, and only on k_z = 0, where the glide commutes with H(k):
     there each Kramers doublet of H(k) is one band of the order dim/2
-    block, and a block eigenvector y is the eigenvector W y of H(k).
-    The block is a fresh C-ordered array.  Only the A->B block hab of
-    H (and its adjoint) depends on k, and W^T . W takes it to +X in
-    spin up and -X in spin down, X being the Hermitian part of hab R_z.
+    block, and a block eigenvector y gives the doublet's two states [W y,
+    (PT W) y*] of H(k), in the +i and -i eigenspaces: PT is antiunitary,
+    squares to -1 and commutes with H(k), so PT (W y) = (PT W) y* is
+    orthogonal to W y and has its energy.  The block is a fresh
+    C-ordered array.  Only the A->B block hab of H (and its adjoint)
+    depends on k, and W^T . W takes it to +X in spin up and -X in spin
+    down, X being the Hermitian part of hab R_z.
     """
     eng = _engine(model)
     n = eng.n
@@ -217,23 +214,7 @@ def glide_block(model: MaterialModel, h: np.ndarray) -> tuple:
     block = eng.glide_base.copy()
     block[:n, :n] += x
     block[n:, n:] -= x
-    return block, eng.glide_w
-
-
-def kramers_doublet(model: MaterialModel, xi: np.ndarray) -> np.ndarray:
-    """Columns (xi, PT xi), shape (dim, 2), of an O_h band vector xi, a
-    C-ordered complex128 array of shape (dim, 1).
-
-    PT is antiunitary and squares to -1, so PT xi is orthogonal to xi and
-    has its energy: the other state of xi's Kramers doublet.  PT xi = U
-    xi* with U a signed permutation, so both columns are one gather of
-    xi's real and imaginary parts and a sign (1.8 us at dim = 40, where
-    the product with a dense U and a concatenation takes 2.8 us).
-    """
-    eng = _engine(model)
-    pair = xi.view(np.float64).take(eng.pt_take)
-    pair *= eng.pt_sign
-    return pair.view(np.complex128)
+    return block, eng.glide_w, eng.glide_pt_w
 
 
 def dipole_matrix(model: MaterialModel) -> np.ndarray:

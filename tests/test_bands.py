@@ -15,7 +15,7 @@ from gtensor_tb.bands import BlochSolution, remix_pair, resolve_band_indices
 from gtensor_tb.brillouin import high_symmetry_point, icosphere_directions
 from gtensor_tb.errors import InputError
 from gtensor_tb.gtensor import det_sign, momentum_table, pair_momenta, spin_g
-from gtensor_tb.hamiltonian import bloch_hamiltonian
+from gtensor_tb.hamiltonian import bloch_hamiltonian, glide_block
 from gtensor_tb.materials import PAIR_SPLIT_TOL
 
 from conftest import bitwise_k_points, random_k_points
@@ -456,10 +456,16 @@ def test_pt_and_glide_are_symmetries(si, ge, gaas):
     # PT = U K is a symmetry of H(k) at every k (0 measured: the Bloch
     # phases sit on absolute positions, so U does not depend on k), the
     # glide M one on k_z = 0 (at most 8e-17 measured), M^2 = -1 and PT
-    # commutes with M, so it maps M's +i eigenspace onto the -i one;
-    # T_d has no PT
+    # commutes with M, so it maps M's +i eigenspace onto the -i one.
+    # The isometries that glide_block hands out are exactly those
+    # eigenspaces: M W = i W, PT W = U W and M (PT W) = -i PT W.  T_d
+    # has no PT
     for model in (si, ge):
         u, m = pt_unitary(model), glide_unitary(model)
+        _, w, pt_w = glide_block(model, bloch_hamiltonian(model, np.zeros(3)))
+        assert np.array_equal(m @ w, 1j * w)
+        assert np.array_equal(pt_w, u @ w)
+        assert np.array_equal(m @ pt_w, -1j * pt_w)
         for k in bitwise_k_points(model, 41):
             h = bloch_hamiltonian(model, k)
             assert np.abs(u @ h.conj() @ u.conj().T - h).max() <= 1e-15
@@ -475,21 +481,23 @@ def test_pt_and_glide_are_symmetries(si, ge, gaas):
 
 @pytest.mark.parametrize("material", ["si", "ge"])
 def test_oh_plane_pair_is_xi_and_its_pt_partner(request, material):
-    # every configured pair at 53 points on k_z = 0 (Gamma, X, an X-W
-    # ray end and 50 seeded k), solved in the glide's +i block: the
-    # energies within 1e-12 Ha of the two-vector window of H, xi an
-    # eigenvector of its energy to 1e-12 Ha and in the glide's +i
-    # eigenspace, the second column exactly PT xi and orthogonal to xi,
-    # and the pair's projector within 1e-12 of the two-vector window's
-    # where a gap of more than 1e-3 Ha isolates the pair; at 20 seeded
-    # k off the plane the solve is the two-vector window of H, bit for
-    # bit
+    # every configured pair, and the pairs at both ends of the spectrum
+    # (block windows 0..1 and dim/2 - 2..dim/2 - 1), at 53 points on
+    # k_z = 0 (Gamma, X, an X-W ray end and 50 seeded k), solved in the
+    # glide's +i block: the energies within 1e-12 Ha of the two-vector
+    # window of H, xi an eigenvector of its energy to 1e-12 Ha and in
+    # the glide's +i eigenspace, the second column exactly PT xi and
+    # orthogonal to xi, and the pair's projector within 1e-12 of the
+    # two-vector window's where a gap of more than 1e-3 Ha isolates the
+    # pair; at 20 seeded k off the plane the solve is the two-vector
+    # window of H, bit for bit
     model = request.getfixturevalue(material)
     u, m = pt_unitary(model), glide_unitary(model)
     plane = _plane_points(model)
     off_plane = random_k_points(43, 20, scale=0.6)
     assert len(plane) == 53 and (off_plane[:, 2] != 0.0).all()
-    for band, (i, _) in model.band_pairs.items():
+    for band in (*model.band_pairs, (0, 1), (model.dim - 2, model.dim - 1)):
+        i, _ = resolve_band_indices(model, band)
         isolated = 0
         for k in plane:
             sol = solve(model, k, band)
@@ -517,3 +525,20 @@ def test_oh_plane_pair_is_xi_and_its_pt_partner(request, material):
                                                 lo, hi, i)
             assert sol.energies.tobytes() == energies.tobytes()
             assert sol.states.tobytes() == states.tobytes()
+
+
+@pytest.mark.parametrize("material", ["si", "ge"])
+def test_oh_pair_from_odd_band_is_ambiguous(request, material):
+    # with inversion bands 2m and 2m + 1 are one Kramers doublet, so a
+    # pair (i, i + 1) with i odd straddles two doublets: its gap to band
+    # i - 1 is at rounding level and select_pair refuses it at every k,
+    # from the window solve (the two-vector window of H, also on k_z =
+    # 0, since the glide block has no odd bands) and from the full solve
+    model = request.getfixturevalue(material)
+    ks = random_k_points(47, 60, scale=0.6)
+    ks[::2, 2] = 0.0
+    for i in range(1, model.dim - 1, 2):
+        for k in [np.zeros(3), *ks]:
+            for sol in (solve(model, k, (i, i + 1)), solve(model, k)):
+                with pytest.raises(PairingAmbiguityError):
+                    select_pair(model, sol, (i, i + 1))

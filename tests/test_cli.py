@@ -467,11 +467,23 @@ def test_atomfit_stdout(capsys):
     assert "+0.666666" in text          # the fitted total hits 2/3
 
 
-def test_atomfit_to_file(tmp_path):
+def test_atomfit_to_file(tmp_path, capsys):
+    # the file holds the stdout report, byte for byte with LF line
+    # endings on every platform, apart from the config echo and its hash,
+    # which name --out
     out = tmp_path / "fit.txt"
     rc = main(["atomfit", "--material", "si", "--out", str(out)])
     assert rc == 0
     assert "2.788" in out.read_text()
+    assert main(["atomfit", "--material", "si"]) == 0
+    report = capsys.readouterr().out.encode()
+    data = out.read_bytes()
+    assert b"\r" not in data
+
+    def without_config(text):
+        return [line for line in text.split(b"\n")
+                if not line.startswith(b"# config")]
+    assert without_config(data) == without_config(report)
 
 
 # --- provenance --------------------------------------------------------------

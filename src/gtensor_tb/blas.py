@@ -18,34 +18,43 @@ leave the process at one thread.  Where there is no ``/proc`` (macOS),
 no OpenBLAS (MKL, Accelerate) or no ``openblas_set_num_threads_local``
 symbol, the decorator does nothing.
 
-g_S scans and entropy tables read the energies of a pair and its
-neighbours in the spectrum (whole Kramers doublets where every band is
-degenerate, see :func:`~gtensor_tb.bands.solve`) and the pair's two
-eigenvectors.  :func:`eigh_window` computes just those with the four
-LAPACK routines ZHEEVR runs for an index range: ZHETRD reduces H to a
-real tridiagonal T, DSTEBZ finds the window's eigenvalues of T by
-bisection and lists them ascending, ZSTEIN forms the eigenvectors asked
-for, the pair's two or band i's alone, of T by inverse iteration and
-ZUNMTR turns them into eigenvectors of H.  ZHEEVR would form a vector
-for every band of the window, six where this route forms one or two.
+g_S scans and entropy tables read the pair's two eigenvectors and its
+energies, and decide whether the pair is isolated from the rest of the
+spectrum (see :func:`~gtensor_tb.bands.select_pair`).  For that
+decision every other band counts only by whether it lies within the
+isolation floor of the pair: :data:`~gtensor_tb.materials.PAIR_SPLIT_TOL`,
+or a T_d compound's own split.  :func:`eigh_window` computes just those
+with the LAPACK routines ZHEEVR runs: ZHETRD reduces H to a real
+tridiagonal T; DSTEBZ finds the pair's energies by bisection on
+eigenvalue counts, first by index to a coarse tolerance and then, at
+full precision, together with every band of T within the floor plus a
+margin of them (the reach); ZSTEIN forms the eigenvectors asked for, the
+pair's two or band i's alone, of T by inverse iteration, with the
+pair's full-precision energies as shifts; and ZUNMTR turns them into
+eigenvectors of H.  A Sturm count is exact about which side of an
+energy a band of T lies on, so a band the reach does not hold lies
+beyond the floor, and the decision is the one all bands would give.
 On k_z = 0, for Si and Ge, ``solve`` solves the order-20 block of the
 diamond glide in place of H, asks for band i's vector alone and takes
 its Kramers partner from PT.  The routines come from the OpenBLAS numpy
 itself is linked against, so no SciPy is loaded; where that build is
-absent the window is sliced from a full ``np.linalg.eigh``.
+absent every energy comes from a full ``np.linalg.eigh``.
 
 A surface makes thousands of these window solves.  A Si split-off solve
-of H (n = 40) takes about 110 us, where ZHEEVR took about 130 us, and
-one of the glide block (n = 20) about 65 us (README "Band windows" has
-the time of each step).  ZHETRD and ZUNMTR get the workspace ZHEEVR
-hands them, ``lwork = n``: that selects their
+of H (n = 40) takes about 100 us, where ZHEEVR took about 130 us, and
+one of the glide block (n = 20) about 60 us (README "Band windows" has
+the time of each step).  Bisection was the second largest step: for
+the pair and the whole doublet on each side, at full precision, DSTEBZ
+took 34 us on H and 14 us on the block; the coarse call for the pair
+and the call for its reach take 21 and 12 us.  ZHETRD and ZUNMTR get
+the workspace ZHEEVR hands them, ``lwork = n``: that selects their
 unblocked code, which at n = 40 is faster than the blocked code a
 larger workspace selects (ZHETRD 57 against 70 us, ZUNMTR on two
 columns 13 against 47 us).
 
 Reading an array's address through ``ndarray.ctypes.data`` costs about
-2 us and the four calls pass 27 addresses, so each thread keeps
-one :class:`_Workspace` per matrix order: the output and scratch arrays
+2 us and the five calls of a solve pass 36 addresses, so each thread
+keeps one :class:`_Workspace` per matrix order: the output and scratch arrays
 and the arguments built from them, converted to ctypes once, as are the
 arguments no call changes.  The matrix's own address comes from a
 ctypes view of its buffer.  A workspace holds the arrays themselves,
@@ -57,9 +66,11 @@ aliases it.
 """
 from __future__ import annotations
 
+import bisect
 import collections
 import ctypes
 import functools
+import math
 import os
 import threading
 
@@ -77,8 +88,13 @@ _INT_OUT = ctypes.POINTER(_INT)
 # arguments that no call changes, converted to ctypes once
 _COL_MAJOR = ctypes.c_int(102)    # LAPACK_COL_MAJOR in lapacke.h
 _LOWER, _LEFT, _NO_TRANS = _CHAR(b"L"), _CHAR(b"L"), _CHAR(b"N")
-_BY_INDEX, _BY_ENERGY = _CHAR(b"I"), _CHAR(b"E")
+_BY_INDEX, _BY_VALUE, _BY_ENERGY = _CHAR(b"I"), _CHAR(b"V"), _CHAR(b"E")
 _ZERO = _REAL(0.0)                # vl, vu (unused) and abstol (default)
+# the absolute tolerance of the bisection for the pair's own bands, Ha
+_COARSE = _REAL(1e-6)
+# a count of the bands at or below an energy: an interval below every
+# Gershgorin bound and a tolerance wider than any spectrum bisect nothing
+_LOWEST, _COUNT_ONLY = _REAL(-math.inf), _REAL(1e300)
 _VECTORS = {1: _INT(1), 2: _INT(2)}   # band i's vector, or the pair's two
 
 _Lapack = collections.namedtuple("_Lapack", "zhetrd dstebz zstein zunmtr")
@@ -170,12 +186,12 @@ def _lapack():
 class _Workspace:
     """One thread's arrays and ctypes arguments for n x n window solves.
 
-    ``trd``, ``bz``, ``stein`` and ``mtr`` hold the ZHETRD, DSTEBZ,
-    ZSTEIN and ZUNMTR arguments before and after the ones a call
-    supplies (the matrix, the index range, the number of vectors);
-    ZSTEIN reads the eigenvalues and block numbers of the vectors from
-    ``pair_w`` and ``pair_block``.  ZHETRD and ZUNMTR get ``lwork =
-    n``, the size ZHEEVR passes them.
+    ``trd``, ``stein`` and ``mtr`` hold the ZHETRD, ZSTEIN and ZUNMTR
+    arguments before and after the ones a call supplies (the matrix, the
+    number of vectors), and ``bz`` the DSTEBZ arguments after its range,
+    bounds and tolerance; ZSTEIN reads the eigenvalues and block numbers
+    of the vectors from ``pair_w`` and ``pair_block``.  ZHETRD and
+    ZUNMTR get ``lwork = n``, the size ZHEEVR passes them.
     """
 
     def __init__(self, n: int):
@@ -198,10 +214,10 @@ class _Workspace:
                                           self.iwork))
         self.trd = ((_COL_MAJOR, _LOWER, order),
                     (order, d, e, tau, work, order))
-        self.bz = ((_BY_INDEX, _BY_ENERGY, order, _ZERO, _ZERO),
-                   (_ZERO, d, e, ctypes.byref(self.found),
-                    ctypes.byref(self.nsplit), _PTR(self.w.ctypes.data),
-                    _PTR(self.iblock.ctypes.data), isplit, rwork, iwork))
+        self.order = order
+        self.bz = (d, e, ctypes.byref(self.found), ctypes.byref(self.nsplit),
+                   _PTR(self.w.ctypes.data), _PTR(self.iblock.ctypes.data),
+                   isplit, rwork, iwork)
         self.stein = ((_COL_MAJOR, order, d, e),
                       (_PTR(self.pair_w.ctypes.data),
                        _PTR(self.pair_block.ctypes.data), isplit, z, order,
@@ -220,26 +236,35 @@ class _Workspaces(threading.local):
 _workspaces = _Workspaces()
 
 
-def eigh_window(h: np.ndarray, lo: int, hi: int, i: int,
-                vectors: int = 2) -> tuple:
-    """Energies ``lo..hi`` (inclusive) of the Hermitian matrix ``h`` and
-    the eigenvectors of bands ``i`` to ``i + vectors - 1``.
+def eigh_window(h: np.ndarray, i: int, vectors: int = 2,
+                floor: float | None = None) -> tuple:
+    """The eigenvectors of bands ``i`` to ``i + vectors - 1`` of the
+    Hermitian matrix ``h`` and the energies of every band within the
+    isolation reach of them.
 
     ``vectors`` is 2, the pair's two bands, or 1, band ``i`` alone.
-    Returns ``(energies, states)`` like ``np.linalg.eigh(h)`` with the
-    energies sliced to ``[lo:hi + 1]`` and the vectors to ``[:, i:i +
-    vectors]``: ascending energies and an ``(n, vectors)`` array of
-    columns.  ``h`` must be a C-ordered complex128 square matrix with
-    both triangles filled, and it is overwritten.  LAPACK reads the
+    ``floor`` is the isolation floor in Ha, or None for the pair's own
+    split.  Returns ``(energies, states, first, reach)``: the ascending
+    energies of bands ``first`` to ``first + len(energies) - 1``, the
+    ``(n, vectors)`` columns ``np.linalg.eigh(h)[1][:, i:i + vectors]``
+    would give, and a reach above the floor: every band within
+    ``reach`` Ha of the pair's energies is among ``energies``.  ``h``
+    must be a C-ordered complex128 square matrix with both triangles
+    filled, and it is overwritten.  DSTEBZ finds the pair by index to
+    :data:`_COARSE`, then at full precision every band in (E_i - R,
+    E_{i + 1} + R], E the coarse energies and R the floor plus 3
+    :data:`_COARSE`; where another band lies within :data:`_COARSE` of
+    them, a count at E_i - R fixes the pair's place.  LAPACK reads the
     C-ordered array as its transpose, conj(h), which has the same
     eigenvalues and conjugate eigenvectors, so the vectors are
-    conjugated on return.  DSTEBZ lists the energies ascending, but
-    ZSTEIN takes them grouped by block where the tridiagonal splits: a
-    pair whose upper band is in an earlier block is handed over
-    swapped, and its columns swapped back.  Raises ``ValueError`` for a
-    bad window or array before any foreign call, and
+    conjugated on return.  ZSTEIN takes the energies grouped by block
+    where the tridiagonal splits: a pair whose upper band is in an
+    earlier block is handed over swapped, and its columns swapped back.
+    Without the routines every energy comes from ``np.linalg.eigh``,
+    with ``first = 0`` and an infinite reach.  Raises ``ValueError``
+    for a bad band, floor or array before any foreign call, and
     ``np.linalg.LinAlgError`` naming the routine if LAPACK fails or
-    finds fewer eigenvalues.
+    does not find the pair.
     """
     if not (isinstance(h, np.ndarray) and h.dtype == np.complex128
             and h.ndim == 2 and h.shape[0] == h.shape[1]
@@ -248,16 +273,18 @@ def eigh_window(h: np.ndarray, lo: int, hi: int, i: int,
                          "complex128 square matrix")
     n = h.shape[0]
     integer = (int, np.integer)
-    if not (isinstance(lo, integer) and isinstance(hi, integer)
-            and isinstance(i, integer) and isinstance(vectors, integer)
-            and vectors in _VECTORS
-            and 0 <= lo <= i <= i + vectors - 1 <= hi < n):
-        raise ValueError(f"band window ({lo}, {hi}) does not hold "
-                         f"{vectors} bands from {i} of 0..{n - 1}")
+    if not (isinstance(i, integer) and isinstance(vectors, integer)
+            and vectors in _VECTORS and 0 <= i <= i + vectors - 1 < n):
+        raise ValueError(f"band window of {vectors} bands from {i} is "
+                         f"not in 0..{n - 1}")
+    if not (floor is None or isinstance(floor, (float, int))
+            and 0 <= floor < math.inf):
+        raise ValueError(f"isolation floor {floor!r} is not a finite "
+                         "energy >= 0 or None")
     lapack = _lapack()
     if lapack is None:
         energies, states = np.linalg.eigh(h)
-        return energies[lo:hi + 1], states[:, i:i + vectors]
+        return energies, states[:, i:i + vectors], 0, math.inf
     ws = _workspaces.by_order.get(n)
     if ws is None:
         ws = _workspaces.by_order[n] = _Workspace(n)
@@ -265,32 +292,56 @@ def eigh_window(h: np.ndarray, lo: int, hi: int, i: int,
     # the cost of h.ctypes.data, and keeps h alive through the calls
     a = ctypes.byref(ctypes.c_char.from_buffer(h))
     if info := lapack.zhetrd(*ws.trd[0], a, *ws.trd[1]):
-        raise _failure("zhetrd", info, lo, hi)
-    count = hi - lo + 1
-    info = lapack.dstebz(*ws.bz[0], lo + 1, hi + 1, *ws.bz[1])
-    if info or ws.found.value != count:
-        raise _failure("dstebz", info, lo, hi,
-                       f" and {ws.found.value} of {count} eigenvalues")
-    energies = ws.w[:count].copy()
-    first, second = i - lo, i - lo + vectors - 1
-    swapped = ws.iblock[first] > ws.iblock[second]
+        raise _failure("zhetrd", info, i)
+    info = lapack.dstebz(_BY_INDEX, _BY_ENERGY, ws.order, _ZERO, _ZERO,
+                         i + 1, i + vectors, _COARSE, *ws.bz)
+    if info or ws.found.value != vectors:
+        raise _failure("dstebz", info, i,
+                       f" and {ws.found.value} of {vectors} eigenvalues")
+    coarse = ws.w[:vectors].tolist()
+    low, high = coarse[0], coarse[-1]
+    margin = (high - low if floor is None else floor) + 3 * _COARSE.value
+    vl = low - margin
+    info = lapack.dstebz(_BY_VALUE, _BY_ENERGY, ws.order, vl, high + margin,
+                         0, 0, _ZERO, *ws.bz)
+    if info:
+        raise _failure("dstebz", info, i)
+    held = ws.found.value
+    energies = ws.w[:held].copy()
+    listed = energies.tolist()
+    p = bisect.bisect_left(listed, low - _COARSE.value)
+    blocks = ws.iblock
+    if bisect.bisect_right(listed, high + _COARSE.value) - p != vectors:
+        # another band lies within _COARSE of the pair: count the bands
+        # at or below vl, as the call above counted them
+        blocks = ws.iblock[:held].copy()
+        info = lapack.dstebz(_BY_VALUE, _BY_ENERGY, ws.order, _LOWEST, vl,
+                             0, 0, _COUNT_ONLY, *ws.bz)
+        if info:
+            raise _failure("dstebz", info, i)
+        p = i - ws.found.value
+    if not 0 <= p <= held - vectors:
+        raise _failure("dstebz", 0, i, f" and band {i} at {p} of {held}")
+    first, second = p, p + vectors - 1
+    swapped = blocks[first] > blocks[second]
     if swapped:
         first, second = second, first
-    ws.pair_w[0], ws.pair_w[1] = energies[first], energies[second]
-    ws.pair_block[0], ws.pair_block[1] = ws.iblock[first], ws.iblock[second]
+    ws.pair_w[0], ws.pair_w[1] = listed[first], listed[second]
+    ws.pair_block[0], ws.pair_block[1] = blocks[first], blocks[second]
     m = _VECTORS[vectors]
     if info := lapack.zstein(*ws.stein[0], m, *ws.stein[1]):
-        raise _failure("zstein", info, lo, hi)
+        raise _failure("zstein", info, i)
     if info := lapack.zunmtr(*ws.mtr[0], m, a, *ws.mtr[1]):
-        raise _failure("zunmtr", info, lo, hi)
+        raise _failure("zunmtr", info, i)
     states = ws.z[:vectors].T.conj()
-    return energies, states[:, ::-1] if swapped else states
+    return (energies, states[:, ::-1] if swapped else states, i - p,
+            margin - 2 * _COARSE.value)
 
 
-def _failure(routine: str, info: int, lo: int, hi: int,
+def _failure(routine: str, info: int, i: int,
              detail: str = "") -> np.linalg.LinAlgError:
     return np.linalg.LinAlgError(f"{routine} returned info {info}{detail} "
-                                 f"for the window ({lo}, {hi})")
+                                 f"for the window of band {i}")
 
 
 def one_blas_thread(func):

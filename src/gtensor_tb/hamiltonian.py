@@ -147,7 +147,7 @@ class _Engine:
     def h(self, k):
         n = self.n
         scratch = self._scratch
-        hab = (np.exp(1j * (self.nn @ k)) @ self.hop_flat).reshape(n, n)
+        hab = np.exp(1j * self.nn.dot(k)).dot(self.hop_flat).reshape(n, n)
         scratch.ab[...] = hab
         scratch.ba[...] = hab.conj().T
         # a fresh array; + 0.0 clears the sign of zeros, so H is bitwise
@@ -162,7 +162,7 @@ class _Engine:
         go straight into both spin blocks of a zero array.
         """
         n = self.n
-        phases = np.exp(1j * (self.nn @ k))
+        phases = np.exp(1j * self.nn.dot(k))
         hab = np.dot(self.i_nn * phases, self.hop_flat).reshape(3, n, n)
         out = np.zeros((3, self.dim, self.dim), dtype=complex)
         out[:, :n, n:2 * n] = out[:, 2 * n:3 * n, 3 * n:] = hab

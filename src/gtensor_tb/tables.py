@@ -104,8 +104,9 @@ def sample_pairs(model: MaterialModel, band_id, ks,
     With ``momenta`` each k-point solves every band and forms the pair's
     momentum rows and energy denominators (:func:`pair_momenta`), whose
     orbital sum runs over all bands; otherwise it solves only what
-    :func:`select_pair` reads, the energies of the pair and its
-    neighbours and the pair's two vectors (:func:`solve`).
+    :func:`select_pair` reads, the energies of the pair and of the bands
+    within its isolation reach and the pair's two vectors
+    (:func:`solve`).  The pair is resolved and checked once per call.
     Returns (reasons, pairs, momenta): ``reasons`` has one entry per k-point,
     None where the pair is defined, else the class name of the
     :class:`PairUndefinedError` raised there; ``pairs`` and ``momenta``
@@ -122,8 +123,8 @@ def sample_pairs(model: MaterialModel, band_id, ks,
     reasons, defined = [], 0
     for point in ks:
         try:
-            sol = solve(model, point, None if momenta else band_id)
-            pair = select_pair(model, sol, band_id)
+            sol = solve(model, point, None if momenta else indices)
+            pair = select_pair(model, sol, indices)
             if momenta:
                 row = pair_momenta(model, sol, pair)
         except PairUndefinedError as err:

@@ -1,10 +1,13 @@
+import dataclasses
+import math
+import re
 import struct
 import types
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gtensor_tb import (PairingAmbiguityError, PairUndefinedError, blas,
@@ -18,7 +21,7 @@ from gtensor_tb.gtensor import det_sign, momentum_table, pair_momenta, spin_g
 from gtensor_tb.hamiltonian import bloch_hamiltonian, glide_block
 from gtensor_tb.materials import PAIR_SPLIT_TOL
 
-from conftest import bitwise_k_points, random_k_points
+from conftest import bitwise_k_points, holds_the_reach, random_k_points
 from oracles import glide_unitary, pt_unitary
 
 
@@ -47,12 +50,23 @@ def test_full_solve_is_plain_eigh(request, material, monkeypatch):
     assert calls == []
 
 
-def test_resolve_band_labels(si):
+def test_resolve_band_labels(si, gaas):
     assert resolve_band_indices(si, "split-off") == (2, 3)
     assert resolve_band_indices(si, "first-conduction") == (8, 9)
     assert resolve_band_indices(si, (4, 5)) == (4, 5)
     with pytest.raises(InputError, match="not 'no-such-band'"):
         resolve_band_indices(si, "no-such-band")
+    # a resolved pair passes through unchecked where the model has its
+    # bands, and is checked again where it has not
+    for band in ("split-off", (4, 5), (38, 39)):
+        pair = resolve_band_indices(si, band)
+        with mock.patch.object(band_module, "band_pair_problem",
+                               side_effect=AssertionError):
+            assert resolve_band_indices(si, pair) is pair
+    assert resolve_band_indices(gaas, resolve_band_indices(si, (4, 5))) == (
+        4, 5)
+    with pytest.raises(InputError, match=r"not two adjacent bands"):
+        resolve_band_indices(gaas, pair)
 
 
 @pytest.mark.parametrize("pair", [(3, 3), (3, -13), (18, 19), (16, 17),
@@ -209,6 +223,75 @@ def test_select_pair_isolation_matches_all_bands_formula(case, tol):
     assert np.array_equal(pair.states, np.eye(e.size)[:, [i, j]])
 
 
+# energies below 1 Ha that are multiples of 2**-30, so that every
+# difference of two of them is exact
+_UNIT = 2.0 ** -30
+
+
+@st.composite
+def _reach_window(draw):
+    """A sorted spectrum with a pair (i, i + 1), its isolation floor
+    (``tol``; None: the pair's own split, as for T_d), a reach at or
+    above the floor and how many bands beyond the reach a window holds
+    below and above it.  Each neighbour of the pair sits at the floor,
+    one unit inside or outside it, at the reach or just beyond it, tied
+    with the pair, or anywhere."""
+    tol = draw(st.sampled_from([None, 2.0 ** -27, 2.0 ** -20, 2.0 ** -10]))
+    t = 0 if tol is None else round(tol / _UNIT)
+    split = draw(st.sampled_from([0, 1, t - 1, t, t + 1]).filter(
+        lambda n: n >= 0) | st.integers(0, 2 ** 22)) * _UNIT
+    low = draw(st.integers(-2 ** 28, 2 ** 28)) * _UNIT
+    floor = split if tol is None else tol
+    reach = floor + draw(st.sampled_from([0, 1, 3])
+                         | st.integers(0, 2 ** 22)) * _UNIT
+    distance = (st.sampled_from([floor, floor - _UNIT, floor + _UNIT, reach,
+                                 reach + _UNIT, 0.0]).filter(lambda d: d >= 0)
+                | st.integers(0, 2 ** 24).map(lambda n: n * _UNIT))
+    below = sorted(low - d for d in draw(st.lists(distance, max_size=3)))
+    above = sorted(low + split + d for d in draw(st.lists(distance,
+                                                          max_size=3)))
+    assume(below or above)
+    e = np.array([*below, low, low + split, *above])
+    i = len(below)
+    extra = (draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+    return e, (i, i + 1), tol, reach, extra
+
+
+@settings(max_examples=500, deadline=None)
+@given(_reach_window())
+def test_reach_window_decides_like_all_bands_formula(case):
+    # a pair solution holds the bands within its reach of the pair and
+    # perhaps a few beyond; select_pair counts a band it does not hold as
+    # beyond the reach, so it decides isolation as the all-bands formula
+    # does, with split and gap_to_rest bit for bit whenever the deciding
+    # band, the nearest to the pair, lies within the reach or is held
+    e, (i, j), tol, reach, (below, above) = case
+    model = types.SimpleNamespace(point_group="Td" if tol is None else "Oh",
+                                  dim=e.size)
+    distance = np.minimum(abs(e - e[i]), abs(e - e[j]))
+    within = np.flatnonzero(distance <= reach)
+    lo = max(within.min() - below, 0)
+    hi = min(within.max() + above, e.size - 1)
+    sol = BlochSolution(np.zeros(3), e[lo:hi + 1], np.eye(e.size)[:, i:j + 1],
+                        lo, i, reach)
+    split, gap, raises = _reference_isolation(e, i, j, tol)
+    deciding = [m for m in (i - 1, j + 1) if 0 <= m < e.size
+                and min(abs(e[m] - e[i]), abs(e[m] - e[j])) == gap]
+    exact = gap <= reach or any(lo <= m <= hi for m in deciding)
+    with mock.patch.object(band_module, "PAIR_SPLIT_TOL", tol):
+        if raises:
+            with pytest.raises(PairingAmbiguityError) as info:
+                select_pair(model, sol, (i, j))
+            assert _bits(info.value.split) == _bits(split)
+            if exact:
+                assert _bits(info.value.gap_to_rest) == _bits(gap)
+            else:       # the gap to a held band farther out, or inf
+                assert info.value.gap_to_rest >= gap > reach
+            return
+        pair = select_pair(model, sol, (i, j))
+    assert np.array_equal(pair.states, np.eye(e.size)[:, [i, j]])
+
+
 # --- band windows: the g_S chain solves only the pair and its neighbours
 
 def _full_chain_sign(model, band, k):
@@ -266,28 +349,138 @@ def test_window_matches_full_spectrum_slice(si, gaas, case):
     odd = (2 * p + 1) % (last - 1)
     for pair in ((0, 1), (last - 1, last), (2 * p % last, 2 * p % last + 1),
                  (odd, odd + 1)):
-        # the pair and its neighbours, widened to whole Kramers
-        # doublets (bands 2m, 2m + 1) for O_h
+        # the window holds every band within its reach of the pair, and
+        # the reach is more than the isolation floor: PAIR_SPLIT_TOL for
+        # O_h, the pair's own split for T_d
         i, j = pair
-        lo, hi = max(i - 1, 0), min(i + 2, last)
-        if model.point_group == "Oh":
-            lo, hi = lo - lo % 2, hi | 1
         full = solve(model, k)
         win = solve(model, k, pair)
-        assert (win.first, win.first_state) == (lo, i)
+        e = full.energies
+        assert win.first_state == i
+        assert holds_the_reach(e, win.first, win.energies.size, i, j,
+                               win.reach)
+        floor = e[j] - e[i] if model.point_group == "Td" else PAIR_SPLIT_TOL
+        assert win.reach > floor
         assert win.states.shape == (model.dim, 2)
-        assert np.abs(win.energies - full.energies[lo:hi + 1]).max() < 1e-12
+        assert np.abs(win.energies - e[win.first:win.first
+                                       + win.energies.size]).max() < 1e-12
         gram = win.states.conj().T @ win.states
         assert np.abs(gram - np.eye(2)).max() < 1e-12
         # each vector belongs to its own band's energy
         h = bloch_hamiltonian(model, k)
-        e = full.energies
         assert np.abs(h @ win.states - win.states * e[[i, j]]).max() < 1e-10
         gap = min(abs(e[m] - e[n]) for n in (i, j)
                   for m in (i - 1, j + 1) if 0 <= m <= last)
         if gap > 1e-4:       # pair isolated: its projector is well defined
             v, w = full.states[:, [i, j]], win.states
             assert np.abs(v @ v.conj().T - w @ w.conj().T).max() < 1e-10
+
+
+def _gap_to_rest(model, k, pair):
+    """The distance from the pair's energies to the nearest other band,
+    by eigh."""
+    e = np.linalg.eigvalsh(bloch_hamiltonian(model, k))
+    i, j = pair
+    return np.delete(np.minimum(abs(e - e[i]), abs(e - e[j])), [i, j]).min()
+
+
+def _at_gap(model, start, direction, pair, target, length):
+    """The k-point start + s direction, 0 < s < length, at which the
+    pair's gap to the rest is ``target``, by bisection on s; the gap must
+    be below ``target`` at ``start`` and above it at the far end."""
+    lo, hi = 0.0, length
+    assert (_gap_to_rest(model, start, pair) < target
+            < _gap_to_rest(model, start + hi * direction, pair))
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if _gap_to_rest(model, start + mid * direction, pair) < target:
+            lo = mid
+        else:
+            hi = mid
+    return start + hi * direction
+
+
+def _near_points(model, pair):
+    """k-points, on and off k_z = 0, where another band lies 0.5 and 1.5
+    PAIR_SPLIT_TOL from the pair: for Si and Ge next to X, where bands
+    2m..2m + 3 meet for every configured pair, and for the GaAs
+    conduction pairs next to their crossing on the X-W line; none for
+    GaAs split-off."""
+    a = model.lattice_constant
+    x = high_symmetry_point("X", a)
+    if model.point_group == "Oh":
+        starts = [(x, np.array([-1.0, 0.3, 0.0]), 1e-2),
+                  (x[[1, 2, 0]], np.array([0.3, 0.2, -1.0]), 1e-2)]
+    elif pair == (2, 3):
+        return []
+    else:
+        # the gap closes linearly at one point of the X-W line; ternary
+        # search finds it, and its copy under the T_d rotation (x, y, z)
+        # -> (y, z, x) lies off k_z = 0
+        w = high_symmetry_point("W", a)
+        lo, hi = 0.80, 0.825
+        for _ in range(60):
+            t1, t2 = lo + (hi - lo) / 3, hi - (hi - lo) / 3
+            if (_gap_to_rest(model, x + t1 * (w - x), pair)
+                    < _gap_to_rest(model, x + t2 * (w - x), pair)):
+                hi = t2
+            else:
+                lo = t1
+        cross = x + lo * (w - x)
+        starts = [(cross, w - x, 1e-3), (cross[[1, 2, 0]], (w - x)[[1, 2, 0]],
+                                         1e-3)]
+    return [_at_gap(model, start, d / np.linalg.norm(d), pair,
+                    target * PAIR_SPLIT_TOL, length)
+            for start, d, length in starts for target in (0.5, 1.5)]
+
+
+@pytest.mark.parametrize("material", ["si", "ge", "gaas"])
+def test_pair_windows_match_eigh_next_to_other_bands(request, material):
+    # every configured pair at Gamma, at 20 seeded k (half on k_z = 0)
+    # and next to X or a band crossing, where another band lies 0.5 or
+    # 1.5 PAIR_SPLIT_TOL from the pair, on and off k_z = 0: the window
+    # holds every band within its reach, with energies within 1e-12 Ha
+    # of eigh's, each of the pair's vectors is an eigenvector of its
+    # energy to 1e-12 Ha, select_pair decides as it does on the full
+    # solve, and the pair's projector lies within 1e-12 of eigh's where
+    # a gap of more than 1e-3 Ha isolates the pair; closer to other
+    # bands, where eigh's own projector is fixed only to about eps/gap,
+    # the vectors lie in eigh's invariant subspace of the bands within
+    # 1e-3 Ha of the pair to 1e-12
+    model = request.getfixturevalue(material)
+    ks = random_k_points(53, 20, scale=0.6)
+    ks[::2, 2] = 0.0
+    near = 0
+    for band in model.band_pairs:
+        i, j = pair = resolve_band_indices(model, band)
+        points = _near_points(model, pair)
+        near += len(points)
+        for k in [np.zeros(3), *ks, *points]:
+            h = bloch_hamiltonian(model, k)
+            e, v = np.linalg.eigh(h)
+            full, win = solve(model, k), solve(model, k, band)
+            assert holds_the_reach(e, win.first, win.energies.size, i, j,
+                                   win.reach), (band, k)
+            assert np.abs(win.energies - e[win.first:win.first
+                                           + win.energies.size]).max() < 1e-12
+            assert np.abs(h @ win.states - win.states * e[[i, j]]).max() < 1e-12
+            decided = []
+            for sol in (full, win):
+                try:
+                    decided.append(select_pair(model, sol, band).band_indices)
+                except PairingAmbiguityError:
+                    decided.append(None)
+            assert decided[0] == decided[1], (band, k)
+            cluster = np.flatnonzero(np.minimum(abs(e - e[i]),
+                                                abs(e - e[j])) <= 1e-3)
+            u = v[:, cluster]
+            outside = win.states - u @ (u.conj().T @ win.states)
+            assert np.abs(outside).max() < 1e-12, (band, k)
+            if cluster.size == 2:
+                u = v[:, [i, j]]
+                assert np.abs(win.states @ win.states.conj().T
+                              - u @ u.conj().T).max() < 1e-12, (band, k)
+    assert near == 4 * len(model.band_pairs) - 4 * (material == "gaas")
 
 
 def test_window_crossings_equal_eigh_fallback(si, monkeypatch):
@@ -303,58 +496,76 @@ def test_bad_window_raises_before_lapack(si, monkeypatch):
     calls = []
     monkeypatch.setattr(blas, "_lapack", lambda: calls.append(1))
     h = bloch_hamiltonian(si, np.array([0.02, 0.01, 0.0]))
-    # the window must hold bands i and i + 1 of 0..39
-    for lo, hi, i in ((-1, 2, 0), (3, 2, 2), (0, 40, 2), (39, 40, 39),
-                      (1.0, 4, 2), (1, 4, 2.0), (2, 5, 1), (1, 4, 4),
-                      (2, 2, 2)):
+    # bands i to i + vectors - 1 must be bands of 0..39, and vectors 1
+    # (band i's vector) or 2 (the pair's two)
+    for i, vectors in ((-1, 2), (39, 2), (40, 1), (-1, 1), (1.0, 2),
+                       (2, 2.0), (2, 0), (2, 3)):
         with pytest.raises(ValueError, match="window"):
-            blas.eigh_window(h.copy(), lo, hi, i)
-    # one vector needs band i in the window; no other count is formed
-    for lo, hi, i, vectors in ((0, 2, 3, 1), (3, 5, 2, 1), (0, 5, 2, 0),
-                               (0, 5, 2, 3), (0, 5, 2, 2.0)):
-        with pytest.raises(ValueError, match="window"):
-            blas.eigh_window(h.copy(), lo, hi, i, vectors)
+            blas.eigh_window(h.copy(), i, vectors)
+    # the isolation floor is a finite energy >= 0, or None
+    for floor in (-1e-6, math.inf, math.nan, "1e-6", np.array([1e-6])):
+        with pytest.raises(ValueError, match="floor"):
+            blas.eigh_window(h.copy(), 2, 2, floor)
     for bad in (h.real.copy(), h.T, h[:, :39].copy(), h.astype(np.complex64)):
         with pytest.raises(ValueError, match="C-ordered"):
-            blas.eigh_window(bad, 0, 5, 2)
+            blas.eigh_window(bad, 2)
     with pytest.raises(ValueError, match="adjacent bands"):
         solve(si, np.zeros(3), (39, 40))
     assert calls == []
 
 
 def test_lapack_failure_raises_linalg_error(si, monkeypatch):
-    # info != 0 from any of the four routines, or fewer eigenvalues than
-    # the window from DSTEBZ, raises LinAlgError naming the routine
+    # info != 0 from any of the four routines, at any of DSTEBZ's calls,
+    # or a count from DSTEBZ that does not hold the pair, raises
+    # LinAlgError naming the routine
     real = blas._lapack()
     if real is None:
         pytest.skip("numpy's OpenBLAS does not export the window route")
 
-    def fake(routine, info, found):
+    def fake(routine, info, call, found):
+        made = []
+
         def failing(*args):
             result = getattr(real, routine)(*args)
-            if routine == "dstebz":
+            made.append(args)
+            if len(made) != call:
+                return result
+            if found is not None:
                 args[10]._obj.value = found
             return info or result
         return real._replace(**{routine: failing})
 
     h = bloch_hamiltonian(si, np.array([0.02, 0.01, 0.0]))
-    for routine, info, found in (("zhetrd", 1, 6), ("dstebz", 1, 6),
-                                 ("dstebz", 0, 5), ("zstein", 1, 6),
-                                 ("zunmtr", -13, 6)):
-        lapack = fake(routine, info, found)
+    # the odd pair (3, 4) straddles two doublets, so its reach holds a
+    # band within _COARSE of it and DSTEBZ is called a third time, for
+    # a count
+    for routine, info, call, found, i, detail in (
+            ("zhetrd", 1, 1, None, 2, ""),
+            ("dstebz", 1, 1, None, 2, " and 2 of 2 eigenvalues"),
+            ("dstebz", 0, 1, 1, 2, " and 1 of 2 eigenvalues"),
+            ("dstebz", 2, 2, None, 2, ""),
+            ("dstebz", 0, 2, 0, 2, " and band 2 at 0 of 0"),
+            ("dstebz", 3, 3, None, 3, ""),
+            ("dstebz", 0, 3, 40, 3, " and band 3 at -37 of 4"),
+            ("zstein", 1, 1, None, 2, ""),
+            ("zunmtr", -13, 1, None, 2, "")):
+        lapack = fake(routine, info, call, found)
         monkeypatch.setattr(blas, "_lapack", lambda: lapack)
         with pytest.raises(np.linalg.LinAlgError,
-                           match=f"{routine} returned info {info}"):
-            blas.eigh_window(h.copy(), 0, 5, 2)
+                           match=re.escape(f"{routine} returned info {info}"
+                                           f"{detail} for the window of "
+                                           f"band {i}")):
+            blas.eigh_window(h.copy(), i, 2, PAIR_SPLIT_TOL)
 
 
 @pytest.mark.parametrize("pair, bands", [
-    ((2, 3), None), ((2, 3), (0, 5)), ((8, 9), None), ((8, 9), (6, 11)),
-    ((38, 39), None), ((0, 1), (0, 3)), ((38, 39), (36, 39))])
+    ((2, 3), None), ((2, 3), (2, 3)), ((8, 9), None), ((8, 9), (8, 9)),
+    ((38, 39), None), ((0, 1), (0, 1)), ((38, 39), (38, 39))])
 def test_select_pair_arrays_equal_fancy_index(si, pair, bands):
     # the pair's states are the fancy index of the solution's, with the
     # same bytes and the same (column-major) layout, and own their
-    # memory; a pair solution holds the energies of bands lo..hi
+    # memory; a pair solution holds the energies of bands lo..hi, here
+    # the pair's alone, since no other band lies within its reach
     sol = solve(si, np.array([0.31, 0.17, 0.05]), bands and pair)
     if bands:
         assert (sol.first, sol.first + sol.energies.size - 1) == bands
@@ -404,22 +615,40 @@ def _part(sol, lo, hi, first_state, count):
 def test_select_pair_needs_pair_and_neighbours(si):
     k = np.array([0.03, 0.01, 0.0])
     full_sol = solve(si, k)
-    # split-off is (2, 3): it needs the energies of 1..4 and vectors 2, 3
-    for lo, hi, first_state, count in ((2, 3, 2, 2), (1, 3, 0, 40),
-                                       (2, 4, 0, 40), (0, 1, 0, 40),
-                                       (0, 5, 3, 2), (0, 5, 1, 2),
-                                       (0, 5, 2, 1), (0, 39, 0, 3)):
-        part = _part(full_sol, lo, hi, first_state, count)
-        with pytest.raises(ValueError, match="needs energies 1..4 and "
-                                             "vectors 2, 3"):
+    # split-off is (2, 3): it needs the energies of 1..4 and vectors 2,
+    # 3, or the energies of 2..3 alone where the solution's finite reach
+    # covers the isolation floor, PAIR_SPLIT_TOL
+    message = re.escape("needs energies 1..4, or 2..3 and a reach of at "
+                        "least the isolation floor, and vectors 2, 3")
+    for lo, hi, first_state, count, reach in (
+            (2, 3, 2, 2, math.inf), (1, 3, 0, 40, math.inf),
+            (2, 4, 0, 40, math.inf), (0, 1, 0, 40, math.inf),
+            (0, 5, 3, 2, math.inf), (0, 5, 1, 2, math.inf),
+            (0, 5, 2, 1, math.inf), (0, 39, 0, 3, math.inf),
+            (2, 3, 2, 2, 0.999 * PAIR_SPLIT_TOL), (1, 3, 2, 2, 0.0),
+            (2, 4, 2, 2, 0.5 * PAIR_SPLIT_TOL), (3, 4, 2, 2, 1.0),
+            (2, 3, 3, 2, 1.0), (2, 3, 2, 1, 1.0)):
+        part = dataclasses.replace(_part(full_sol, lo, hi, first_state,
+                                         count), reach=reach)
+        with pytest.raises(ValueError, match=message):
             select_pair(si, part, "split-off")
     full = select_pair(si, full_sol, "split-off")
-    for part in (_part(full_sol, 1, 4, 2, 2), _part(full_sol, 1, 4, 1, 3),
-                 solve(si, k, "split-off")):
+    for part in (_part(full_sol, 1, 4, 2, 2), _part(full_sol, 1, 4, 1, 3)):
         pair = select_pair(si, part, "split-off")
         assert pair.band_indices == full.band_indices == (2, 3)
         assert _split_and_gap(part, pair)[1] == pytest.approx(
             _split_and_gap(full_sol, full)[1], abs=1e-12)
+    # the pair's energies alone, with a reach at or above the floor: its
+    # neighbours lie beyond the reach, as they do at this k
+    for part in (dataclasses.replace(_part(full_sol, 2, 3, 2, 2),
+                                     reach=PAIR_SPLIT_TOL),
+                 solve(si, k, "split-off")):
+        pair = select_pair(si, part, "split-off")
+        assert pair.band_indices == (2, 3)
+        assert (part.first, part.energies.size) == (2, 2)
+        assert _split_and_gap(full_sol, full)[1] > part.reach
+        assert np.abs(pair.states @ pair.states.conj().T
+                      - full.states @ full.states.conj().T).max() < 1e-12
     # the bottom pair has no lower neighbour to ask for
     bottom_sol = _part(full_sol, 0, 2, 0, 2)
     bottom = select_pair(si, bottom_sol, (0, 1))
@@ -482,11 +711,12 @@ def test_pt_and_glide_are_symmetries(si, ge, gaas):
 @pytest.mark.parametrize("material", ["si", "ge"])
 def test_oh_plane_pair_is_xi_and_its_pt_partner(request, material):
     # every configured pair, and the pairs at both ends of the spectrum
-    # (block windows 0..1 and dim/2 - 2..dim/2 - 1), at 53 points on
-    # k_z = 0 (Gamma, X, an X-W ray end and 50 seeded k), solved in the
-    # glide's +i block: the energies within 1e-12 Ha of the two-vector
-    # window of H, xi an eigenvector of its energy to 1e-12 Ha and in
-    # the glide's +i eigenspace, the second column exactly PT xi and
+    # (block bands 0 and dim/2 - 1), at 53 points on k_z = 0 (Gamma, X,
+    # an X-W ray end and 50 seeded k), solved in the glide's +i block:
+    # the window holds every band within its reach, with energies within
+    # 1e-12 Ha of eigh's and of the two-vector window of H on the bands
+    # both hold, xi an eigenvector of its energy to 1e-12 Ha and in the
+    # glide's +i eigenspace, the second column exactly PT xi and
     # orthogonal to xi, and the pair's projector within 1e-12 of the
     # two-vector window's where a gap of more than 1e-3 Ha isolates the
     # pair; at 20 seeded k off the plane the solve is the two-vector
@@ -497,22 +727,31 @@ def test_oh_plane_pair_is_xi_and_its_pt_partner(request, material):
     off_plane = random_k_points(43, 20, scale=0.6)
     assert len(plane) == 53 and (off_plane[:, 2] != 0.0).all()
     for band in (*model.band_pairs, (0, 1), (model.dim - 2, model.dim - 1)):
-        i, _ = resolve_band_indices(model, band)
+        i, j = resolve_band_indices(model, band)
         isolated = 0
         for k in plane:
             sol = solve(model, k, band)
-            lo, hi = sol.first, sol.first + sol.energies.size - 1
             h = bloch_hamiltonian(model, k)
-            energies, states = blas.eigh_window(h.copy(), lo, hi, i)
-            assert np.abs(sol.energies - energies).max() <= 1e-12, (band, k)
+            e = np.linalg.eigvalsh(h)
+            energies, states, first, _ = blas.eigh_window(h.copy(), i, 2,
+                                                          PAIR_SPLIT_TOL)
+            assert sol.reach > PAIR_SPLIT_TOL
+            assert holds_the_reach(e, sol.first, sol.energies.size, i, j,
+                                   sol.reach)
+            lo = max(first, sol.first)
+            hi = min(first + energies.size, sol.first + sol.energies.size)
+            assert lo <= i and j < hi
+            assert np.abs(sol.energies[lo - sol.first:hi - sol.first]
+                          - energies[lo - first:hi - first]).max() <= 1e-12
+            assert np.abs(sol.energies - e[sol.first:sol.first
+                                           + sol.energies.size]).max() <= 1e-12
             xi, xi_bar = sol.states.T
-            assert np.abs(h @ xi - sol.energies[i - lo] * xi).max() <= 1e-12
+            assert np.abs(h @ xi - e[i] * xi).max() <= 1e-12, (band, k)
             assert np.linalg.norm(m @ xi - 1j * xi) <= 1e-12
             assert np.array_equal(xi_bar, u @ xi.conj())
             assert abs(np.vdot(xi, xi_bar)) <= 1e-13
-            gap = min(abs(energies[n] - energies[i - lo])
-                      for n in (i - lo - 1, i - lo + 2)
-                      if 0 <= n < energies.size)
+            gap = min(abs(e[n] - e[i]) for n in (i - 1, i + 2)
+                      if 0 <= n < model.dim)
             if gap > 1e-3:
                 assert np.abs(sol.states @ sol.states.conj().T
                               - states @ states.conj().T).max() <= 1e-12
@@ -520,11 +759,12 @@ def test_oh_plane_pair_is_xi_and_its_pt_partner(request, material):
         assert isolated >= 50, band        # 51 to 52 measured
         for k in off_plane:
             sol = solve(model, k, band)
-            lo, hi = sol.first, sol.first + sol.energies.size - 1
-            energies, states = blas.eigh_window(bloch_hamiltonian(model, k),
-                                                lo, hi, i)
+            energies, states, first, reach = blas.eigh_window(
+                bloch_hamiltonian(model, k), i, 2, PAIR_SPLIT_TOL)
             assert sol.energies.tobytes() == energies.tobytes()
             assert sol.states.tobytes() == states.tobytes()
+            assert (sol.first, sol.first_state, sol.reach) == (first, i,
+                                                               reach)
 
 
 @pytest.mark.parametrize("material", ["si", "ge"])

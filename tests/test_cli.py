@@ -369,10 +369,10 @@ def test_entropy_td_off_family_notes_and_nan(tmp_path, capsys):
 # --- surface -----------------------------------------------------------------
 
 @pytest.mark.parametrize("case", [
-    # the g_S scans solve a band window of whole Kramers doublets: Si
-    # split-off (bands 0..5), Si first conduction (6..11), Ge second
-    # conduction (8..13); GaAs split-off is a T_d, non-degenerate pair
-    # (bands 1..4) scanned on the O_h wedge; g_tot solves every band
+    # the g_S scans solve the pair and the bands within its isolation
+    # reach: Si split-off (bands 2, 3), Si first conduction (8, 9), Ge
+    # second conduction (10, 11); GaAs split-off is a T_d, non-degenerate
+    # pair scanned on the O_h wedge; g_tot solves every band
     "si split-off", "si first-conduction", "ge second-conduction",
     "gaas split-off", "si split-off --det gtot"])
 def test_surface_csv_and_workers_agree(tmp_path, monkeypatch, case):

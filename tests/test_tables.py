@@ -7,6 +7,7 @@ from gtensor_tb import (NearDegenerateIntermediateError, PairUndefinedError,
                         align_pair_to_spin_frame, boundary_radius, entropy,
                         g_tensor_set, gtensor, pair_spin_densities, scan_ray,
                         select_pair, solve, spin_flip_residual, tables)
+from gtensor_tb.bands import resolve_band_indices
 from gtensor_tb.entanglement import direction_applicable
 from gtensor_tb.gtensor import spin_g
 from gtensor_tb.tables import (ENTROPY_COLUMNS, GLINE_COLUMNS, band_path_rows,
@@ -308,8 +309,10 @@ def test_entropy_rows_match_full_spectrum_chain(material, band, seed,
     ids=["si-split-off", "si-4-5", "gaas-split-off"])
 def test_each_caller_solves_its_window(material, band, request, monkeypatch):
     # a pass that reduces the momentum table solves every band (pair
-    # None); a g_S sign pass or an entropy table solves the pair's window
+    # None); a g_S sign pass or an entropy table solves the pair's window,
+    # asking for the pair by the indices it resolved once for the pass
     model = request.getfixturevalue(material)
+    indices = resolve_band_indices(model, band)
     direction = random_unit_vectors(71, 1)[0]
     r_max = boundary_radius(model.lattice_constant, direction)
     seen = []
@@ -325,8 +328,8 @@ def test_each_caller_solves_its_window(material, band, request, monkeypatch):
             (lambda: scan_ray(model, band, direction, n_coarse=8,
                               which_det="gtot"), None),
             (lambda: entropy_rows(model, band, direction, r_max, samples=8),
-             band),
-            (lambda: scan_ray(model, band, direction, n_coarse=8), band)]:
+             indices),
+            (lambda: scan_ray(model, band, direction, n_coarse=8), indices)]:
         seen.clear()
         run()
         assert len(seen) >= 8 and set(seen) == {expected}
